@@ -23,6 +23,8 @@ import numpy as np
 from .grid import (
     Grid,
     SpectralField,
+    _dealiased_physical,
+    _dealiased_spectral,
     gradient_component,
     leray_project,
     lp_norm_physical,
@@ -542,24 +544,12 @@ PINNED_BOUNDS = {
 def _tensor_gradient_power(u: SpectralField, v: SpectralField) -> np.ndarray:
     """Sum over i,j,l of |FT[d_l(u_i v_j)]|^2 per mode (dealiased)."""
     grid = u.grid
-    mask = grid.dealias_mask()
-
-    def phys(f):
-        c = f.coeffs.copy()
-        c[:, mask] = 0.0
-        return np.fft.ifftn(c, axes=grid.spatial_axes).real * grid.n**grid.d
-
-    up, vp = phys(u), phys(v)
-    ks = grid.wavevectors()
+    up, vp = _dealiased_physical(u), _dealiased_physical(v)
     power = np.zeros(grid.shape)
     for i in range(3):
-        for j in range(3):
-            c = np.fft.fftn(up[i] * vp[j], axes=tuple(range(grid.d))) / grid.n**grid.d
-            c[mask] = 0.0
-            csq = np.abs(c) ** 2
-            for l in range(grid.d):
-                power += ks[l] ** 2 * csq
-    return power
+        c = _dealiased_spectral(grid, up[i] * vp).coeffs
+        power += np.sum(np.abs(c) ** 2, axis=0)
+    return grid.k_squared() * power
 
 
 def _power_l2(power: np.ndarray, grid: Grid) -> float:

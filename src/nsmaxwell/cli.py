@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -141,6 +142,11 @@ def _cmd_picard(cfg: RunConfig) -> int:
         fh.write("epsilon,max_contraction_ratio\n")
         for eps, worst in rows:
             fh.write(f"{eps!r},{worst!r}\n")
+    diverged = [eps for eps, worst in rows if not math.isfinite(worst)]
+    if diverged:
+        print(f"blowup: Picard iteration diverged at epsilon = "
+              f"{', '.join(map(repr, diverged))}", file=sys.stderr)
+        return 1
     return 0
 
 

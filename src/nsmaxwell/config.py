@@ -81,8 +81,8 @@ def _validate(cfg: RunConfig, where) -> list:
 
     if cfg.d not in (2, 3):
         bad("d", f"dimension must be 2 or 3, got {cfg.d}")
-    if cfg.n < 4 or (cfg.n & (cfg.n - 1)) != 0:
-        bad("n", f"grid size must be a power of two >= 4, got {cfg.n}")
+    if cfg.n < 8 or (cfg.n & (cfg.n - 1)) != 0:
+        bad("n", f"grid size must be a power of two >= 8, got {cfg.n}")
     for key in ("box_length", "amplitude", "T", "dt", "delta_target"):
         if getattr(cfg, key) <= 0:
             bad(key, f"must be positive, got {getattr(cfg, key)}")

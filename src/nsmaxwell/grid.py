@@ -5,14 +5,23 @@ numpy FFT layout, with the convention ``u(x) = sum_k c(k) exp(i k.x)`` and
 wavevectors ``k = (2 pi / L) m``.  All fields are R^3-valued regardless of
 the spatial dimension; in d=2 the derivative convention is
 ``grad = (d1, d2, 0)`` and ``curl F = (d2 F3, -d1 F3, d1 F2 - d2 F1)``.
+
+The dealiased products run real-to-complex: the inverse transform reads
+only the half spectrum ``m_d = 0 .. n/2`` (``scipy.fft.irfftn``), and the
+forward transform (``scipy.fft.rfftn``) fills the other half from the
+Hermitian symmetry ``c(-k) = conj(c(k))``, so ``coeffs`` keeps the full
+layout.  A grid builds its wavevectors and masks once; the arrays it
+hands out are read-only.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+import scipy.fft
 
 __all__ = [
     "Grid",
@@ -80,40 +89,90 @@ class Grid:
         Returns three arrays; in d=2 the third is identically zero
         (the 2D convention grad = (d1, d2, 0)).
         """
-        m = np.fft.fftfreq(self.n, d=1.0 / self.n) * self.k0
-        ks = list(np.meshgrid(*([m] * self.d), indexing="ij"))
-        if self.d == 2:
-            ks.append(np.zeros(self.shape))
-        return ks
+        return list(self._wavevectors)
 
     def k_squared(self) -> np.ndarray:
-        k1, k2, k3 = self.wavevectors()
-        return k1**2 + k2**2 + k3**2
+        return self._k_squared
 
     def k_magnitude(self) -> np.ndarray:
-        return np.sqrt(self.k_squared())
+        return self._k_magnitude
 
     def nyquist_mask(self) -> np.ndarray:
         """Boolean mask, True on modes with m = -n/2 along any axis."""
-        m = np.fft.fftfreq(self.n, d=1.0 / self.n)
-        bad = m == -self.n // 2
-        mask = np.zeros(self.shape, dtype=bool)
-        for ax in range(self.d):
-            shape = [1] * self.d
-            shape[ax] = self.n
-            mask |= bad.reshape(shape)
-        return mask
+        return self._nyquist_mask
 
     def dealias_mask(self) -> np.ndarray:
         """Boolean mask, True on modes killed by the 2/3 rule (|m| > n/3)."""
-        m = np.fft.fftfreq(self.n, d=1.0 / self.n)
-        bad = np.abs(m) > self.n / 3.0
+        return self._dealias_mask
+
+    # Geometry, built on first use and then shared by every caller.
+
+    @cached_property
+    def _wavevectors(self) -> tuple:
+        # Broadcast views of the 1-D mode array: full shape, no storage.
+        m = np.fft.fftfreq(self.n, d=1.0 / self.n) * self.k0
+        ks = list(np.meshgrid(*([m] * self.d), indexing="ij", copy=False))
+        if self.d == 2:
+            ks.append(np.broadcast_to(0.0, self.shape))
+        return tuple(_read_only(k) for k in ks)
+
+    @cached_property
+    def _k_squared(self) -> np.ndarray:
+        k1, k2, k3 = self._wavevectors
+        return _read_only(k1**2 + k2**2 + k3**2)
+
+    @cached_property
+    def _k_magnitude(self) -> np.ndarray:
+        return _read_only(np.sqrt(self._k_squared))
+
+    def _axis_mask(self, bad: np.ndarray) -> np.ndarray:
+        """True where the per-axis mode predicate ``bad`` holds on any axis."""
         mask = np.zeros(self.shape, dtype=bool)
         for ax in range(self.d):
             shape = [1] * self.d
             shape[ax] = self.n
             mask |= bad.reshape(shape)
-        return mask
+        return _read_only(mask)
+
+    @cached_property
+    def _nyquist_mask(self) -> np.ndarray:
+        m = np.fft.fftfreq(self.n, d=1.0 / self.n)
+        return self._axis_mask(m == -self.n // 2)
+
+    @cached_property
+    def _dealias_mask(self) -> np.ndarray:
+        m = np.fft.fftfreq(self.n, d=1.0 / self.n)
+        return self._axis_mask(np.abs(m) > self.n / 3.0)
+
+    # The half spectrum m_d = 0 .. n/2 of the real transforms.  Its column
+    # n/2 is m_d = +n/2, which the 2/3 rule kills like the full layout's -n/2.
+
+    @cached_property
+    def _half_keep(self) -> np.ndarray:
+        """1.0 on the half-spectrum modes the 2/3 rule keeps, else 0.0."""
+        return _read_only((~self._dealias_mask[..., : self.n // 2 + 1]).astype(np.float64))
+
+    @cached_property
+    def _half_ik(self) -> tuple:
+        """i k_axis times the 2/3 truncation, per axis, on the half spectrum."""
+        return tuple(
+            _read_only(1j * k[..., : self.n // 2 + 1] * self._half_keep)
+            for k in self._wavevectors
+        )
+
+    @cached_property
+    def _mirror_index(self) -> tuple:
+        """Index of the half spectrum that yields c(-k) on the full layout's
+        columns m_d = -n/2+1 .. -1: every other axis reflected, m -> -m."""
+        neg = (-np.arange(self.n)) % self.n
+        h = self.n // 2 + 1
+        return ((slice(None),) + np.ix_(*([neg] * (self.d - 1)))
+                + (slice(h - 2, 0, -1),))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def _conjugate_reflect(coeffs: np.ndarray, d: int) -> np.ndarray:
@@ -263,7 +322,7 @@ def leray_project(f: SpectralField) -> SpectralField:
     convention.
     """
     k1, k2, k3 = f.grid.wavevectors()
-    ksq = k1**2 + k2**2 + k3**2
+    ksq = f.grid.k_squared()
     ksq_safe = np.where(ksq == 0, 1.0, ksq)
     kdotc = k1 * f.coeffs[0] + k2 * f.coeffs[1] + k3 * f.coeffs[2]
     factor = kdotc / ksq_safe
@@ -284,6 +343,34 @@ def _phys_cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     )
 
 
+def _dealiased_physical(f: SpectralField, axis: int | None = None) -> np.ndarray:
+    """The 2/3-truncated field, or its derivative d_axis, in physical space.
+
+    Only the half spectrum is read (``irfftn``), so a field that is not
+    Hermitian is taken as the real field its half spectrum defines.
+    """
+    grid = f.grid
+    factor = grid._half_keep if axis is None else grid._half_ik[axis]
+    half = f.coeffs[..., : grid.n // 2 + 1] * factor
+    return scipy.fft.irfftn(half, s=grid.shape, axes=grid.spatial_axes, norm="forward")
+
+
+def _dealiased_spectral(grid: Grid, values: np.ndarray) -> SpectralField:
+    """Forward transform of real values, shape (3, n, ..., n), truncated by
+    the 2/3 rule, on the full ``coeffs`` layout.
+
+    ``rfftn`` gives the columns m_d = 0 .. n/2; the columns m_d < 0 are
+    filled with conj(c(-k)), so the result is Hermitian by construction.
+    """
+    h = grid.n // 2 + 1
+    half = scipy.fft.rfftn(values, axes=grid.spatial_axes, norm="forward")
+    half *= grid._half_keep
+    coeffs = np.empty(values.shape[:1] + grid.shape, dtype=np.complex128)
+    coeffs[..., :h] = half
+    np.conjugate(half[grid._mirror_index], out=coeffs[..., h:])
+    return SpectralField(grid, coeffs)
+
+
 def pointwise_product(a: SpectralField, b: SpectralField, combiner: str = "scalar") -> SpectralField:
     """Dealiased pointwise product.
 
@@ -297,31 +384,18 @@ def pointwise_product(a: SpectralField, b: SpectralField, combiner: str = "scala
     """
     _check_same_grid(a, b)
     grid = a.grid
-    mask = grid.dealias_mask()
-
-    def trunc_phys(f: SpectralField) -> np.ndarray:
-        c = f.coeffs.copy()
-        c[:, mask] = 0.0
-        return np.fft.ifftn(c, axes=grid.spatial_axes).real * grid.n**grid.d
-
     if combiner == "cross":
-        prod = _phys_cross(trunc_phys(a), trunc_phys(b))
+        prod = _phys_cross(_dealiased_physical(a), _dealiased_physical(b))
     elif combiner == "scalar":
-        prod = trunc_phys(a) * trunc_phys(b)
+        prod = _dealiased_physical(a) * _dealiased_physical(b)
     elif combiner == "advection":
-        aphys = trunc_phys(a)
+        aphys = _dealiased_physical(a)
         prod = np.zeros((3,) + grid.shape)
         for i in range(grid.d):
-            dib = gradient_component(b, i)
-            prod += aphys[i] * trunc_phys(dib)
+            prod += aphys[i] * _dealiased_physical(b, i)
     else:
         raise ValueError(f"unknown combiner {combiner!r}")
-
-    c = np.fft.fftn(prod, axes=grid.spatial_axes) / grid.n**grid.d
-    c[:, mask] = 0.0
-    out = SpectralField(grid, c)
-    out.zero_nyquist()
-    return out
+    return _dealiased_spectral(grid, prod)
 
 
 def lp_norm_physical(f: SpectralField, p) -> float:

@@ -14,8 +14,10 @@ import numpy as np
 from .grid import (
     SpectralField,
     Grid,
+    _dealiased_physical,
+    _dealiased_spectral,
+    _phys_cross,
     divergence,
-    gradient_component,
     leray_project,
     lp_norm_physical,
     pointwise_product,
@@ -147,21 +149,11 @@ def _divergence_form_advection(v: SpectralField) -> SpectralField:
     """div(v (x) v): component i is sum_j d_j (v_j v_i), dealiased."""
     grid = v.grid
     ks = grid.wavevectors()
+    vphys = _dealiased_physical(v)
     coeffs = np.zeros_like(v.coeffs)
-    mask = grid.dealias_mask()
-    vc = v.coeffs.copy()
-    vc[:, mask] = 0.0
-    vphys = np.fft.ifftn(vc, axes=grid.spatial_axes).real * grid.n**grid.d
-    for i in range(3):
-        acc = np.zeros(grid.shape, dtype=np.complex128)
-        for j in range(grid.d):
-            pij = np.fft.fftn(vphys[j] * vphys[i], axes=tuple(range(grid.d))) / grid.n**grid.d
-            pij[mask] = 0.0
-            acc += 1j * ks[j] * pij
-        coeffs[i] = acc
-    out = SpectralField(grid, coeffs)
-    out.zero_nyquist()
-    return out
+    for j in range(grid.d):
+        coeffs += 1j * ks[j] * _dealiased_spectral(grid, vphys[j] * vphys).coeffs
+    return SpectralField(grid, coeffs)
 
 
 def nonlinearity(state: MhdState, velocity_form: str = "advection",
@@ -170,25 +162,34 @@ def nonlinearity(state: MhdState, velocity_form: str = "advection",
 
     ``velocity_form`` selects the advection form (v.grad)v or the divergence
     form div(v (x) v); the two agree for divergence-free v.
+
+    One pass in physical space: v, E, B and d_i v are transformed back once
+    each (2/3-truncated), v x B is transformed forward once for the E slot
+    and its truncation transformed back for (v x B) x B, and the momentum
+    forcing is summed before its single forward transform.  Each product is
+    thus dealiased exactly as a separate ``pointwise_product`` would be.
     """
-    if state.divergence_defect() > div_tol:
+    defect = state.divergence_defect()
+    if defect > div_tol:
         raise InconsistentStateError(
-            f"divergence defect {state.divergence_defect():.3e} exceeds {div_tol:.1e}"
+            f"divergence defect {defect:.3e} exceeds {div_tol:.1e}"
         )
-    vxB = pointwise_product(state.v, state.B, "cross")
-    ExB = pointwise_product(state.E, state.B, "cross")
-    vxBxB = pointwise_product(SpectralField(state.grid, SIGMA * vxB.coeffs), state.B, "cross")
-    if velocity_form == "advection":
-        adv = pointwise_product(state.v, state.v, "advection")
-    elif velocity_form == "divergence":
-        adv = _divergence_form_advection(state.v)
-    else:
+    if velocity_form not in ("advection", "divergence"):
         raise ValueError(f"unknown velocity form {velocity_form!r}")
-    mom = SpectralField(state.grid, -adv.coeffs + SIGMA * ExB.coeffs + vxBxB.coeffs)
+    grid = state.grid
+    v, E, B = (_dealiased_physical(f) for f in (state.v, state.E, state.B))
+    vxB = _dealiased_spectral(grid, _phys_cross(v, B))
+    force = SIGMA * (_phys_cross(E, B) + _phys_cross(_dealiased_physical(vxB), B))
+    if velocity_form == "advection":
+        for i in range(grid.d):
+            force -= v[i] * _dealiased_physical(state.v, i)
+        mom = _dealiased_spectral(grid, force)
+    else:
+        mom = _dealiased_spectral(grid, force) - _divergence_form_advection(state.v)
     return MhdState(
         v=leray_project(mom),
-        E=SpectralField(state.grid, -SIGMA * vxB.coeffs),
-        B=SpectralField.zeros(state.grid),
+        E=SpectralField(grid, -SIGMA * vxB.coeffs),
+        B=SpectralField.zeros(grid),
         time=state.time,
     )
 
@@ -395,6 +396,10 @@ def picard_iterate(initial: MhdState, T: float, dt: float, n_iters: int,
     the first iterate, further ratios are quotients of floating-point
     noise and are dropped rather than reported: a ratio is kept only when
     both its numerator and its denominator lie above that floor.
+
+    A non-finite difference stops the iteration and is reported as an
+    infinite ratio, also when it is the first difference, so that
+    divergence never reads as the empty ratio list of zero data.
     """
     if n_iters < 2:
         raise ValueError("need at least two iterations")
@@ -420,7 +425,7 @@ def picard_iterate(initial: MhdState, T: float, dt: float, n_iters: int,
         if not math.isfinite(diff):
             # Genuine divergence: stop iterating, report the infinite ratio.
             break
-    ratios = []
+    ratios = [] if math.isfinite(diffs[0]) else [math.inf]
     floor = 1e3 * np.finfo(np.float64).eps * diffs[0] if diffs and diffs[0] > 0 else 0.0
     for m in range(1, len(diffs)):
         if diffs[m] <= floor or diffs[m - 1] <= floor:

@@ -7,7 +7,7 @@ import pytest
 
 from nsmaxwell.cli import build_initial_state, main
 from nsmaxwell.config import parse_config
-from nsmaxwell.grid import lp_norm_physical
+from nsmaxwell.grid import Grid, SpectralField, lp_norm_physical
 from nsmaxwell.snapshots import read_snapshot, write_snapshot
 
 
@@ -85,6 +85,49 @@ def test_picard_ratios_increase_with_epsilon(tmp_path):
     ratios = [float(l.split(",")[1]) for l in lines[1:]]
     assert len(ratios) == 3
     assert ratios[0] < ratios[1] < ratios[2]
+
+
+def test_picard_divergence_exits_1(tmp_path, capsys):
+    # At epsilon = 1e150 the first iterate difference overflows: the run
+    # reports an infinite ratio and blowup, not the 0.0 of zero data.
+    out = tmp_path / "out"
+    cfg = _write_cfg(
+        tmp_path,
+        "n = 16\nT = 0.1\ninit = random\nslope = 2\npicard_iters = 3\n"
+        "epsilons = 1, 1e150\n",
+    )
+    with np.errstate(all="ignore"):
+        assert main(["picard", cfg, "--out-dir", str(out)]) == 1
+    assert "blowup" in capsys.readouterr().err
+    lines = (out / "picard.csv").read_text().splitlines()
+    assert lines[0] == "epsilon,max_contraction_ratio"
+    rows = [l.split(",") for l in lines[1:]]
+    assert [float(eps) for eps, _ in rows] == [1.0, 1e150]
+    assert 0.0 < float(rows[0][1]) < 1.0
+    assert rows[1][1] == "inf"
+
+
+def test_picard_zero_data_reads_zero(tmp_path):
+    stem = str(tmp_path / "zero")
+    zero = SpectralField.zeros(Grid(2, 16))
+    for name in ("v", "E", "B"):
+        write_snapshot(f"{stem}_{name}.nsmw", zero, time=0.0)
+    out = tmp_path / "out"
+    cfg = _write_cfg(
+        tmp_path,
+        f"n = 16\nT = 0.1\ninit = file\ninit_file = {stem}\npicard_iters = 3\n"
+        "epsilons = 1\n",
+    )
+    assert main(["picard", cfg, "--out-dir", str(out)]) == 0
+    assert (out / "picard.csv").read_text().splitlines()[1] == "1.0,0.0"
+
+
+def test_grid_below_minimum_size_exits_2(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, "n = 4\n")
+    assert main(["simulate", cfg, "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("config error:") and ">= 8" in err[0]
 
 
 def test_split_json_payload(tmp_path):

@@ -31,6 +31,21 @@ def test_grid_validation():
         Grid(2, 32, -1.0)
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_geometry_built_once_and_read_only(d):
+    grid = Grid(d, 16)
+    for name in ("k_squared", "k_magnitude", "dealias_mask", "nyquist_mask"):
+        arr = getattr(grid, name)()
+        assert getattr(grid, name)() is arr, name
+        with pytest.raises(ValueError):
+            arr[(0,) * d] = 1
+    first, second = grid.wavevectors(), grid.wavevectors()
+    for a, b in zip(first, second):
+        assert a is b
+        with pytest.raises(ValueError):
+            a += 1.0
+
+
 def test_roundtrip_transform(grid2):
     f = random_field(grid2, seed=1)
     g = SpectralField.from_physical(grid2, f.to_physical())

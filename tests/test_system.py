@@ -3,7 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from nsmaxwell.grid import Grid, SpectralField, leray_project, lp_norm_physical
+from nsmaxwell.grid import (
+    Grid,
+    SpectralField,
+    leray_project,
+    lp_norm_physical,
+    pointwise_product,
+)
 from nsmaxwell.dyadic import build_partition, low_pass
 from nsmaxwell.ensembles import gen_field
 from nsmaxwell.system import (
@@ -20,7 +26,12 @@ from nsmaxwell.system import (
     taylor_green_velocity,
     z_norm,
 )
-from nsmaxwell.system import InconsistentStateError, _difference_trajectory
+from nsmaxwell.system import (
+    SIGMA,
+    InconsistentStateError,
+    _difference_trajectory,
+    _divergence_form_advection,
+)
 
 from conftest import random_field, single_mode_field
 
@@ -89,6 +100,65 @@ def test_advection_vs_divergence_form(grid2):
     b = nonlinearity(state, velocity_form="divergence")
     scale = np.max(np.abs(a.v.coeffs)) + 1e-300
     assert np.max(np.abs(a.v.coeffs - b.v.coeffs)) < 1e-11 * scale
+
+
+def _four_product_nonlinearity(state, velocity_form):
+    """N from one pointwise_product per bilinear term (no fused pass)."""
+    vxB = pointwise_product(state.v, state.B, "cross")
+    ExB = pointwise_product(state.E, state.B, "cross")
+    vxBxB = pointwise_product(SIGMA * vxB, state.B, "cross")
+    if velocity_form == "advection":
+        adv = pointwise_product(state.v, state.v, "advection")
+    else:
+        adv = _divergence_form_advection(state.v)
+    mom = SpectralField(state.grid, -adv.coeffs + SIGMA * ExB.coeffs + vxBxB.coeffs)
+    return leray_project(mom), -SIGMA * vxB
+
+
+@pytest.mark.parametrize("velocity_form", ["advection", "divergence"])
+@pytest.mark.parametrize("grid_name", ["grid2", "grid3"])
+def test_fused_nonlinearity_matches_four_products(grid_name, velocity_form, request):
+    grid = request.getfixturevalue(grid_name)
+    state = _random_state(grid, seed=47)
+    out = nonlinearity(state, velocity_form=velocity_form)
+    ref_v, ref_E = _four_product_nonlinearity(state, velocity_form)
+    for got, ref in ((out.v, ref_v), (out.E, ref_E)):
+        scale = np.max(np.abs(ref.coeffs))
+        assert scale > 0
+        assert np.max(np.abs(got.coeffs - ref.coeffs)) <= 1e-12 * scale
+        assert got.hermitian_defect() <= 1e-14 * np.max(np.abs(got.coeffs))
+    assert np.max(np.abs(out.B.coeffs)) == 0.0
+
+
+def _count_transforms(monkeypatch):
+    """Wrap every n-D FFT entry point of numpy.fft and scipy.fft; the
+    returned list collects the names of the calls."""
+    import numpy.fft
+    import scipy.fft
+
+    calls = []
+    for lib in (numpy.fft, scipy.fft):
+        for name in ("fftn", "ifftn", "rfftn", "irfftn", "fft2", "ifft2", "rfft2", "irfft2"):
+            fn = getattr(lib, name)
+
+            def counted(*args, _fn=fn, _name=name, **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(lib, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("grid_name, expected", [("grid2", 8), ("grid3", 9)])
+def test_nonlinearity_transform_count(grid_name, expected, request, monkeypatch):
+    # v, E, B and d_i v back (3 + d), v x B forward and back, the momentum
+    # forcing forward: every one a real-to-complex transform.
+    grid = request.getfixturevalue(grid_name)
+    state = _random_state(grid, seed=48)
+    calls = _count_transforms(monkeypatch)
+    nonlinearity(state)
+    assert len(calls) == expected
+    assert set(calls) == {"rfftn", "irfftn"}
 
 
 def test_nonlinearity_rejects_divergent_velocity(grid2):
