@@ -48,8 +48,6 @@ from .latticeblocks import (
     l2_norm as lattice_l2,
     bony_paraproducts,
     criticality_packets,
-    lowpass_blocks,
-    paraproduct_pieces,
     real_pair,
     remainder_cluster_stats,
 )

@@ -27,7 +27,7 @@ from .dyadic import NormSpec, build_partition, norm_hst
 from .ensembles import FieldEnsembleSpec, gen_field
 from .grid import Grid, SpectralField, lp_norm_physical
 from .propagators import BlowupError
-from .snapshots import read_snapshot, write_snapshot
+from .snapshots import SnapshotError, read_snapshot, write_snapshot
 from .system import (
     MhdState,
     picard_iterate,
@@ -57,9 +57,12 @@ def build_initial_state(cfg: RunConfig) -> MhdState:
         for f in (v, E, B):
             f.coeffs *= cfg.amplitude
     else:  # file: one snapshot per field, <prefix>_v/_E/_B.nsmw
-        v, t0 = read_snapshot(cfg.init_file + "_v.nsmw")
-        E, _ = read_snapshot(cfg.init_file + "_E.nsmw")
-        B, _ = read_snapshot(cfg.init_file + "_B.nsmw")
+        try:
+            v, t0 = read_snapshot(cfg.init_file + "_v.nsmw")
+            E, _ = read_snapshot(cfg.init_file + "_E.nsmw")
+            B, _ = read_snapshot(cfg.init_file + "_B.nsmw")
+        except (OSError, SnapshotError) as exc:
+            raise ConfigError([f"init_file: {exc}"]) from exc
         return MhdState(v, E, B, time=t0).prepared()
     return MhdState(v, E, B, time=0.0).prepared()
 
@@ -214,6 +217,12 @@ def run_subcommand(cmd: str, cfg: RunConfig) -> int:
     return _COMMANDS[cmd](cfg)
 
 
+def _config_error(messages) -> int:
+    for message in messages:
+        print(f"config error: {message}", file=sys.stderr)
+    return 2
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="nsmw",
@@ -231,24 +240,25 @@ def main(argv=None) -> int:
         with open(args.config) as fh:
             cfg = parse_config(fh.read())
     except OSError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+        return _config_error([str(exc)])
     except ConfigError as exc:
-        for message in exc.errors:
-            print(f"config error: {message}", file=sys.stderr)
-        return 2
+        return _config_error(exc.errors)
     if args.seed is not None:
         cfg.seed = args.seed
     if args.out_dir is not None:
         cfg.out_dir = args.out_dir
     if args.stride is not None:
         if args.stride < 1:
-            print("config error: --stride must be positive", file=sys.stderr)
-            return 2
+            return _config_error(["--stride must be positive"])
         cfg.stride = args.stride
 
     try:
-        return run_subcommand(args.command, cfg)
+        # Divergence is detected by the non-finite checks of the time loop
+        # and the Picard ratios, not by floating-point warnings.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return run_subcommand(args.command, cfg)
+    except ConfigError as exc:  # unreadable input files
+        return _config_error(exc.errors)
     except BlowupError as exc:  # raised outside simulate's own handler
         print(f"blowup at step {exc.step}", file=sys.stderr)
         return 1

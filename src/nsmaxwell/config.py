@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
+from .system import step_count
+
 __all__ = ["RunConfig", "ConfigError", "parse_config"]
 
 INIT_PRESETS = ("taylor-green", "random", "shell", "file")
@@ -91,8 +93,11 @@ def _validate(cfg: RunConfig, where) -> list:
             bad(key, f"must be a positive integer, got {getattr(cfg, key)}")
     if cfg.seed < 0:
         bad("seed", f"must be nonnegative, got {cfg.seed}")
-    if 0 < cfg.T < cfg.dt:
-        bad("dt", f"dt = {cfg.dt} exceeds T = {cfg.T}")
+    if cfg.T > 0 and cfg.dt > 0:
+        try:
+            step_count(cfg.T, cfg.dt)
+        except ValueError as exc:
+            bad("dt", str(exc))
     if cfg.init not in INIT_PRESETS:
         bad("init", f"unknown preset {cfg.init!r}; choose from {INIT_PRESETS}")
     if cfg.init == "file" and not cfg.init_file:

@@ -43,12 +43,21 @@ CHI_HI = 4.0 / 3.0
 
 
 def smooth_step(t):
-    """C-infinity step: 0 for t<=0, 1 for t>=1, exp(-1/t) transition."""
+    """C-infinity step: 0 for t<=0, 1 for t>=1, exp(-1/t) transition.
+
+    The exponentials are evaluated only inside the band 0 < t < 1 (NaN
+    stays NaN); outside it the result is an exact 0 or 1.
+    """
     t = np.asarray(t, dtype=np.float64)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        f = np.where(t > 0, np.exp(-1.0 / np.maximum(t, 1e-300)), 0.0)
-        g = np.where(1 - t > 0, np.exp(-1.0 / np.maximum(1 - t, 1e-300)), 0.0)
-    return f / (f + g)
+    high = t >= 1.0
+    out = np.where(high, 1.0, 0.0)
+    band = ~(high | (t <= 0.0))
+    tb = t[band]
+    with np.errstate(over="ignore"):  # -1/t for subnormal t; exp gives 0
+        f = np.exp(-1.0 / tb)
+        g = np.exp(-1.0 / (1.0 - tb))
+    out[band] = f / (f + g)
+    return out[()]
 
 
 def chi_profile(r):

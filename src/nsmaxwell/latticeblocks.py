@@ -11,12 +11,18 @@ family (the lattice is unbounded, so no boundary absorption is needed).
 
 Real fields are represented as a block plus its conjugate mirror; shell
 norms merge overlapping blocks on a canvas before summing power, so the
-results are exact for arbitrary block overlap.
+results are exact for arbitrary block overlap.  Each canvas point is
+assigned its shells once: phi_q = chi(./2^{q+1}) - chi(./2^q) and the chi
+transition bands (3/4, 4/3) * 2^j are disjoint, so a point at radius r
+meets only shells J - 1 and J (J = round(log2 r)), with weights c and
+1 - c from the single value c = chi(r / 2^J).  The per-shell sums are two
+bincounts over the canvas, not one profile sweep per shell.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -219,20 +225,19 @@ def paraproduct_pieces(p, q):
 # Norms over block collections (canvas merge handles overlaps exactly).
 
 
-def _clusters(blocks: list) -> list:
-    """Group blocks into connected components of bounding-box overlap."""
-    n = len(blocks)
-    boxes = []
-    for b in blocks:
-        boxes.append(
-            (
-                b.origin[0],
-                b.origin[0] + b.shape[0] - 1,
-                b.origin[1],
-                b.origin[1] + b.shape[1] - 1,
-            )
-        )
-    parent = list(range(n))
+def _bbox(origin: tuple, shape: tuple) -> tuple:
+    return (
+        origin[0],
+        origin[0] + shape[0] - 1,
+        origin[1],
+        origin[1] + shape[1] - 1,
+    )
+
+
+def _overlap_groups(boxes: list) -> list:
+    """Index groups of the connected components of bounding-box overlap;
+    a box is (row_lo, row_hi, col_lo, col_hi), inclusive."""
+    parent = list(range(len(boxes)))
 
     def find(i):
         while parent[i] != i:
@@ -240,36 +245,45 @@ def _clusters(blocks: list) -> list:
             i = parent[i]
         return i
 
-    for i in range(n):
-        for j in range(i + 1, n):
+    for i in range(len(boxes)):
+        for j in range(i + 1, len(boxes)):
             a, b = boxes[i], boxes[j]
             if a[0] <= b[1] and b[0] <= a[1] and a[2] <= b[3] and b[2] <= a[3]:
                 parent[find(i)] = find(j)
     groups: dict = {}
-    for i in range(n):
+    for i in range(len(boxes)):
         groups.setdefault(find(i), []).append(i)
-    return [[blocks[i] for i in idxs] for idxs in groups.values()]
+    return list(groups.values())
 
 
-def _merge_cluster(cluster: list) -> BlockField:
-    """Paste overlapping blocks onto one canvas (requires shared
-    polarization direction; amplitudes are folded into the scalar)."""
-    if len(cluster) == 1:
-        return cluster[0]
-    pol = cluster[0].pol
-    pnorm = float(np.linalg.norm(pol))
-    if pnorm == 0.0:
-        return cluster[0]
-    r0 = min(b.origin[0] for b in cluster)
-    r1 = max(b.origin[0] + b.shape[0] for b in cluster)
-    c0 = min(b.origin[1] for b in cluster)
-    c1 = max(b.origin[1] + b.shape[1] for b in cluster)
-    canvas = np.zeros((r1 - r0, c1 - c0), dtype=np.complex128)
-    for b in cluster:
-        scale = _pol_scale(b.pol, pol)
+def _paste(blocks, boxes: list) -> BlockField:
+    """Sum blocks onto one canvas covering their bounding ``boxes``, taking
+    them one at a time from any iterable (requires a shared polarization
+    direction; amplitudes relative to the first block's are folded into
+    the scalar)."""
+    r0, c0 = min(b[0] for b in boxes), min(b[2] for b in boxes)
+    shape = (max(b[1] for b in boxes) + 1 - r0, max(b[3] for b in boxes) + 1 - c0)
+    canvas = np.zeros(shape, dtype=np.complex128)
+    pol = None
+    for b in blocks:
+        if pol is None:
+            pol = b.pol
         i, j = b.origin[0] - r0, b.origin[1] - c0
-        canvas[i : i + b.shape[0], j : j + b.shape[1]] += scale * b.values
+        canvas[i : i + b.shape[0], j : j + b.shape[1]] += _pol_scale(b.pol, pol) * b.values
+        del b  # a generator's next block is made while this one would still live
     return BlockField((r0, c0), canvas, pol)
+
+
+def _merged(blocks: list):
+    """The nonzero blocks, pasted onto one canvas per connected component
+    of bounding-box overlap."""
+    blocks = [b for b in blocks if _nonzero(b) and np.any(b.pol)]
+    boxes = [_bbox(b.origin, b.shape) for b in blocks]
+    for idxs in _overlap_groups(boxes):
+        if len(idxs) == 1:
+            yield blocks[idxs[0]]
+        else:
+            yield _paste((blocks[i] for i in idxs), [boxes[i] for i in idxs])
 
 
 def _pol_scale(p: np.ndarray, ref: np.ndarray) -> complex:
@@ -281,24 +295,44 @@ def _pol_scale(p: np.ndarray, ref: np.ndarray) -> complex:
     return coef
 
 
+def _shell_sums(r: np.ndarray, power: np.ndarray, lowpass_shell=None) -> tuple:
+    """Per-shell sums of phi(r / 2^q)^2 * power over points with r > 0,
+    by the shell assignment of the module docstring (r / 2^J lies in
+    [2/3, 3/2], which keeps chi(r / 2^{J+1}) = 1 and chi(r / 2^{J-1}) = 0).
+    With ``lowpass_shell`` L, the low-pass weight chi(r / 2^L), which is
+    1, c or 0 as J is below, equal to or above L, takes its share of the
+    power first.  Returns ``(sums, low)``: the positive shell sums in
+    increasing shell order, and the low-pass sum (0 without L)."""
+    if r.size == 0:
+        return {}, 0.0
+    scale = np.rint(np.log2(r))
+    c = chi_profile(r / np.exp2(scale))
+    J = scale.astype(np.int64)
+    low = 0.0
+    if lowpass_shell is not None:
+        w_low = np.where(J < lowpass_shell, 1.0,
+                         np.where(J == lowpass_shell, c, 0.0))
+        low = float(np.sum(w_low**2 * power))
+        power = (1.0 - w_low) ** 2 * power
+    q0, size = int(J.min()) - 1, int(J.max() - J.min()) + 2
+    sums = (np.bincount(J - 1 - q0, c**2 * power, minlength=size)
+            + np.bincount(J - q0, (1.0 - c) ** 2 * power, minlength=size))
+    return {q0 + i: float(s) for i, s in enumerate(sums) if s > 0.0}, low
+
+
 def shell_norms(blocks: list) -> dict:
     """||Delta_q (sum of blocks)||_{L^2} per occupied shell (k=0 dropped)."""
-    acc: dict = {}
-    for merged in map(_merge_cluster, _clusters([b for b in blocks if _nonzero(b)])):
+    acc = Counter()
+    for merged in _merged(blocks):
         r = merged.radius()
-        power = merged.power()
-        r_lo, r_hi = merged.radius_range()
-        for q in _shell_span(max(r_lo, 0.5), r_hi):
-            w = phi_profile(r / 2.0**q)
-            s = float(np.sum(w**2 * power))
-            if s > 0.0:
-                acc[q] = acc.get(q, 0.0) + s
+        keep = r > 0.0
+        acc.update(_shell_sums(r[keep], merged.power()[keep])[0])
     return {q: math.sqrt(BOX_VOLUME_2D * s) for q, s in acc.items()}
 
 
 def l2_norm(blocks: list) -> float:
     total = 0.0
-    for merged in map(_merge_cluster, _clusters([b for b in blocks if _nonzero(b)])):
+    for merged in _merged(blocks):
         power = merged.power()
         zero = merged.radius() == 0.0
         total += float(np.sum(np.where(zero, 0.0, power)))
@@ -322,14 +356,7 @@ def besov_norm(blocks: list, s: float) -> float:
 
 def lowpass_l2(blocks: list, q: int, complement: bool = False) -> float:
     """||S_q (sum of blocks)||_{L^2} (or the complement's norm)."""
-    fn = _lowpass_fn(q)
-    out = []
-    for b in blocks:
-        w = fn(b.radius())
-        if complement:
-            w = 1.0 - w
-        out.append(BlockField(b.origin, b.values * w, b.pol))
-    return l2_norm(out)
+    return l2_norm(lowpass_blocks(blocks, q, complement))
 
 
 def lowpass_blocks(blocks: list, q: int, complement: bool = False) -> list:
@@ -429,26 +456,17 @@ def criticality_packets(q: int, rng: np.random.Generator | None = None,
     return [p], b_blocks
 
 
-def _bbox(origin: tuple, shape: tuple) -> tuple:
-    return (
-        origin[0],
-        origin[0] + shape[0] - 1,
-        origin[1],
-        origin[1] + shape[1] - 1,
-    )
-
-
-def _conv_meta(a: BlockField, b: BlockField) -> tuple:
+def _conv_box(a: BlockField, b: BlockField) -> tuple:
     origin = (a.origin[0] + b.origin[0], a.origin[1] + b.origin[1])
-    shape = (a.shape[0] + b.shape[0] - 1, a.shape[1] + b.shape[1] - 1)
-    return origin, shape
+    return _bbox(origin, (a.shape[0] + b.shape[0] - 1, a.shape[1] + b.shape[1] - 1))
 
 
-def _mirror_meta(origin: tuple, shape: tuple) -> tuple:
-    return (
-        -(origin[0] + shape[0] - 1),
-        -(origin[1] + shape[1] - 1),
-    ), shape
+def _make(job) -> BlockField:
+    if isinstance(job, BlockField):
+        return job.scaled(-1.0)
+    pb, hi, mirrored = job
+    blk = block_convolve(pb, hi)
+    return blk.conj_mirror() if mirrored else blk
 
 
 def remainder_cluster_stats(p, q, t_blocks=(), lowpass_shell: int = 2) -> tuple:
@@ -460,90 +478,38 @@ def remainder_cluster_stats(p, q, t_blocks=(), lowpass_shell: int = 2) -> tuple:
     single cluster canvas instead of every convolution at once.  Returns
     ``(s_low_l2, complement_shell_l2)``: the L^2 norm of the shell-
     ``lowpass_shell`` low-pass of R and a dict of per-shell L^2 norms of
-    the complementary part.  All polarizations must be parallel.
+    the complementary part, in increasing shell order.  All polarizations
+    must be parallel.
     """
-    jobs = []  # (origin, shape, maker)
+    boxes, jobs = [], []  # bounding box and recipe of each contribution
     for pb in _as_list(p):
         for qb in _as_list(q):
-            qm = qb.conj_mirror()
-            for hi in (qb, qm):
-                o, s = _conv_meta(pb, hi)
-                jobs.append((o, s, (pb, hi, False)))
-                mo, ms = _mirror_meta(o, s)
-                jobs.append((mo, ms, (pb, hi, True)))
-    for tb in t_blocks:
-        jobs.append((tb.origin, tb.shape, tb))
+            for hi in (qb, qb.conj_mirror()):
+                box = _conv_box(pb, hi)
+                boxes += [box, (-box[1], -box[0], -box[3], -box[2])]
+                jobs += [(pb, hi, False), (pb, hi, True)]
+    boxes += [_bbox(tb.origin, tb.shape) for tb in t_blocks]
+    jobs += list(t_blocks)
 
-    boxes = [_bbox(o, s) for o, s, _ in jobs]
-    parent = list(range(len(jobs)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(len(jobs)):
-        for j in range(i + 1, len(jobs)):
-            a, b = boxes[i], boxes[j]
-            if a[0] <= b[1] and b[0] <= a[1] and a[2] <= b[3] and b[2] <= a[3]:
-                parent[find(i)] = find(j)
-    groups: dict = {}
-    for i in range(len(jobs)):
-        groups.setdefault(find(i), []).append(i)
-
-    low_fn = _lowpass_fn(lowpass_shell)
     s_low_sq = 0.0
-    comp_sq: dict = {}
-    for idxs in groups.values():
-        r0 = min(boxes[i][0] for i in idxs)
-        r1 = max(boxes[i][1] for i in idxs) + 1
-        c0 = min(boxes[i][2] for i in idxs)
-        c1 = max(boxes[i][3] for i in idxs) + 1
-        canvas = np.zeros((r1 - r0, c1 - c0), dtype=np.complex64)
-        ref_pol = None
-        for i in idxs:
-            o, s, maker = jobs[i]
-            if isinstance(maker, BlockField):
-                blk = maker.scaled(-1.0)
-            else:
-                pb, hi, mirrored = maker
-                blk = block_convolve(pb, hi)
-                if mirrored:
-                    blk = blk.conj_mirror()
-            if ref_pol is None:
-                ref_pol = blk.pol
-            scale = _pol_scale(blk.pol, ref_pol)
-            ri, ci = blk.origin[0] - r0, blk.origin[1] - c0
-            canvas[ri : ri + s[0], ci : ci + s[1]] += (
-                scale * blk.values
-            ).astype(np.complex64)
-            del blk
-        pol_sq = float(np.sum(np.abs(ref_pol) ** 2))
-        cols = (c0 + np.arange(c1 - c0)).astype(float)
-        chunk = max(1, int(4e6 // max(1, (c1 - c0))))
-        shell_acc: dict = {}
-        low_acc = 0.0
-        for row0 in range(0, r1 - r0, chunk):
-            rows = (r0 + np.arange(row0, min(row0 + chunk, r1 - r0))).astype(float)
+    comp_sq = Counter()
+    for idxs in _overlap_groups(boxes):
+        merged = _paste((_make(jobs[i]) for i in idxs), [boxes[i] for i in idxs])
+        pol_sq = float(np.sum(np.abs(merged.pol) ** 2))
+        (r0, c0), (n_rows, n_cols) = merged.origin, merged.shape
+        cols = (c0 + np.arange(n_cols)).astype(float)
+        chunk = max(1, 2**18 // n_cols)  # bounds the shell-sum temporaries
+        for row0 in range(0, n_rows, chunk):
+            rows = (r0 + np.arange(row0, min(row0 + chunk, n_rows))).astype(float)
             rr = np.hypot(rows[:, None], cols[None, :])
-            power = np.abs(canvas[row0 : row0 + len(rows)]) ** 2 * pol_sq
-            power[rr == 0.0] = 0.0
-            w_low = low_fn(rr)
-            low_acc += float(np.sum(w_low**2 * power))
-            comp = (1.0 - w_low) ** 2 * power
-            r_max = float(np.max(rr))
-            for shell in _shell_span(0.5, r_max):
-                wq = phi_profile(rr / 2.0**shell)
-                val = float(np.sum(wq**2 * comp))
-                if val > 0.0:
-                    shell_acc[shell] = shell_acc.get(shell, 0.0) + val
-        s_low_sq += low_acc
-        for shell, val in shell_acc.items():
-            comp_sq[shell] = comp_sq.get(shell, 0.0) + val
-        del canvas
+            keep = rr > 0.0
+            power = np.abs(merged.values[row0 : row0 + len(rows)][keep]) ** 2 * pol_sq
+            sums, low = _shell_sums(rr[keep], power, lowpass_shell)
+            s_low_sq += low
+            comp_sq.update(sums)
+        del merged
     s_low = math.sqrt(BOX_VOLUME_2D * s_low_sq)
-    comp = {qv: math.sqrt(BOX_VOLUME_2D * sq) for qv, sq in comp_sq.items()}
+    comp = {qv: math.sqrt(BOX_VOLUME_2D * sq) for qv, sq in sorted(comp_sq.items())}
     return s_low, comp
 
 

@@ -41,6 +41,7 @@ __all__ = [
     "nonlinearity",
     "energy_report",
     "simulate",
+    "step_count",
     "picard_iterate",
     "z_norm",
     "split_initial_data",
@@ -211,14 +212,21 @@ def energy_report(state: MhdState):
     return e, grad_sq, j_sq
 
 
-def simulate(initial: MhdState, T: float, dt: float, scheme: str = "exp-trapezoid",
-             nonlinear: bool = True, velocity_form: str = "advection") -> Trajectory:
-    """March the Duhamel integral equation with exact linear propagators."""
-    if dt <= 0 or dt > T:
-        raise ValueError("require 0 < dt <= T")
+def step_count(T: float, dt: float) -> int:
+    """Number of steps of size dt that reach T; ValueError unless
+    0 < dt <= T and T is an integer multiple of dt."""
+    if not 0 < dt <= T:
+        raise ValueError(f"dt = {dt} is not positive or exceeds T = {T}")
     n_steps = round(T / dt)
     if abs(n_steps * dt - T) > 1e-9 * T:
         raise ValueError(f"T = {T} is not an integer multiple of dt = {dt}")
+    return n_steps
+
+
+def simulate(initial: MhdState, T: float, dt: float, scheme: str = "exp-trapezoid",
+             nonlinear: bool = True, velocity_form: str = "advection") -> Trajectory:
+    """March the Duhamel integral equation with exact linear propagators."""
+    n_steps = step_count(T, dt)
 
     grid = initial.grid
     state = initial.prepared()

@@ -1,10 +1,13 @@
 import filecmp
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import nsmaxwell
 from nsmaxwell.cli import build_initial_state, main
 from nsmaxwell.config import parse_config
 from nsmaxwell.grid import Grid, SpectralField, lp_norm_physical
@@ -105,6 +108,51 @@ def test_picard_divergence_exits_1(tmp_path, capsys):
     assert [float(eps) for eps, _ in rows] == [1.0, 1e150]
     assert 0.0 < float(rows[0][1]) < 1.0
     assert rows[1][1] == "inf"
+
+
+def test_picard_divergence_writes_one_stderr_line(tmp_path):
+    # A fresh interpreter with default warning filters, as the nsmw entry
+    # point runs: the overflow of the 1e150 run must not reach stderr.
+    cfg = _write_cfg(
+        tmp_path,
+        "n = 16\nT = 0.1\ninit = random\nslope = 2\npicard_iters = 3\n"
+        "epsilons = 1, 1e150\n",
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(nsmaxwell.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("PYTHONWARNINGS", None)
+    run = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from nsmaxwell.cli import main; sys.exit(main(sys.argv[1:]))",
+         "picard", cfg, "--out-dir", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert run.returncode == 1
+    assert run.stderr.splitlines() == [
+        "blowup: Picard iteration diverged at epsilon = 1e+150"
+    ]
+
+
+def test_time_grid_mismatch_exits_2(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, "n = 16\nT = 0.105\ndt = 0.01\n")
+    assert main(["simulate", cfg, "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("config error: line 3: dt:")
+    assert "integer multiple" in err[0]
+
+
+@pytest.mark.parametrize("defect", ["missing", "truncated"])
+def test_unreadable_init_file_exits_2(tmp_path, capsys, defect):
+    stem = str(tmp_path / "ic")
+    if defect == "truncated":
+        for name in ("v", "E", "B"):
+            (tmp_path / f"ic_{name}.nsmw").write_bytes(b"NSMW")
+    cfg = _write_cfg(tmp_path, f"n = 16\nT = 0.1\ninit = file\ninit_file = {stem}\n")
+    assert main(["simulate", cfg, "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("config error: init_file:")
 
 
 def test_picard_zero_data_reads_zero(tmp_path):

@@ -18,6 +18,7 @@ from nsmaxwell.dyadic import (
     norm_hst,
     phi_profile,
     shell_series,
+    smooth_step,
     spacetime_norm_from_series,
 )
 
@@ -31,6 +32,29 @@ def test_profile_supports():
     assert phi_profile(1.0) > 0.0
     assert chi_profile(0.74) == 1.0
     assert chi_profile(4.0 / 3.0 + 1e-9) == 0.0
+
+
+def _smooth_step_closed_form(t):
+    # exp(-1/t) / (exp(-1/t) + exp(-1/(1-t))), with each exponential set
+    # to 0 where its argument is not positive, over the whole array
+    t = np.asarray(t, dtype=np.float64)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        f = np.where(t > 0, np.exp(-1.0 / np.where(t > 0, t, 1.0)), 0.0)
+        g = np.where(t < 1, np.exp(-1.0 / np.where(t < 1, 1.0 - t, 1.0)), 0.0)
+    return f / (f + g)
+
+
+def test_smooth_step_bitwise_closed_form():
+    edges = [0.0, 1.0, np.inf, -np.inf, np.nextafter(0.0, 1.0),
+             np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0), -1e-300]
+    t = np.concatenate([np.linspace(-0.5, 1.5, 100000), edges])
+    assert np.array_equal(smooth_step(t).view(np.int64),
+                          _smooth_step_closed_form(t).view(np.int64))
+    for x in edges + [0.25, 0.5, 0.75]:
+        y = smooth_step(x)
+        assert np.ndim(y) == 0
+        assert np.float64(y).tobytes() == _smooth_step_closed_form([x])[0].tobytes()
+    assert np.array_equal(smooth_step(t.reshape(2, -1)), smooth_step(t).reshape(2, -1))
 
 
 def test_partition_of_unity(grid2, part2):

@@ -3,10 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from nsmaxwell.dyadic import DyadicBlocks, NormSpec, build_partition, norm_besov, norm_hst
+from nsmaxwell.dyadic import (
+    DyadicBlocks,
+    NormSpec,
+    build_partition,
+    chi_profile,
+    norm_besov,
+    norm_hst,
+    phi_profile,
+)
 from nsmaxwell.grid import Grid, lp_norm_physical, pointwise_product
 from nsmaxwell.latticeblocks import (
     BlockField,
+    _shell_sums,
     besov_norm,
     block_convolve,
     bony_paraproducts,
@@ -94,6 +103,53 @@ def test_lattice_norms_match_grid_route():
     h_lat = hst_norm(blocks, 0.0, 0.5, alpha=1.0)
     h_grid = norm_hst(f, part, NormSpec(s=0.0, t=0.5, alpha=1.0))
     assert abs(h_lat - h_grid) < 1e-7 * h_grid
+
+
+def _shell_sums_reference(r, power, lowpass_shell):
+    # one phi_profile sweep per shell over every point
+    low = 0.0
+    if lowpass_shell is not None:
+        w_low = chi_profile(r / 2.0**lowpass_shell)
+        low = float(np.sum(w_low**2 * power))
+        power = (1.0 - w_low) ** 2 * power
+    sums = {}
+    for q in range(-3, 15):
+        s = float(np.sum(phi_profile(r / 2.0**q) ** 2 * power))
+        if s > 0.0:
+            sums[q] = s
+    return sums, low
+
+
+@pytest.mark.parametrize("q", [2, 5, 9])
+@pytest.mark.parametrize("lowpass_shell", [None, 2, 4])
+def test_shell_sums_match_per_shell_profiles(q, lowpass_shell):
+    rng = np.random.default_rng(100 + q)
+    # a random lattice canvas reaching shell q, plus radii on and next to
+    # both ends of every chi transition band 3/4 * 2^j and 4/3 * 2^j
+    n = 3 * 2**q
+    o1, o2 = rng.integers(-n, n // 2, size=2)
+    rows = (o1 + np.arange(rng.integers(n // 2, n))).astype(float)
+    cols = (o2 + np.arange(rng.integers(n // 2, n))).astype(float)
+    edges = []
+    for j in range(-1, q + 3):
+        for x in (0.75 * 2.0**j, 2.0**j * 4.0 / 3.0):
+            edges += [np.nextafter(x, 0.0), x, np.nextafter(x, np.inf)]
+    r = np.concatenate([np.hypot(rows[:, None], cols[None, :]).ravel(), edges])
+    r = r[r > 0.0]
+    power = rng.random(r.size)
+    sums, low = _shell_sums(r, power, lowpass_shell)
+    ref_sums, ref_low = _shell_sums_reference(r, power, lowpass_shell)
+    assert list(sums) == list(ref_sums)
+    for s_q, val in ref_sums.items():
+        assert abs(sums[s_q] - val) <= 1e-12 * val, s_q
+    assert abs(low - ref_low) <= 1e-12 * ref_low
+
+
+def test_zero_polarization_block_does_not_hide_overlapping_blocks():
+    zero = BlockField((4, 4), np.ones((3, 3)), np.zeros(3))
+    b = BlockField((5, 5), np.ones((3, 3)), np.array([0.0, 0.0, 1.0]))
+    assert shell_norms([zero, b]) == shell_norms([b]) == shell_norms([b, zero])
+    assert l2_norm([zero, b]) == l2_norm([b])
 
 
 def test_paraproduct_reconstruction():
