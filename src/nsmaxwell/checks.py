@@ -19,6 +19,7 @@ import statistics
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.fft
 
 from .grid import (
     Grid,
@@ -33,14 +34,25 @@ from .grid import (
 from .dyadic import (
     DyadicPartition,
     NormSpec,
+    ShellSeries,
+    _block_l2,
     block,
     bony_decompose,
     build_partition,
     low_pass,
     norm_besov,
     norm_hst,
+    spacetime_norm_from_series,
+    time_lebesgue,
 )
-from .propagators import PropagatorTable, phi_shell
+from .propagators import (
+    PropagatorTable,
+    _khat_cross,
+    _maxwell_coefficients,
+    _transverse_rotation,
+    _transverse_split,
+)
+from .system import step_count
 from .ensembles import FieldEnsembleSpec, gen_ensemble, gen_field
 from .latticeblocks import (
     besov_norm as lattice_besov,
@@ -254,19 +266,47 @@ def check_bernstein(spec: FieldEnsembleSpec, q: int, k_order: int = 1,
 
 
 # ---------------------------------------------------------------------------
+# Closed-form time axes: a linear flow that is exact per mode is evaluated at
+# a chunk of sample times per array operation.  A chunk array (times x
+# components x modes) holds about this many elements, so the temporaries
+# stay small however many times are sampled.
+_CHUNK_ELEMENTS = 2**16
+
+
+def _time_chunks(times: np.ndarray, per_time: int) -> list:
+    """Consecutive slices of ``times`` of about _CHUNK_ELEMENTS / per_time."""
+    step = max(1, _CHUNK_ELEMENTS // max(per_time, 1))
+    return [times[i:i + step] for i in range(0, len(times), step)]
+
+
+def _selected_modes(part: DyadicPartition, *coeffs):
+    """The modes with power in some of ``coeffs`` and weight in some shell:
+    a picker for them on (3, n, ..., n) amplitudes, their |k|^2, and the box
+    volume times their squared shell weights (modes x shells)."""
+    grid = part.grid
+    w2 = np.stack([part.weight(q).ravel() ** 2 for q in part.shells()], axis=1)
+    power = sum(np.sum(np.abs(c.reshape(3, -1)) ** 2, axis=0) for c in coeffs)
+    idx = np.flatnonzero((power > 0) & (np.sum(w2, axis=1) > 0))
+    return (lambda c: c.reshape(3, -1)[:, idx], grid.k_squared().ravel()[idx],
+            grid.box_length**grid.d * w2[idx])
+
+
+def _shell_rows(amps: np.ndarray, w2: np.ndarray) -> np.ndarray:
+    """||Delta_q u||_{L^2} per time and shell from amplitudes on the
+    selected modes (times x 3 x modes): one (times x modes) @ (modes x
+    shells) product."""
+    return np.sqrt(np.sum(amps.real**2 + amps.imag**2, axis=1) @ w2)
+
+
+# ---------------------------------------------------------------------------
 # Forced heat flow (closed-form per mode, no quadrature error in the solve).
 
 
-def heat_forced_coeffs(u0: SpectralField, forcings, t: float) -> SpectralField:
-    """Solution at time t of u_t - Lap u = sum_i e^{-rate_i t} F_i.
-
-    ``forcings`` is a list of (SpectralField, rate) pairs.  Per mode the
-    Duhamel integral of an exponential envelope has a closed form, so the
-    solve is exact.
-    """
-    grid = u0.grid
-    ksq = grid.k_squared()
-    out = u0.coeffs * np.exp(-t * ksq)
+def _heat_forced(ksq, u0, forcings, t):
+    """Per-mode solution at time t of u_t + ksq u = sum_i e^{-rate_i t} F_i
+    with u(0) = u0; ``forcings`` holds (amplitudes, rate) pairs.  All
+    arguments broadcast, so ``t`` may carry a time axis."""
+    out = u0 * np.exp(-t * ksq)
     for F, lam in forcings:
         denom = ksq - lam
         near = np.abs(denom) < 1e-12
@@ -276,26 +316,19 @@ def heat_forced_coeffs(u0: SpectralField, forcings, t: float) -> SpectralField:
             t * np.exp(-ksq * t),
             (np.exp(-lam * t) - np.exp(-ksq * t)) / safe,
         )
-        out = out + F.coeffs * factor
-    return SpectralField(grid, out)
+        out = out + F * factor
+    return out
 
 
-def _besov_tilde_from_rows(rows: np.ndarray, times: np.ndarray, q_values,
-                           s: float, time_p) -> float:
-    """l^1 over shells of 2^{qs} ||row_q||_{L^p_T} (trapezoid in time)."""
-    total = 0.0
-    for i, q in enumerate(q_values):
-        col = rows[:, i]
-        if time_p == np.inf:
-            tq = float(np.max(col))
-        elif time_p == 1:
-            tq = float(np.trapezoid(col, times))
-        elif time_p == 2:
-            tq = float(np.sqrt(np.trapezoid(col**2, times)))
-        else:
-            raise ValueError(f"unsupported time exponent {time_p!r}")
-        total += 2.0 ** (q * s) * tq
-    return total
+def heat_forced_coeffs(u0: SpectralField, forcings, t: float) -> SpectralField:
+    """Solution at time t of u_t - Lap u = sum_i e^{-rate_i t} F_i.
+
+    ``forcings`` is a list of (SpectralField, rate) pairs.  Per mode the
+    Duhamel integral of an exponential envelope has a closed form, so the
+    solve is exact.
+    """
+    amps = [(F.coeffs, lam) for F, lam in forcings]
+    return SpectralField(u0.grid, _heat_forced(u0.grid.k_squared(), u0.coeffs, amps, t))
 
 
 def check_parabolic_smoothing(u0: SpectralField, forcing, T: float, p,
@@ -305,25 +338,26 @@ def check_parabolic_smoothing(u0: SpectralField, forcing, T: float, p,
 
     LHS = sup_t ||u(t)||_{B^s_{2,1}} + tilde-L^p_T B^{s+2/p}_{2,1};
     RHS = ||u0||_{B^s_{2,1}} + tilde-L^r_T B^{s-2+2/r}_{2,1} of the forcing.
-    ``forcing`` is None or (SpectralField, rate).
+    ``forcing`` is None or (SpectralField, rate).  The shell norms at all
+    sample times come from the closed-form solution, a chunk of times at once.
     """
-    from .dyadic import _block_l2
-
     grid = u0.grid
     if part is None:
         part = build_partition(grid)
     forcings = [] if forcing is None else [forcing]
     times = np.arange(0.0, T + dt / 2, dt)
-    rows = np.array(
-        [_block_l2(heat_forced_coeffs(u0, forcings, t), part) for t in times]
-    )
+    sel, ksq, w2 = _selected_modes(part, u0.coeffs, *(F.coeffs for F, _ in forcings))
+    amps = [(sel(F.coeffs), lam) for F, lam in forcings]
+    rows = np.vstack([
+        _shell_rows(_heat_forced(ksq, sel(u0.coeffs), amps, t[:, None, None]), w2)
+        for t in _time_chunks(times, 3 * ksq.size)
+    ])
     q_values = list(part.shells())
 
-    sup_besov = max(
-        float(np.sum([2.0 ** (q * s) * rows[i, j] for j, q in enumerate(q_values)]))
-        for i in range(len(times))
-    )
-    smoothed = _besov_tilde_from_rows(rows, times, q_values, s + 2.0 / p, p)
+    sup_besov = float(np.max(rows @ 2.0 ** (s * np.array(q_values, dtype=float))))
+    # tilde-L^p_T B^{s+2/p}_{2,1}: time norm per shell, then the l^1 sum.
+    smoothed = sum(2.0 ** (q * (s + 2.0 / p)) * time_lebesgue(rows[:, i], times, p)
+                   for i, q in enumerate(q_values))
     lhs = sup_besov + smoothed
 
     rhs = norm_besov(u0, part, s, 2, 1)
@@ -373,6 +407,11 @@ def check_l2linfty(u0: SpectralField, f1, f2, T: float, dt: float = 0.01,
     f1, f2 are None or (SpectralField, rate): forcing pieces measured in
     L^1_T H^{d/2-1} and tilde-L^2_T B^{d/2-2}_{2,1} respectively; the heat
     solve sees their sum.
+
+    The sup series comes from the closed-form solution on the half
+    spectrum (the fields are real), a chunk of times per ``irfftn``.  Only
+    the components that are nonzero in u0 or in some forcing are
+    transformed: the heat flow acts componentwise, so the others stay zero.
     """
     grid = u0.grid
     d = grid.d
@@ -380,12 +419,19 @@ def check_l2linfty(u0: SpectralField, f1, f2, T: float, dt: float = 0.01,
         part = build_partition(grid)
     forcings = [f for f in (f1, f2) if f is not None]
     times = np.arange(0.0, T + dt / 2, dt)
-    sup_series = np.array(
-        [
-            lp_norm_physical(heat_forced_coeffs(u0, forcings, t), np.inf)
-            for t in times
-        ]
-    )
+    data = [u0] + [F for F, _ in forcings]
+    comps = [c for c in range(3) if any(np.any(f.coeffs[c]) for f in data)] or [0]
+    h = grid.n // 2 + 1
+    ksq = grid.k_squared()[..., :h]
+    u0h = u0.coeffs[comps, ..., :h]
+    amps = [(F.coeffs[comps, ..., :h], lam) for F, lam in forcings]
+    sup_sq = []
+    for t in _time_chunks(times, len(comps) * ksq.size):
+        half = _heat_forced(ksq, u0h, amps, t.reshape((-1,) + (1,) * (d + 1)))
+        u = scipy.fft.irfftn(half, s=grid.shape, axes=tuple(range(2, d + 2)),
+                             norm="forward")
+        sup_sq.append(np.max(np.sum(u**2, axis=1), axis=tuple(range(1, d + 1))))
+    sup_series = np.sqrt(np.concatenate(sup_sq))
     lhs = float(np.sqrt(np.trapezoid(sup_series**2, times)))
 
     spec = NormSpec.sobolev(d / 2.0 - 1.0)
@@ -445,6 +491,28 @@ def fast_eigenmode_state(grid: Grid, rng: np.random.Generator,
     return Ef, leray_project(Bf)
 
 
+def _free_maxwell_rows(E0: SpectralField, B0: SpectralField,
+                       part: DyadicPartition, times: np.ndarray):
+    """Shell rows ||Delta_q E(t)||, ||Delta_q B(t)|| of the unforced
+    damped-Maxwell group at ``times`` (times[0] = 0), from its exact
+    per-mode solution.
+
+    Row 0 is the data itself, longitudinal part of B0 included; the group
+    drops that part, so later rows carry |F(t)| = |B(t)| with F = i khat x B.
+    """
+    sel, ksq, w2 = _selected_modes(part, E0.coeffs, B0.coeffs)
+    E_par, E_perp = map(sel, _transverse_split(E0.grid, E0.coeffs))
+    F = sel(_khat_cross(E0.grid, B0.coeffs))
+    rows_E, rows_B = [_block_l2(E0, part)[None]], [_block_l2(B0, part)[None]]
+    for t in _time_chunks(times[1:], 3 * ksq.size):
+        a11, a12, a22 = (a[:, None] for a in _maxwell_coefficients(ksq, t[:, None]))
+        E_t, F_t = _transverse_rotation(E_par, E_perp, F, a11, a12, a22,
+                                        np.exp(-t)[:, None, None])
+        rows_E.append(_shell_rows(E_t, w2))
+        rows_B.append(_shell_rows(F_t, w2))
+    return np.vstack(rows_E), np.vstack(rows_B)
+
+
 def check_maxwell_energy_decay(E0: SpectralField, B0: SpectralField, G,
                                T: float, dt: float, alpha: float,
                                part: DyadicPartition | None = None):
@@ -454,56 +522,51 @@ def check_maxwell_energy_decay(E0: SpectralField, B0: SpectralField, G,
     ||E||_{tilde-Linf ^ L2} + ||B||_{tilde-Linf} in H^{d/2-1}_alpha, the
     second bounds ||B||_{L2 H^{d/2, d/2-1}_alpha}; both against
     ||(E0,B0)||_{H^{d/2-1}_alpha} + ||G||_{L2_T H^{d/2-1}_alpha}.
-    """
-    from .dyadic import _block_l2
 
+    The shell norms are sampled at t_n = n dt; T must be a multiple of dt.
+    Without forcing they come from the exact group at every t_n at once;
+    with forcing the group is stepped and the Duhamel integral of G taken
+    by the exponential trapezoid rule.
+    """
     grid = E0.grid
     d = grid.d
     if part is None:
         part = build_partition(grid)
-    table = PropagatorTable.build(grid, dt)
-    n_steps = int(round(T / dt))
+    n_steps = step_count(T, dt)
     times = np.arange(n_steps + 1) * dt
 
-    G0, rate = (None, 0.0) if G is None else G
-    E, B = E0, B0
-    rows_E = [_block_l2(E, part)]
-    rows_B = [_block_l2(B, part)]
-    for n in range(n_steps):
-        E, B = table.apply_maxwell(E, B)
-        if G0 is not None:
+    if G is None:
+        rows_E, rows_B = _free_maxwell_rows(E0, B0, part, times)
+    else:
+        G0, rate = G
+        table = PropagatorTable.build(grid, dt)
+        E, B = E0, B0
+        rows = [(_block_l2(E, part), _block_l2(B, part))]
+        for n in range(n_steps):
+            E, B = table.apply_maxwell(E, B)
             # Exponential trapezoid for the forcing Duhamel integral.
             g_old = G0 * math.exp(-rate * times[n])
             g_new = G0 * math.exp(-rate * times[n + 1])
             gE, gB = table.apply_maxwell(g_old, SpectralField.zeros(grid))
             E = E + (gE + g_new) * (dt / 2.0)
             B = B + gB * (dt / 2.0)
-        rows_E.append(_block_l2(E, part))
-        rows_B.append(_block_l2(B, part))
-    rows_E = np.array(rows_E)
-    rows_B = np.array(rows_B)
-    q_values = list(part.shells())
+            rows.append((_block_l2(E, part), _block_l2(B, part)))
+        rows_E, rows_B = np.array(rows).transpose(1, 0, 2)
+    q_values = np.array(list(part.shells()))
+    series_E, series_B = (ShellSeries(times, q_values, r) for r in (rows_E, rows_B))
+    spec_data = NormSpec(d / 2.0 - 1.0, d / 2.0 - 1.0, alpha, np.inf, tilde=True)
+    spec_l2 = NormSpec(d / 2.0 - 1.0, d / 2.0 - 1.0, alpha, 2, tilde=True)
+    spec_decay = NormSpec(d / 2.0, d / 2.0 - 1.0, alpha, 2, tilde=True)
 
-    spec_data = NormSpec(d / 2.0 - 1.0, d / 2.0 - 1.0, alpha)
-    w = np.array([spec_data.shell_weight_sq(q) for q in q_values])
-    spec_decay = NormSpec(d / 2.0, d / 2.0 - 1.0, alpha)
-    w_decay = np.array([spec_decay.shell_weight_sq(q) for q in q_values])
-
-    def tilde_linf(rows):
-        per_shell = np.max(rows, axis=0)
-        return math.sqrt(float(np.sum(w * per_shell**2)))
-
-    def tilde_l2(rows, weights):
-        per_shell = np.sqrt(np.trapezoid(rows**2, times, axis=0))
-        return math.sqrt(float(np.sum(weights * per_shell**2)))
-
-    lhs_energy = tilde_linf(rows_E) + tilde_l2(rows_E, w) + tilde_linf(rows_B)
-    lhs_decay = tilde_l2(rows_B, w_decay)
+    lhs_energy = (spacetime_norm_from_series(series_E, spec_data)
+                  + spacetime_norm_from_series(series_E, spec_l2)
+                  + spacetime_norm_from_series(series_B, spec_data))
+    lhs_decay = spacetime_norm_from_series(series_B, spec_decay)
 
     rhs = math.sqrt(
         norm_hst(E0, part, spec_data) ** 2 + norm_hst(B0, part, spec_data) ** 2
     )
-    if G0 is not None:
+    if G is not None:
         rhs += norm_hst(G0, part, spec_data) * envelope_time_norm(rate, T, 2)
 
     params = {"T": T, "dt": dt, "alpha": alpha, "d": d}

@@ -138,7 +138,9 @@ def _cmd_picard(cfg: RunConfig) -> int:
     rows = []
     for eps in cfg.epsilons:
         initial = base.scaled(eps)
-        _, ratios = picard_iterate(initial, cfg.T, cfg.dt, cfg.picard_iters)
+        # Only the ratios: holding the iterates would keep them alive
+        # while the next epsilon iterates.
+        ratios = picard_iterate(initial, cfg.T, cfg.dt, cfg.picard_iters)[1]
         worst = max(ratios) if ratios else 0.0
         rows.append((eps, worst))
     with open(path, "w") as fh:

@@ -104,9 +104,10 @@ def heat_apply(u: SpectralField, t: float) -> SpectralField:
     return SpectralField(u.grid, u.coeffs * np.exp(-t * u.grid.k_squared()))
 
 
-def _maxwell_coefficients(ksq: np.ndarray, t: float):
+def _maxwell_coefficients(ksq: np.ndarray, t):
     """Entries of exp(t M) for the 2x2 transverse generator
-    M = [[-1, k], [-k, 0]], via the eigenvalues -1/2 +- sqrt(1/4 - ksq)."""
+    M = [[-1, k], [-k, 0]], via the eigenvalues -1/2 +- sqrt(1/4 - ksq).
+    ``t`` may be an array that broadcasts against ``ksq``."""
     mu = np.sqrt(0.25 - ksq.astype(np.complex128))
     lp = -0.5 + mu
     lm = -0.5 - mu
@@ -149,6 +150,32 @@ def _khat_cross(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
     )
 
 
+def _transverse_rotation(E_par, E_perp, F, a11, a12, a22, e_par):
+    """The Maxwell group on split per-mode amplitudes.
+
+    E_par (the part of E along k) is scaled by ``e_par``; the transverse
+    pair (E_perp, F) with F = i khat x B is rotated by [[a11, a12],
+    [-a12, a22]].  Returns (E_t, F_t), with B_t = i khat x F_t.  The
+    factors broadcast against the amplitudes, so one call can carry a time
+    axis.
+    """
+    return e_par * E_par + (a11 * E_perp + a12 * F), -a12 * E_perp + a22 * F
+
+
+def _maxwell_group(E: SpectralField, B: SpectralField, a11, a12, a22, e_par):
+    """Apply ``_transverse_rotation`` to fields on their grid; at k = 0 the
+    decoupled ODEs E0' = -E0, B0' = 0 leave B unchanged."""
+    grid = E.grid
+    E_par, E_perp = _transverse_split(grid, E.coeffs)
+    # F = i khat x B is transverse and carries |B| isometrically.
+    E_t, F_t = _transverse_rotation(E_par, E_perp, _khat_cross(grid, B.coeffs),
+                                    a11, a12, a22, e_par)
+    B_t = _khat_cross(grid, F_t)
+    zero_mask = grid.k_squared() == 0
+    B_t[:, zero_mask] = B.coeffs[:, zero_mask]
+    return SpectralField(grid, E_t), SpectralField(grid, B_t)
+
+
 def maxwell_apply(E: SpectralField, B: SpectralField, t: float):
     """Exact damped-Maxwell group E' = -E + curl B, B' = -curl E.
 
@@ -158,24 +185,8 @@ def maxwell_apply(E: SpectralField, B: SpectralField, t: float):
     """
     if t < 0:
         raise ValueError("time must be nonnegative")
-    grid = E.grid
-    B = leray_project(B)
-    ksq = grid.k_squared()
-    a11, a12, a22 = _maxwell_coefficients(ksq, t)
-
-    E_par, E_perp = _transverse_split(grid, E.coeffs)
-    # F = i khat x B is transverse and carries |B| isometrically.
-    F = _khat_cross(grid, B.coeffs)
-
-    E_perp_t = a11 * E_perp + a12 * F
-    F_t = -a12 * E_perp + a22 * F
-    B_t = _khat_cross(grid, F_t)
-
-    E_out = np.exp(-t) * E_par + E_perp_t
-    # k = 0: decoupled ODEs E0' = -E0, B0' = 0.
-    zero_mask = ksq == 0
-    B_t[:, zero_mask] = B.coeffs[:, zero_mask]
-    return SpectralField(grid, E_out), SpectralField(grid, B_t)
+    a11, a12, a22 = _maxwell_coefficients(E.grid.k_squared(), t)
+    return _maxwell_group(E, leray_project(B), a11, a12, a22, np.exp(-t))
 
 
 def maxwell_wave_route(E0: SpectralField, B0: SpectralField, t: float) -> SpectralField:
@@ -198,18 +209,9 @@ def maxwell_apply_undamped(E: SpectralField, B: SpectralField, t: float):
     rotates at frequency |k| and conserves |E|^2 + |B|^2."""
     if t < 0:
         raise ValueError("time must be nonnegative")
-    grid = E.grid
-    B = leray_project(B)
-    kmag = grid.k_magnitude()
+    kmag = E.grid.k_magnitude()
     c, s = np.cos(kmag * t), np.sin(kmag * t)
-    E_par, E_perp = _transverse_split(grid, E.coeffs)
-    F = _khat_cross(grid, B.coeffs)
-    E_perp_t = c * E_perp + s * F
-    F_t = -s * E_perp + c * F
-    B_t = _khat_cross(grid, F_t)
-    zero_mask = grid.k_squared() == 0
-    B_t[:, zero_mask] = B.coeffs[:, zero_mask]
-    return SpectralField(grid, E_par + E_perp_t), SpectralField(grid, B_t)
+    return _maxwell_group(E, leray_project(B), c, s, c, 1.0)
 
 
 @dataclass
@@ -249,16 +251,7 @@ class PropagatorTable:
         return SpectralField(self.grid, v.coeffs * self.heat)
 
     def apply_maxwell(self, E: SpectralField, B: SpectralField):
-        grid = self.grid
-        E_par, E_perp = _transverse_split(grid, E.coeffs)
-        F = _khat_cross(grid, B.coeffs)
-        E_perp_t = self.a11 * E_perp + self.a12 * F
-        F_t = -self.a12 * E_perp + self.a22 * F
-        B_t = _khat_cross(grid, F_t)
-        zero_mask = grid.k_squared() == 0
-        B_t[:, zero_mask] = B.coeffs[:, zero_mask]
-        E_out = self.e_damp * E_par + E_perp_t
-        return SpectralField(grid, E_out), SpectralField(grid, B_t)
+        return _maxwell_group(E, B, self.a11, self.a12, self.a22, self.e_damp)
 
     def apply(self, state):
         """Full linear group on an MhdState-like triple."""

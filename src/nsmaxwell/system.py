@@ -69,12 +69,6 @@ class MhdState:
     def grid(self) -> Grid:
         return self.v.grid
 
-    @property
-    def means(self):
-        """The k=0 amplitude triples, tracked separately from the
-        homogeneous norms."""
-        return {"v": self.v.mean(), "E": self.E.mean(), "B": self.B.mean()}
-
     @classmethod
     def zeros(cls, grid: Grid, time: float = 0.0) -> "MhdState":
         return cls(
@@ -329,8 +323,9 @@ def initial_data_norm(state: MhdState, part: DyadicPartition | None = None) -> f
 
 
 def free_trajectory(initial: MhdState, T: float, dt: float) -> Trajectory:
-    """e^{t A} Gamma0 sampled on the uniform grid (exact propagators)."""
-    n_steps = round(T / dt)
+    """e^{t A} Gamma0 sampled on the uniform grid (exact propagators);
+    ValueError unless T is an integer multiple of dt."""
+    n_steps = step_count(T, dt)
     grid = initial.grid
     table = PropagatorTable.build(grid, dt)
     state = initial.prepared()

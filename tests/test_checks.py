@@ -216,6 +216,53 @@ def test_parabolic_smoothing_ratio_dt_stable(grid2, part2):
     assert abs(vals[0] - vals[2]) < 0.02 * vals[2]
 
 
+def test_parabolic_smoothing_matches_per_time_reference(grid2, part2):
+    # the batched closed form against one _block_l2 per sample time
+    from nsmaxwell.dyadic import _block_l2
+
+    u0 = random_field(grid2, seed=56, slope=1.5)
+    F = random_field(grid2, seed=57, slope=1.0)
+    q_values = list(part2.shells())
+    for forcing, p, s in (((F, 1.0), 1, 0.0), (None, 2, 0.5)):
+        T, dt = 2.0, 0.01
+        times = np.arange(0.0, T + dt / 2, dt)
+        forcings = [] if forcing is None else [forcing]
+        rows = np.array(
+            [_block_l2(heat_forced_coeffs(u0, forcings, t), part2) for t in times]
+        )
+        sup = max(
+            sum(2.0 ** (q * s) * rows[i, j] for j, q in enumerate(q_values))
+            for i in range(len(times))
+        )
+        col_norm = np.trapezoid(rows**p, times, axis=0) ** (1.0 / p)
+        ref = sup + sum(2.0 ** (q * (s + 2.0 / p)) * col_norm[j]
+                        for j, q in enumerate(q_values))
+        rep = check_parabolic_smoothing(u0, forcing, T=T, p=p, s=s, r=1, dt=dt,
+                                        part=part2)
+        assert abs(rep.lhs[0] - ref) <= 1e-12 * ref
+
+
+@pytest.mark.parametrize("data", ["three-component", "single-component"])
+def test_l2linfty_matches_per_time_reference(grid2, part2, data):
+    # the chunked half-spectrum transforms against one full inverse
+    # transform per sample time
+    if data == "three-component":
+        u0 = gen_field(grid2, np.random.default_rng(1), slope=1.5)
+        f1 = (gen_field(grid2, np.random.default_rng(2), slope=1.0), 1.0)
+        f2 = (gen_field(grid2, np.random.default_rng(3), slope=1.0), 2.0)
+    else:
+        u0 = single_mode_field(grid2, (2, 1), 0.3 + 0.4j, component=1)
+        f1 = (single_mode_field(grid2, (1, 3), 0.5, component=1), 1.0)
+        f2 = (single_mode_field(grid2, (1, 0), 0.2j, component=1), 1.0)
+    T, dt = 3.0, 0.01
+    times = np.arange(0.0, T + dt / 2, dt)
+    sup = [lp_norm_physical(heat_forced_coeffs(u0, [f1, f2], t), np.inf)
+           for t in times]
+    ref = math.sqrt(np.trapezoid(np.square(sup), times))
+    rep = check_l2linfty(u0, f1, f2, T=T, dt=dt, part=part2)
+    assert abs(rep.lhs[0] - ref) <= 1e-13 * ref
+
+
 def test_l2linfty_bounded(grid2, part2):
     u0 = gen_field(grid2, np.random.default_rng(1), slope=1.5)
     F1 = gen_field(grid2, np.random.default_rng(2), slope=1.0)
@@ -327,6 +374,46 @@ def test_maxwell_energy_decay_vs_quadrature_oracle():
         norm_hst(E0, part, spec_data) ** 2 + norm_hst(B0, part, spec_data) ** 2
     )
     assert abs(energy.rhs[0] - rhs_direct) < 1e-12 * rhs_direct
+
+
+@pytest.mark.parametrize("data", ["dense-3d", "eigenmode-2d"])
+def test_free_maxwell_rows_match_closed_form(data):
+    # the batched rows against maxwell_apply at every sample time; the
+    # dense case spans several chunks and ends on a partial one
+    from nsmaxwell.checks import _CHUNK_ELEMENTS, _free_maxwell_rows
+    from nsmaxwell.dyadic import _block_l2
+    from nsmaxwell.propagators import maxwell_apply
+
+    if data == "dense-3d":
+        grid = Grid(3, 16)
+        E0 = random_field(grid, seed=61)
+        B0 = random_field(grid, seed=62)  # longitudinal part kept at t = 0
+        times = np.arange(41) * 0.05
+    else:
+        grid = Grid(2, 32, 16.0 * np.pi)
+        E0, B0 = fast_eigenmode_state(grid, np.random.default_rng(63), k_max=0.2)
+        times = np.arange(201) * 0.05
+    part = build_partition(grid)
+    modes = np.count_nonzero(np.sum(np.abs(E0.coeffs) + np.abs(B0.coeffs), axis=0)
+                             * sum(part.weight(q) for q in part.shells()))
+    assert (len(times) - 1) % (_CHUNK_ELEMENTS // (3 * modes)) != 0
+    rows_E, rows_B = _free_maxwell_rows(E0, B0, part, times)
+    assert np.array_equal(rows_E[0], _block_l2(E0, part))
+    assert np.array_equal(rows_B[0], _block_l2(B0, part))
+    for rows, which in ((rows_E, 0), (rows_B, 1)):
+        ref = np.array([_block_l2(maxwell_apply(E0, B0, t)[which], part)
+                        for t in times[1:]])
+        scale = np.max(rows, axis=0)
+        assert np.all(np.abs(rows[1:] - ref) <= 1e-12 * scale)
+
+
+def test_maxwell_energy_decay_validates_time_grid():
+    grid = Grid(2, 16, 16.0 * np.pi)
+    part = build_partition(grid)
+    E0 = single_mode_field(grid, (1, 0), 0.5)
+    with pytest.raises(ValueError, match="integer multiple"):
+        check_maxwell_energy_decay(E0, SpectralField.zeros(grid), None, 0.105,
+                                   0.01, 1.0, part)
 
 
 def test_maxwell_energy_decay_with_forcing_bounded():

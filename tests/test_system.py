@@ -210,6 +210,13 @@ def test_simulate_validates_time_grid(grid2):
         simulate(initial, 1.0, -0.1)
 
 
+def test_free_trajectory_validates_time_grid(grid2):
+    # 0.105 is not a multiple of 0.01; rounding would end the run at t = 0.1
+    initial = _random_state(grid2, seed=46)
+    with pytest.raises(ValueError, match="integer multiple"):
+        free_trajectory(initial, 0.105, 0.01)
+
+
 def test_taylor_green_is_exact_2d_solution():
     # 2D Taylor-Green: the advection term is a pure gradient, so the
     # exact nonlinear solution is v0 * e^{-2t}; E, B stay zero.
