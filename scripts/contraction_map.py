@@ -15,7 +15,7 @@ import numpy as np
 from nsmaxwell.dyadic import build_partition
 from nsmaxwell.ensembles import gen_field
 from nsmaxwell.grid import Grid
-from nsmaxwell.system import MhdState, free_trajectory, picard_iterate, z_norm
+from nsmaxwell.system import MhdState, picard_iterate, simulate, z_norm
 
 
 def main(argv=None) -> int:
@@ -45,10 +45,13 @@ def main(argv=None) -> int:
         for eps in args.epsilons:
             state = base.scaled(eps)
             for T in args.windows:
-                free = free_trajectory(state, T, args.dt)
+                free = simulate(state, T, args.dt, nonlinear=False)
                 z = z_norm(free, 2, part).total
-                _, ratios = picard_iterate(state, T, args.dt, args.iters,
-                                           part=part)
+                del free
+                # Only the ratios: the iterates would stay alive while the
+                # next run iterates.
+                ratios = picard_iterate(state, T, args.dt, args.iters,
+                                        part=part)[1]
                 worst = max(ratios) if ratios else 0.0
                 w.writerow([repr(eps), repr(T), repr(z), repr(worst),
                             int(bool(ratios) and worst < 1.0)])

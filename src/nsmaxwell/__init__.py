@@ -3,8 +3,6 @@
 from .grid import (
     Grid,
     SpectralField,
-    VectorOpKind,
-    apply_diff,
     leray_project,
     lp_norm_physical,
     pointwise_product,

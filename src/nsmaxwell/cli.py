@@ -30,8 +30,9 @@ from .propagators import BlowupError
 from .snapshots import SnapshotError, read_snapshot, write_snapshot
 from .system import (
     MhdState,
+    energy_report,
+    march,
     picard_iterate,
-    simulate,
     split_initial_data,
     taylor_green_velocity,
 )
@@ -77,59 +78,39 @@ def _norm_column(state: MhdState, name: str, part) -> float:
     return norm_hst(field, part, NormSpec.sobolev_log(0.0))  # l2log
 
 
-def _write_diagnostics(path, rows: list, norms: tuple,
-                       truncated: str | None = None) -> None:
-    with open(path, "w") as fh:
-        fh.write(",".join(DIAG_COLUMNS + norms) + "\n")
-        for row in rows:
-            fh.write(",".join(repr(row[c]) for c in DIAG_COLUMNS + norms) + "\n")
-        if truncated is not None:
-            fh.write(f"# truncated: {truncated}\n")
-
-
-def _diag_rows(traj, norms: tuple, part) -> list:
-    rows = []
-    for state, diag in zip(traj.states, traj.diagnostics):
-        row = dict(diag)
-        for name in norms:
-            row[name] = _norm_column(state, name, part)
-        rows.append(row)
-    return rows
-
-
-def _cmd_simulate(cfg: RunConfig) -> int:
+def _march_to_csv(cfg: RunConfig, csv_name: str, norms: tuple,
+                  snapshots: bool) -> int:
+    """March the configured run, writing one CSV row per state (and, with
+    ``snapshots``, every ``stride``-th state) as it arrives.  On blowup the
+    CSV ends with a truncation record and the exit code is 1."""
     initial = build_initial_state(cfg)
     part = build_partition(initial.grid)
-    try:
-        traj = simulate(initial, cfg.T, cfg.dt, scheme=cfg.scheme)
-    except BlowupError as exc:
-        print(f"blowup at step {exc.step}", file=sys.stderr)
-        # Partial outputs: rerun up to the last completed step.
-        t_ok = exc.step * cfg.dt
-        if exc.step > 0:
-            traj = simulate(initial, t_ok, cfg.dt, scheme=cfg.scheme)
-            rows = _diag_rows(traj, cfg.norms, part)
-            _write_snapshots(cfg, traj)
-        else:
-            rows = []
-        _write_diagnostics(
-            os.path.join(cfg.out_dir, "diagnostics.csv"), rows, cfg.norms,
-            truncated=f"blowup at step {exc.step} (t = {exc.step * cfg.dt!r})",
-        )
-        return 1
-    rows = _diag_rows(traj, cfg.norms, part)
-    _write_diagnostics(os.path.join(cfg.out_dir, "diagnostics.csv"),
-                       rows, cfg.norms)
-    _write_snapshots(cfg, traj)
+    with open(os.path.join(cfg.out_dir, csv_name), "w") as fh:
+        fh.write(",".join(DIAG_COLUMNS + norms) + "\n")
+        try:
+            for idx, state in enumerate(march(initial, cfg.T, cfg.dt,
+                                              scheme=cfg.scheme)):
+                row = (state.time, *energy_report(state),
+                       *(_norm_column(state, name, part) for name in norms))
+                fh.write(",".join(map(repr, row)) + "\n")
+                if snapshots and idx % cfg.stride == 0:
+                    _write_snapshot(cfg, idx, state)
+        except BlowupError as exc:
+            print(f"blowup at step {exc.step}", file=sys.stderr)
+            fh.write(f"# truncated: blowup at step {exc.step} "
+                     f"(t = {exc.step * cfg.dt!r})\n")
+            return 1
     return 0
 
 
-def _write_snapshots(cfg: RunConfig, traj) -> None:
-    for idx in range(0, len(traj.states), cfg.stride):
-        state = traj.states[idx]
-        stem = os.path.join(cfg.out_dir, f"snap_{idx:06d}")
-        for name, fld in (("v", state.v), ("E", state.E), ("B", state.B)):
-            write_snapshot(f"{stem}_{name}.nsmw", fld, time=state.time)
+def _write_snapshot(cfg: RunConfig, idx: int, state: MhdState) -> None:
+    stem = os.path.join(cfg.out_dir, f"snap_{idx:06d}")
+    for name, fld in (("v", state.v), ("E", state.E), ("B", state.B)):
+        write_snapshot(f"{stem}_{name}.nsmw", fld, time=state.time)
+
+
+def _cmd_simulate(cfg: RunConfig) -> int:
+    return _march_to_csv(cfg, "diagnostics.csv", cfg.norms, snapshots=True)
 
 
 def _cmd_picard(cfg: RunConfig) -> int:
@@ -196,13 +177,8 @@ def _cmd_split(cfg: RunConfig) -> int:
 
 
 def _cmd_norms(cfg: RunConfig) -> int:
-    initial = build_initial_state(cfg)
-    part = build_partition(initial.grid)
     norms = cfg.norms or ("v_l2", "E_l2", "B_l2", "v_h1", "E_l2log", "B_l2log")
-    traj = simulate(initial, cfg.T, cfg.dt, scheme=cfg.scheme)
-    rows = _diag_rows(traj, norms, part)
-    _write_diagnostics(os.path.join(cfg.out_dir, "norms.csv"), rows, norms)
-    return 0
+    return _march_to_csv(cfg, "norms.csv", norms, snapshots=False)
 
 
 _COMMANDS = {
@@ -261,9 +237,6 @@ def main(argv=None) -> int:
             return run_subcommand(args.command, cfg)
     except ConfigError as exc:  # unreadable input files
         return _config_error(exc.errors)
-    except BlowupError as exc:  # raised outside simulate's own handler
-        print(f"blowup at step {exc.step}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

@@ -54,12 +54,11 @@ class RunConfig:
     picard_iters: int = 6
     delta_target: float = 0.1
     epsilons: tuple = (0.01, 0.1, 1.0)
-    q_values: tuple = (2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12)
     estimates: tuple = ESTIMATE_IDS
     norms: tuple = ()
 
 
-_LIST_ELEM = {"epsilons": float, "q_values": int, "estimates": str, "norms": str}
+_LIST_ELEM = {"epsilons": float, "estimates": str, "norms": str}
 
 
 def _convert(name: str, kind, raw: str):
@@ -108,8 +107,6 @@ def _validate(cfg: RunConfig, where) -> list:
         bad("epsilons", f"all entries must be positive, got {cfg.epsilons}")
     if not cfg.epsilons:
         bad("epsilons", "must not be empty")
-    if not cfg.q_values:
-        bad("q_values", "must not be empty")
     for est in cfg.estimates:
         if est not in ESTIMATE_IDS:
             bad("estimates", f"unknown estimate id {est!r}")

@@ -16,7 +16,6 @@ hands out are read-only.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -26,8 +25,6 @@ import scipy.fft
 __all__ = [
     "Grid",
     "SpectralField",
-    "VectorOpKind",
-    "apply_diff",
     "gradient_component",
     "divergence",
     "curl",
@@ -36,13 +33,6 @@ __all__ = [
     "pointwise_product",
     "lp_norm_physical",
 ]
-
-
-class VectorOpKind(enum.Enum):
-    GRADIENT_COMPONENT = "gradient-component"
-    DIVERGENCE = "divergence"
-    CURL = "curl"
-    LAPLACIAN = "laplacian"
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -298,20 +288,6 @@ def curl(f: SpectralField) -> SpectralField:
 
 def laplacian(f: SpectralField) -> SpectralField:
     return SpectralField(f.grid, -f.grid.k_squared() * f.coeffs)
-
-
-def apply_diff(f: SpectralField, kind: VectorOpKind, axis: int | None = None) -> SpectralField:
-    if kind is VectorOpKind.GRADIENT_COMPONENT:
-        if axis is None:
-            raise ValueError("gradient-component requires an axis")
-        return gradient_component(f, axis)
-    if kind is VectorOpKind.DIVERGENCE:
-        return divergence(f)
-    if kind is VectorOpKind.CURL:
-        return curl(f)
-    if kind is VectorOpKind.LAPLACIAN:
-        return laplacian(f)
-    raise ValueError(f"unsupported operator kind {kind!r}")
 
 
 def leray_project(f: SpectralField) -> SpectralField:

@@ -6,8 +6,8 @@ data."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
-from operator import attrgetter
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -30,8 +30,9 @@ from .dyadic import (
     norm_hst,
     shell_series,
     spacetime_norm_from_series,
+    time_lebesgue,
 )
-from .propagators import BlowupError, PropagatorTable, duhamel_step
+from .propagators import PropagatorTable, duhamel_step
 
 __all__ = [
     "MhdState",
@@ -40,6 +41,7 @@ __all__ = [
     "ohm_current",
     "nonlinearity",
     "energy_report",
+    "march",
     "simulate",
     "step_count",
     "picard_iterate",
@@ -103,11 +105,14 @@ class MhdState:
 
 @dataclass
 class Trajectory:
-    """Uniformly sampled states plus per-step diagnostics."""
+    """Uniformly sampled states; per-step diagnostics on first read."""
 
     times: np.ndarray
     states: list
-    diagnostics: list = dc_field(default_factory=list)
+
+    @cached_property
+    def diagnostics(self) -> list:
+        return [_diagnostics(state) for state in self.states]
 
     @property
     def grid(self) -> Grid:
@@ -217,40 +222,47 @@ def step_count(T: float, dt: float) -> int:
     return n_steps
 
 
-def simulate(initial: MhdState, T: float, dt: float, scheme: str = "exp-trapezoid",
-             nonlinear: bool = True, velocity_form: str = "advection") -> Trajectory:
-    """March the Duhamel integral equation with exact linear propagators."""
+def march(initial: MhdState, T: float, dt: float, scheme: str = "exp-trapezoid",
+          nonlinear: bool = True, velocity_form: str = "advection"):
+    """Yield the prepared initial state, then the state after each of the
+    T/dt steps of the Duhamel integral equation with exact propagators.
+
+    A nonlinear step is ``duhamel_step``, whose ``BlowupError`` passes out
+    of the generator; a linear step is the exact group e^{dt A}.  Raises
+    ValueError unless T is an integer multiple of dt.
+    """
     n_steps = step_count(T, dt)
-
-    grid = initial.grid
     state = initial.prepared()
-    # Advisory CFL check only: the exponential integrator is unconditionally
-    # linearly stable.
-    vmax = lp_norm_physical(state.v, np.inf)
-    h = grid.box_length / grid.n
-    if vmax * dt > h:
-        import warnings
-
-        warnings.warn(f"dt * max|v| = {vmax * dt:.3e} exceeds grid spacing {h:.3e}")
-
-    table = PropagatorTable.build(grid, dt)
+    grid = state.grid
     if nonlinear:
+        # Advisory CFL check only: the exponential integrator is
+        # unconditionally linearly stable.
+        vmax = lp_norm_physical(state.v, np.inf)
+        h = grid.box_length / grid.n
+        if vmax * dt > h:
+            import warnings
+
+            warnings.warn(f"dt * max|v| = {vmax * dt:.3e} exceeds grid spacing {h:.3e}")
+
         def nl(s):
             return nonlinearity(s, velocity_form=velocity_form)
-    else:
-        def nl(s):
-            return MhdState.zeros(grid, s.time)
 
-    times = [state.time]
-    states = [state]
-    diags = [_diagnostics(state)]
+    table = PropagatorTable.build(grid, dt)
+    yield state
     for step in range(n_steps):
-        state = duhamel_step(state, nl, dt, scheme=scheme, table=table,
-                             step_index=step)
-        times.append(state.time)
-        states.append(state)
-        diags.append(_diagnostics(state))
-    return Trajectory(times=np.array(times), states=states, diagnostics=diags)
+        if nonlinear:
+            state = duhamel_step(state, nl, dt, scheme=scheme, table=table,
+                                 step_index=step)
+        else:
+            state = table.apply(state)
+        yield state
+
+
+def simulate(initial: MhdState, T: float, dt: float, scheme: str = "exp-trapezoid",
+             nonlinear: bool = True, velocity_form: str = "advection") -> Trajectory:
+    """Every state of ``march`` as one trajectory."""
+    states = list(march(initial, T, dt, scheme, nonlinear, velocity_form))
+    return Trajectory(times=np.array([s.time for s in states]), states=states)
 
 
 def _diagnostics(state: MhdState) -> dict:
@@ -288,7 +300,7 @@ def z_norm(traj: Trajectory, d: int, part: DyadicPartition | None = None) -> ZNo
 
     zu = (
         spacetime_norm_from_series(sv, NormSpec.sobolev(half, time_exponent=2, tilde=False))
-        + _time_l2(sv.linf, sv.times)
+        + time_lebesgue(sv.linf, sv.times, 2)
         + spacetime_norm_from_series(sv, NormSpec.sobolev(half - 1, time_exponent=np.inf, tilde=True))
     )
     ze = (
@@ -300,10 +312,6 @@ def z_norm(traj: Trajectory, d: int, part: DyadicPartition | None = None) -> ZNo
         + spacetime_norm_from_series(sb, NormSpec(half, half - 1, alpha, 2, False))
     )
     return ZNorm(u=zu, E=ze, B=zb)
-
-
-def _time_l2(values: np.ndarray, times: np.ndarray) -> float:
-    return float(np.sqrt(np.trapezoid(np.asarray(values) ** 2, times)))
 
 
 def initial_data_norm(state: MhdState, part: DyadicPartition | None = None) -> float:
@@ -322,22 +330,6 @@ def initial_data_norm(state: MhdState, part: DyadicPartition | None = None) -> f
 # Picard iteration around the free evolution.
 
 
-def free_trajectory(initial: MhdState, T: float, dt: float) -> Trajectory:
-    """e^{t A} Gamma0 sampled on the uniform grid (exact propagators);
-    ValueError unless T is an integer multiple of dt."""
-    n_steps = step_count(T, dt)
-    grid = initial.grid
-    table = PropagatorTable.build(grid, dt)
-    state = initial.prepared()
-    times = [state.time]
-    states = [state]
-    for _ in range(n_steps):
-        state = table.apply(state)
-        times.append(state.time)
-        states.append(state)
-    return Trajectory(times=np.array(times), states=states)
-
-
 def _difference_trajectory(a: Trajectory, b: Trajectory) -> Trajectory:
     states = [
         MhdState(sa.v - sb.v, sa.E - sb.E, sa.B - sb.B, sa.time)
@@ -353,35 +345,34 @@ def _apply_phi(free: Trajectory, pert: Trajectory, table: PropagatorTable,
 
     Uses the recursion Phi(G)(t_n) = e^{dt A} Phi(G)(t_{n-1})
     + dt/2 (e^{dt A} N_{n-1} + N_n), equivalent to composite trapezoid
-    because the propagators form a group.
+    because the propagators form a group.  N_n is evaluated as the
+    recursion reaches t_n, so only N_{n-1} and N_n are held.
     """
     grid = free.grid
     dt = free.dt
-    n = len(free)
-    nl = [
-        nonlinearity(
-            MhdState(
-                free.states[i].v + pert.states[i].v,
-                free.states[i].E + pert.states[i].E,
-                free.states[i].B + pert.states[i].B,
-                free.times[i],
-            ),
+
+    def n_at(i):
+        f, p = free.states[i], pert.states[i]
+        return nonlinearity(
+            MhdState(f.v + p.v, f.E + p.E, f.B + p.B, free.times[i]),
             velocity_form=velocity_form,
         )
-        for i in range(n)
-    ]
-    out_states = [MhdState.zeros(grid, free.times[0])]
-    acc = out_states[0]
-    for i in range(1, n):
+
+    acc = MhdState.zeros(grid, free.times[0])
+    out_states = [acc]
+    n_prev = n_at(0)
+    for i in range(1, len(free)):
+        n_cur = n_at(i)
         prev = table.apply(acc)
-        n_prev = table.apply(nl[i - 1])
+        n_prev_prop = table.apply(n_prev)
         acc = MhdState(
-            v=prev.v + 0.5 * dt * (n_prev.v + nl[i].v),
-            E=prev.E + 0.5 * dt * (n_prev.E + nl[i].E),
-            B=prev.B + 0.5 * dt * (n_prev.B + nl[i].B),
+            v=prev.v + 0.5 * dt * (n_prev_prop.v + n_cur.v),
+            E=prev.E + 0.5 * dt * (n_prev_prop.E + n_cur.E),
+            B=prev.B + 0.5 * dt * (n_prev_prop.B + n_cur.B),
             time=free.times[i],
         )
         out_states.append(acc)
+        n_prev = n_cur
     return Trajectory(times=free.times, states=out_states)
 
 
@@ -410,7 +401,7 @@ def picard_iterate(initial: MhdState, T: float, dt: float, n_iters: int,
     if part is None:
         part = build_partition(grid)
     table = PropagatorTable.build(grid, dt)
-    free = free_trajectory(initial, T, dt)
+    free = simulate(initial, T, dt, nonlinear=False)
 
     zero = Trajectory(
         times=free.times,

@@ -28,7 +28,6 @@ from nsmaxwell.grid import Grid, SpectralField, lp_norm_physical, pointwise_prod
 from nsmaxwell.propagators import maxwell_apply, maxwell_wave_route, phi_multipliers, phi_shell
 from nsmaxwell.system import (
     MhdState,
-    free_trajectory,
     initial_data_norm,
     picard_iterate,
     picard_solution,
@@ -213,10 +212,10 @@ def test_criterion_05_picard_contraction():
     base = MhdState(v, E, B, 0.0).prepared()
 
     T, dt = 1.0, 0.01
-    free = free_trajectory(base, T, dt)
+    free = simulate(base, T, dt, nonlinear=False)
     eps = 0.9e-2 / z_norm(free, 2, part).total
     small = base.scaled(eps)
-    free_s = free_trajectory(small, T, dt)
+    free_s = simulate(small, T, dt, nonlinear=False)
     z_small = z_norm(free_s, 2, part).total
     iters, ratios = picard_iterate(small, T, dt, 6, part=part)
     assert ratios, "no contraction ratio above the roundoff floor"

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import nsmaxwell
+from nsmaxwell import system
 from nsmaxwell.cli import build_initial_state, main
 from nsmaxwell.config import parse_config
 from nsmaxwell.grid import Grid, SpectralField, lp_norm_physical
@@ -63,6 +64,54 @@ def test_simulate_deterministic_outputs(tmp_path):
     assert main(["simulate", cfg, "--out-dir", str(out2)]) == 0
     for name in os.listdir(out1):
         assert filecmp.cmp(out1 / name, out2 / name, shallow=False), name
+
+
+def test_simulate_blowup_streams_partial_outputs(tmp_path, capsys, monkeypatch):
+    # Amplitude 1e8 turns non-finite in step 2.  The states before it are
+    # written as they arrive, and the integration is not run a second time.
+    calls = []
+    step = system.duhamel_step
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("step_index"))
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(system, "duhamel_step", counted)
+    out = tmp_path / "out"
+    cfg = _write_cfg(
+        tmp_path,
+        "d = 2\nn = 16\nT = 0.1\ndt = 0.01\ninit = random\nslope = 1\n"
+        "seed = 3\namplitude = 1e8\nstride = 2\n",
+    )
+    with np.errstate(all="ignore"), pytest.warns(UserWarning, match="grid spacing"):
+        assert main(["simulate", cfg, "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert [l for l in err if "blowup" in l] == ["blowup at step 2"]
+    lines = (out / "diagnostics.csv").read_text().splitlines()
+    assert lines[0] == "time,energy,grad_v_sq,j_sq"
+    assert [float(l.split(",")[0]) for l in lines[1:-1]] == [0.0, 0.01, 0.02]
+    assert lines[-1] == "# truncated: blowup at step 2 (t = 0.02)"
+    snaps = sorted(os.listdir(out))
+    assert snaps == ["diagnostics.csv"] + [
+        f"snap_{i:06d}_{f}.nsmw" for i in (0, 2) for f in ("B", "E", "v")
+    ]
+    assert calls == [0, 1, 2]
+
+
+def test_norms_blowup_writes_truncated_csv(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = _write_cfg(
+        tmp_path,
+        "d = 2\nn = 16\nT = 0.1\ndt = 0.01\ninit = random\nslope = 1\n"
+        "seed = 3\namplitude = 1e8\nnorms = v_l2\n",
+    )
+    with np.errstate(all="ignore"), pytest.warns(UserWarning):
+        assert main(["norms", cfg, "--out-dir", str(out)]) == 1
+    assert "blowup at step 2" in capsys.readouterr().err
+    lines = (out / "norms.csv").read_text().splitlines()
+    assert lines[0] == "time,energy,grad_v_sq,j_sq,v_l2"
+    assert len(lines) == 5 and lines[-1].startswith("# truncated: blowup at step 2")
+    assert sorted(os.listdir(out)) == ["norms.csv"]
 
 
 def test_seed_flag_overrides_config(tmp_path):

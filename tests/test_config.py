@@ -28,12 +28,10 @@ def test_comments_and_blank_lines():
 def test_list_parsing():
     cfg = parse_config(
         "epsilons = 0.1, 0.5\n"
-        "q_values = 2,3,4\n"
         "estimates = est1-2D, est4-2D\n"
         "norms = v_l2, B_l2log\n"
     )
     assert cfg.epsilons == (0.1, 0.5)
-    assert cfg.q_values == (2, 3, 4)
     assert cfg.estimates == ("est1-2D", "est4-2D")
     assert cfg.norms == ("v_l2", "B_l2log")
 

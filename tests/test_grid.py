@@ -6,8 +6,6 @@ from hypothesis import strategies as st
 from nsmaxwell.grid import (
     Grid,
     SpectralField,
-    VectorOpKind,
-    apply_diff,
     curl,
     divergence,
     gradient_component,
@@ -91,15 +89,6 @@ def test_curl_of_gradient_vanishes(grid3):
         grad.coeffs[ax] = gradient_component(p, ax).coeffs[0]
     c = curl(grad)
     assert np.max(np.abs(c.coeffs)) < 1e-12 * np.max(np.abs(p.coeffs))
-
-
-def test_apply_diff_dispatch(grid2):
-    f = random_field(grid2, seed=4)
-    assert np.allclose(
-        apply_diff(f, VectorOpKind.LAPLACIAN).coeffs, laplacian(f).coeffs
-    )
-    with pytest.raises(ValueError):
-        apply_diff(f, VectorOpKind.GRADIENT_COMPONENT)
 
 
 def test_leray_kills_parallel_mode(grid2):

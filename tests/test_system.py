@@ -12,10 +12,10 @@ from nsmaxwell.grid import (
 )
 from nsmaxwell.dyadic import build_partition, low_pass
 from nsmaxwell.ensembles import gen_field
+from nsmaxwell.propagators import heat_apply, maxwell_apply
 from nsmaxwell.system import (
     MhdState,
     energy_report,
-    free_trajectory,
     initial_data_norm,
     nonlinearity,
     ohm_current,
@@ -191,13 +191,17 @@ def test_energy_report_single_mode(grid2):
 
 
 def test_simulate_linear_matches_propagators(grid2):
+    # The stepped free evolution against the closed form at each t_n.
     initial = _random_state(grid2, seed=45)
     T, dt = 0.5, 0.05
     traj = simulate(initial, T, dt, nonlinear=False)
-    free = free_trajectory(initial, T, dt)
-    for a, b in zip(traj.states, free.states):
-        for name in ("v", "E", "B"):
-            fa, fb = getattr(a, name), getattr(b, name)
+    assert len(traj) == 11
+    start = traj.states[0]
+    for step, a in enumerate(traj.states):
+        t = step * dt
+        assert abs(traj.times[step] - t) < 1e-12
+        E, B = maxwell_apply(start.E, start.B, t)
+        for fa, fb in ((a.v, heat_apply(start.v, t)), (a.E, E), (a.B, B)):
             scale = np.max(np.abs(fb.coeffs)) + 1e-300
             assert np.max(np.abs(fa.coeffs - fb.coeffs)) < 1e-10 * scale
 
@@ -214,7 +218,7 @@ def test_free_trajectory_validates_time_grid(grid2):
     # 0.105 is not a multiple of 0.01; rounding would end the run at t = 0.1
     initial = _random_state(grid2, seed=46)
     with pytest.raises(ValueError, match="integer multiple"):
-        free_trajectory(initial, 0.105, 0.01)
+        simulate(initial, 0.105, 0.01, nonlinear=False)
 
 
 def test_taylor_green_is_exact_2d_solution():
@@ -254,7 +258,7 @@ def test_diagnostics_schema(grid2):
 
 def test_z_norm_zero_and_single_component(grid2, part2):
     initial = MhdState.zeros(grid2)
-    traj = free_trajectory(initial, 0.2, 0.1)
+    traj = simulate(initial, 0.2, 0.1, nonlinear=False)
     z = z_norm(traj, 2, part2)
     assert z.total == 0.0
     v_only = MhdState(
@@ -293,7 +297,7 @@ def test_z_norm_pinned_static_single_shell(grid2, part2):
 
 
 def test_z_norm_dimension_mismatch(grid2, part2):
-    traj = free_trajectory(MhdState.zeros(grid2), 0.2, 0.1)
+    traj = simulate(MhdState.zeros(grid2), 0.2, 0.1, nonlinear=False)
     with pytest.raises(ValueError):
         z_norm(traj, 3, part2)
 
@@ -382,7 +386,7 @@ def test_picard_matches_simulate_small_data(grid2, part2):
     T, dt = 0.3, 0.01
     iterates, ratios = picard_iterate(initial, T, dt, 4, part=part2)
     assert all(r < 1.0 for r in ratios)
-    free = free_trajectory(initial, T, dt)
+    free = simulate(initial, T, dt, nonlinear=False)
     fixed = picard_solution(free, iterates[-1])
     ref = simulate(initial, T, dt)
     scale = initial_data_norm(initial, part2)
