@@ -17,7 +17,6 @@ from .dyadic import (
     low_pass,
     norm_besov,
     norm_hst,
-    spacetime_norm,
 )
 from .propagators import (
     BlowupError,

@@ -19,13 +19,14 @@ import statistics
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.fft
 
 from .grid import (
     Grid,
     SpectralField,
     _dealiased_physical,
     _dealiased_spectral,
+    _sup_series,
+    _time_chunks,
     gradient_component,
     leray_project,
     lp_norm_physical,
@@ -36,6 +37,9 @@ from .dyadic import (
     NormSpec,
     ShellSeries,
     _block_l2,
+    _mode_power,
+    _shell_l2,
+    _weighted_l2,
     block,
     bony_decompose,
     build_partition,
@@ -267,35 +271,17 @@ def check_bernstein(spec: FieldEnsembleSpec, q: int, k_order: int = 1,
 
 # ---------------------------------------------------------------------------
 # Closed-form time axes: a linear flow that is exact per mode is evaluated at
-# a chunk of sample times per array operation.  A chunk array (times x
-# components x modes) holds about this many elements, so the temporaries
-# stay small however many times are sampled.
-_CHUNK_ELEMENTS = 2**16
-
-
-def _time_chunks(times: np.ndarray, per_time: int) -> list:
-    """Consecutive slices of ``times`` of about _CHUNK_ELEMENTS / per_time."""
-    step = max(1, _CHUNK_ELEMENTS // max(per_time, 1))
-    return [times[i:i + step] for i in range(0, len(times), step)]
+# a chunk of sample times per array operation (``grid._time_chunks``).
 
 
 def _selected_modes(part: DyadicPartition, *coeffs):
     """The modes with power in some of ``coeffs`` and weight in some shell:
-    a picker for them on (3, n, ..., n) amplitudes, their |k|^2, and the box
-    volume times their squared shell weights (modes x shells)."""
-    grid = part.grid
-    w2 = np.stack([part.weight(q).ravel() ** 2 for q in part.shells()], axis=1)
-    power = sum(np.sum(np.abs(c.reshape(3, -1)) ** 2, axis=0) for c in coeffs)
-    idx = np.flatnonzero((power > 0) & (np.sum(w2, axis=1) > 0))
-    return (lambda c: c.reshape(3, -1)[:, idx], grid.k_squared().ravel()[idx],
-            grid.box_length**grid.d * w2[idx])
-
-
-def _shell_rows(amps: np.ndarray, w2: np.ndarray) -> np.ndarray:
-    """||Delta_q u||_{L^2} per time and shell from amplitudes on the
-    selected modes (times x 3 x modes): one (times x modes) @ (modes x
-    shells) product."""
-    return np.sqrt(np.sum(amps.real**2 + amps.imag**2, axis=1) @ w2)
+    a picker for them on (3, n, ..., n) amplitudes, their |k|^2, and their
+    ``shell_matrix`` rows (modes x shells)."""
+    power = sum(_mode_power(c.reshape(3, -1)) for c in coeffs)
+    idx = np.flatnonzero((power > 0) & (part.partition_sum().ravel() > 0))
+    return (lambda c: c.reshape(3, -1)[:, idx], part.grid.k_squared().ravel()[idx],
+            part.shell_matrix(idx))
 
 
 # ---------------------------------------------------------------------------
@@ -349,15 +335,15 @@ def check_parabolic_smoothing(u0: SpectralField, forcing, T: float, p,
     sel, ksq, w2 = _selected_modes(part, u0.coeffs, *(F.coeffs for F, _ in forcings))
     amps = [(sel(F.coeffs), lam) for F, lam in forcings]
     rows = np.vstack([
-        _shell_rows(_heat_forced(ksq, sel(u0.coeffs), amps, t[:, None, None]), w2)
+        _shell_l2(_mode_power(_heat_forced(ksq, sel(u0.coeffs), amps, t[:, None, None])),
+                  w2)
         for t in _time_chunks(times, 3 * ksq.size)
     ])
-    q_values = list(part.shells())
+    q_values = np.array(part.shells(), dtype=float)
 
-    sup_besov = float(np.max(rows @ 2.0 ** (s * np.array(q_values, dtype=float))))
+    sup_besov = float(np.max(rows @ 2.0 ** (s * q_values)))
     # tilde-L^p_T B^{s+2/p}_{2,1}: time norm per shell, then the l^1 sum.
-    smoothed = sum(2.0 ** (q * (s + 2.0 / p)) * time_lebesgue(rows[:, i], times, p)
-                   for i, q in enumerate(q_values))
+    smoothed = float(2.0 ** (q_values * (s + 2.0 / p)) @ time_lebesgue(rows, times, p))
     lhs = sup_besov + smoothed
 
     rhs = norm_besov(u0, part, s, 2, 1)
@@ -409,8 +395,8 @@ def check_l2linfty(u0: SpectralField, f1, f2, T: float, dt: float = 0.01,
     solve sees their sum.
 
     The sup series comes from the closed-form solution on the half
-    spectrum (the fields are real), a chunk of times per ``irfftn``.  Only
-    the components that are nonzero in u0 or in some forcing are
+    spectrum (the fields are real), a chunk of times per ``_sup_series``.
+    Only the components that are nonzero in u0 or in some forcing are
     transformed: the heat flow acts componentwise, so the others stay zero.
     """
     grid = u0.grid
@@ -425,13 +411,10 @@ def check_l2linfty(u0: SpectralField, f1, f2, T: float, dt: float = 0.01,
     ksq = grid.k_squared()[..., :h]
     u0h = u0.coeffs[comps, ..., :h]
     amps = [(F.coeffs[comps, ..., :h], lam) for F, lam in forcings]
-    sup_sq = []
-    for t in _time_chunks(times, len(comps) * ksq.size):
-        half = _heat_forced(ksq, u0h, amps, t.reshape((-1,) + (1,) * (d + 1)))
-        u = scipy.fft.irfftn(half, s=grid.shape, axes=tuple(range(2, d + 2)),
-                             norm="forward")
-        sup_sq.append(np.max(np.sum(u**2, axis=1), axis=tuple(range(1, d + 1))))
-    sup_series = np.sqrt(np.concatenate(sup_sq))
+    sup_series = np.concatenate([
+        _sup_series(_heat_forced(ksq, u0h, amps, t.reshape((-1,) + (1,) * (d + 1))), grid)
+        for t in _time_chunks(times, len(comps) * ksq.size)
+    ])
     lhs = float(np.sqrt(np.trapezoid(sup_series**2, times)))
 
     spec = NormSpec.sobolev(d / 2.0 - 1.0)
@@ -508,8 +491,8 @@ def _free_maxwell_rows(E0: SpectralField, B0: SpectralField,
         a11, a12, a22 = (a[:, None] for a in _maxwell_coefficients(ksq, t[:, None]))
         E_t, F_t = _transverse_rotation(E_par, E_perp, F, a11, a12, a22,
                                         np.exp(-t)[:, None, None])
-        rows_E.append(_shell_rows(E_t, w2))
-        rows_B.append(_shell_rows(F_t, w2))
+        rows_E.append(_shell_l2(_mode_power(E_t), w2))
+        rows_B.append(_shell_l2(_mode_power(F_t), w2))
     return np.vstack(rows_E), np.vstack(rows_B)
 
 
@@ -552,7 +535,7 @@ def check_maxwell_energy_decay(E0: SpectralField, B0: SpectralField, G,
             B = B + gB * (dt / 2.0)
             rows.append((_block_l2(E, part), _block_l2(B, part)))
         rows_E, rows_B = np.array(rows).transpose(1, 0, 2)
-    q_values = np.array(list(part.shells()))
+    q_values = np.array(part.shells())
     series_E, series_B = (ShellSeries(times, q_values, r) for r in (rows_E, rows_B))
     spec_data = NormSpec(d / 2.0 - 1.0, d / 2.0 - 1.0, alpha, np.inf, tilde=True)
     spec_l2 = NormSpec(d / 2.0 - 1.0, d / 2.0 - 1.0, alpha, 2, tilde=True)
@@ -617,15 +600,6 @@ def _power_l2(power: np.ndarray, grid: Grid) -> float:
     return math.sqrt(grid.box_length**grid.d * float(np.sum(power)))
 
 
-def _power_hst(power: np.ndarray, part: DyadicPartition, spec: NormSpec) -> float:
-    vol = part.grid.box_length**part.grid.d
-    total = 0.0
-    for q in part.shells():
-        bq_sq = vol * float(np.sum(part.weight(q) ** 2 * power))
-        total += spec.shell_weight_sq(q) * bq_sq
-    return math.sqrt(total)
-
-
 def _intersection(*norms) -> float:
     """Norm of an intersection space, taken as the sum of the pieces."""
     return float(sum(norms))
@@ -656,7 +630,8 @@ def check_product_law(estimate_id: str, T: float,
             lhs = _power_l2(power, grid) * env
             s_high = 1.0
         else:
-            lhs = _power_hst(power, part, NormSpec.sobolev(0.5)) * env
+            rows = _shell_l2(power.ravel(), part.shell_matrix())
+            lhs = float(_weighted_l2(rows, part.shells(), NormSpec.sobolev(0.5))) * env
             s_high = 1.5
         rhs = 1.0
         for traj in (u, v):

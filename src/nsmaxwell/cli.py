@@ -13,6 +13,7 @@ import json
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -195,6 +196,10 @@ def run_subcommand(cmd: str, cfg: RunConfig) -> int:
     return _COMMANDS[cmd](cfg)
 
 
+def _one_line_warning(message, category, filename, lineno, line=None) -> str:
+    return f"warning: {message}\n"
+
+
 def _config_error(messages) -> int:
     for message in messages:
         print(f"config error: {message}", file=sys.stderr)
@@ -230,6 +235,8 @@ def main(argv=None) -> int:
             return _config_error(["--stride must be positive"])
         cfg.stride = args.stride
 
+    # Warnings that reach stderr (the advisory CFL check) take one line.
+    formatwarning, warnings.formatwarning = warnings.formatwarning, _one_line_warning
     try:
         # Divergence is detected by the non-finite checks of the time loop
         # and the Picard ratios, not by floating-point warnings.
@@ -237,6 +244,8 @@ def main(argv=None) -> int:
             return run_subcommand(args.command, cfg)
     except ConfigError as exc:  # unreadable input files
         return _config_error(exc.errors)
+    finally:
+        warnings.formatwarning = formatwarning
 
 
 if __name__ == "__main__":

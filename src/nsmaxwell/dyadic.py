@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Grid, SpectralField
+from .grid import Grid, SpectralField, _read_only, _sup_series, _time_chunks
 
 __all__ = [
     "DyadicPartition",
@@ -32,7 +32,6 @@ __all__ = [
     "ShellSeries",
     "shell_series",
     "spacetime_norm_from_series",
-    "spacetime_norm",
 ]
 
 # Support edges of the radial profile before dyadic scaling.
@@ -78,13 +77,14 @@ class DyadicPartition:
 
     Interior shells carry phi(2^-q |k|); the boundary shells q_min and
     q_max absorb the telescoping tails (sum_{j<=q_min} and sum_{j>=q_max}),
-    so sum_q w_q(k) = 1 exactly for every nonzero resolved k.
+    so sum_q w_q(k) = 1 exactly for every nonzero resolved k.  ``stack``
+    holds w_q at index q - q_min, read-only.
     """
 
     grid: Grid
     q_min: int
     q_max: int
-    weights: dict = field(repr=False)
+    stack: np.ndarray = field(repr=False)
 
     def shells(self) -> range:
         return range(self.q_min, self.q_max + 1)
@@ -92,22 +92,23 @@ class DyadicPartition:
     def weight(self, q: int) -> np.ndarray:
         if q < self.q_min or q > self.q_max:
             raise ValueError(f"shell index {q} outside [{self.q_min}, {self.q_max}]")
-        return self.weights[q]
+        return self.stack[q - self.q_min]
 
     def lowpass_weight(self, q: int) -> np.ndarray:
         """Multiplier of S_q = sum_{j<q} Delta_j plus the k=0 mode."""
-        w = np.zeros(self.grid.shape)
-        zero = (0,) * self.grid.d
-        w[zero] = 1.0
-        for j in range(self.q_min, min(q, self.q_max + 1)):
-            w += self.weights[j]
+        w = np.sum(self.stack[: max(q - self.q_min, 0)], axis=0)
+        w[(0,) * self.grid.d] = 1.0
         return w
 
     def partition_sum(self) -> np.ndarray:
-        total = np.zeros(self.grid.shape)
-        for q in self.shells():
-            total += self.weights[q]
-        return total
+        return np.sum(self.stack, axis=0)
+
+    def shell_matrix(self, modes=slice(None)) -> np.ndarray:
+        """Box volume times w_q^2 on the flat ``modes``, (modes x shells).
+        Built per call: a cached copy would double the partition's memory."""
+        w2 = self.stack.reshape(len(self.stack), -1)[:, modes].T ** 2
+        w2 *= self.grid.box_length**self.grid.d
+        return w2
 
 
 def build_partition(grid: Grid) -> DyadicPartition:
@@ -125,17 +126,16 @@ def build_partition(grid: Grid) -> DyadicPartition:
     if q_max < q_min + 1:
         raise ValueError("grid too small to host two disjoint dyadic shells")
 
-    weights = {}
-    for q in range(q_min, q_max + 1):
+    stack = np.empty((q_max - q_min + 1,) + grid.shape)
+    for i, q in enumerate(range(q_min, q_max + 1)):
         if q == q_min:
             w = chi_profile(kmag / 2.0**(q + 1))
         elif q == q_max:
             w = 1.0 - chi_profile(kmag / 2.0**q)
         else:
             w = phi_profile(kmag / 2.0**q)
-        w = np.where(resolved, w, 0.0)
-        weights[q] = w
-    return DyadicPartition(grid=grid, q_min=q_min, q_max=q_max, weights=weights)
+        stack[i] = np.where(resolved, w, 0.0)
+    return DyadicPartition(grid=grid, q_min=q_min, q_max=q_max, stack=_read_only(stack))
 
 
 def block(u: SpectralField, part: DyadicPartition, q: int) -> SpectralField:
@@ -241,32 +241,40 @@ class NormSpec:
         """Shorthand H^s_log = H^{s,s}_1."""
         return cls(s=s, t=s, alpha=1.0, **kw)
 
-    def shell_weight_sq(self, q: int) -> float:
-        """Squared weight of shell q in the two-sum norm formula."""
-        if q <= 0:
-            return 4.0 ** (q * self.s)
-        return float(q) ** self.alpha * 4.0 ** (q * self.t)
+    def shell_weight_sq(self, q):
+        """Squared weight of shell q (an int or an array of them) in the
+        two-sum norm formula."""
+        q = np.asarray(q, dtype=np.float64)
+        return np.where(q <= 0, 4.0 ** (q * self.s),
+                        np.abs(q) ** self.alpha * 4.0 ** (q * self.t))
+
+
+def _shell_l2(power: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """||Delta_q u||_{L^2} per shell from the per-mode power (... x modes)
+    and rows of ``DyadicPartition.shell_matrix`` (modes x shells)."""
+    return np.sqrt(power @ weights)
+
+
+def _mode_power(amps: np.ndarray) -> np.ndarray:
+    """sum_c |a_c|^2 of amplitudes (..., 3, modes)."""
+    return np.sum(amps.real**2 + amps.imag**2, axis=-2)
+
+
+def _weighted_l2(rows: np.ndarray, q_values, spec: NormSpec):
+    """sqrt(sum_q shell_weight_sq(q) rows_q^2) along the last axis."""
+    return np.sqrt(rows**2 @ spec.shell_weight_sq(q_values))
 
 
 def _block_l2(u: SpectralField, part: DyadicPartition) -> np.ndarray:
     """Array of ||Delta_q u||_{L^2} over the shell range."""
-    vol = u.grid.box_length**u.grid.d
-    power = np.sum(np.abs(u.coeffs) ** 2, axis=0)
-    out = np.empty(part.q_max - part.q_min + 1)
-    for i, q in enumerate(part.shells()):
-        out[i] = math.sqrt(vol * float(np.sum(part.weight(q) ** 2 * power)))
-    return out
+    return _shell_l2(_mode_power(u.coeffs.reshape(3, -1)), part.shell_matrix())
 
 
 def norm_hst(u: SpectralField, part: DyadicPartition, spec: NormSpec) -> float:
     """The hybrid Sobolev norm: sqrt of
     sum_{q<=0} 2^{2qs} ||Delta_q u||^2 + sum_{q>0} q^alpha 2^{2qt} ||Delta_q u||^2,
     with the k=0 mode excluded (homogeneous norm)."""
-    b = _block_l2(u, part)
-    total = 0.0
-    for i, q in enumerate(part.shells()):
-        total += spec.shell_weight_sq(q) * b[i] ** 2
-    return math.sqrt(total)
+    return float(_weighted_l2(_block_l2(u, part), part.shells(), spec))
 
 
 def norm_besov(u: SpectralField, part: DyadicPartition, s: float, p, r) -> float:
@@ -309,43 +317,47 @@ class ShellSeries:
     block_l2: np.ndarray
     linf: np.ndarray | None = None
 
-    @property
-    def dt(self) -> float:
-        return float(self.times[1] - self.times[0])
-
 
 def shell_series(fields, times, part: DyadicPartition, with_linf: bool = False) -> ShellSeries:
-    """Reduce a sequence of SpectralFields to per-shell norm time series."""
-    from .grid import lp_norm_physical
-
+    """Reduce a sequence of SpectralFields to per-shell norm time series:
+    per chunk of fields one product and, with ``with_linf``, one
+    ``grid._sup_series``, which takes the fields as real."""
     times = np.asarray(times, dtype=float)
     if len(fields) != len(times) or len(times) < 2:
         raise ValueError("need >= 2 samples with matching times")
     steps = np.diff(times)
     if not np.allclose(steps, steps[0], rtol=1e-10, atol=1e-14):
         raise ValueError("time grid must be uniform")
-    rows = [_block_l2(f, part) for f in fields]
-    linf = None
-    if with_linf:
-        linf = np.array([lp_norm_physical(f, np.inf) for f in fields])
+    grid = part.grid
+    rows, linf = [], []
+    weights = part.shell_matrix()
+    for chunk in _time_chunks(fields, 3 * grid.n**grid.d):
+        amps = np.stack([f.coeffs for f in chunk])
+        rows.append(_shell_l2(_mode_power(amps.reshape(len(chunk), 3, -1)), weights))
+        if with_linf:
+            linf.append(_sup_series(amps[..., : grid.n // 2 + 1], grid))
     return ShellSeries(
         times=times,
-        q_values=np.array(list(part.shells())),
-        block_l2=np.array(rows),
-        linf=linf,
+        q_values=np.array(part.shells()),
+        block_l2=np.vstack(rows),
+        linf=np.concatenate(linf) if with_linf else None,
     )
 
 
-def time_lebesgue(values: np.ndarray, times: np.ndarray, r) -> float:
-    """L^r norm in time by trapezoidal quadrature (max for r = inf)."""
+def time_lebesgue(values: np.ndarray, times: np.ndarray, r):
+    """L^r norm in time by trapezoidal quadrature (max for r = inf) along
+    the first axis: a float for one series, one norm per column for a
+    (times x shells) table."""
     values = np.asarray(values, dtype=float)
     if r == np.inf or r == "inf":
-        return float(np.max(values))
-    if r == 1:
-        return float(np.trapezoid(values, times))
-    if r == 2:
-        return float(np.sqrt(np.trapezoid(values**2, times)))
-    raise ValueError(f"unsupported time exponent {r!r}")
+        out = np.max(values, axis=0)
+    elif r == 1:
+        out = np.trapezoid(values, times, axis=0)
+    elif r == 2:
+        out = np.sqrt(np.trapezoid(values**2, times, axis=0))
+    else:
+        raise ValueError(f"unsupported time exponent {r!r}")
+    return float(out) if out.ndim == 0 else out
 
 
 def spacetime_norm_from_series(series: ShellSeries, spec: NormSpec) -> float:
@@ -356,22 +368,7 @@ def spacetime_norm_from_series(series: ShellSeries, spec: NormSpec) -> float:
     """
     r = spec.time_exponent
     if spec.tilde:
-        total = 0.0
-        for i, q in enumerate(series.q_values):
-            bq = time_lebesgue(series.block_l2[:, i], series.times, r)
-            total += spec.shell_weight_sq(int(q)) * bq**2
-        return math.sqrt(total)
-    w = np.array([spec.shell_weight_sq(int(q)) for q in series.q_values])
-    spatial = np.sqrt(series.block_l2**2 @ w)
+        per_shell = time_lebesgue(series.block_l2, series.times, r)
+        return float(_weighted_l2(per_shell, series.q_values, spec))
+    spatial = _weighted_l2(series.block_l2, series.q_values, spec)
     return time_lebesgue(spatial, series.times, r)
-
-
-def spacetime_norm(traj, field_selector, part: DyadicPartition, spec: NormSpec) -> float:
-    """Space-time norm of one field component of a trajectory.
-
-    ``field_selector`` maps a state to a SpectralField (e.g. operator
-    attrgetter('v')).
-    """
-    fields = [field_selector(state) for state in traj.states]
-    series = shell_series(fields, traj.times, part)
-    return spacetime_norm_from_series(series, spec)

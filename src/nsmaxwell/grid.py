@@ -68,11 +68,6 @@ class Grid:
         """Smallest positive wavevector magnitude, 2 pi / L."""
         return 2.0 * np.pi / self.box_length
 
-    def mode_indices(self) -> list:
-        """Integer mode numbers m per axis in FFT order."""
-        m = np.fft.fftfreq(self.n, d=1.0 / self.n)
-        return [m] * self.d
-
     def wavevectors(self) -> list:
         """Per-axis wavevector arrays k_i broadcast over the grid shape.
 
@@ -329,6 +324,27 @@ def _dealiased_physical(f: SpectralField, axis: int | None = None) -> np.ndarray
     factor = grid._half_keep if axis is None else grid._half_ik[axis]
     half = f.coeffs[..., : grid.n // 2 + 1] * factor
     return scipy.fft.irfftn(half, s=grid.shape, axes=grid.spatial_axes, norm="forward")
+
+
+def _sup_series(half: np.ndarray, grid: Grid) -> np.ndarray:
+    """sup_x |u(t, x)| per time, one ``irfftn`` of half-spectrum amplitudes
+    (times x components x ..., m_d = 0 .. n/2).  As in ``_dealiased_physical``,
+    a field that is not Hermitian is taken as the real field its half
+    spectrum defines."""
+    u = scipy.fft.irfftn(half, s=grid.shape, axes=tuple(range(2, grid.d + 2)),
+                         norm="forward")
+    return np.sqrt(np.max(np.sum(u**2, axis=1), axis=tuple(range(1, grid.d + 1))))
+
+
+# A chunk of time samples, stacked for one array operation, holds about this
+# many elements, so temporaries stay small however many times are sampled.
+_CHUNK_ELEMENTS = 2**16
+
+
+def _time_chunks(samples, per_time: int) -> list:
+    """Consecutive slices of ``samples`` of about _CHUNK_ELEMENTS / per_time."""
+    step = max(1, _CHUNK_ELEMENTS // max(per_time, 1))
+    return [samples[i:i + step] for i in range(0, len(samples), step)]
 
 
 def _dealiased_spectral(grid: Grid, values: np.ndarray) -> SpectralField:

@@ -380,7 +380,8 @@ def test_maxwell_energy_decay_vs_quadrature_oracle():
 def test_free_maxwell_rows_match_closed_form(data):
     # the batched rows against maxwell_apply at every sample time; the
     # dense case spans several chunks and ends on a partial one
-    from nsmaxwell.checks import _CHUNK_ELEMENTS, _free_maxwell_rows
+    from nsmaxwell.checks import _free_maxwell_rows
+    from nsmaxwell.grid import _CHUNK_ELEMENTS
     from nsmaxwell.dyadic import _block_l2
     from nsmaxwell.propagators import maxwell_apply
 

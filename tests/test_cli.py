@@ -1,6 +1,7 @@
 import filecmp
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -180,6 +181,30 @@ def test_picard_divergence_writes_one_stderr_line(tmp_path):
     assert run.stderr.splitlines() == [
         "blowup: Picard iteration diverged at epsilon = 1e+150"
     ]
+
+
+def test_cfl_warning_writes_one_stderr_line(tmp_path):
+    # A fresh interpreter, as the nsmw entry point runs: the advisory CFL
+    # warning of the amplitude-1e8 run is one line, then the blowup line.
+    cfg = _write_cfg(
+        tmp_path,
+        "d = 2\nn = 16\nT = 0.1\ndt = 0.01\ninit = random\nslope = 1\n"
+        "seed = 3\namplitude = 1e8\n",
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(nsmaxwell.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("PYTHONWARNINGS", None)
+    run = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from nsmaxwell.cli import main; sys.exit(main(sys.argv[1:]))",
+         "simulate", cfg, "--out-dir", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert run.returncode == 1
+    warning, blowup = run.stderr.splitlines()
+    assert re.fullmatch(r"warning: dt \* max\|v\| = \S+ exceeds grid spacing \S+",
+                        warning), warning
+    assert blowup == "blowup at step 2"
 
 
 def test_time_grid_mismatch_exits_2(tmp_path, capsys):

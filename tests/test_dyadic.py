@@ -236,3 +236,64 @@ def test_shell_series_validation(grid2, part2):
         shell_series([f], [0.0], part2)
     with pytest.raises(ValueError):
         shell_series([f, f, f], [0.0, 0.1, 0.3], part2)
+
+
+def test_partition_weights_bitwise_profile_formulas():
+    # the stacked weights against the profile formulas shell by shell, and
+    # the slice sums against the sequential sums they replaced
+    for grid in (Grid(2, 32), Grid(3, 16), Grid(2, 64, 16.0 * np.pi)):
+        part = build_partition(grid)
+        kmag = grid.k_magnitude()
+        resolved = ~grid.nyquist_mask()
+        resolved[(0,) * grid.d] = False
+        assert not part.stack.flags.writeable
+        total = np.zeros(grid.shape)
+        for q in part.shells():
+            if q == part.q_min:
+                w = chi_profile(kmag / 2.0**(q + 1))
+            elif q == part.q_max:
+                w = 1.0 - chi_profile(kmag / 2.0**q)
+            else:
+                w = phi_profile(kmag / 2.0**q)
+            expected = np.where(resolved, w, 0.0)
+            assert np.array_equal(part.weight(q).view(np.int64), expected.view(np.int64))
+            assert np.shares_memory(part.weight(q), part.stack)
+            low = total.copy()
+            low[(0,) * grid.d] = 1.0
+            assert np.array_equal(part.lowpass_weight(q).view(np.int64), low.view(np.int64))
+            total += expected
+        assert np.array_equal(part.partition_sum().view(np.int64), total.view(np.int64))
+
+
+@pytest.mark.parametrize("d, n", [(2, 32), (3, 16)])
+def test_shell_series_matches_per_shell_and_sup_references(d, n, monkeypatch):
+    # rows against sqrt(vol sum_k w_q^2 |u(k)|^2) shell by shell and linf
+    # against the full inverse transform, on a nonlinear trajectory cut
+    # into chunks of three states with a partial last chunk
+    from nsmaxwell import grid as grid_module
+    from nsmaxwell.ensembles import gen_field
+    from nsmaxwell.system import MhdState, simulate
+
+    grid = Grid(d, n)
+    part = build_partition(grid)
+    rng = np.random.default_rng(7)
+    initial = MhdState(*(5.0 * gen_field(grid, rng, 2.0, None, div_free, part)
+                         for div_free in (True, False, True)))
+    traj = simulate(initial, 0.1, 0.01)
+    per_state = 3 * grid.n**d
+    monkeypatch.setattr(grid_module, "_CHUNK_ELEMENTS", 3 * per_state)
+    chunks = grid_module._time_chunks(traj.states, per_state)
+    assert [len(c) for c in chunks] == [3, 3, 3, 2]
+    vol = grid.box_length**d
+    for name in ("v", "E", "B"):
+        fields = [getattr(state, name) for state in traj.states]
+        series = shell_series(fields, traj.times, part, with_linf=True)
+        rows = np.array([
+            [math.sqrt(vol * float(np.sum(part.weight(q) ** 2
+                                          * np.sum(np.abs(f.coeffs) ** 2, axis=0))))
+             for q in part.shells()]
+            for f in fields
+        ])
+        linf = np.array([lp_norm_physical(f, np.inf) for f in fields])
+        assert np.all(np.abs(series.block_l2 - rows) <= 1e-13 * rows), name
+        assert np.all(np.abs(series.linf - linf) <= 1e-13 * linf), name
