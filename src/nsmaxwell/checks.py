@@ -49,13 +49,7 @@ from .dyadic import (
     spacetime_norm_from_series,
     time_lebesgue,
 )
-from .propagators import (
-    PropagatorTable,
-    _khat_cross,
-    _maxwell_coefficients,
-    _transverse_rotation,
-    _transverse_split,
-)
+from .propagators import PropagatorTable, _maxwell_coefficients, _maxwell_modes
 from .system import step_count
 from .ensembles import FieldEnsembleSpec, gen_ensemble, gen_field
 from .latticeblocks import (
@@ -276,11 +270,11 @@ def check_bernstein(spec: FieldEnsembleSpec, q: int, k_order: int = 1,
 
 def _selected_modes(part: DyadicPartition, *coeffs):
     """The modes with power in some of ``coeffs`` and weight in some shell:
-    a picker for them on (3, n, ..., n) amplitudes, their |k|^2, and their
-    ``shell_matrix`` rows (modes x shells)."""
+    a picker for them on (components, n, ..., n) arrays, their |k|^2, and
+    their ``shell_matrix`` rows (modes x shells)."""
     power = sum(_mode_power(c.reshape(3, -1)) for c in coeffs)
     idx = np.flatnonzero((power > 0) & (part.partition_sum().ravel() > 0))
-    return (lambda c: c.reshape(3, -1)[:, idx], part.grid.k_squared().ravel()[idx],
+    return (lambda c: c.reshape(len(c), -1)[:, idx], part.grid.k_squared().ravel()[idx],
             part.shell_matrix(idx))
 
 
@@ -481,18 +475,17 @@ def _free_maxwell_rows(E0: SpectralField, B0: SpectralField,
     per-mode solution.
 
     Row 0 is the data itself, longitudinal part of B0 included; the group
-    drops that part, so later rows carry |F(t)| = |B(t)| with F = i khat x B.
+    drops that part from later rows.  No selected mode is k = 0, which no
+    shell weighs.
     """
     sel, ksq, w2 = _selected_modes(part, E0.coeffs, B0.coeffs)
-    E_par, E_perp = map(sel, _transverse_split(E0.grid, E0.coeffs))
-    F = sel(_khat_cross(E0.grid, B0.coeffs))
+    khat, E, B = map(sel, (part.grid._unit_wavevectors, E0.coeffs, B0.coeffs))
     rows_E, rows_B = [_block_l2(E0, part)[None]], [_block_l2(B0, part)[None]]
     for t in _time_chunks(times[1:], 3 * ksq.size):
-        a11, a12, a22 = (a[:, None] for a in _maxwell_coefficients(ksq, t[:, None]))
-        E_t, F_t = _transverse_rotation(E_par, E_perp, F, a11, a12, a22,
-                                        np.exp(-t)[:, None, None])
+        a11, a12, a22 = _maxwell_coefficients(ksq, t[:, None])
+        E_t, B_t = _maxwell_modes(khat, E, B, a11, a12, a22, np.exp(-t)[:, None])
         rows_E.append(_shell_l2(_mode_power(E_t), w2))
-        rows_B.append(_shell_l2(_mode_power(F_t), w2))
+        rows_B.append(_shell_l2(_mode_power(B_t), w2))
     return np.vstack(rows_E), np.vstack(rows_B)
 
 

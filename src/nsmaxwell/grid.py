@@ -110,6 +110,12 @@ class Grid:
     def _k_magnitude(self) -> np.ndarray:
         return _read_only(np.sqrt(self._k_squared))
 
+    @cached_property
+    def _unit_wavevectors(self) -> np.ndarray:
+        """k / |k| stacked over the d axes (k3 = 0 in 2D is left out); 0 at k = 0."""
+        kmag = np.where(self._k_magnitude == 0, 1.0, self._k_magnitude)
+        return _read_only(np.stack(self._wavevectors[: self.d]) / kmag)
+
     def _axis_mask(self, bad: np.ndarray) -> np.ndarray:
         """True where the per-axis mode predicate ``bad`` holds on any axis."""
         mask = np.zeros(self.shape, dtype=bool)

@@ -6,6 +6,14 @@ solved two independent ways: (a) eigen-decomposition of the per-mode 2x2
 generator restricted to the transverse sector (eigenvalues
 -1/2 +- sqrt(1/4 - |k|^2)), and (b) the damped-wave multiplier route
 B(t) = L1(t) B0 + L2(t) (B0/2 + B1) with B1 = -curl E0.
+
+Route (a) is one fused pass per mode (``_maxwell_modes``) on the unit
+wavevectors khat each grid caches, with the 2x2 entries a11, a12, a22 and the
+factor e_par of the longitudinal part of E; no field is split into parts:
+    E_t = a11 E + (e_par - a11) khat (khat.E) + a12 i khat x B,
+    B_t = a22 (B - khat (khat.B)) - a12 i khat x E.
+It serves ``PropagatorTable``, ``maxwell_apply``, ``maxwell_apply_undamped``
+and the closed-form decay checker, whose factors carry a time axis.
 """
 
 from __future__ import annotations
@@ -128,51 +136,51 @@ def _maxwell_coefficients(ksq: np.ndarray, t):
     return a11.real, a12.real, a22.real
 
 
-def _transverse_split(grid: Grid, coeffs: np.ndarray):
-    """Split coefficients into parts parallel and transverse to k."""
-    k1, k2, k3 = grid.wavevectors()
-    ksq = grid.k_squared()
-    ksq_safe = np.where(ksq == 0, 1.0, ksq)
-    kdotc = k1 * coeffs[0] + k2 * coeffs[1] + k3 * coeffs[2]
-    par = np.stack([k1, k2, k3]) * (kdotc / ksq_safe)
-    return par, coeffs - par
-
-
-def _khat_cross(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
-    """i khat x coeffs per mode (zero at k = 0)."""
-    k1, k2, k3 = grid.wavevectors()
-    kmag = np.sqrt(k1**2 + k2**2 + k3**2)
-    safe = np.where(kmag == 0, 1.0, kmag)
-    h1, h2, h3 = k1 / safe, k2 / safe, k3 / safe
-    c1, c2, c3 = coeffs
-    return 1j * np.stack(
-        [h2 * c3 - h3 * c2, h3 * c1 - h1 * c3, h1 * c2 - h2 * c1]
-    )
-
-
-def _transverse_rotation(E_par, E_perp, F, a11, a12, a22, e_par):
-    """The Maxwell group on split per-mode amplitudes.
-
-    E_par (the part of E along k) is scaled by ``e_par``; the transverse
-    pair (E_perp, F) with F = i khat x B is rotated by [[a11, a12],
-    [-a12, a22]].  Returns (E_t, F_t), with B_t = i khat x F_t.  The
-    factors broadcast against the amplitudes, so one call can carry a time
-    axis.
-    """
-    return e_par * E_par + (a11 * E_perp + a12 * F), -a12 * E_perp + a22 * F
+def _maxwell_modes(khat: np.ndarray, E: np.ndarray, B: np.ndarray,
+                   a11, a12, a22, e_par):
+    """The fused Maxwell pass of the module docstring on amplitudes E, B
+    (3, *modes) with unit wavevectors khat (d, *modes).  The factors
+    broadcast against ``modes``; a leading (time) axis of theirs goes before
+    the component axis of the result.  At khat = 0: E_t = a11 E, B_t = a22 B."""
+    if len(khat) == 2:  # d = 2: khat_3 = 0
+        h1, h2 = khat
+        kE = h1 * E[0] + h2 * E[1]
+        kB = h1 * B[0] + h2 * B[1]
+        xE = (h2 * E[2], -(h1 * E[2]), h1 * E[1] - h2 * E[0])
+        xB = (h2 * B[2], -(h1 * B[2]), h1 * B[1] - h2 * B[0])
+    else:
+        h1, h2, h3 = khat
+        kE = h1 * E[0] + h2 * E[1] + h3 * E[2]
+        kB = h1 * B[0] + h2 * B[1] + h3 * B[2]
+        xE = (h2 * E[2] - h3 * E[1], h3 * E[0] - h1 * E[2], h1 * E[1] - h2 * E[0])
+        xB = (h2 * B[2] - h3 * B[1], h3 * B[0] - h1 * B[2], h1 * B[1] - h2 * B[0])
+    par_E = (e_par - a11) * kE
+    par_B = a22 * kB
+    i_a12 = 1j * a12
+    shape = np.broadcast_shapes(np.shape(a11), np.shape(e_par), E.shape[1:])
+    lead = len(shape) - (khat.ndim - 1)
+    E_t = np.empty(shape[:lead] + (3,) + shape[lead:], dtype=np.complex128)
+    B_t = np.empty_like(E_t)
+    for j, (Ej, Bj) in enumerate(zip(np.moveaxis(E_t, lead, 0), np.moveaxis(B_t, lead, 0))):
+        np.multiply(a11, E[j], out=Ej)
+        Ej += i_a12 * xB[j]
+        np.multiply(a22, B[j], out=Bj)
+        Bj -= i_a12 * xE[j]
+        if j < len(khat):
+            Ej += par_E * khat[j]
+            Bj -= par_B * khat[j]
+    return E_t, B_t
 
 
 def _maxwell_group(E: SpectralField, B: SpectralField, a11, a12, a22, e_par):
-    """Apply ``_transverse_rotation`` to fields on their grid; at k = 0 the
-    decoupled ODEs E0' = -E0, B0' = 0 leave B unchanged."""
+    """``_maxwell_modes`` on fields over their grid; at k = 0 the decoupled
+    ODEs E0' = -E0, B0' = 0 scale E by ``e_par`` and leave B unchanged."""
     grid = E.grid
-    E_par, E_perp = _transverse_split(grid, E.coeffs)
-    # F = i khat x B is transverse and carries |B| isometrically.
-    E_t, F_t = _transverse_rotation(E_par, E_perp, _khat_cross(grid, B.coeffs),
-                                    a11, a12, a22, e_par)
-    B_t = _khat_cross(grid, F_t)
-    zero_mask = grid.k_squared() == 0
-    B_t[:, zero_mask] = B.coeffs[:, zero_mask]
+    E_t, B_t = _maxwell_modes(grid._unit_wavevectors, E.coeffs, B.coeffs,
+                              a11, a12, a22, e_par)
+    origin = (slice(None),) + (0,) * grid.d
+    E_t[origin] = e_par * E.coeffs[origin]
+    B_t[origin] = B.coeffs[origin]
     return SpectralField(grid, E_t), SpectralField(grid, B_t)
 
 
@@ -224,8 +232,6 @@ class PropagatorTable:
     a11: np.ndarray
     a12: np.ndarray
     a22: np.ndarray
-    phi1: np.ndarray
-    phi2: np.ndarray
     e_damp: float
 
     @classmethod
@@ -234,7 +240,6 @@ class PropagatorTable:
             raise ValueError("dt must be nonnegative")
         ksq = grid.k_squared()
         a11, a12, a22 = _maxwell_coefficients(ksq, dt)
-        phi1, phi2 = phi_multipliers(dt, ksq)
         return cls(
             grid=grid,
             dt=dt,
@@ -242,8 +247,6 @@ class PropagatorTable:
             a11=a11,
             a12=a12,
             a22=a22,
-            phi1=phi1,
-            phi2=phi2,
             e_damp=float(np.exp(-dt)),
         )
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.linalg import expm
 
 from nsmaxwell.grid import Grid, SpectralField, leray_project, lp_norm_physical
 from nsmaxwell.propagators import (
@@ -150,27 +151,59 @@ def test_maxwell_mean_mode(grid2):
     assert np.allclose(B1.mean(), B.mean())
 
 
-def test_maxwell_routes_agree(grid2):
-    E = random_field(grid2, seed=23)
-    B = leray_project(random_field(grid2, seed=24))
-    for t in (0.1, 1.0, 3.0):
-        _, B_eig = maxwell_apply(E, B, t)
-        B_wave = maxwell_wave_route(E, B, t)
-        scale = np.max(np.abs(B_eig.coeffs)) + 1e-300
-        assert np.max(np.abs(B_eig.coeffs - B_wave.coeffs)) < 1e-10 * scale
+def test_maxwell_routes_agree(grid2, grid3):
+    # Both grids: the fused Maxwell pass has a separate 2D branch.
+    for grid in (grid2, grid3):
+        E = random_field(grid, seed=23)
+        B = leray_project(random_field(grid, seed=24))
+        for t in (0.1, 1.0, 3.0):
+            _, B_eig = maxwell_apply(E, B, t)
+            B_wave = maxwell_wave_route(E, B, t)
+            scale = np.max(np.abs(B_eig.coeffs)) + 1e-300
+            assert np.max(np.abs(B_eig.coeffs - B_wave.coeffs)) < 1e-10 * scale
 
 
-def test_maxwell_group_property(grid2):
-    state = _random_state(grid2, seed=25)
-    dt = 0.2
-    t1 = PropagatorTable.build(grid2, dt)
-    t2 = PropagatorTable.build(grid2, 2 * dt)
-    once = t1.apply(t1.apply(state))
-    twice = t2.apply(state)
-    for name in ("v", "E", "B"):
-        a = getattr(once, name).coeffs
-        b = getattr(twice, name).coeffs
-        assert np.max(np.abs(a - b)) < 1e-10 * (np.max(np.abs(b)) + 1e-300)
+def test_maxwell_group_property(grid2, grid3):
+    for grid in (grid2, grid3):
+        state = _random_state(grid, seed=25)
+        dt = 0.2
+        t1 = PropagatorTable.build(grid, dt)
+        t2 = PropagatorTable.build(grid, 2 * dt)
+        once = t1.apply(t1.apply(state))
+        twice = t2.apply(state)
+        for name in ("v", "E", "B"):
+            a = getattr(once, name).coeffs
+            b = getattr(twice, name).coeffs
+            assert np.max(np.abs(a - b)) < 1e-10 * (np.max(np.abs(b)) + 1e-300)
+
+
+def _maxwell_generator(k):
+    """The 6x6 per-mode generator of E' = -E + i k x B, B' = -i k x E."""
+    K = np.array([[0.0, -k[2], k[1]], [k[2], 0.0, -k[0]], [-k[1], k[0], 0.0]])
+    return np.block([[-np.eye(3), 1j * K], [-1j * K, np.zeros((3, 3))]])
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_maxwell_group_matches_matrix_exponential(d):
+    # Every mode of a table apply, k = 0 included, against expm of the
+    # generator on (E, B_perp): B carries a longitudinal part, which the
+    # group drops (k . B is conserved, and zero on the physical sector).
+    grid = Grid(d, 8)
+    rng = np.random.default_rng(40 + d)
+    shape = (3,) + grid.shape
+    E = SpectralField(grid, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    B = SpectralField(grid, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    B_perp = leray_project(B)
+    assert np.max(np.abs(B.coeffs - B_perp.coeffs)) > 0.1
+    t = 0.7
+    E_t, B_t = PropagatorTable.build(grid, t).apply_maxwell(E, B)
+    got = np.concatenate([E_t.coeffs, B_t.coeffs]).reshape(6, -1)
+    data = np.concatenate([E.coeffs, B_perp.coeffs]).reshape(6, -1)
+    ks = np.stack([k.ravel() for k in grid.wavevectors()], axis=1)
+    want = np.stack([expm(t * _maxwell_generator(k)) @ data[:, m]
+                     for m, k in enumerate(ks)], axis=1)
+    assert np.all(ks[0] == 0)
+    assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
 
 
 def test_undamped_variant_conserves_energy(grid2):
@@ -279,5 +312,6 @@ def test_blowup_detection(grid2):
 def test_table_at_zero_dt(grid2):
     table = PropagatorTable.build(grid2, 0.0)
     assert np.allclose(table.heat, 1.0)
-    assert np.allclose(table.phi1, 1.0) and np.allclose(table.phi2, 0.0)
+    phi1, phi2 = phi_multipliers(0.0, grid2.k_squared())
+    assert np.allclose(phi1, 1.0) and np.allclose(phi2, 0.0)
     assert np.allclose(table.a12, 0.0)

@@ -12,7 +12,7 @@ from nsmaxwell.grid import (
 )
 from nsmaxwell.dyadic import build_partition, low_pass
 from nsmaxwell.ensembles import gen_field
-from nsmaxwell.propagators import heat_apply, maxwell_apply
+from nsmaxwell.propagators import PropagatorTable, heat_apply, maxwell_apply
 from nsmaxwell.system import (
     MhdState,
     energy_report,
@@ -29,6 +29,8 @@ from nsmaxwell.system import (
 from nsmaxwell.system import (
     SIGMA,
     InconsistentStateError,
+    Trajectory,
+    _apply_phi,
     _difference_trajectory,
     _divergence_form_advection,
 )
@@ -374,6 +376,49 @@ def test_picard_drops_ratios_of_roundoff_noise(grid2, part2):
     floor = 1e3 * np.finfo(np.float64).eps * diffs[0]
     assert diffs[-1] <= floor < diffs[-2]
     assert ratios == pytest.approx([diffs[m] / diffs[m - 1] for m in range(1, len(diffs) - 1)])
+
+
+def test_apply_phi_matches_composite_trapezoid():
+    # The one-apply recursion against sum_j w_j e^{(t_n - t_j) A} N_j with
+    # trapezoid weights, each term propagated from t_j by heat_apply and
+    # maxwell_apply.
+    grid = Grid(2, 16)
+    dt, steps = 0.05, 6
+    free = simulate(_random_state(grid, seed=57), steps * dt, dt, nonlinear=False)
+    pert = Trajectory(times=free.times,
+                      states=[_random_state(grid, seed=60 + i, amp=0.3)
+                              for i in range(steps + 1)])
+    got = _apply_phi(free, pert, PropagatorTable.build(grid, dt))
+    ns = [nonlinearity(MhdState(f.v + p.v, f.E + p.E, f.B + p.B))
+          for f, p in zip(free.states, pert.states)]
+    for n in range(1, steps + 1):
+        want = MhdState.zeros(grid)
+        for j in range(n + 1):
+            w = dt / 2 if j in (0, n) else dt
+            t = free.times[n] - free.times[j]
+            E, B = maxwell_apply(ns[j].E, ns[j].B, t)
+            want = MhdState(want.v + w * heat_apply(ns[j].v, t), want.E + w * E,
+                            want.B + w * B)
+        for name in ("v", "E", "B"):
+            a = getattr(got.states[n], name).coeffs
+            b = getattr(want, name).coeffs
+            assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b)), (n, name)
+
+
+def test_picard_applies_one_propagator_per_step(grid2, part2, monkeypatch):
+    # S steps of the free evolution, then S per iteration of the map.
+    calls = []
+    apply = PropagatorTable.apply
+
+    def counted(self, state):
+        calls.append(state.time)
+        return apply(self, state)
+
+    monkeypatch.setattr(PropagatorTable, "apply", counted)
+    iters, steps, dt = 3, 4, 0.05
+    picard_iterate(_random_state(grid2, seed=56, amp=1e-2), steps * dt, dt, iters,
+                   part=part2)
+    assert len(calls) == (iters + 1) * steps
 
 
 def test_picard_requires_two_iterations(grid2):
