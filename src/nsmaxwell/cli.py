@@ -53,6 +53,9 @@ def build_initial_state(cfg: RunConfig) -> MhdState:
         rng = np.random.default_rng(cfg.seed)
         shell = cfg.shell if cfg.init == "shell" else None
         part = build_partition(grid)
+        if shell is not None and shell not in part.shells():
+            raise ConfigError([f"shell: shell index {shell} outside "
+                               f"[{part.q_min}, {part.q_max}] for n = {cfg.n}"])
         v = gen_field(grid, rng, cfg.slope, shell, True, part)
         E = gen_field(grid, rng, cfg.slope, shell, False, part)
         B = gen_field(grid, rng, cfg.slope, shell, True, part)

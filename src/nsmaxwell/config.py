@@ -87,9 +87,11 @@ def _validate(cfg: RunConfig, where) -> list:
     for key in ("box_length", "amplitude", "T", "dt", "delta_target"):
         if getattr(cfg, key) <= 0:
             bad(key, f"must be positive, got {getattr(cfg, key)}")
-    for key in ("stride", "count", "picard_iters"):
+    for key in ("stride", "count"):
         if getattr(cfg, key) < 1:
             bad(key, f"must be a positive integer, got {getattr(cfg, key)}")
+    if cfg.picard_iters < 2:  # one contraction ratio takes two iterations
+        bad("picard_iters", f"must be at least 2, got {cfg.picard_iters}")
     if cfg.seed < 0:
         bad("seed", f"must be nonnegative, got {cfg.seed}")
     if cfg.T > 0 and cfg.dt > 0:

@@ -265,6 +265,16 @@ def _weighted_l2(rows: np.ndarray, q_values, spec: NormSpec):
     return np.sqrt(rows**2 @ spec.shell_weight_sq(q_values))
 
 
+def _half_shell_matrix(part: DyadicPartition) -> np.ndarray:
+    """``shell_matrix`` rows on the half-spectrum modes m_d = 0 .. n/2, each
+    row times the column's ``grid._half_count``: the weights that give a
+    Hermitian field's shell norms from its half spectrum."""
+    grid = part.grid
+    modes = np.arange(grid.n**grid.d).reshape(grid.shape)[..., : grid.n // 2 + 1]
+    count = np.broadcast_to(grid._half_count, modes.shape).reshape(-1, 1)
+    return part.shell_matrix(modes.ravel()) * count
+
+
 def _block_l2(u: SpectralField, part: DyadicPartition) -> np.ndarray:
     """Array of ||Delta_q u||_{L^2} over the shell range."""
     return _shell_l2(_mode_power(u.coeffs.reshape(3, -1)), part.shell_matrix())
@@ -319,9 +329,13 @@ class ShellSeries:
 
 
 def shell_series(fields, times, part: DyadicPartition, with_linf: bool = False) -> ShellSeries:
-    """Reduce a sequence of SpectralFields to per-shell norm time series:
-    per chunk of fields one product and, with ``with_linf``, one
-    ``grid._sup_series``, which takes the fields as real."""
+    """Reduce samples of a real field to per-shell norm time series.
+
+    ``fields`` is a sequence of SpectralFields or an array of stacked
+    half-spectrum amplitudes (times, 3, *shape[:-1], n/2+1).  Either way the
+    reduction reads the half spectrum: per chunk of times one product with
+    ``_half_shell_matrix`` and, with ``with_linf``, one
+    ``grid._sup_series``.  The fields are taken as real (Hermitian)."""
     times = np.asarray(times, dtype=float)
     if len(fields) != len(times) or len(times) < 2:
         raise ValueError("need >= 2 samples with matching times")
@@ -329,13 +343,15 @@ def shell_series(fields, times, part: DyadicPartition, with_linf: bool = False) 
     if not np.allclose(steps, steps[0], rtol=1e-10, atol=1e-14):
         raise ValueError("time grid must be uniform")
     grid = part.grid
+    h = grid.n // 2 + 1
     rows, linf = [], []
-    weights = part.shell_matrix()
+    weights = _half_shell_matrix(part)
     for chunk in _time_chunks(fields, 3 * grid.n**grid.d):
-        amps = np.stack([f.coeffs for f in chunk])
-        rows.append(_shell_l2(_mode_power(amps.reshape(len(chunk), 3, -1)), weights))
+        if not isinstance(chunk, np.ndarray):
+            chunk = np.stack([f.coeffs[..., :h] for f in chunk])
+        rows.append(_shell_l2(_mode_power(chunk.reshape(len(chunk), 3, -1)), weights))
         if with_linf:
-            linf.append(_sup_series(amps[..., : grid.n // 2 + 1], grid))
+            linf.append(_sup_series(chunk, grid))
     return ShellSeries(
         times=times,
         q_values=np.array(part.shells()),

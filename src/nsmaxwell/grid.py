@@ -10,8 +10,12 @@ The dealiased products run real-to-complex: the inverse transform reads
 only the half spectrum ``m_d = 0 .. n/2`` (``scipy.fft.irfftn``), and the
 forward transform (``scipy.fft.rfftn``) fills the other half from the
 Hermitian symmetry ``c(-k) = conj(c(k))``, so ``coeffs`` keeps the full
-layout.  A grid builds its wavevectors and masks once; the arrays it
-hands out are read-only.
+layout.  The per-mode factors are even or odd in k, so the per-mode
+operators (``leray_project`` here, the propagators) act on either layout:
+they read the first ``m = coeffs.shape[-1]`` columns of their factors, and
+on the half spectrum ``coeffs[..., :n/2+1]`` they give the leading columns
+of the full-layout result.  A grid builds its wavevectors and masks once;
+the arrays it hands out are read-only.
 """
 
 from __future__ import annotations
@@ -152,12 +156,21 @@ class Grid:
         )
 
     @cached_property
+    def _half_count(self) -> np.ndarray:
+        """How often each half-spectrum column m_d = 0 .. n/2 stands for a
+        full-layout column: twice (itself and its conjugate twin m_d < 0)
+        for 0 < m_d < n/2, once for m_d = 0 and n/2."""
+        count = np.full(self.n // 2 + 1, 2.0)
+        count[[0, -1]] = 1.0
+        return _read_only(count)
+
+    @cached_property
     def _mirror_index(self) -> tuple:
         """Index of the half spectrum that yields c(-k) on the full layout's
         columns m_d = -n/2+1 .. -1: every other axis reflected, m -> -m."""
         neg = (-np.arange(self.n)) % self.n
         h = self.n // 2 + 1
-        return ((slice(None),) + np.ix_(*([neg] * (self.d - 1)))
+        return ((Ellipsis,) + np.ix_(*([neg] * (self.d - 1)))
                 + (slice(h - 2, 0, -1),))
 
 
@@ -180,6 +193,8 @@ class SpectralField:
 
     ``coeffs`` has shape (3, n, ..., n).  Real fields satisfy the Hermitian
     symmetry c(-k) = conj(c(k)); Nyquist rows are kept identically zero.
+    The per-mode operators also take the half spectrum (3, n, ..., n/2+1)
+    (module docstring).
     """
 
     grid: Grid
@@ -296,49 +311,69 @@ def leray_project(f: SpectralField) -> SpectralField:
 
     In d=2 the wavevector has k3=0, so only the first two components
     participate and the third passes through, matching the 2D divergence
-    convention.
+    convention.  ``f.coeffs`` is (..., 3, *modes) on either layout (see the
+    module docstring), leading axes (a batch of states) allowed.
     """
-    k1, k2, k3 = f.grid.wavevectors()
-    ksq = f.grid.k_squared()
-    ksq_safe = np.where(ksq == 0, 1.0, ksq)
-    kdotc = k1 * f.coeffs[0] + k2 * f.coeffs[1] + k3 * f.coeffs[2]
-    factor = kdotc / ksq_safe
+    grid = f.grid
+    cols = (Ellipsis, slice(f.coeffs.shape[-1]))
+    ks = [k[cols] for k in grid.wavevectors()[: grid.d]]
+    ksq = grid.k_squared()[cols]
+    c = np.moveaxis(f.coeffs, -grid.d - 1, 0)
+    kdotc = sum(k * cj for k, cj in zip(ks, c))
+    factor = kdotc / np.where(ksq == 0, 1.0, ksq)
     out = f.coeffs.copy()
-    out[0] -= k1 * factor
-    out[1] -= k2 * factor
-    out[2] -= k3 * factor
-    return SpectralField(f.grid, out)
+    for k, oj in zip(ks, np.moveaxis(out, -grid.d - 1, 0)):
+        oj -= k * factor
+    return SpectralField(grid, out)
 
 
-def _phys_cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.stack(
-        [
-            a[1] * b[2] - a[2] * b[1],
-            a[2] * b[0] - a[0] * b[2],
-            a[0] * b[1] - a[1] * b[0],
-        ]
-    )
+def _phys_cross(a: np.ndarray, b: np.ndarray, axis: int = 0) -> np.ndarray:
+    """Pointwise a x b of physical values, components along ``axis``."""
+    a1, a2, a3 = np.moveaxis(a, axis, 0)
+    b1, b2, b3 = np.moveaxis(b, axis, 0)
+    return np.stack([a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1],
+                    axis=axis)
+
+
+def _half_physical(grid: Grid, half: np.ndarray) -> np.ndarray:
+    """Real values of half-spectrum amplitudes (..., m_d = 0 .. n/2): one
+    ``irfftn`` over the last d axes, leading axes (components, times) kept.
+    A field that is not Hermitian is taken as the real field its half
+    spectrum defines."""
+    return scipy.fft.irfftn(half, s=grid.shape, axes=tuple(range(-grid.d, 0)),
+                            norm="forward")
+
+
+def _half_spectral(grid: Grid, values: np.ndarray) -> np.ndarray:
+    """Half-spectrum amplitudes of real values (..., *shape), truncated by
+    the 2/3 rule: one ``rfftn`` over the last d axes."""
+    half = scipy.fft.rfftn(values, axes=tuple(range(-grid.d, 0)), norm="forward")
+    half *= grid._half_keep
+    return half
+
+
+def _hermitian_fill(grid: Grid, half: np.ndarray) -> np.ndarray:
+    """The full ``coeffs`` layout of half-spectrum amplitudes: the columns
+    m_d < 0 are filled with conj(c(-k)), so the result is Hermitian."""
+    h = grid.n // 2 + 1
+    coeffs = np.empty(half.shape[:-1] + (grid.n,), dtype=np.complex128)
+    coeffs[..., :h] = half
+    np.conjugate(half[grid._mirror_index], out=coeffs[..., h:])
+    return coeffs
 
 
 def _dealiased_physical(f: SpectralField, axis: int | None = None) -> np.ndarray:
-    """The 2/3-truncated field, or its derivative d_axis, in physical space.
-
-    Only the half spectrum is read (``irfftn``), so a field that is not
-    Hermitian is taken as the real field its half spectrum defines.
-    """
+    """The 2/3-truncated field, or its derivative d_axis, in physical space,
+    from the half spectrum only (``_half_physical``)."""
     grid = f.grid
     factor = grid._half_keep if axis is None else grid._half_ik[axis]
-    half = f.coeffs[..., : grid.n // 2 + 1] * factor
-    return scipy.fft.irfftn(half, s=grid.shape, axes=grid.spatial_axes, norm="forward")
+    return _half_physical(grid, f.coeffs[..., : grid.n // 2 + 1] * factor)
 
 
 def _sup_series(half: np.ndarray, grid: Grid) -> np.ndarray:
     """sup_x |u(t, x)| per time, one ``irfftn`` of half-spectrum amplitudes
-    (times x components x ..., m_d = 0 .. n/2).  As in ``_dealiased_physical``,
-    a field that is not Hermitian is taken as the real field its half
-    spectrum defines."""
-    u = scipy.fft.irfftn(half, s=grid.shape, axes=tuple(range(2, grid.d + 2)),
-                         norm="forward")
+    (times x components x ..., m_d = 0 .. n/2), taken as real fields."""
+    u = _half_physical(grid, half)
     return np.sqrt(np.max(np.sum(u**2, axis=1), axis=tuple(range(1, grid.d + 1))))
 
 
@@ -355,18 +390,8 @@ def _time_chunks(samples, per_time: int) -> list:
 
 def _dealiased_spectral(grid: Grid, values: np.ndarray) -> SpectralField:
     """Forward transform of real values, shape (3, n, ..., n), truncated by
-    the 2/3 rule, on the full ``coeffs`` layout.
-
-    ``rfftn`` gives the columns m_d = 0 .. n/2; the columns m_d < 0 are
-    filled with conj(c(-k)), so the result is Hermitian by construction.
-    """
-    h = grid.n // 2 + 1
-    half = scipy.fft.rfftn(values, axes=grid.spatial_axes, norm="forward")
-    half *= grid._half_keep
-    coeffs = np.empty(values.shape[:1] + grid.shape, dtype=np.complex128)
-    coeffs[..., :h] = half
-    np.conjugate(half[grid._mirror_index], out=coeffs[..., h:])
-    return SpectralField(grid, coeffs)
+    the 2/3 rule, on the full ``coeffs`` layout (Hermitian by construction)."""
+    return SpectralField(grid, _hermitian_fill(grid, _half_spectral(grid, values)))
 
 
 def pointwise_product(a: SpectralField, b: SpectralField, combiner: str = "scalar") -> SpectralField:

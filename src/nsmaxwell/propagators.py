@@ -14,6 +14,9 @@ factor e_par of the longitudinal part of E; no field is split into parts:
     B_t = a22 (B - khat (khat.B)) - a12 i khat x E.
 It serves ``PropagatorTable``, ``maxwell_apply``, ``maxwell_apply_undamped``
 and the closed-form decay checker, whose factors carry a time axis.
+
+The field-level operators take either coefficient layout (see ``grid``):
+they read the first ``coeffs.shape[-1]`` columns of their factors.
 """
 
 from __future__ import annotations
@@ -173,11 +176,13 @@ def _maxwell_modes(khat: np.ndarray, E: np.ndarray, B: np.ndarray,
 
 
 def _maxwell_group(E: SpectralField, B: SpectralField, a11, a12, a22, e_par):
-    """``_maxwell_modes`` on fields over their grid; at k = 0 the decoupled
-    ODEs E0' = -E0, B0' = 0 scale E by ``e_par`` and leave B unchanged."""
+    """``_maxwell_modes`` on fields over their grid, either layout; at k = 0
+    the decoupled ODEs E0' = -E0, B0' = 0 scale E by ``e_par`` and leave B
+    unchanged."""
     grid = E.grid
-    E_t, B_t = _maxwell_modes(grid._unit_wavevectors, E.coeffs, B.coeffs,
-                              a11, a12, a22, e_par)
+    cols = (Ellipsis, slice(E.coeffs.shape[-1]))
+    E_t, B_t = _maxwell_modes(grid._unit_wavevectors[cols], E.coeffs, B.coeffs,
+                              a11[cols], a12[cols], a22[cols], e_par)
     origin = (slice(None),) + (0,) * grid.d
     E_t[origin] = e_par * E.coeffs[origin]
     B_t[origin] = B.coeffs[origin]
@@ -224,7 +229,8 @@ def maxwell_apply_undamped(E: SpectralField, B: SpectralField, t: float):
 
 @dataclass
 class PropagatorTable:
-    """Per-mode propagator factors at a fixed step dt, immutable once built."""
+    """Per-mode propagator factors at a fixed step dt, immutable once built;
+    the applies take either coefficient layout (module docstring)."""
 
     grid: Grid
     dt: float
@@ -251,7 +257,7 @@ class PropagatorTable:
         )
 
     def apply_heat(self, v: SpectralField) -> SpectralField:
-        return SpectralField(self.grid, v.coeffs * self.heat)
+        return SpectralField(self.grid, v.coeffs * self.heat[..., : v.coeffs.shape[-1]])
 
     def apply_maxwell(self, E: SpectralField, B: SpectralField):
         return _maxwell_group(E, B, self.a11, self.a12, self.a22, self.e_damp)

@@ -1,7 +1,20 @@
 """The coupled Navier-Stokes-Maxwell system: nonlinearity, Ohm's law,
 energy diagnostics, the time-stepping driver, the fixed-point (Picard)
 iteration with Z-norm bookkeeping, and the frequency splitting of initial
-data."""
+data.
+
+The nonlinearity is one kernel, ``_nonlinearity_half``, on half-spectrum
+amplitudes ``coeffs[..., :n/2+1]`` with a leading batch axis; it reads and
+writes only the columns m_d = 0 .. n/2 that the real transforms use.
+``nonlinearity`` runs it on one state and fills the full layout back in.
+
+The Picard iteration keeps its trajectories as half-spectrum time stacks
+(``_HalfTrajectory``): three arrays (times, 3, *shape[:-1], n/2+1) for v, E
+and B.  The propagators and the Leray projection act on that layout column
+for column (see ``grid``), the kernel runs on chunks of times
+(``grid._time_chunks``), and ``z_norm`` reduces the stacks directly; the
+full-layout states are built only when a caller reads them.
+"""
 
 from __future__ import annotations
 
@@ -14,9 +27,11 @@ import numpy as np
 from .grid import (
     SpectralField,
     Grid,
-    _dealiased_physical,
-    _dealiased_spectral,
+    _half_physical,
+    _half_spectral,
+    _hermitian_fill,
     _phys_cross,
+    _time_chunks,
     leray_project,
     lp_norm_physical,
     pointwise_product,
@@ -94,11 +109,8 @@ class MhdState:
 
     def divergence_defect(self) -> float:
         """max(||div v||, ||div B||) / max(||v||, ||B||) from the coefficients."""
-        ks = self.grid.wavevectors()[: self.grid.d]
-        div = [sum(k * c for k, c in zip(ks, f.coeffs)) for f in (self.v, self.B)]
-        div_sq = max(np.vdot(c, c).real for c in div)
-        norm_sq = max(np.vdot(f.coeffs, f.coeffs).real for f in (self.v, self.B))
-        return math.sqrt(div_sq) / max(math.sqrt(norm_sq), 1e-300)
+        return float(_divergence_defects(self.grid, self.v.coeffs[None],
+                                         self.B.coeffs[None])[0])
 
     def scaled(self, factor: float) -> "MhdState":
         return MhdState(factor * self.v, factor * self.E, factor * self.B, self.time)
@@ -127,6 +139,59 @@ class Trajectory:
         return len(self.states)
 
 
+def _divergence_defects(grid: Grid, v: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """``MhdState.divergence_defect`` per state of amplitudes v, B
+    (states, 3, *modes) on either layout; on the half spectrum each column
+    counts ``grid._half_count`` times."""
+    m = v.shape[-1]
+    count = grid._half_count if m < grid.n else np.ones(m)
+    ks = [k[..., :m] for k in grid.wavevectors()[: grid.d]]
+
+    def power(a):  # sum of |a|^2 per state
+        return ((a.real**2 + a.imag**2) @ count).reshape(len(a), -1).sum(axis=1)
+
+    div_sq = np.maximum(*(power(sum(k * f[:, j] for j, k in enumerate(ks)))
+                          for f in (v, B)))
+    norm_sq = np.maximum(power(v), power(B))
+    return np.sqrt(div_sq) / np.maximum(np.sqrt(norm_sq), 1e-300)
+
+
+class _HalfTrajectory(Trajectory):
+    """A trajectory held as half-spectrum time stacks ``half`` = (v, E, B),
+    each (times, 3, *shape[:-1], n/2+1); the full-layout ``states`` are
+    built on first read."""
+
+    def __init__(self, grid: Grid, times: np.ndarray, half: tuple):
+        self._grid, self.times, self.half = grid, times, half
+
+    @classmethod
+    def from_states(cls, grid: Grid, states, count: int) -> "_HalfTrajectory":
+        """Stack the half spectra of ``count`` states (any iterable)."""
+        h = grid.n // 2 + 1
+        half = tuple(np.empty((count, 3) + grid.shape[:-1] + (h,), dtype=np.complex128)
+                     for _ in range(3))
+        times = np.empty(count)
+        for i, state in enumerate(states):
+            times[i] = state.time
+            for a, f in zip(half, (state.v, state.E, state.B)):
+                a[i] = f.coeffs[..., :h]
+        return cls(grid, times, half)
+
+    @cached_property
+    def states(self) -> list:
+        grid = self._grid
+        return [MhdState(*(SpectralField(grid, _hermitian_fill(grid, a[i]))
+                           for a in self.half), time=t)
+                for i, t in enumerate(self.times)]
+
+    @property
+    def grid(self) -> Grid:
+        return self._grid
+
+    def __len__(self) -> int:
+        return len(self.times)
+
+
 @dataclass
 class ZNorm:
     """Components of the composite fixed-point norm."""
@@ -146,15 +211,52 @@ def ohm_current(state: MhdState) -> SpectralField:
     return SpectralField(state.grid, SIGMA * (state.E.coeffs + vxB.coeffs))
 
 
-def _divergence_form_advection(v: SpectralField) -> SpectralField:
-    """div(v (x) v): component i is sum_j d_j (v_j v_i), dealiased."""
-    grid = v.grid
-    ks = grid.wavevectors()
-    vphys = _dealiased_physical(v)
-    coeffs = np.zeros_like(v.coeffs)
-    for j in range(grid.d):
-        coeffs += 1j * ks[j] * _dealiased_spectral(grid, vphys[j] * vphys).coeffs
-    return SpectralField(grid, coeffs)
+def _divergence_form_advection(grid: Grid, vp: np.ndarray) -> np.ndarray:
+    """div(v (x) v) on the half spectrum from the dealiased physical v
+    (states, 3, *shape): component i is sum_j i k_j F[v_j v_i], dealiased."""
+    return sum(grid._half_ik[j] * _half_spectral(grid, vp[:, j, None] * vp)
+               for j in range(grid.d))
+
+
+def _nonlinearity_half(grid: Grid, v: np.ndarray, E: np.ndarray, B: np.ndarray,
+                       velocity_form: str = "advection", div_tol: float = 1e-8):
+    """(N_v, N_E) of ``nonlinearity`` on half-spectrum amplitudes
+    (states, 3, *shape[:-1], n/2+1) of a batch of states; N_B = 0.
+
+    Raises InconsistentStateError when the divergence defect of any state
+    of the batch exceeds ``div_tol``.  One pass in physical space: v, E, B
+    and d_i v are transformed back once each (2/3-truncated), v x B is
+    transformed forward once for the E slot and transformed back for
+    (v x B) x B, and the momentum forcing is summed before its single
+    forward transform and the Leray projection.  Each product is thus
+    dealiased exactly as a separate ``pointwise_product`` would be.
+    """
+    defects = _divergence_defects(grid, v, B)
+    bad = np.flatnonzero(defects > div_tol)
+    if bad.size:
+        raise InconsistentStateError(
+            f"divergence defect {defects[bad[0]]:.3e} exceeds {div_tol:.1e}"
+        )
+    if velocity_form not in ("advection", "divergence"):
+        raise ValueError(f"unknown velocity form {velocity_form!r}")
+    vp, Ep, Bp = (_half_physical(grid, f * grid._half_keep) for f in (v, E, B))
+    vxB = _half_spectral(grid, _phys_cross(vp, Bp, axis=1))
+    # In-place sums and the early release of E keep few physical arrays
+    # alive at once; the peak of a 3D step's resident memory depends on it.
+    force = _phys_cross(Ep, Bp, axis=1)
+    del Ep
+    force += _phys_cross(_half_physical(grid, vxB), Bp, axis=1)
+    force *= SIGMA
+    if velocity_form == "advection":
+        for i in range(grid.d):
+            grad = _half_physical(grid, v * grid._half_ik[i])
+            grad *= vp[:, i, None]
+            force -= grad
+        mom = _half_spectral(grid, force)
+    else:
+        mom = _half_spectral(grid, force) - _divergence_form_advection(grid, vp)
+    vxB *= -SIGMA
+    return leray_project(SpectralField(grid, mom)).coeffs, vxB
 
 
 def nonlinearity(state: MhdState, velocity_form: str = "advection",
@@ -162,34 +264,19 @@ def nonlinearity(state: MhdState, velocity_form: str = "advection",
     """N(Gamma) = (P[-(v.grad)v + E x B + (v x B) x B], -v x B, 0).
 
     ``velocity_form`` selects the advection form (v.grad)v or the divergence
-    form div(v (x) v); the two agree for divergence-free v.
-
-    One pass in physical space: v, E, B and d_i v are transformed back once
-    each (2/3-truncated), v x B is transformed forward once for the E slot
-    and its truncation transformed back for (v x B) x B, and the momentum
-    forcing is summed before its single forward transform.  Each product is
-    thus dealiased exactly as a separate ``pointwise_product`` would be.
+    form div(v (x) v); the two agree for divergence-free v.  This is
+    ``_nonlinearity_half`` on the state as a batch of one, its result
+    filled back to the full (Hermitian) layout.
     """
-    defect = state.divergence_defect()
-    if defect > div_tol:
-        raise InconsistentStateError(
-            f"divergence defect {defect:.3e} exceeds {div_tol:.1e}"
-        )
-    if velocity_form not in ("advection", "divergence"):
-        raise ValueError(f"unknown velocity form {velocity_form!r}")
     grid = state.grid
-    v, E, B = (_dealiased_physical(f) for f in (state.v, state.E, state.B))
-    vxB = _dealiased_spectral(grid, _phys_cross(v, B))
-    force = SIGMA * (_phys_cross(E, B) + _phys_cross(_dealiased_physical(vxB), B))
-    if velocity_form == "advection":
-        for i in range(grid.d):
-            force -= v[i] * _dealiased_physical(state.v, i)
-        mom = _dealiased_spectral(grid, force)
-    else:
-        mom = _dealiased_spectral(grid, force) - _divergence_form_advection(state.v)
+    h = grid.n // 2 + 1
+    n_v, n_E = _nonlinearity_half(
+        grid, *(f.coeffs[None, ..., :h] for f in (state.v, state.E, state.B)),
+        velocity_form=velocity_form, div_tol=div_tol,
+    )
     return MhdState(
-        v=leray_project(mom),
-        E=SpectralField(grid, -SIGMA * vxB.coeffs),
+        v=SpectralField(grid, _hermitian_fill(grid, n_v[0])),
+        E=SpectralField(grid, _hermitian_fill(grid, n_E[0])),
         B=SpectralField.zeros(grid),
         time=state.time,
     )
@@ -224,12 +311,14 @@ def step_count(T: float, dt: float) -> int:
 
 
 def march(initial: MhdState, T: float, dt: float, scheme: str = "exp-trapezoid",
-          nonlinear: bool = True, velocity_form: str = "advection"):
+          nonlinear: bool = True, velocity_form: str = "advection",
+          table: PropagatorTable | None = None):
     """Yield the prepared initial state, then the state after each of the
     T/dt steps of the Duhamel integral equation with exact propagators.
 
     A nonlinear step is ``duhamel_step``, whose ``BlowupError`` passes out
-    of the generator; a linear step is the exact group e^{dt A}.  Raises
+    of the generator; a linear step is the exact group e^{dt A}.  ``table``
+    is a caller's ``PropagatorTable`` for dt, built here if None.  Raises
     ValueError unless T is an integer multiple of dt.
     """
     n_steps = step_count(T, dt)
@@ -248,7 +337,8 @@ def march(initial: MhdState, T: float, dt: float, scheme: str = "exp-trapezoid",
         def nl(s):
             return nonlinearity(s, velocity_form=velocity_form)
 
-    table = PropagatorTable.build(grid, dt)
+    if table is None:
+        table = PropagatorTable.build(grid, dt)
     yield state
     for step in range(n_steps):
         if nonlinear:
@@ -287,6 +377,10 @@ def z_norm(traj: Trajectory, d: int, part: DyadicPartition | None = None) -> ZNo
     Z^u = ||u||_{L2_T H^{d/2}} + ||u||_{L2_T Linf} + ||u||_{tilde-Linf_T H^{d/2-1}}
     Z^E = ||E||_{tilde-Linf_T H^{d/2-1}_a} + ||E||_{L2_T H^{d/2-1}_a}
     Z^B = ||B||_{tilde-Linf_T H^{d/2-1}_a} + ||B||_{L2_T H^{d/2, d/2-1}_a}
+
+    Each field goes through ``shell_series``, which reads half spectra: the
+    stacks of a ``_HalfTrajectory`` as they are, a list of states through
+    the half spectrum of each field.
     """
     grid = traj.grid
     if grid.d != d:
@@ -295,9 +389,13 @@ def z_norm(traj: Trajectory, d: int, part: DyadicPartition | None = None) -> ZNo
         part = build_partition(grid)
     alpha, half = _z_specs(d)
 
-    sv = shell_series([s.v for s in traj.states], traj.times, part, with_linf=True)
-    se = shell_series([s.E for s in traj.states], traj.times, part)
-    sb = shell_series([s.B for s in traj.states], traj.times, part)
+    if isinstance(traj, _HalfTrajectory):
+        v, E, B = traj.half
+    else:
+        v, E, B = ([getattr(s, name) for s in traj.states] for name in "vEB")
+    sv = shell_series(v, traj.times, part, with_linf=True)
+    se = shell_series(E, traj.times, part)
+    sb = shell_series(B, traj.times, part)
 
     zu = (
         spacetime_norm_from_series(sv, NormSpec.sobolev(half, time_exponent=2, tilde=False))
@@ -331,46 +429,53 @@ def initial_data_norm(state: MhdState, part: DyadicPartition | None = None) -> f
 # Picard iteration around the free evolution.
 
 
-def _difference_trajectory(a: Trajectory, b: Trajectory) -> Trajectory:
-    states = [
-        MhdState(sa.v - sb.v, sa.E - sb.E, sa.B - sb.B, sa.time)
-        for sa, sb in zip(a.states, b.states)
-    ]
-    return Trajectory(times=a.times, states=states)
+def _difference_trajectory(a: _HalfTrajectory, b: _HalfTrajectory) -> _HalfTrajectory:
+    """a - b: one array subtraction per field."""
+    return _HalfTrajectory(a.grid, a.times, tuple(x - y for x, y in zip(a.half, b.half)))
 
 
-def _apply_phi(free: Trajectory, pert: Trajectory, table: PropagatorTable,
-               velocity_form: str = "advection") -> Trajectory:
-    """One application of the fixed-point map: quadrature of the Duhamel
-    integral of N(free + pert) with exact propagator factors.
+def _apply_phi(free: _HalfTrajectory, pert: _HalfTrajectory | None,
+               table: PropagatorTable,
+               velocity_form: str = "advection") -> _HalfTrajectory:
+    """One application of the fixed-point map on half-spectrum stacks:
+    quadrature of the Duhamel integral of N(free + pert) with exact
+    propagator factors.  ``pert`` None is the zero perturbation: N is then
+    evaluated on the free states themselves.
 
     Uses the recursion Phi_n = e^{dt A} (Phi_{n-1} + dt/2 N_{n-1})
     + dt/2 N_n, one propagator apply per step, equivalent to the composite
     trapezoid sum_j w_j e^{(t_n - t_j) A} N_j because the propagators form
-    a group.  N_n is evaluated as the recursion reaches t_n, so only
-    N_{n-1} and N_n are held.
+    a group.  N is evaluated by one ``_nonlinearity_half`` call per chunk of
+    times (``grid._time_chunks``) as the recursion reaches it, so one chunk
+    of N is held at a time.  N_B = 0, so B is only propagated.
     """
-    h = 0.5 * free.dt
-
-    def n_at(i):
-        f, p = free.states[i], pert.states[i]
-        return nonlinearity(
-            MhdState(f.v + p.v, f.E + p.E, f.B + p.B, free.times[i]),
-            velocity_form=velocity_form,
-        )
-
-    acc = MhdState.zeros(free.grid, free.times[0])
-    out_states = [acc]
-    n_prev = n_at(0)
-    for i in range(1, len(free)):
-        n_cur = n_at(i)
-        prev = table.apply(MhdState(acc.v + h * n_prev.v, acc.E + h * n_prev.E,
-                                    acc.B + h * n_prev.B, acc.time))
-        acc = MhdState(prev.v + h * n_cur.v, prev.E + h * n_cur.E,
-                       prev.B + h * n_cur.B, free.times[i])
-        out_states.append(acc)
-        n_prev = n_cur
-    return Trajectory(times=free.times, states=out_states)
+    grid = free.grid
+    h = 0.5 * table.dt
+    out = tuple(np.empty_like(a) for a in free.half)
+    for a in out:
+        a[0] = 0.0
+    prev = None
+    for chunk in _time_chunks(range(len(free)), 3 * grid.n**grid.d):
+        at = slice(chunk.start, chunk.stop)
+        if pert is None:
+            fields = (a[at] for a in free.half)
+        else:
+            fields = (a[at] + b[at] for a, b in zip(free.half, pert.half))
+        n_v, n_E = (h * n for n in _nonlinearity_half(grid, *fields,
+                                                      velocity_form=velocity_form))
+        for j, i in enumerate(chunk):
+            if prev is not None:
+                step = table.apply(MhdState(
+                    SpectralField(grid, out[0][i - 1] + prev[0]),
+                    SpectralField(grid, out[1][i - 1] + prev[1]),
+                    SpectralField(grid, out[2][i - 1]),
+                    free.times[i - 1],
+                ))
+                np.add(step.v.coeffs, n_v[j], out=out[0][i])
+                np.add(step.E.coeffs, n_E[j], out=out[1][i])
+                out[2][i] = step.B.coeffs
+            prev = n_v[j], n_E[j]
+    return _HalfTrajectory(grid, free.times, out)
 
 
 def picard_iterate(initial: MhdState, T: float, dt: float, n_iters: int,
@@ -380,8 +485,15 @@ def picard_iterate(initial: MhdState, T: float, dt: float, n_iters: int,
 
     Returns (iterates, contraction_ratios).  Iterates are perturbation
     trajectories around the free evolution; the physical solution is
-    free + iterate.  Ratios r_m = ||G^{m+1} - G^m||_Z / ||G^m - G^{m-1}||_Z;
-    a ratio >= 1 is reported, not raised.
+    free + iterate.  ``iterates[0]`` is the zero perturbation.  Ratios
+    r_m = ||G^{m+1} - G^m||_Z / ||G^m - G^{m-1}||_Z; a ratio >= 1 is
+    reported, not raised.
+
+    The free evolution and the iterates are half-spectrum time stacks
+    (``_HalfTrajectory``); one ``PropagatorTable`` serves the free
+    evolution and every map.  The zero perturbation stores nothing (its
+    stacks are broadcast zeros), and the full-layout states of an iterate
+    are built only if the caller reads them.
 
     Once successive differences fall below machine roundoff relative to
     the first iterate, further ratios are quotients of floating-point
@@ -398,17 +510,17 @@ def picard_iterate(initial: MhdState, T: float, dt: float, n_iters: int,
     if part is None:
         part = build_partition(grid)
     table = PropagatorTable.build(grid, dt)
-    free = simulate(initial, T, dt, nonlinear=False)
-
-    zero = Trajectory(
-        times=free.times,
-        states=[MhdState.zeros(grid, t) for t in free.times],
-    )
+    free = _HalfTrajectory.from_states(
+        grid, march(initial, T, dt, nonlinear=False, table=table), step_count(T, dt) + 1)
+    zero = _HalfTrajectory(grid, free.times, tuple(
+        np.broadcast_to(np.complex128(0.0), a.shape) for a in free.half))
     iterates = [zero]
     diffs = []
-    for _ in range(n_iters):
-        nxt = _apply_phi(free, iterates[-1], table, velocity_form)
-        diff = z_norm(_difference_trajectory(nxt, iterates[-1]), grid.d, part).total
+    for m in range(n_iters):
+        pert = iterates[-1] if m else None  # None: the zero perturbation
+        nxt = _apply_phi(free, pert, table, velocity_form)
+        diff = z_norm(nxt if pert is None else _difference_trajectory(nxt, pert),
+                      grid.d, part).total
         if not math.isfinite(diff):
             diff = math.inf
         diffs.append(diff)

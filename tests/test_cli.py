@@ -252,6 +252,23 @@ def test_grid_below_minimum_size_exits_2(tmp_path, capsys):
     assert err[0].startswith("config error:") and ">= 8" in err[0]
 
 
+def test_single_picard_iteration_exits_2(tmp_path, capsys):
+    # One iteration yields no contraction ratio; picard_iterate needs two.
+    cfg = _write_cfg(tmp_path, "n = 16\nT = 0.1\npicard_iters = 1\n")
+    assert main(["picard", cfg, "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("config error: line 3: picard_iters:")
+
+
+def test_shell_outside_partition_exits_2(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, "n = 16\nT = 0.1\ninit = shell\nshell = 9\n")
+    assert main(["simulate", cfg, "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("config error: shell:") and "9" in err[0]
+
+
 def test_split_json_payload(tmp_path):
     out = tmp_path / "out"
     cfg = _write_cfg(

@@ -297,3 +297,29 @@ def test_shell_series_matches_per_shell_and_sup_references(d, n, monkeypatch):
         linf = np.array([lp_norm_physical(f, np.inf) for f in fields])
         assert np.all(np.abs(series.block_l2 - rows) <= 1e-13 * rows), name
         assert np.all(np.abs(series.linf - linf) <= 1e-13 * linf), name
+
+
+@pytest.mark.parametrize("d, n", [(2, 32), (3, 16)])
+def test_half_spectrum_shell_weights_match_full_layout(d, n):
+    # shell_series reads half spectra through _half_shell_matrix; on
+    # Hermitian fields its rows are the full-layout _block_l2 rows, and a
+    # stacked half-spectrum array and a list of fields give the same series.
+    from nsmaxwell.dyadic import _block_l2, _half_shell_matrix
+
+    grid = Grid(d, n)
+    part = build_partition(grid)
+    h = n // 2 + 1
+    fields = [random_field(grid, seed=100 + i, slope=0.5 * i) for i in range(5)]
+    weights = _half_shell_matrix(part)
+    assert weights.shape == (n ** (d - 1) * h, len(part.shells()))
+    full = part.shell_matrix()
+    assert np.isclose(np.sum(weights), np.sum(full), rtol=1e-14, atol=0)
+    times = np.linspace(0.0, 1.0, len(fields))
+    series = shell_series(fields, times, part, with_linf=True)
+    stacked = shell_series(np.stack([f.coeffs[..., :h] for f in fields]), times, part,
+                           with_linf=True)
+    assert np.array_equal(series.block_l2, stacked.block_l2)
+    assert np.array_equal(series.linf, stacked.linf)
+    rows = np.array([_block_l2(f, part) for f in fields])
+    assert np.count_nonzero(rows) > rows.size // 2
+    assert np.all(np.abs(series.block_l2 - rows) <= 1e-14 * rows)

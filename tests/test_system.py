@@ -6,6 +6,7 @@ import pytest
 from nsmaxwell.grid import (
     Grid,
     SpectralField,
+    gradient_component,
     leray_project,
     lp_norm_physical,
     pointwise_product,
@@ -30,9 +31,10 @@ from nsmaxwell.system import (
     SIGMA,
     InconsistentStateError,
     Trajectory,
+    _HalfTrajectory,
     _apply_phi,
     _difference_trajectory,
-    _divergence_form_advection,
+    _nonlinearity_half,
 )
 
 from conftest import random_field, single_mode_field
@@ -104,6 +106,16 @@ def test_advection_vs_divergence_form(grid2):
     assert np.max(np.abs(a.v.coeffs - b.v.coeffs)) < 1e-11 * scale
 
 
+def _divergence_form_reference(v):
+    """div(v (x) v) = sum_j d_j (v_j v), each v_j v one scalar product."""
+    grid = v.grid
+    adv = SpectralField.zeros(grid)
+    for j in range(grid.d):
+        vj = SpectralField(grid, np.broadcast_to(v.coeffs[j], v.coeffs.shape))
+        adv = adv + gradient_component(pointwise_product(vj, v, "scalar"), j)
+    return adv
+
+
 def _four_product_nonlinearity(state, velocity_form):
     """N from one pointwise_product per bilinear term (no fused pass)."""
     vxB = pointwise_product(state.v, state.B, "cross")
@@ -112,7 +124,7 @@ def _four_product_nonlinearity(state, velocity_form):
     if velocity_form == "advection":
         adv = pointwise_product(state.v, state.v, "advection")
     else:
-        adv = _divergence_form_advection(state.v)
+        adv = _divergence_form_reference(state.v)
     mom = SpectralField(state.grid, -adv.coeffs + SIGMA * ExB.coeffs + vxBxB.coeffs)
     return leray_project(mom), -SIGMA * vxB
 
@@ -161,6 +173,40 @@ def test_nonlinearity_transform_count(grid_name, expected, request, monkeypatch)
     nonlinearity(state)
     assert len(calls) == expected
     assert set(calls) == {"rfftn", "irfftn"}
+
+
+def _half_stacks(states):
+    h = states[0].grid.n // 2 + 1
+    return [np.stack([getattr(s, name).coeffs[..., :h] for s in states])
+            for name in ("v", "E", "B")]
+
+
+@pytest.mark.parametrize("velocity_form", ["advection", "divergence"])
+@pytest.mark.parametrize("grid_name", ["grid2", "grid3"])
+def test_batched_kernel_matches_per_state_nonlinearity(grid_name, velocity_form,
+                                                       request):
+    grid = request.getfixturevalue(grid_name)
+    h = grid.n // 2 + 1
+    states = [_random_state(grid, seed=70 + 3 * i, amp=0.5 + i) for i in range(4)]
+    n_v, n_E = _nonlinearity_half(grid, *_half_stacks(states),
+                                  velocity_form=velocity_form)
+    assert n_v.shape == n_E.shape == (4, 3) + grid.shape[:-1] + (h,)
+    for i, state in enumerate(states):
+        out = nonlinearity(state, velocity_form=velocity_form)
+        assert np.array_equal(n_v[i], out.v.coeffs[..., :h]), i
+        assert np.array_equal(n_E[i], out.E.coeffs[..., :h]), i
+
+
+@pytest.mark.parametrize("field", ["v", "B"])
+@pytest.mark.parametrize("grid_name", ["grid2", "grid3"])
+def test_batched_kernel_rejects_one_divergent_state(grid_name, field, request):
+    grid = request.getfixturevalue(grid_name)
+    states = [_random_state(grid, seed=80 + 3 * i) for i in range(4)]
+    _nonlinearity_half(grid, *_half_stacks(states))  # all four consistent
+    setattr(states[2], field, random_field(grid, seed=90))  # not projected
+    assert states[2].divergence_defect() > 1e-3
+    with pytest.raises(InconsistentStateError):
+        _nonlinearity_half(grid, *_half_stacks(states))
 
 
 def test_nonlinearity_rejects_divergent_velocity(grid2):
@@ -378,17 +424,25 @@ def test_picard_drops_ratios_of_roundoff_noise(grid2, part2):
     assert ratios == pytest.approx([diffs[m] / diffs[m - 1] for m in range(1, len(diffs) - 1)])
 
 
-def test_apply_phi_matches_composite_trapezoid():
+def test_apply_phi_matches_composite_trapezoid(monkeypatch):
     # The one-apply recursion against sum_j w_j e^{(t_n - t_j) A} N_j with
     # trapezoid weights, each term propagated from t_j by heat_apply and
-    # maxwell_apply.
+    # maxwell_apply.  N is evaluated in chunks of three times, so the
+    # recursion carries N_{n-1} across two chunk boundaries.
+    from nsmaxwell import grid as grid_module
+
     grid = Grid(2, 16)
     dt, steps = 0.05, 6
+    monkeypatch.setattr(grid_module, "_CHUNK_ELEMENTS", 3 * 3 * grid.n**2)
+    assert [len(c) for c in grid_module._time_chunks(range(steps + 1),
+                                                     3 * grid.n**2)] == [3, 3, 1]
     free = simulate(_random_state(grid, seed=57), steps * dt, dt, nonlinear=False)
     pert = Trajectory(times=free.times,
                       states=[_random_state(grid, seed=60 + i, amp=0.3)
                               for i in range(steps + 1)])
-    got = _apply_phi(free, pert, PropagatorTable.build(grid, dt))
+    got = _apply_phi(_HalfTrajectory.from_states(grid, free.states, len(free)),
+                     _HalfTrajectory.from_states(grid, pert.states, len(pert)),
+                     PropagatorTable.build(grid, dt))
     ns = [nonlinearity(MhdState(f.v + p.v, f.E + p.E, f.B + p.B))
           for f, p in zip(free.states, pert.states)]
     for n in range(1, steps + 1):
@@ -419,6 +473,40 @@ def test_picard_applies_one_propagator_per_step(grid2, part2, monkeypatch):
     picard_iterate(_random_state(grid2, seed=56, amp=1e-2), steps * dt, dt, iters,
                    part=part2)
     assert len(calls) == (iters + 1) * steps
+
+
+def test_picard_builds_one_propagator_table(grid2, part2, monkeypatch):
+    # The free evolution and every map share the table of one build.
+    calls = []
+    build = PropagatorTable.build
+
+    def counted(grid, dt):
+        calls.append(dt)
+        return build(grid, dt)
+
+    monkeypatch.setattr(PropagatorTable, "build", counted)
+    iterates, _ = picard_iterate(_random_state(grid2, seed=56, amp=1e-2), 0.2, 0.05,
+                                 3, part=part2)
+    assert calls == [0.05]
+    assert len(iterates) == 4
+
+
+def test_picard_iterates_are_lazy_half_stacks(grid2, part2):
+    # Each iterate holds (times, 3, n, n/2+1) stacks; its full-layout states
+    # are the Hermitian fill of those stacks, built when first read, and the
+    # zero perturbation stores no array of its own.
+    iterates, _ = picard_iterate(_random_state(grid2, seed=58, amp=1e-2), 0.2, 0.05,
+                                 3, part=part2)
+    h = grid2.n // 2 + 1
+    for a in iterates[0].half:
+        assert a.shape == (5, 3, grid2.n, h) and a.strides == (0,) * 4
+    last = iterates[-1]
+    assert "states" not in vars(last)
+    assert len(last) == 5
+    for i, state in enumerate(last.states):
+        for a, f in zip(last.half, (state.v, state.E, state.B)):
+            assert np.array_equal(f.coeffs[..., :h], a[i])
+            assert f.hermitian_defect() <= 1e-14 * np.max(np.abs(a[i]))
 
 
 def test_picard_requires_two_iterations(grid2):
