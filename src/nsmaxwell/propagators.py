@@ -279,49 +279,41 @@ def duhamel_step(state, nonlinearity, dt: float, scheme: str = "exp-trapezoid",
                  table: PropagatorTable | None = None, step_index: int = 0):
     """One step of the Duhamel integral equation.
 
-    exp-euler:      G_{n+1} = e^{dt A} G_n + dt e^{dt A} N(G_n)
-    exp-trapezoid:  predictor exp-euler, then
-                    G_{n+1} = e^{dt A} G_n + dt/2 (e^{dt A} N(G_n) + N(G*))
+    exp-euler:      G_{n+1} = G* = e^{dt A} (G_n + dt N(G_n))
+    exp-trapezoid:  G_{n+1} = e^{dt A} (G_n + dt/2 N(G_n)) + dt/2 N(G*)
 
+    By linearity of e^{dt A} these are the forms e^{dt A} G_n + dt
+    e^{dt A} N(G_n) and e^{dt A} G_n + dt/2 (e^{dt A} N(G_n) + N(G*)), with
+    one propagator apply per nonlinearity evaluation, as in the Picard map.
     The velocity slot of the nonlinearity is Leray-projected by the
     ``nonlinearity`` evaluator itself.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
+    if scheme not in ("exp-euler", "exp-trapezoid"):
+        raise ValueError(f"unknown scheme {scheme!r}")
     if table is None or table.dt != dt:
         table = PropagatorTable.build(state.v.grid, dt)
 
-    lin = table.apply(state)
     n0 = nonlinearity(state)
-    n0_prop = table.apply(n0)
-
-    if scheme == "exp-euler":
-        out = _combine(lin, n0_prop, dt)
-    elif scheme == "exp-trapezoid":
-        pred = _combine(lin, n0_prop, dt)
-        n1 = nonlinearity(pred)
-        out = _combine_trapezoid(lin, n0_prop, n1, dt)
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}")
-    out.time = state.time + dt
+    out = table.apply(_shifted(state, n0, dt))
+    if scheme == "exp-trapezoid":
+        h = 0.5 * dt
+        n1 = nonlinearity(out)
+        out = table.apply(_shifted(state, n0, h))
+        for f, n in zip((out.v, out.E, out.B), (n1.v, n1.E, n1.B)):
+            f.coeffs += h * n.coeffs  # the apply's own arrays
     _check_finite(out, step_index)
     return out
 
 
-def _combine(lin, n_prop, dt):
-    return type(lin)(
-        v=lin.v + dt * n_prop.v,
-        E=lin.E + dt * n_prop.E,
-        B=lin.B + dt * n_prop.B,
-        time=lin.time,
-    )
-
-
-def _combine_trapezoid(lin, n0_prop, n1, dt):
-    h = 0.5 * dt
-    return type(lin)(
-        v=lin.v + h * (n0_prop.v + n1.v),
-        E=lin.E + h * (n0_prop.E + n1.E),
-        B=lin.B + h * (n0_prop.B + n1.B),
-        time=lin.time,
-    )
+def _shifted(g, n, w: float):
+    """g + w n, slot by slot, at the time of g, with one new array per slot:
+    at 3D n=32 every further temporary of a step costs page faults that
+    show in the step's time."""
+    slots = []
+    for a, b in ((g.v, n.v), (g.E, n.E), (g.B, n.B)):
+        c = np.multiply(b.coeffs, w)
+        c += a.coeffs
+        slots.append(SpectralField(a.grid, c))
+    return type(g)(*slots, time=g.time)

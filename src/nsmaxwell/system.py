@@ -8,12 +8,12 @@ amplitudes ``coeffs[..., :n/2+1]`` with a leading batch axis; it reads and
 writes only the columns m_d = 0 .. n/2 that the real transforms use.
 ``nonlinearity`` runs it on one state and fills the full layout back in.
 
-The Picard iteration keeps its trajectories as half-spectrum time stacks
-(``_HalfTrajectory``): three arrays (times, 3, *shape[:-1], n/2+1) for v, E
-and B.  The propagators and the Leray projection act on that layout column
-for column (see ``grid``), the kernel runs on chunks of times
-(``grid._time_chunks``), and ``z_norm`` reduces the stacks directly; the
-full-layout states are built only when a caller reads them.
+A ``Trajectory`` is held as half-spectrum time stacks: three arrays
+(times, 3, *shape[:-1], n/2+1) for v, E and B.  The propagators and the
+Leray projection act on that layout column for column (see ``grid``), so the
+free evolution and the Picard map run on the stacks; the kernel runs on
+chunks of times (``grid._time_chunks``), and ``z_norm`` reduces the stacks
+directly.  The full-layout states are built only when a caller reads them.
 """
 
 from __future__ import annotations
@@ -118,25 +118,40 @@ class MhdState:
 
 @dataclass
 class Trajectory:
-    """Uniformly sampled states; per-step diagnostics on first read."""
+    """Uniformly sampled states held as half-spectrum time stacks ``half`` =
+    (v, E, B), each (times, 3, *shape[:-1], n/2+1); the full-layout
+    ``states`` and the per-step ``diagnostics`` are built on first read."""
 
+    grid: Grid
     times: np.ndarray
-    states: list
+    half: tuple
+
+    @classmethod
+    def from_states(cls, grid: Grid, states, count: int) -> "Trajectory":
+        """Stack the half spectra of ``count`` states (any iterable)."""
+        h = grid.n // 2 + 1
+        half = tuple(np.empty((count, 3) + grid.shape[:-1] + (h,), dtype=np.complex128)
+                     for _ in range(3))
+        times = np.empty(count)
+        for i, state in enumerate(states):
+            times[i] = state.time
+            for a, f in zip(half, (state.v, state.E, state.B)):
+                a[i] = f.coeffs[..., :h]
+        return cls(grid, times, half)
+
+    @cached_property
+    def states(self) -> list:
+        grid = self.grid
+        return [MhdState(*(SpectralField(grid, _hermitian_fill(grid, a[i]))
+                           for a in self.half), time=t)
+                for i, t in enumerate(self.times)]
 
     @cached_property
     def diagnostics(self) -> list:
         return [_diagnostics(state) for state in self.states]
 
-    @property
-    def grid(self) -> Grid:
-        return self.states[0].grid
-
-    @property
-    def dt(self) -> float:
-        return float(self.times[1] - self.times[0])
-
     def __len__(self) -> int:
-        return len(self.states)
+        return len(self.times)
 
 
 def _divergence_defects(grid: Grid, v: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -154,42 +169,6 @@ def _divergence_defects(grid: Grid, v: np.ndarray, B: np.ndarray) -> np.ndarray:
                           for f in (v, B)))
     norm_sq = np.maximum(power(v), power(B))
     return np.sqrt(div_sq) / np.maximum(np.sqrt(norm_sq), 1e-300)
-
-
-class _HalfTrajectory(Trajectory):
-    """A trajectory held as half-spectrum time stacks ``half`` = (v, E, B),
-    each (times, 3, *shape[:-1], n/2+1); the full-layout ``states`` are
-    built on first read."""
-
-    def __init__(self, grid: Grid, times: np.ndarray, half: tuple):
-        self._grid, self.times, self.half = grid, times, half
-
-    @classmethod
-    def from_states(cls, grid: Grid, states, count: int) -> "_HalfTrajectory":
-        """Stack the half spectra of ``count`` states (any iterable)."""
-        h = grid.n // 2 + 1
-        half = tuple(np.empty((count, 3) + grid.shape[:-1] + (h,), dtype=np.complex128)
-                     for _ in range(3))
-        times = np.empty(count)
-        for i, state in enumerate(states):
-            times[i] = state.time
-            for a, f in zip(half, (state.v, state.E, state.B)):
-                a[i] = f.coeffs[..., :h]
-        return cls(grid, times, half)
-
-    @cached_property
-    def states(self) -> list:
-        grid = self._grid
-        return [MhdState(*(SpectralField(grid, _hermitian_fill(grid, a[i]))
-                           for a in self.half), time=t)
-                for i, t in enumerate(self.times)]
-
-    @property
-    def grid(self) -> Grid:
-        return self._grid
-
-    def __len__(self) -> int:
-        return len(self.times)
 
 
 @dataclass
@@ -311,49 +290,61 @@ def step_count(T: float, dt: float) -> int:
 
 
 def march(initial: MhdState, T: float, dt: float, scheme: str = "exp-trapezoid",
-          nonlinear: bool = True, velocity_form: str = "advection",
-          table: PropagatorTable | None = None):
+          velocity_form: str = "advection"):
     """Yield the prepared initial state, then the state after each of the
-    T/dt steps of the Duhamel integral equation with exact propagators.
+    T/dt nonlinear steps (``duhamel_step``) of the Duhamel integral
+    equation with exact propagators.
 
-    A nonlinear step is ``duhamel_step``, whose ``BlowupError`` passes out
-    of the generator; a linear step is the exact group e^{dt A}.  ``table``
-    is a caller's ``PropagatorTable`` for dt, built here if None.  Raises
-    ValueError unless T is an integer multiple of dt.
+    ``BlowupError`` passes out of the generator.  Raises ValueError unless
+    T is an integer multiple of dt.
     """
     n_steps = step_count(T, dt)
     state = initial.prepared()
     grid = state.grid
-    if nonlinear:
-        # Advisory CFL check only: the exponential integrator is
-        # unconditionally linearly stable.
-        vmax = lp_norm_physical(state.v, np.inf)
-        h = grid.box_length / grid.n
-        if vmax * dt > h:
-            import warnings
+    # Advisory CFL check only: the exponential integrator is
+    # unconditionally linearly stable.
+    vmax = lp_norm_physical(state.v, np.inf)
+    h = grid.box_length / grid.n
+    if vmax * dt > h:
+        import warnings
 
-            warnings.warn(f"dt * max|v| = {vmax * dt:.3e} exceeds grid spacing {h:.3e}")
+        warnings.warn(f"dt * max|v| = {vmax * dt:.3e} exceeds grid spacing {h:.3e}")
 
-        def nl(s):
-            return nonlinearity(s, velocity_form=velocity_form)
+    def nl(s):
+        return nonlinearity(s, velocity_form=velocity_form)
 
-    if table is None:
-        table = PropagatorTable.build(grid, dt)
+    table = PropagatorTable.build(grid, dt)
     yield state
     for step in range(n_steps):
-        if nonlinear:
-            state = duhamel_step(state, nl, dt, scheme=scheme, table=table,
-                                 step_index=step)
-        else:
-            state = table.apply(state)
+        state = duhamel_step(state, nl, dt, scheme=scheme, table=table,
+                             step_index=step)
         yield state
+
+
+def _free_evolution(initial: MhdState, T: float, table: PropagatorTable) -> Trajectory:
+    """e^{t A} Gamma0 at the T/dt + 1 sample times, dt = ``table.dt``: the
+    half spectra of the prepared initial state, then one ``table.apply`` per
+    step on the previous half-spectrum state, written into the stacks."""
+    n_steps = step_count(T, table.dt)
+    traj = Trajectory.from_states(table.grid, [initial.prepared()], n_steps + 1)
+    half, times = traj.half, traj.times
+    for i in range(1, n_steps + 1):
+        step = table.apply(MhdState(*(SpectralField(table.grid, a[i - 1]) for a in half),
+                                    time=times[i - 1]))
+        times[i] = step.time
+        for a, f in zip(half, (step.v, step.E, step.B)):
+            a[i] = f.coeffs
+    return traj
 
 
 def simulate(initial: MhdState, T: float, dt: float, scheme: str = "exp-trapezoid",
              nonlinear: bool = True, velocity_form: str = "advection") -> Trajectory:
-    """Every state of ``march`` as one trajectory."""
-    states = list(march(initial, T, dt, scheme, nonlinear, velocity_form))
-    return Trajectory(times=np.array([s.time for s in states]), states=states)
+    """Every state of ``march`` as one trajectory, or with ``nonlinear``
+    False the free evolution e^{t A} Gamma0."""
+    if not nonlinear:
+        return _free_evolution(initial, T, PropagatorTable.build(initial.grid, dt))
+    return Trajectory.from_states(initial.grid, march(initial, T, dt, scheme, velocity_form),
+                                  step_count(T, dt) + 1)
 
 
 def _diagnostics(state: MhdState) -> dict:
@@ -378,9 +369,7 @@ def z_norm(traj: Trajectory, d: int, part: DyadicPartition | None = None) -> ZNo
     Z^E = ||E||_{tilde-Linf_T H^{d/2-1}_a} + ||E||_{L2_T H^{d/2-1}_a}
     Z^B = ||B||_{tilde-Linf_T H^{d/2-1}_a} + ||B||_{L2_T H^{d/2, d/2-1}_a}
 
-    Each field goes through ``shell_series``, which reads half spectra: the
-    stacks of a ``_HalfTrajectory`` as they are, a list of states through
-    the half spectrum of each field.
+    Each field's half-spectrum stack goes through ``shell_series``.
     """
     grid = traj.grid
     if grid.d != d:
@@ -389,10 +378,7 @@ def z_norm(traj: Trajectory, d: int, part: DyadicPartition | None = None) -> ZNo
         part = build_partition(grid)
     alpha, half = _z_specs(d)
 
-    if isinstance(traj, _HalfTrajectory):
-        v, E, B = traj.half
-    else:
-        v, E, B = ([getattr(s, name) for s in traj.states] for name in "vEB")
+    v, E, B = traj.half
     sv = shell_series(v, traj.times, part, with_linf=True)
     se = shell_series(E, traj.times, part)
     sb = shell_series(B, traj.times, part)
@@ -429,14 +415,13 @@ def initial_data_norm(state: MhdState, part: DyadicPartition | None = None) -> f
 # Picard iteration around the free evolution.
 
 
-def _difference_trajectory(a: _HalfTrajectory, b: _HalfTrajectory) -> _HalfTrajectory:
+def _difference_trajectory(a: Trajectory, b: Trajectory) -> Trajectory:
     """a - b: one array subtraction per field."""
-    return _HalfTrajectory(a.grid, a.times, tuple(x - y for x, y in zip(a.half, b.half)))
+    return Trajectory(a.grid, a.times, tuple(x - y for x, y in zip(a.half, b.half)))
 
 
-def _apply_phi(free: _HalfTrajectory, pert: _HalfTrajectory | None,
-               table: PropagatorTable,
-               velocity_form: str = "advection") -> _HalfTrajectory:
+def _apply_phi(free: Trajectory, pert: Trajectory | None, table: PropagatorTable,
+               velocity_form: str = "advection") -> Trajectory:
     """One application of the fixed-point map on half-spectrum stacks:
     quadrature of the Duhamel integral of N(free + pert) with exact
     propagator factors.  ``pert`` None is the zero perturbation: N is then
@@ -447,7 +432,9 @@ def _apply_phi(free: _HalfTrajectory, pert: _HalfTrajectory | None,
     trapezoid sum_j w_j e^{(t_n - t_j) A} N_j because the propagators form
     a group.  N is evaluated by one ``_nonlinearity_half`` call per chunk of
     times (``grid._time_chunks``) as the recursion reaches it, so one chunk
-    of N is held at a time.  N_B = 0, so B is only propagated.
+    of N is held at a time.  The sum Phi_{n-1} + dt/2 N_{n-1} is formed in
+    the slot of Phi_n, so a step allocates only the apply's results.
+    N_B = 0, so B is only propagated.
     """
     grid = free.grid
     h = 0.5 * table.dt
@@ -465,9 +452,11 @@ def _apply_phi(free: _HalfTrajectory, pert: _HalfTrajectory | None,
                                                       velocity_form=velocity_form))
         for j, i in enumerate(chunk):
             if prev is not None:
+                np.add(out[0][i - 1], prev[0], out=out[0][i])
+                np.add(out[1][i - 1], prev[1], out=out[1][i])
                 step = table.apply(MhdState(
-                    SpectralField(grid, out[0][i - 1] + prev[0]),
-                    SpectralField(grid, out[1][i - 1] + prev[1]),
+                    SpectralField(grid, out[0][i]),
+                    SpectralField(grid, out[1][i]),
                     SpectralField(grid, out[2][i - 1]),
                     free.times[i - 1],
                 ))
@@ -475,7 +464,7 @@ def _apply_phi(free: _HalfTrajectory, pert: _HalfTrajectory | None,
                 np.add(step.E.coeffs, n_E[j], out=out[1][i])
                 out[2][i] = step.B.coeffs
             prev = n_v[j], n_E[j]
-    return _HalfTrajectory(grid, free.times, out)
+    return Trajectory(grid, free.times, out)
 
 
 def picard_iterate(initial: MhdState, T: float, dt: float, n_iters: int,
@@ -489,11 +478,11 @@ def picard_iterate(initial: MhdState, T: float, dt: float, n_iters: int,
     r_m = ||G^{m+1} - G^m||_Z / ||G^m - G^{m-1}||_Z; a ratio >= 1 is
     reported, not raised.
 
-    The free evolution and the iterates are half-spectrum time stacks
-    (``_HalfTrajectory``); one ``PropagatorTable`` serves the free
-    evolution and every map.  The zero perturbation stores nothing (its
-    stacks are broadcast zeros), and the full-layout states of an iterate
-    are built only if the caller reads them.
+    The free evolution and the iterates are half-spectrum ``Trajectory``
+    stacks; one ``PropagatorTable`` serves the free evolution and every
+    map.  The zero perturbation stores nothing (its stacks are broadcast
+    zeros), and the full-layout states of an iterate are built only if the
+    caller reads them.
 
     Once successive differences fall below machine roundoff relative to
     the first iterate, further ratios are quotients of floating-point
@@ -510,9 +499,8 @@ def picard_iterate(initial: MhdState, T: float, dt: float, n_iters: int,
     if part is None:
         part = build_partition(grid)
     table = PropagatorTable.build(grid, dt)
-    free = _HalfTrajectory.from_states(
-        grid, march(initial, T, dt, nonlinear=False, table=table), step_count(T, dt) + 1)
-    zero = _HalfTrajectory(grid, free.times, tuple(
+    free = _free_evolution(initial, T, table)
+    zero = Trajectory(grid, free.times, tuple(
         np.broadcast_to(np.complex128(0.0), a.shape) for a in free.half))
     iterates = [zero]
     diffs = []
@@ -538,12 +526,10 @@ def picard_iterate(initial: MhdState, T: float, dt: float, n_iters: int,
 
 
 def picard_solution(free: Trajectory, perturbation: Trajectory) -> Trajectory:
-    """The physical solution e^{t A} Gamma0 + perturbation."""
-    states = [
-        MhdState(f.v + p.v, f.E + p.E, f.B + p.B, f.time)
-        for f, p in zip(free.states, perturbation.states)
-    ]
-    return Trajectory(times=free.times, states=states)
+    """The physical solution e^{t A} Gamma0 + perturbation: one stack sum
+    per field."""
+    return Trajectory(free.grid, free.times,
+                      tuple(f + p for f, p in zip(free.half, perturbation.half)))
 
 
 # ---------------------------------------------------------------------------

@@ -288,6 +288,26 @@ def test_duhamel_trapezoid_order():
     assert all(1.9 <= o <= 2.1 for o in orders), orders
 
 
+@pytest.mark.parametrize("scheme, applies", [("exp-euler", 1), ("exp-trapezoid", 2)])
+def test_duhamel_applies_one_propagator_per_evaluation(grid2, monkeypatch, scheme, applies):
+    # G* = e^{dt A}(G + dt N0); the trapezoid adds e^{dt A}(G + dt/2 N0).
+    calls = []
+    apply = PropagatorTable.apply
+
+    def counted(self, state):
+        calls.append(state.time)
+        return apply(self, state)
+
+    monkeypatch.setattr(PropagatorTable, "apply", counted)
+    forcing = _random_state(grid2, seed=35)
+
+    def nl(s):
+        return MhdState(forcing.v, forcing.E, forcing.B, s.time)
+
+    duhamel_step(_random_state(grid2, seed=36), nl, 0.1, scheme=scheme)
+    assert len(calls) == applies
+
+
 def test_duhamel_commutes_with_leray(grid2):
     f = random_field(grid2, seed=33)
     table = PropagatorTable.build(grid2, 0.3)

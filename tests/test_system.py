@@ -18,6 +18,7 @@ from nsmaxwell.system import (
     MhdState,
     energy_report,
     initial_data_norm,
+    march,
     nonlinearity,
     ohm_current,
     picard_iterate,
@@ -31,7 +32,6 @@ from nsmaxwell.system import (
     SIGMA,
     InconsistentStateError,
     Trajectory,
-    _HalfTrajectory,
     _apply_phi,
     _difference_trajectory,
     _nonlinearity_half,
@@ -254,6 +254,37 @@ def test_simulate_linear_matches_propagators(grid2):
             assert np.max(np.abs(fa.coeffs - fb.coeffs)) < 1e-10 * scale
 
 
+def _assert_same_states(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.time == b.time
+        for name in ("v", "E", "B"):
+            assert np.array_equal(getattr(a, name).coeffs, getattr(b, name).coeffs)
+
+
+@pytest.mark.parametrize("grid_name", ["grid2", "grid3"])
+def test_simulate_states_are_march_states(grid_name, request):
+    # The half-spectrum stacks and their Hermitian fill give back every
+    # state of the nonlinear loop bit for bit.
+    grid = request.getfixturevalue(grid_name)
+    initial = _random_state(grid, seed=61, amp=0.1)
+    _assert_same_states(simulate(initial, 0.1, 0.02).states,
+                        list(march(initial, 0.1, 0.02)))
+
+
+@pytest.mark.parametrize("grid_name", ["grid2", "grid3"])
+def test_simulate_linear_is_full_layout_recursion(grid_name, request):
+    # The free evolution on the half spectrum against one full-layout
+    # table.apply per step, bit for bit.
+    grid = request.getfixturevalue(grid_name)
+    initial = _random_state(grid, seed=62)
+    table = PropagatorTable.build(grid, 0.05)
+    want = [initial.prepared()]
+    for _ in range(4):
+        want.append(table.apply(want[-1]))
+    _assert_same_states(simulate(initial, 0.2, 0.05, nonlinear=False).states, want)
+
+
 def test_simulate_validates_time_grid(grid2):
     initial = _random_state(grid2, seed=46)
     with pytest.raises(ValueError):
@@ -314,10 +345,8 @@ def test_z_norm_zero_and_single_component(grid2, part2):
         SpectralField.zeros(grid2),
         SpectralField.zeros(grid2),
     ).prepared()
-    from nsmaxwell.system import Trajectory
-
-    states = [v_only, v_only, v_only]
-    traj = Trajectory(times=np.array([0.0, 0.1, 0.2]), states=states)
+    states = [MhdState(v_only.v, v_only.E, v_only.B, t) for t in (0.0, 0.1, 0.2)]
+    traj = Trajectory.from_states(grid2, states, 3)
     z = z_norm(traj, 2, part2)
     assert z.u > 0 and z.E == 0.0 and z.B == 0.0
     assert z.total == z.u + z.E + z.B
@@ -334,11 +363,10 @@ def test_z_norm_pinned_static_single_shell(grid2, part2):
     B = single_mode_field(grid2, (4, 4), amp)  # |k| = 5.66: shell 2 only
     B = leray_project(B)
     assert abs(lp_norm_physical(B, 2) - 1.0) < 1e-12
-    from nsmaxwell.system import Trajectory
-
-    state = MhdState(SpectralField.zeros(grid2), SpectralField.zeros(grid2), B)
     times = np.linspace(0.0, 1.0, 21)
-    traj = Trajectory(times=times, states=[state] * 21)
+    states = [MhdState(SpectralField.zeros(grid2), SpectralField.zeros(grid2), B, t)
+              for t in times]
+    traj = Trajectory.from_states(grid2, states, 21)
     z = z_norm(traj, 2, part2)
     assert abs(z.B - 2.0 * math.sqrt(2.0)) < 1e-10
     assert z.u == 0.0 and z.E == 0.0
@@ -437,12 +465,9 @@ def test_apply_phi_matches_composite_trapezoid(monkeypatch):
     assert [len(c) for c in grid_module._time_chunks(range(steps + 1),
                                                      3 * grid.n**2)] == [3, 3, 1]
     free = simulate(_random_state(grid, seed=57), steps * dt, dt, nonlinear=False)
-    pert = Trajectory(times=free.times,
-                      states=[_random_state(grid, seed=60 + i, amp=0.3)
-                              for i in range(steps + 1)])
-    got = _apply_phi(_HalfTrajectory.from_states(grid, free.states, len(free)),
-                     _HalfTrajectory.from_states(grid, pert.states, len(pert)),
-                     PropagatorTable.build(grid, dt))
+    pert = Trajectory.from_states(grid, [_random_state(grid, seed=60 + i, amp=0.3)
+                                         for i in range(steps + 1)], steps + 1)
+    got = _apply_phi(free, pert, PropagatorTable.build(grid, dt))
     ns = [nonlinearity(MhdState(f.v + p.v, f.E + p.E, f.B + p.B))
           for f, p in zip(free.states, pert.states)]
     for n in range(1, steps + 1):

@@ -1,11 +1,27 @@
 """The benchmark's span tracer (perfbench/tracing.py) wraps functions of the
-package by name; a rename must fail here, not only in a benchmark run."""
+package by name, and the scripts in scripts/ call the package's public API;
+a rename must fail here, not only in a benchmark or script run."""
 
+import csv
 import importlib
+import importlib.util
 import os
 
-PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                         "perfbench")
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PERFBENCH = os.path.join(ROOT, "perfbench")
+SCRIPTS = os.path.join(ROOT, "scripts")
+
+# Arguments small enough that each run takes a few seconds at most.
+SCRIPT_ARGS = {
+    "contraction_map.py": ["--n", "16", "--epsilons", "0.01", "--windows", "0.1",
+                           "--dt", "0.05", "--iters", "2"],
+    "criticality_sweep.py": ["--q-min", "2", "--q-max", "3"],
+    "maxwell_decay_sweep.py": ["--n", "16", "--count", "1", "--windows", "1.0"],
+    "product_law_sweep.py": ["--estimates", "est4-2D", "--windows", "1.0",
+                             "--count", "1", "--n", "16"],
+}
 
 
 def test_trace_targets_resolve(monkeypatch):
@@ -20,3 +36,19 @@ def test_trace_targets_resolve(monkeypatch):
         if owner is None or attr not in vars(owner):
             missing.append(f"nsmaxwell.{module}.{path}")
     assert tracing.TARGETS and not missing
+
+
+def test_every_script_has_smoke_arguments():
+    assert sorted(f for f in os.listdir(SCRIPTS) if f.endswith(".py")) == sorted(SCRIPT_ARGS)
+
+
+@pytest.mark.parametrize("name", sorted(SCRIPT_ARGS))
+def test_script_main_runs(name, tmp_path):
+    spec = importlib.util.spec_from_file_location(name[:-3], os.path.join(SCRIPTS, name))
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    out = tmp_path / "out.csv"
+    assert script.main(SCRIPT_ARGS[name] + ["--out", str(out)]) == 0
+    with open(out, newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert rows and all(len(row) == len(header) for row in rows)
