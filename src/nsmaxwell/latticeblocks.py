@@ -17,6 +17,14 @@ transition bands (3/4, 4/3) * 2^j are disjoint, so a point at radius r
 meets only shells J - 1 and J (J = round(log2 r)), with weights c and
 1 - c from the single value c = chi(r / 2^J).  The per-shell sums are two
 bincounts over the canvas, not one profile sweep per shell.
+
+A real field's coefficients satisfy f(-m) = conj(f(m)), so its power is
+mirror-symmetric and the remainder route measures only the Hermitian
+half-plane: each distinct convolution is computed once and its conjugate
+mirror pasted by index, one cluster of every conjugate-mirror pair is
+measured and counted twice, and a cluster that is its own mirror is
+pasted and measured on m1 > 0, or m1 = 0 and m2 > 0, also counted twice
+(the origin is dropped with every k = 0 mode).
 """
 
 from __future__ import annotations
@@ -28,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.signal import fftconvolve
 
-from .dyadic import chi_profile, phi_profile, PHI_LO, PHI_HI
+from .dyadic import chi_profile, phi_profile, CHI_HI, PHI_LO, PHI_HI
 
 __all__ = [
     "BlockField",
@@ -51,6 +59,9 @@ __all__ = [
 ]
 
 BOX_VOLUME_2D = (2.0 * math.pi) ** 2
+# Relative slack on the profile cuts: corner radii and per-point radii may
+# round differently, and a term is skipped only where its profile is 0.
+_CUT_SLACK = 1e-12
 
 
 @dataclass
@@ -171,18 +182,36 @@ def _nonzero(block: BlockField, tol: float = 0.0) -> bool:
 
 
 def _paraproduct(lows, highs, low_first: bool) -> list:
+    """Terms S_{q-1} low * Delta_q high, in (shell, high, low) order.
+
+    The corner radii of ``radius_range`` drop, before their profiles are
+    evaluated, the low blocks on which chi(. / 2^{q-1}) vanishes and the
+    high blocks outside the support of phi(. / 2^q); a shell with no
+    low-pass left is skipped whole.  The cuts carry a relative slack, so
+    only blocks whose profile is exactly 0 are dropped and the terms are
+    those of the full sweep.
+    """
     out = []
-    r_lo = min(b.radius_range()[0] for b in highs)
-    r_hi = max(b.radius_range()[1] for b in highs)
+    low_min = [b.radius_range()[0] for b in lows]
+    high_ranges = [b.radius_range() for b in highs]
+    r_lo = min(lo for lo, _ in high_ranges)
+    r_hi = max(hi for _, hi in high_ranges)
     for shell in _shell_span(r_lo, r_hi):
-        for hb in highs:
+        chi_cut = CHI_HI * 2.0 ** (shell - 1) * (1.0 + _CUT_SLACK)
+        low_parts = [radial_multiply(lb, _lowpass_fn(shell - 1))
+                     for lb, r in zip(lows, low_min) if r < chi_cut]
+        low_parts = [lo for lo in low_parts if _nonzero(lo)]
+        if not low_parts:
+            continue
+        phi_lo = PHI_LO * 2.0**shell * (1.0 - _CUT_SLACK)
+        phi_hi = PHI_HI * 2.0**shell * (1.0 + _CUT_SLACK)
+        for hb, (r_min, r_max) in zip(highs, high_ranges):
+            if r_max <= phi_lo or r_min >= phi_hi:
+                continue
             hi = radial_multiply(hb, _shell_weight_fn(shell))
             if not _nonzero(hi):
                 continue
-            for lb in lows:
-                lo = radial_multiply(lb, _lowpass_fn(shell - 1))
-                if not _nonzero(lo):
-                    continue
+            for lo in low_parts:
                 out.append(
                     block_convolve(lo, hi) if low_first
                     else block_convolve(hi, lo)
@@ -256,21 +285,44 @@ def _overlap_groups(boxes: list) -> list:
     return list(groups.values())
 
 
-def _paste(blocks, boxes: list) -> BlockField:
-    """Sum blocks onto one canvas covering their bounding ``boxes``, taking
-    them one at a time from any iterable (requires a shared polarization
-    direction; amplitudes relative to the first block's are folded into
-    the scalar)."""
-    r0, c0 = min(b[0] for b in boxes), min(b[2] for b in boxes)
-    shape = (max(b[1] for b in boxes) + 1 - r0, max(b[3] for b in boxes) + 1 - c0)
-    canvas = np.zeros(shape, dtype=np.complex128)
+def _union_box(boxes) -> tuple:
+    return (
+        min(b[0] for b in boxes),
+        max(b[1] for b in boxes),
+        min(b[2] for b in boxes),
+        max(b[3] for b in boxes),
+    )
+
+
+def _mirror_box(box: tuple) -> tuple:
+    return (-box[1], -box[0], -box[3], -box[2])
+
+
+def _paste(pieces, box: tuple) -> BlockField:
+    """Sum blocks onto one canvas covering ``box``, each clipped to it.
+
+    ``pieces`` yields ``(block, mirrored)`` pairs, taken one at a time from
+    any iterable; a mirrored block is pasted as its conjugate mirror, by
+    index.  Requires a shared polarization direction; amplitudes relative
+    to the first block's are folded into the scalar.
+    """
+    r0, r1, c0, c1 = box
+    canvas = np.zeros((r1 + 1 - r0, c1 + 1 - c0), dtype=np.complex128)
     pol = None
-    for b in blocks:
+    for b, mirrored in pieces:
+        vals, b_pol, (o0, o1) = b.values, b.pol, b.origin
+        if mirrored:
+            vals, b_pol = vals[::-1, ::-1], np.conj(b_pol)
+            o0, o1 = -(o0 + b.shape[0] - 1), -(o1 + b.shape[1] - 1)
         if pol is None:
-            pol = b.pol
-        i, j = b.origin[0] - r0, b.origin[1] - c0
-        canvas[i : i + b.shape[0], j : j + b.shape[1]] += _pol_scale(b.pol, pol) * b.values
-        del b  # a generator's next block is made while this one would still live
+            pol = b_pol
+        i0, i1 = max(o0, r0), min(o0 + vals.shape[0], r1 + 1)
+        j0, j1 = max(o1, c0), min(o1 + vals.shape[1], c1 + 1)
+        if i0 < i1 and j0 < j1:
+            vals = vals[i0 - o0 : i1 - o0, j0 - o1 : j1 - o1]
+            canvas[i0 - r0 : i1 - r0, j0 - c0 : j1 - c0] += _pol_scale(b_pol, pol) * (
+                np.conj(vals) if mirrored else vals)
+        del b, vals  # a generator's next block is made while these would still live
     return BlockField((r0, c0), canvas, pol)
 
 
@@ -283,7 +335,8 @@ def _merged(blocks: list):
         if len(idxs) == 1:
             yield blocks[idxs[0]]
         else:
-            yield _paste((blocks[i] for i in idxs), [boxes[i] for i in idxs])
+            yield _paste(((blocks[i], False) for i in idxs),
+                         _union_box([boxes[i] for i in idxs]))
 
 
 def _pol_scale(p: np.ndarray, ref: np.ndarray) -> complex:
@@ -461,14 +514,6 @@ def _conv_box(a: BlockField, b: BlockField) -> tuple:
     return _bbox(origin, (a.shape[0] + b.shape[0] - 1, a.shape[1] + b.shape[1] - 1))
 
 
-def _make(job) -> BlockField:
-    if isinstance(job, BlockField):
-        return job.scaled(-1.0)
-    pb, hi, mirrored = job
-    blk = block_convolve(pb, hi)
-    return blk.conj_mirror() if mirrored else blk
-
-
 def remainder_cluster_stats(p, q, t_blocks=(), lowpass_shell: int = 2) -> tuple:
     """Streaming norms of R = (product of two real fields) - (given blocks).
 
@@ -480,21 +525,54 @@ def remainder_cluster_stats(p, q, t_blocks=(), lowpass_shell: int = 2) -> tuple:
     ``lowpass_shell`` low-pass of R and a dict of per-shell L^2 norms of
     the complementary part, in increasing shell order.  All polarizations
     must be parallel.
+
+    R must be real, so ``t_blocks`` must be closed under conjugate
+    mirroring, as ``bony_paraproducts`` returns them.  Then the power of R
+    is mirror-symmetric, and the measurement covers the Hermitian
+    half-plane of the module docstring: each distinct convolution is
+    computed once, one cluster of every mirror pair is measured, a
+    self-mirror cluster only on its half-plane, and every measured point
+    counts twice.  A cluster whose mirror cluster is missing raises
+    ``ValueError``.
     """
-    boxes, jobs = [], []  # bounding box and recipe of each contribution
-    for pb in _as_list(p):
-        for qb in _as_list(q):
-            for hi in (qb, qb.conj_mirror()):
-                box = _conv_box(pb, hi)
-                boxes += [box, (-box[1], -box[0], -box[3], -box[2])]
-                jobs += [(pb, hi, False), (pb, hi, True)]
+    products = [(pb, hi) for pb in _as_list(p) for qb in _as_list(q)
+                for hi in (qb, qb.conj_mirror())]
+    t_blocks = list(t_blocks)
+    n_jobs = 2 * len(products)  # job 2k pastes product k, job 2k + 1 its mirror
+    boxes = []
+    for pb, hi in products:
+        box = _conv_box(pb, hi)
+        boxes += [box, _mirror_box(box)]
     boxes += [_bbox(tb.origin, tb.shape) for tb in t_blocks]
-    jobs += list(t_blocks)
+
+    def pieces(idxs: set):
+        for i in sorted(idxs):
+            if i >= n_jobs:
+                yield t_blocks[i - n_jobs].scaled(-1.0), False
+        for k in sorted({i // 2 for i in idxs if i < n_jobs}):
+            blk = block_convolve(*products[k])
+            for mirrored in (False, True):
+                if 2 * k + mirrored in idxs:
+                    yield blk, mirrored
+            del blk
+
+    groups = _overlap_groups(boxes)
+    keys = [tuple(sorted(boxes[i] for i in idxs)) for idxs in groups]
+    where = {key: n for n, key in enumerate(keys)}
+    mirrors = [where.get(tuple(sorted(map(_mirror_box, key)))) for key in keys]
+    if None in mirrors:
+        raise ValueError("remainder blocks are not closed under conjugate mirroring")
 
     s_low_sq = 0.0
     comp_sq = Counter()
-    for idxs in _overlap_groups(boxes):
-        merged = _paste((_make(jobs[i]) for i in idxs), [boxes[i] for i in idxs])
+    for n, idxs in enumerate(groups):
+        if mirrors[n] < n:
+            continue  # measured as its mirror cluster
+        box = _union_box(keys[n])
+        half = mirrors[n] == n
+        if half:
+            box = (0,) + box[1:]  # rows m1 >= 0; row m1 = 0 counts m2 > 0 only
+        merged = _paste(pieces(set(idxs)), box)
         pol_sq = float(np.sum(np.abs(merged.pol) ** 2))
         (r0, c0), (n_rows, n_cols) = merged.origin, merged.shape
         cols = (c0 + np.arange(n_cols)).astype(float)
@@ -503,13 +581,16 @@ def remainder_cluster_stats(p, q, t_blocks=(), lowpass_shell: int = 2) -> tuple:
             rows = (r0 + np.arange(row0, min(row0 + chunk, n_rows))).astype(float)
             rr = np.hypot(rows[:, None], cols[None, :])
             keep = rr > 0.0
+            if half:
+                keep &= (rows[:, None] > 0.0) | (cols[None, :] > 0.0)
             power = np.abs(merged.values[row0 : row0 + len(rows)][keep]) ** 2 * pol_sq
             sums, low = _shell_sums(rr[keep], power, lowpass_shell)
             s_low_sq += low
             comp_sq.update(sums)
         del merged
-    s_low = math.sqrt(BOX_VOLUME_2D * s_low_sq)
-    comp = {qv: math.sqrt(BOX_VOLUME_2D * sq) for qv, sq in sorted(comp_sq.items())}
+    # each measured point stands for itself and its mirror
+    s_low = math.sqrt(2.0 * BOX_VOLUME_2D * s_low_sq)
+    comp = {qv: math.sqrt(2.0 * BOX_VOLUME_2D * sq) for qv, sq in sorted(comp_sq.items())}
     return s_low, comp
 
 

@@ -12,6 +12,7 @@ from nsmaxwell.dyadic import (
     norm_hst,
     phi_profile,
 )
+from nsmaxwell import latticeblocks
 from nsmaxwell.grid import Grid, lp_norm_physical, pointwise_product
 from nsmaxwell.latticeblocks import (
     BlockField,
@@ -220,3 +221,61 @@ def test_convolution_polarization_is_cross():
     c = block_convolve(a, b)
     assert c.origin == (1, 1)
     assert np.allclose(c.pol, [0.0, 0.0, 1.0])
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("q", range(2, 8))
+def test_remainder_cluster_stats_matches_one_canvas_reference(q, seed):
+    # the half-plane route against pasting the whole remainder and measuring
+    p_list, b_list = criticality_packets(q, np.random.default_rng(seed))
+    t_ab, t_ba = bony_paraproducts(p_list, b_list)
+    s_low, comp = remainder_cluster_stats(
+        p_list, b_list, t_blocks=t_ab + t_ba, lowpass_shell=2
+    )
+    rem = real_product_blocks(p_list, b_list) + [b.scaled(-1.0) for b in t_ab + t_ba]
+    s_low_ref = lowpass_l2(rem, 2)
+    comp_ref = shell_norms(lowpass_blocks(rem, 2, complement=True))
+    scale = max(comp_ref.values())
+    assert abs(s_low - s_low_ref) <= 1e-12 * scale
+    for s_q in set(comp) | set(comp_ref):
+        assert abs(comp.get(s_q, 0.0) - comp_ref.get(s_q, 0.0)) <= 1e-12 * scale, s_q
+
+
+def test_remainder_cluster_stats_rejects_unmirrored_block():
+    p_list, b_list = criticality_packets(4, np.random.default_rng(0))
+    lone = gaussian_packet((3, 5), 1, np.array([0.0, 1.0, 0.0]))
+    with pytest.raises(ValueError, match="conjugate mirroring"):
+        remainder_cluster_stats(p_list, b_list, t_blocks=[lone])
+    # the same block with its mirror is a real field and is accepted
+    remainder_cluster_stats(p_list, b_list, t_blocks=real_pair(lone))
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    original = getattr(latticeblocks, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(latticeblocks, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("q", [4, 5, 6])
+def test_remainder_cluster_stats_convolves_each_product_once(q, monkeypatch):
+    p_list, b_list = criticality_packets(q, np.random.default_rng(1))
+    t_ab, t_ba = bony_paraproducts(p_list, b_list)
+    calls = _counting(monkeypatch, "block_convolve")
+    remainder_cluster_stats(p_list, b_list, t_blocks=t_ab + t_ba)
+    assert len(calls) == 2 * len(p_list) * len(b_list) == 12
+
+
+@pytest.mark.parametrize("q, sizes", [(2, (20, 20)), (3, (24, 20)),
+                                      (4, (0, 0)), (5, (0, 0)), (6, (0, 0))])
+def test_bony_paraproducts_skips_empty_terms_unevaluated(q, sizes, monkeypatch):
+    p_list, b_list = criticality_packets(q, np.random.default_rng(3))
+    calls = _counting(monkeypatch, "radial_multiply")
+    t_ab, t_ba = bony_paraproducts(p_list, b_list)
+    assert (len(t_ab), len(t_ba)) == sizes
+    assert (len(calls) == 0) == (sizes == (0, 0))
