@@ -3,7 +3,8 @@
 
 Measures the unweighted and log-weighted ratio curves over dyadic shells
 (wave-packet extremal data; exact block convolutions, no grid), fits the
-growth exponent of the unweighted curve, and writes one CSV row per shell.
+growth exponent of the unweighted curve (over two or more shells), and
+writes one CSV row per shell.
 The wall time and the process's peak RSS of the sweep go to stderr.
 """
 
@@ -42,8 +43,11 @@ def main(argv=None) -> int:
             w.writerow([repr(x) for x in row])
             print("q=%2d  ratio_unw=%.4f  ratio_w=%.4f"
                   % (row[0], row[4], row[5]), file=sys.stderr)
-    exponent = fit_growth_exponent([r[0] for r in rows], [r[4] for r in rows])
-    print(f"unweighted growth exponent: {exponent:.3f}", file=sys.stderr)
+    try:
+        exponent = fit_growth_exponent([r[0] for r in rows], [r[4] for r in rows])
+        print(f"unweighted growth exponent: {exponent:.3f}", file=sys.stderr)
+    except ValueError:
+        print("unweighted growth exponent: not fitted (one shell)", file=sys.stderr)
     print(f"wrote {args.out}", file=sys.stderr)
     return 0
 

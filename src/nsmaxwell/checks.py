@@ -13,6 +13,7 @@ the convergence of the integrals.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import statistics
@@ -24,7 +25,7 @@ from .grid import (
     Grid,
     SpectralField,
     _dealiased_physical,
-    _dealiased_spectral,
+    _half_spectral,
     _sup_series,
     _time_chunks,
     gradient_component,
@@ -54,12 +55,14 @@ from .system import step_count
 from .ensembles import FieldEnsembleSpec, gen_ensemble, gen_field
 from .latticeblocks import (
     besov_norm as lattice_besov,
+    hst_from_shells,
     hst_norm as lattice_hst,
     l2_norm as lattice_l2,
     bony_paraproducts,
     criticality_packets,
     real_pair,
     remainder_cluster_stats,
+    shell_norms as lattice_shell_norms,
 )
 
 __all__ = [
@@ -270,8 +273,8 @@ def check_bernstein(spec: FieldEnsembleSpec, q: int, k_order: int = 1,
 
 def _selected_modes(part: DyadicPartition, *coeffs):
     """The modes with power in some of ``coeffs`` and weight in some shell:
-    a picker for them on (components, n, ..., n) arrays, their |k|^2, and
-    their ``shell_matrix`` rows (modes x shells)."""
+    a picker for them on (components, *spectral_shape) arrays, their |k|^2,
+    and their ``shell_matrix`` rows (modes x shells)."""
     power = sum(_mode_power(c.reshape(3, -1)) for c in coeffs)
     idx = np.flatnonzero((power > 0) & (part.partition_sum().ravel() > 0))
     return (lambda c: c.reshape(len(c), -1)[:, idx], part.grid.k_squared().ravel()[idx],
@@ -369,12 +372,15 @@ def concentrated_packet(grid: Grid, q: int, center_scale: float = 1.25,
     ks = grid.wavevectors()
     c = np.zeros(grid.d)
     c[0] = center_scale * 2.0**q
-    dist_sq = sum((ks[a] - c[a]) ** 2 for a in range(grid.d))
     sigma = rel_width * 2.0**q
-    coeffs = np.zeros((3,) + grid.shape, dtype=np.complex128)
-    coeffs[component] = np.exp(-dist_sq / (2.0 * sigma**2))
+
+    def bump(sign):  # the Gaussian g(sign k)
+        return np.exp(-sum((sign * ks[a] - c[a]) ** 2 for a in range(grid.d))
+                      / (2.0 * sigma**2))
+
+    coeffs = np.zeros((3,) + grid.spectral_shape, dtype=np.complex128)
+    coeffs[component] = 0.5 * (bump(1.0) + bump(-1.0))  # the real part of g
     f = SpectralField(grid, coeffs)
-    f.enforce_hermitian()
     f.zero_nyquist()
     f.dealias()
     return f
@@ -388,10 +394,10 @@ def check_l2linfty(u0: SpectralField, f1, f2, T: float, dt: float = 0.01,
     L^1_T H^{d/2-1} and tilde-L^2_T B^{d/2-2}_{2,1} respectively; the heat
     solve sees their sum.
 
-    The sup series comes from the closed-form solution on the half
-    spectrum (the fields are real), a chunk of times per ``_sup_series``.
-    Only the components that are nonzero in u0 or in some forcing are
-    transformed: the heat flow acts componentwise, so the others stay zero.
+    The sup series comes from the closed-form solution, a chunk of times
+    per ``_sup_series``.  Only the components that are nonzero in u0 or in
+    some forcing are transformed: the heat flow acts componentwise, so the
+    others stay zero.
     """
     grid = u0.grid
     d = grid.d
@@ -401,12 +407,11 @@ def check_l2linfty(u0: SpectralField, f1, f2, T: float, dt: float = 0.01,
     times = np.arange(0.0, T + dt / 2, dt)
     data = [u0] + [F for F, _ in forcings]
     comps = [c for c in range(3) if any(np.any(f.coeffs[c]) for f in data)] or [0]
-    h = grid.n // 2 + 1
-    ksq = grid.k_squared()[..., :h]
-    u0h = u0.coeffs[comps, ..., :h]
-    amps = [(F.coeffs[comps, ..., :h], lam) for F, lam in forcings]
+    ksq = grid.k_squared()
+    amps = [(F.coeffs[comps], lam) for F, lam in forcings]
     sup_series = np.concatenate([
-        _sup_series(_heat_forced(ksq, u0h, amps, t.reshape((-1,) + (1,) * (d + 1))), grid)
+        _sup_series(_heat_forced(ksq, u0.coeffs[comps], amps,
+                                 t.reshape((-1,) + (1,) * (d + 1))), grid)
         for t in _time_chunks(times, len(comps) * ksq.size)
     ])
     lhs = float(np.sqrt(np.trapezoid(sup_series**2, times)))
@@ -438,31 +443,35 @@ def fast_eigenmode_state(grid: Grid, rng: np.random.Generator,
     constants, not unconverged integrals.  Requires a box large enough to
     resolve |k| < 1/2.
     """
-    k1, k2, k3 = grid.wavevectors()
-    kmag = grid.k_magnitude()
-    E = np.zeros((3,) + grid.shape, dtype=np.complex128)
-    Bc = np.zeros_like(E)
-    sel = (kmag > 0) & (kmag < min(k_max, 0.499)) & ~grid.nyquist_mask()
-    idx = np.argwhere(sel)
-    if idx.size == 0:
+    # The selected modes of the whole lattice in FFT index order, which
+    # fixes the order of the random draws.
+    k_axis, k_cut = grid._axis_modes[0] * grid.k0, min(k_max, 0.499)
+    near = np.flatnonzero((np.abs(k_axis) < k_cut) & (np.arange(grid.n) != grid.n // 2))
+    idx = np.array(list(itertools.product(near, repeat=grid.d)), dtype=int)
+    kvec = np.zeros((len(idx), 3))
+    kvec[:, : grid.d] = k_axis[idx]
+    kmag = np.sqrt(kvec[:, 0] ** 2 + kvec[:, 1] ** 2 + kvec[:, 2] ** 2)
+    sel = (kmag > 0) & (kmag < k_cut)
+    if not np.any(sel):
         raise ValueError("box too small: no modes with |k| < 1/2")
-    khat = np.stack([k1, k2, k3]) / np.where(kmag > 0, kmag, 1.0)
-    for ind in idx:
-        ind = tuple(ind)
-        k = kmag[ind]
+    E = np.zeros((3,) + grid.spectral_shape, dtype=np.complex128)
+    Bc = np.zeros_like(E)
+    for ind, kv, k in zip(idx[sel], kvec[sel], kmag[sel]):
         lam = -0.5 - math.sqrt(0.25 - k * k)
-        kh = np.array([khat[c][ind] for c in range(3)])
+        kh = kv / k
         # Random transverse polarization (complex, orthogonal to k).
         p = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         p -= kh * np.dot(kh, p)
         amp = rng.standard_normal() + 1j * rng.standard_normal()
-        E[(slice(None),) + ind] = k * amp * p
         F = (1.0 + lam) * amp * p
-        Bc[(slice(None),) + ind] = 1j * np.cross(kh, F)
+        # The real part: half the amplitude at k, half its conjugate at -k.
+        for out, value in ((E, k * amp * p), (Bc, 1j * np.cross(kh, F))):
+            for at, c in ((ind, value), (-ind % grid.n, np.conj(value))):
+                if at[-1] <= grid.n // 2:
+                    out[(slice(None),) + tuple(at)] += 0.5 * c
     Ef = SpectralField(grid, E)
     Bf = SpectralField(grid, Bc)
     for f in (Ef, Bf):
-        f.enforce_hermitian()
         f.zero_nyquist()
         f.dealias()
     return Ef, leray_project(Bf)
@@ -483,7 +492,7 @@ def _free_maxwell_rows(E0: SpectralField, B0: SpectralField,
     rows_E, rows_B = [_block_l2(E0, part)[None]], [_block_l2(B0, part)[None]]
     for t in _time_chunks(times[1:], 3 * ksq.size):
         a11, a12, a22 = _maxwell_coefficients(ksq, t[:, None])
-        E_t, B_t = _maxwell_modes(khat, E, B, a11, a12, a22, np.exp(-t)[:, None])
+        E_t, B_t = _maxwell_modes(khat, E, B, a11, 1j * a12, a22, np.exp(-t)[:, None])
         rows_E.append(_shell_l2(_mode_power(E_t), w2))
         rows_B.append(_shell_l2(_mode_power(B_t), w2))
     return np.vstack(rows_E), np.vstack(rows_B)
@@ -582,15 +591,16 @@ def _tensor_gradient_power(u: SpectralField, v: SpectralField) -> np.ndarray:
     """Sum over i,j,l of |FT[d_l(u_i v_j)]|^2 per mode (dealiased)."""
     grid = u.grid
     up, vp = _dealiased_physical(u), _dealiased_physical(v)
-    power = np.zeros(grid.shape)
+    power = np.zeros(grid.spectral_shape)
     for i in range(3):
-        c = _dealiased_spectral(grid, up[i] * vp).coeffs
+        c = _half_spectral(grid, up[i] * vp)
         power += np.sum(np.abs(c) ** 2, axis=0)
     return grid.k_squared() * power
 
 
 def _power_l2(power: np.ndarray, grid: Grid) -> float:
-    return math.sqrt(grid.box_length**grid.d * float(np.sum(power)))
+    """L^2 norm from the per-mode power, by Parseval."""
+    return math.sqrt(float(np.sum(grid._parseval_weight * power)))
 
 
 def _intersection(*norms) -> float:
@@ -740,21 +750,25 @@ def log_criticality_experiment(q_values, seed: int | None = 0,
         )
         a_blocks = [blk for pb in p_list for blk in real_pair(pb)]
         b_blocks = [blk for qb in b_list for blk in real_pair(qb)]
-        b_h10 = lattice_hst(b_blocks, 1.0, 0.0, 0.0)
+        b_shells = lattice_shell_norms(b_blocks)
+        b_h10 = hst_from_shells(b_shells, 1.0, 0.0, 0.0)
         rhs_unw = envf2 * lattice_l2(a_blocks) * (
             lattice_l2(b_blocks) + envf2 * b_h10
         )
         rhs_w = (
             envf2
             * lattice_hst(a_blocks, 0.0, 0.0, 1.0)
-            * (lattice_hst(b_blocks, 0.0, 0.0, 1.0) + envf2 * b_h10)
+            * (hst_from_shells(b_shells, 0.0, 0.0, 1.0) + envf2 * b_h10)
         )
         rows.append((q, lhs, rhs_unw, rhs_w, lhs / rhs_unw, lhs / rhs_w))
     return rows
 
 
 def fit_growth_exponent(q_values, ratios) -> float:
-    """Slope of log(ratio) against log(q): > 0 means superconstant growth."""
+    """Slope of log(ratio) against log(q): > 0 means superconstant growth.
+    Raises ValueError on fewer than two distinct q, which fix no slope."""
     x = np.log(np.asarray(q_values, dtype=float))
+    if np.unique(x).size < 2:
+        raise ValueError("a growth exponent needs at least two distinct shells")
     y = np.log(np.asarray(ratios, dtype=float))
     return float(np.polyfit(x, y, 1)[0])

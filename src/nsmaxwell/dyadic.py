@@ -5,6 +5,10 @@ The partition is built from a smooth radial bump phi supported in
 k = (2 pi / L) m, so that |k| = 1 separates "low" (q <= 0) from "high"
 (q > 0) shells.  Boundary shells absorb the truncated telescoping tails so
 that the partition of unity is exact on every resolved nonzero mode.
+The weights live on the grid's stored modes, the half spectrum (see
+``grid``); ``DyadicPartition.shell_matrix`` carries the Parseval weight of
+each mode, so every shell norm read from the half spectrum is the norm of
+the real field.
 """
 
 from __future__ import annotations
@@ -104,10 +108,11 @@ class DyadicPartition:
         return np.sum(self.stack, axis=0)
 
     def shell_matrix(self, modes=slice(None)) -> np.ndarray:
-        """Box volume times w_q^2 on the flat ``modes``, (modes x shells).
-        Built per call: a cached copy would double the partition's memory."""
+        """w_q^2 times ``Grid._parseval_weight`` on the flat ``modes``,
+        (modes x shells).  Built per call: a cached copy would double the
+        partition's memory."""
         w2 = self.stack.reshape(len(self.stack), -1)[:, modes].T ** 2
-        w2 *= self.grid.box_length**self.grid.d
+        w2 *= self.grid._parseval_weight.reshape(-1, 1)[modes]
         return w2
 
 
@@ -126,7 +131,7 @@ def build_partition(grid: Grid) -> DyadicPartition:
     if q_max < q_min + 1:
         raise ValueError("grid too small to host two disjoint dyadic shells")
 
-    stack = np.empty((q_max - q_min + 1,) + grid.shape)
+    stack = np.empty((q_max - q_min + 1,) + grid.spectral_shape)
     for i, q in enumerate(range(q_min, q_max + 1)):
         if q == q_min:
             w = chi_profile(kmag / 2.0**(q + 1))
@@ -265,16 +270,6 @@ def _weighted_l2(rows: np.ndarray, q_values, spec: NormSpec):
     return np.sqrt(rows**2 @ spec.shell_weight_sq(q_values))
 
 
-def _half_shell_matrix(part: DyadicPartition) -> np.ndarray:
-    """``shell_matrix`` rows on the half-spectrum modes m_d = 0 .. n/2, each
-    row times the column's ``grid._half_count``: the weights that give a
-    Hermitian field's shell norms from its half spectrum."""
-    grid = part.grid
-    modes = np.arange(grid.n**grid.d).reshape(grid.shape)[..., : grid.n // 2 + 1]
-    count = np.broadcast_to(grid._half_count, modes.shape).reshape(-1, 1)
-    return part.shell_matrix(modes.ravel()) * count
-
-
 def _block_l2(u: SpectralField, part: DyadicPartition) -> np.ndarray:
     """Array of ||Delta_q u||_{L^2} over the shell range."""
     return _shell_l2(_mode_power(u.coeffs.reshape(3, -1)), part.shell_matrix())
@@ -332,10 +327,9 @@ def shell_series(fields, times, part: DyadicPartition, with_linf: bool = False) 
     """Reduce samples of a real field to per-shell norm time series.
 
     ``fields`` is a sequence of SpectralFields or an array of stacked
-    half-spectrum amplitudes (times, 3, *shape[:-1], n/2+1).  Either way the
-    reduction reads the half spectrum: per chunk of times one product with
-    ``_half_shell_matrix`` and, with ``with_linf``, one
-    ``grid._sup_series``.  The fields are taken as real (Hermitian)."""
+    amplitudes (times, 3, *spectral_shape).  Per chunk of times the
+    reduction is one product with ``shell_matrix`` and, with ``with_linf``,
+    one ``grid._sup_series``."""
     times = np.asarray(times, dtype=float)
     if len(fields) != len(times) or len(times) < 2:
         raise ValueError("need >= 2 samples with matching times")
@@ -343,12 +337,11 @@ def shell_series(fields, times, part: DyadicPartition, with_linf: bool = False) 
     if not np.allclose(steps, steps[0], rtol=1e-10, atol=1e-14):
         raise ValueError("time grid must be uniform")
     grid = part.grid
-    h = grid.n // 2 + 1
     rows, linf = [], []
-    weights = _half_shell_matrix(part)
+    weights = part.shell_matrix()
     for chunk in _time_chunks(fields, 3 * grid.n**grid.d):
         if not isinstance(chunk, np.ndarray):
-            chunk = np.stack([f.coeffs[..., :h] for f in chunk])
+            chunk = np.stack([f.coeffs for f in chunk])
         rows.append(_shell_l2(_mode_power(chunk.reshape(len(chunk), 3, -1)), weights))
         if with_linf:
             linf.append(_sup_series(chunk, grid))

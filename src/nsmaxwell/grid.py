@@ -1,21 +1,19 @@
 """Periodic spectral grid and R^3-valued Fourier fields in d = 2 or 3.
 
-Fields are stored as complex Fourier amplitudes ``c[comp, m1, ..., md]`` in
-numpy FFT layout, with the convention ``u(x) = sum_k c(k) exp(i k.x)`` and
-wavevectors ``k = (2 pi / L) m``.  All fields are R^3-valued regardless of
-the spatial dimension; in d=2 the derivative convention is
-``grad = (d1, d2, 0)`` and ``curl F = (d2 F3, -d1 F3, d1 F2 - d2 F1)``.
+Fields are real and are stored as the complex Fourier amplitudes of the
+half spectrum ``c[comp, m1, ..., md]``, m_d = 0 .. n/2, of the real
+transforms ``scipy.fft.rfftn`` / ``irfftn``, the other axes in numpy FFT
+order, with ``u(x) = sum_k c(k) exp(i k.x)`` and ``k = (2 pi / L) m``.  The
+columns m_d < 0 are the mirrors c(-k) = conj(c(k)) and are not stored, so
+Parseval counts each column ``Grid._half_count`` times
+(``Grid._parseval_weight``); only the columns m_d = 0 and n/2 (the Nyquist
+mode, stored as -n/2 like the other axes' Nyquist rows) hold both a mode
+and its mirror.  Only the snapshot file keeps the full n-column layout.
 
-The dealiased products run real-to-complex: the inverse transform reads
-only the half spectrum ``m_d = 0 .. n/2`` (``scipy.fft.irfftn``), and the
-forward transform (``scipy.fft.rfftn``) fills the other half from the
-Hermitian symmetry ``c(-k) = conj(c(k))``, so ``coeffs`` keeps the full
-layout.  The per-mode factors are even or odd in k, so the per-mode
-operators (``leray_project`` here, the propagators) act on either layout:
-they read the first ``m = coeffs.shape[-1]`` columns of their factors, and
-on the half spectrum ``coeffs[..., :n/2+1]`` they give the leading columns
-of the full-layout result.  A grid builds its wavevectors and masks once;
-the arrays it hands out are read-only.
+All fields are R^3-valued regardless of the spatial dimension; in d=2 the
+derivative convention is ``grad = (d1, d2, 0)`` and
+``curl F = (d2 F3, -d1 F3, d1 F2 - d2 F1)``.  A grid builds its
+wavevectors and masks once; the arrays it hands out are read-only.
 """
 
 from __future__ import annotations
@@ -61,7 +59,14 @@ class Grid:
 
     @property
     def shape(self) -> tuple:
+        """Shape of the physical values of one component."""
         return (self.n,) * self.d
+
+    @property
+    def spectral_shape(self) -> tuple:
+        """Shape of the stored amplitudes of one component: the half
+        spectrum (n, ..., n, n/2+1)."""
+        return (self.n,) * (self.d - 1) + (self.n // 2 + 1,)
 
     @property
     def spatial_axes(self) -> tuple:
@@ -73,7 +78,7 @@ class Grid:
         return 2.0 * np.pi / self.box_length
 
     def wavevectors(self) -> list:
-        """Per-axis wavevector arrays k_i broadcast over the grid shape.
+        """Per-axis wavevector arrays k_i broadcast over the stored modes.
 
         Returns three arrays; in d=2 the third is identically zero
         (the 2D convention grad = (d1, d2, 0)).
@@ -97,12 +102,18 @@ class Grid:
     # Geometry, built on first use and then shared by every caller.
 
     @cached_property
+    def _axis_modes(self) -> tuple:
+        """The integer modes m of each axis in storage order."""
+        m = np.fft.fftfreq(self.n, d=1.0 / self.n)
+        return (m,) * (self.d - 1) + (m[: self.n // 2 + 1],)
+
+    @cached_property
     def _wavevectors(self) -> tuple:
-        # Broadcast views of the 1-D mode array: full shape, no storage.
-        m = np.fft.fftfreq(self.n, d=1.0 / self.n) * self.k0
-        ks = list(np.meshgrid(*([m] * self.d), indexing="ij", copy=False))
+        # Broadcast views of the 1-D mode arrays: no storage.
+        ks = list(np.meshgrid(*(m * self.k0 for m in self._axis_modes),
+                              indexing="ij", copy=False))
         if self.d == 2:
-            ks.append(np.broadcast_to(0.0, self.shape))
+            ks.append(np.broadcast_to(0.0, self.spectral_shape))
         return tuple(_read_only(k) for k in ks)
 
     @cached_property
@@ -120,58 +131,48 @@ class Grid:
         kmag = np.where(self._k_magnitude == 0, 1.0, self._k_magnitude)
         return _read_only(np.stack(self._wavevectors[: self.d]) / kmag)
 
-    def _axis_mask(self, bad: np.ndarray) -> np.ndarray:
+    def _axis_mask(self, bad) -> np.ndarray:
         """True where the per-axis mode predicate ``bad`` holds on any axis."""
-        mask = np.zeros(self.shape, dtype=bool)
-        for ax in range(self.d):
+        mask = np.zeros(self.spectral_shape, dtype=bool)
+        for ax, m in enumerate(self._axis_modes):
             shape = [1] * self.d
-            shape[ax] = self.n
-            mask |= bad.reshape(shape)
+            shape[ax] = len(m)
+            mask |= bad(m).reshape(shape)
         return _read_only(mask)
 
     @cached_property
     def _nyquist_mask(self) -> np.ndarray:
-        m = np.fft.fftfreq(self.n, d=1.0 / self.n)
-        return self._axis_mask(m == -self.n // 2)
+        return self._axis_mask(lambda m: m == -self.n // 2)
 
     @cached_property
     def _dealias_mask(self) -> np.ndarray:
-        m = np.fft.fftfreq(self.n, d=1.0 / self.n)
-        return self._axis_mask(np.abs(m) > self.n / 3.0)
-
-    # The half spectrum m_d = 0 .. n/2 of the real transforms.  Its column
-    # n/2 is m_d = +n/2, which the 2/3 rule kills like the full layout's -n/2.
+        return self._axis_mask(lambda m: np.abs(m) > self.n / 3.0)
 
     @cached_property
     def _half_keep(self) -> np.ndarray:
-        """1.0 on the half-spectrum modes the 2/3 rule keeps, else 0.0."""
-        return _read_only((~self._dealias_mask[..., : self.n // 2 + 1]).astype(np.float64))
+        """1.0 on the modes the 2/3 rule keeps, else 0.0."""
+        return _read_only((~self._dealias_mask).astype(np.float64))
 
     @cached_property
     def _half_ik(self) -> tuple:
-        """i k_axis times the 2/3 truncation, per axis, on the half spectrum."""
-        return tuple(
-            _read_only(1j * k[..., : self.n // 2 + 1] * self._half_keep)
-            for k in self._wavevectors
-        )
+        """i k_axis times the 2/3 truncation, per axis."""
+        return tuple(_read_only(1j * k * self._half_keep) for k in self._wavevectors)
 
     @cached_property
     def _half_count(self) -> np.ndarray:
-        """How often each half-spectrum column m_d = 0 .. n/2 stands for a
-        full-layout column: twice (itself and its conjugate twin m_d < 0)
+        """How often each column m_d = 0 .. n/2 stands for a mode of the
+        whole lattice: twice (itself and its conjugate mirror m_d < 0)
         for 0 < m_d < n/2, once for m_d = 0 and n/2."""
         count = np.full(self.n // 2 + 1, 2.0)
         count[[0, -1]] = 1.0
         return _read_only(count)
 
     @cached_property
-    def _mirror_index(self) -> tuple:
-        """Index of the half spectrum that yields c(-k) on the full layout's
-        columns m_d = -n/2+1 .. -1: every other axis reflected, m -> -m."""
-        neg = (-np.arange(self.n)) % self.n
-        h = self.n // 2 + 1
-        return ((Ellipsis,) + np.ix_(*([neg] * (self.d - 1)))
-                + (slice(h - 2, 0, -1),))
+    def _parseval_weight(self) -> np.ndarray:
+        """Box volume times ``_half_count`` on every stored mode: the sum of
+        weight |c|^2 is the squared L^2 norm of the real field."""
+        weight = self.box_length**self.d * self._half_count
+        return _read_only(np.broadcast_to(weight, self.spectral_shape).copy())
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -179,22 +180,19 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _conjugate_reflect(coeffs: np.ndarray, d: int) -> np.ndarray:
-    """conj(c(-k)) with FFT index layout, componentwise."""
-    out = coeffs
-    for ax in range(1, d + 1):
-        out = np.roll(np.flip(out, axis=ax), 1, axis=ax)
-    return np.conj(out)
+def _reflection(grid: Grid, axes: int) -> tuple:
+    """Index of (components, spatial...) arrays that reflects the first
+    ``axes`` spatial axes, m -> -m, and keeps the rest."""
+    neg = (-np.arange(grid.n)) % grid.n
+    return (slice(None),) + np.ix_(*([neg] * axes))
 
 
 @dataclass
 class SpectralField:
-    """R^3-valued field as complex Fourier amplitudes on a Grid.
+    """R^3-valued real field as complex Fourier amplitudes on a Grid.
 
-    ``coeffs`` has shape (3, n, ..., n).  Real fields satisfy the Hermitian
-    symmetry c(-k) = conj(c(k)); Nyquist rows are kept identically zero.
-    The per-mode operators also take the half spectrum (3, n, ..., n/2+1)
-    (module docstring).
+    ``coeffs`` has shape (3, *grid.spectral_shape), the half spectrum of the
+    module docstring.  Nyquist rows are kept identically zero.
     """
 
     grid: Grid
@@ -202,7 +200,7 @@ class SpectralField:
 
     @classmethod
     def zeros(cls, grid: Grid) -> "SpectralField":
-        return cls(grid, np.zeros((3,) + grid.shape, dtype=np.complex128))
+        return cls(grid, np.zeros((3,) + grid.spectral_shape, dtype=np.complex128))
 
     @classmethod
     def from_physical(cls, grid: Grid, values: np.ndarray) -> "SpectralField":
@@ -210,8 +208,7 @@ class SpectralField:
         values = np.asarray(values, dtype=np.float64)
         if values.shape != (3,) + grid.shape:
             raise ValueError(f"expected shape {(3,) + grid.shape}, got {values.shape}")
-        c = np.fft.fftn(values, axes=grid.spatial_axes) / grid.n**grid.d
-        f = cls(grid, c)
+        f = cls(grid, scipy.fft.rfftn(values, axes=grid.spatial_axes, norm="forward"))
         f.zero_nyquist()
         return f
 
@@ -219,14 +216,8 @@ class SpectralField:
         return SpectralField(self.grid, self.coeffs.copy())
 
     def to_physical(self) -> np.ndarray:
-        """Inverse transform; returns the real part (imaginary part is
-        roundoff for Hermitian-symmetric coefficients)."""
-        u = np.fft.ifftn(self.coeffs, axes=self.grid.spatial_axes) * self.grid.n**self.grid.d
-        return u.real
-
-    def physical_imag_max(self) -> float:
-        u = np.fft.ifftn(self.coeffs, axes=self.grid.spatial_axes) * self.grid.n**self.grid.d
-        return float(np.max(np.abs(u.imag)))
+        """Inverse transform: the real values, shape (3, n, ..., n)."""
+        return _half_physical(self.grid, self.coeffs)
 
     def zero_nyquist(self) -> None:
         self.coeffs[:, self.grid.nyquist_mask()] = 0.0
@@ -234,13 +225,20 @@ class SpectralField:
     def dealias(self) -> None:
         self.coeffs[:, self.grid.dealias_mask()] = 0.0
 
+    def _planes(self) -> tuple:
+        """The self-mirrored columns m_d = 0 and n/2 and their mirrors c(-k)."""
+        planes = self.coeffs[..., [0, self.grid.n // 2]]
+        return planes, planes[_reflection(self.grid, self.grid.d - 1)]
+
     def enforce_hermitian(self) -> None:
-        self.coeffs = 0.5 * (self.coeffs + _conjugate_reflect(self.coeffs, self.grid.d))
+        """c(k) -> (c(k) + conj c(-k)) / 2 on the columns m_d = 0 and n/2,
+        the only ones that hold both a mode and its mirror."""
+        planes, mirror = self._planes()
+        self.coeffs[..., [0, self.grid.n // 2]] = 0.5 * (planes + np.conj(mirror))
 
     def hermitian_defect(self) -> float:
-        return float(
-            np.max(np.abs(self.coeffs - _conjugate_reflect(self.coeffs, self.grid.d)))
-        )
+        planes, mirror = self._planes()
+        return float(np.max(np.abs(planes - np.conj(mirror))))
 
     def mean(self) -> np.ndarray:
         """The k=0 amplitude triple (spatial mean of the field)."""
@@ -282,7 +280,7 @@ def divergence(f: SpectralField) -> SpectralField:
     """Divergence; the scalar result is stored in component 0."""
     ks = f.grid.wavevectors()
     d = f.grid.d
-    div = np.zeros(f.grid.shape, dtype=np.complex128)
+    div = np.zeros(f.grid.spectral_shape, dtype=np.complex128)
     for i in range(d):
         div += 1j * ks[i] * f.coeffs[i]
     out = np.zeros_like(f.coeffs)
@@ -311,13 +309,12 @@ def leray_project(f: SpectralField) -> SpectralField:
 
     In d=2 the wavevector has k3=0, so only the first two components
     participate and the third passes through, matching the 2D divergence
-    convention.  ``f.coeffs`` is (..., 3, *modes) on either layout (see the
-    module docstring), leading axes (a batch of states) allowed.
+    convention.  ``f.coeffs`` is (..., 3, *spectral_shape), leading axes (a
+    batch of states) allowed.
     """
     grid = f.grid
-    cols = (Ellipsis, slice(f.coeffs.shape[-1]))
-    ks = [k[cols] for k in grid.wavevectors()[: grid.d]]
-    ksq = grid.k_squared()[cols]
+    ks = grid.wavevectors()[: grid.d]
+    ksq = grid.k_squared()
     c = np.moveaxis(f.coeffs, -grid.d - 1, 0)
     kdotc = sum(k * cj for k, cj in zip(ks, c))
     factor = kdotc / np.where(ksq == 0, 1.0, ksq)
@@ -336,43 +333,32 @@ def _phys_cross(a: np.ndarray, b: np.ndarray, axis: int = 0) -> np.ndarray:
 
 
 def _half_physical(grid: Grid, half: np.ndarray) -> np.ndarray:
-    """Real values of half-spectrum amplitudes (..., m_d = 0 .. n/2): one
-    ``irfftn`` over the last d axes, leading axes (components, times) kept.
-    A field that is not Hermitian is taken as the real field its half
-    spectrum defines."""
+    """Real values of amplitudes (..., *spectral_shape): one ``irfftn`` over
+    the last d axes, leading axes (components, times) kept.  Amplitudes
+    whose columns m_d = 0, n/2 are not Hermitian are taken as the real
+    field the transform makes of them."""
     return scipy.fft.irfftn(half, s=grid.shape, axes=tuple(range(-grid.d, 0)),
                             norm="forward")
 
 
 def _half_spectral(grid: Grid, values: np.ndarray) -> np.ndarray:
-    """Half-spectrum amplitudes of real values (..., *shape), truncated by
-    the 2/3 rule: one ``rfftn`` over the last d axes."""
+    """Amplitudes of real values (..., *shape), truncated by the 2/3 rule:
+    one ``rfftn`` over the last d axes."""
     half = scipy.fft.rfftn(values, axes=tuple(range(-grid.d, 0)), norm="forward")
     half *= grid._half_keep
     return half
 
 
-def _hermitian_fill(grid: Grid, half: np.ndarray) -> np.ndarray:
-    """The full ``coeffs`` layout of half-spectrum amplitudes: the columns
-    m_d < 0 are filled with conj(c(-k)), so the result is Hermitian."""
-    h = grid.n // 2 + 1
-    coeffs = np.empty(half.shape[:-1] + (grid.n,), dtype=np.complex128)
-    coeffs[..., :h] = half
-    np.conjugate(half[grid._mirror_index], out=coeffs[..., h:])
-    return coeffs
-
-
 def _dealiased_physical(f: SpectralField, axis: int | None = None) -> np.ndarray:
-    """The 2/3-truncated field, or its derivative d_axis, in physical space,
-    from the half spectrum only (``_half_physical``)."""
+    """The 2/3-truncated field, or its derivative d_axis, in physical space."""
     grid = f.grid
     factor = grid._half_keep if axis is None else grid._half_ik[axis]
-    return _half_physical(grid, f.coeffs[..., : grid.n // 2 + 1] * factor)
+    return _half_physical(grid, f.coeffs * factor)
 
 
 def _sup_series(half: np.ndarray, grid: Grid) -> np.ndarray:
-    """sup_x |u(t, x)| per time, one ``irfftn`` of half-spectrum amplitudes
-    (times x components x ..., m_d = 0 .. n/2), taken as real fields."""
+    """sup_x |u(t, x)| per time, one ``irfftn`` of amplitudes
+    (times, components, *spectral_shape)."""
     u = _half_physical(grid, half)
     return np.sqrt(np.max(np.sum(u**2, axis=1), axis=tuple(range(1, grid.d + 1))))
 
@@ -386,12 +372,6 @@ def _time_chunks(samples, per_time: int) -> list:
     """Consecutive slices of ``samples`` of about _CHUNK_ELEMENTS / per_time."""
     step = max(1, _CHUNK_ELEMENTS // max(per_time, 1))
     return [samples[i:i + step] for i in range(0, len(samples), step)]
-
-
-def _dealiased_spectral(grid: Grid, values: np.ndarray) -> SpectralField:
-    """Forward transform of real values, shape (3, n, ..., n), truncated by
-    the 2/3 rule, on the full ``coeffs`` layout (Hermitian by construction)."""
-    return SpectralField(grid, _hermitian_fill(grid, _half_spectral(grid, values)))
 
 
 def pointwise_product(a: SpectralField, b: SpectralField, combiner: str = "scalar") -> SpectralField:
@@ -418,18 +398,19 @@ def pointwise_product(a: SpectralField, b: SpectralField, combiner: str = "scala
             prod += aphys[i] * _dealiased_physical(b, i)
     else:
         raise ValueError(f"unknown combiner {combiner!r}")
-    return _dealiased_spectral(grid, prod)
+    return SpectralField(grid, _half_spectral(grid, prod))
 
 
 def lp_norm_physical(f: SpectralField, p) -> float:
     """L^p norm over the box, p in {2, inf}.
 
-    p=2 via Parseval on coefficients; p=inf via inverse transform and the
-    max of the pointwise Euclidean norm of the R^3 value.
+    p=2 via Parseval on coefficients (``Grid._parseval_weight``); p=inf via
+    inverse transform and the max of the pointwise Euclidean norm of the R^3
+    value.
     """
     if p == 2:
-        vol = f.grid.box_length**f.grid.d
-        return float(np.sqrt(vol * np.sum(np.abs(f.coeffs) ** 2)))
+        c = f.coeffs
+        return float(np.sqrt(np.sum(f.grid._parseval_weight * (c.real**2 + c.imag**2))))
     if p == np.inf or p == "inf":
         u = f.to_physical()
         return float(np.max(np.sqrt(np.sum(u**2, axis=0))))

@@ -49,6 +49,7 @@ __all__ = [
     "shell_norms",
     "l2_norm",
     "hst_norm",
+    "hst_from_shells",
     "besov_norm",
     "lowpass_l2",
     "remainder_cluster_stats",
@@ -393,8 +394,13 @@ def l2_norm(blocks: list) -> float:
 
 
 def hst_norm(blocks: list, s: float, t: float, alpha: float = 0.0) -> float:
+    return hst_from_shells(shell_norms(blocks), s, t, alpha)
+
+
+def hst_from_shells(norms: dict, s: float, t: float, alpha: float = 0.0) -> float:
+    """``hst_norm`` from a field's ``shell_norms``, measured once."""
     total = 0.0
-    for q, bq in shell_norms(blocks).items():
+    for q, bq in norms.items():
         if q <= 0:
             total += 4.0 ** (q * s) * bq**2
         else:
@@ -596,10 +602,11 @@ def remainder_cluster_stats(p, q, t_blocks=(), lowpass_shell: int = 2) -> tuple:
 
 def blocks_to_grid_field(blocks: list, grid):
     """Paste real-field blocks onto a periodic FFT grid (for small shells,
-    to cross-check the lattice route against the grid route)."""
+    to cross-check the lattice route against the grid route); only the
+    stored modes m2 >= 0 of their real field are pasted."""
     from .grid import SpectralField
 
-    coeffs = np.zeros((3,) + grid.shape, dtype=np.complex128)
+    coeffs = np.zeros((3,) + grid.spectral_shape, dtype=np.complex128)
     half = grid.n // 2
     for b in blocks:
         for i in range(b.shape[0]):
@@ -610,7 +617,8 @@ def blocks_to_grid_field(blocks: list, grid):
                 m2 = b.origin[1] + j
                 if not (-half < m2 <= half):
                     raise ValueError("block mode outside grid range")
-                coeffs[:, m1 % grid.n, m2 % grid.n] += b.values[i, j] * b.pol
+                if m2 >= 0:
+                    coeffs[:, m1 % grid.n, m2] += b.values[i, j] * b.pol
     f = SpectralField(grid, coeffs)
     f.zero_nyquist()
     return f

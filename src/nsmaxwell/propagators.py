@@ -12,11 +12,12 @@ wavevectors khat each grid caches, with the 2x2 entries a11, a12, a22 and the
 factor e_par of the longitudinal part of E; no field is split into parts:
     E_t = a11 E + (e_par - a11) khat (khat.E) + a12 i khat x B,
     B_t = a22 (B - khat (khat.B)) - a12 i khat x E.
-It serves ``PropagatorTable``, ``maxwell_apply``, ``maxwell_apply_undamped``
-and the closed-form decay checker, whose factors carry a time axis.
+It takes the imaginary coupling i a12, which ``PropagatorTable`` builds once
+and ``maxwell_apply``, ``maxwell_apply_undamped`` and the closed-form decay
+checker (whose factors carry a time axis) form per call.
 
-The field-level operators take either coefficient layout (see ``grid``):
-they read the first ``coeffs.shape[-1]`` columns of their factors.
+Every factor lives on the grid's stored modes, the half spectrum (see
+``grid``), so it multiplies the amplitudes column for column.
 """
 
 from __future__ import annotations
@@ -140,11 +141,12 @@ def _maxwell_coefficients(ksq: np.ndarray, t):
 
 
 def _maxwell_modes(khat: np.ndarray, E: np.ndarray, B: np.ndarray,
-                   a11, a12, a22, e_par):
+                   a11, i_a12, a22, e_par):
     """The fused Maxwell pass of the module docstring on amplitudes E, B
-    (3, *modes) with unit wavevectors khat (d, *modes).  The factors
-    broadcast against ``modes``; a leading (time) axis of theirs goes before
-    the component axis of the result.  At khat = 0: E_t = a11 E, B_t = a22 B."""
+    (3, *modes) with unit wavevectors khat (d, *modes) and the imaginary
+    coupling ``i_a12`` = 1j * a12.  The factors broadcast against ``modes``;
+    a leading (time) axis of theirs goes before the component axis of the
+    result.  At khat = 0: E_t = a11 E, B_t = a22 B."""
     if len(khat) == 2:  # d = 2: khat_3 = 0
         h1, h2 = khat
         kE = h1 * E[0] + h2 * E[1]
@@ -159,7 +161,6 @@ def _maxwell_modes(khat: np.ndarray, E: np.ndarray, B: np.ndarray,
         xB = (h2 * B[2] - h3 * B[1], h3 * B[0] - h1 * B[2], h1 * B[1] - h2 * B[0])
     par_E = (e_par - a11) * kE
     par_B = a22 * kB
-    i_a12 = 1j * a12
     shape = np.broadcast_shapes(np.shape(a11), np.shape(e_par), E.shape[1:])
     lead = len(shape) - (khat.ndim - 1)
     E_t = np.empty(shape[:lead] + (3,) + shape[lead:], dtype=np.complex128)
@@ -175,14 +176,12 @@ def _maxwell_modes(khat: np.ndarray, E: np.ndarray, B: np.ndarray,
     return E_t, B_t
 
 
-def _maxwell_group(E: SpectralField, B: SpectralField, a11, a12, a22, e_par):
-    """``_maxwell_modes`` on fields over their grid, either layout; at k = 0
-    the decoupled ODEs E0' = -E0, B0' = 0 scale E by ``e_par`` and leave B
-    unchanged."""
+def _maxwell_group(E: SpectralField, B: SpectralField, a11, i_a12, a22, e_par):
+    """``_maxwell_modes`` on fields over their grid; at k = 0 the decoupled
+    ODEs E0' = -E0, B0' = 0 scale E by ``e_par`` and leave B unchanged."""
     grid = E.grid
-    cols = (Ellipsis, slice(E.coeffs.shape[-1]))
-    E_t, B_t = _maxwell_modes(grid._unit_wavevectors[cols], E.coeffs, B.coeffs,
-                              a11[cols], a12[cols], a22[cols], e_par)
+    E_t, B_t = _maxwell_modes(grid._unit_wavevectors, E.coeffs, B.coeffs,
+                              a11, i_a12, a22, e_par)
     origin = (slice(None),) + (0,) * grid.d
     E_t[origin] = e_par * E.coeffs[origin]
     B_t[origin] = B.coeffs[origin]
@@ -199,7 +198,7 @@ def maxwell_apply(E: SpectralField, B: SpectralField, t: float):
     if t < 0:
         raise ValueError("time must be nonnegative")
     a11, a12, a22 = _maxwell_coefficients(E.grid.k_squared(), t)
-    return _maxwell_group(E, leray_project(B), a11, a12, a22, np.exp(-t))
+    return _maxwell_group(E, leray_project(B), a11, 1j * a12, a22, np.exp(-t))
 
 
 def maxwell_wave_route(E0: SpectralField, B0: SpectralField, t: float) -> SpectralField:
@@ -224,19 +223,19 @@ def maxwell_apply_undamped(E: SpectralField, B: SpectralField, t: float):
         raise ValueError("time must be nonnegative")
     kmag = E.grid.k_magnitude()
     c, s = np.cos(kmag * t), np.sin(kmag * t)
-    return _maxwell_group(E, leray_project(B), c, s, c, 1.0)
+    return _maxwell_group(E, leray_project(B), c, 1j * s, c, 1.0)
 
 
 @dataclass
 class PropagatorTable:
     """Per-mode propagator factors at a fixed step dt, immutable once built;
-    the applies take either coefficient layout (module docstring)."""
+    ``i_a12`` is the imaginary coupling 1j * a12 of ``_maxwell_modes``."""
 
     grid: Grid
     dt: float
     heat: np.ndarray
     a11: np.ndarray
-    a12: np.ndarray
+    i_a12: np.ndarray
     a22: np.ndarray
     e_damp: float
 
@@ -251,16 +250,16 @@ class PropagatorTable:
             dt=dt,
             heat=np.exp(-dt * ksq),
             a11=a11,
-            a12=a12,
+            i_a12=1j * a12,
             a22=a22,
             e_damp=float(np.exp(-dt)),
         )
 
     def apply_heat(self, v: SpectralField) -> SpectralField:
-        return SpectralField(self.grid, v.coeffs * self.heat[..., : v.coeffs.shape[-1]])
+        return SpectralField(self.grid, v.coeffs * self.heat)
 
     def apply_maxwell(self, E: SpectralField, B: SpectralField):
-        return _maxwell_group(E, B, self.a11, self.a12, self.a22, self.e_damp)
+        return _maxwell_group(E, B, self.a11, self.i_a12, self.a22, self.e_damp)
 
     def apply(self, state):
         """Full linear group on an MhdState-like triple."""

@@ -8,7 +8,12 @@ Layout (all little-endian):
     L       f64      box period
     time    f64
     data    3 * n^d complex128, row-major with the first spatial axis
-            slowest, components consecutive.
+            slowest, components consecutive: every mode in numpy FFT order.
+
+This is the one place that holds the full n-column layout.  The writer
+fills the columns m_d < 0 of the half spectrum (see ``grid``) with the
+conjugate mirrors conj(c(-k)); the reader keeps the half spectrum of the
+file's real part (c(k) + conj c(-k)) / 2, as older files need.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import struct
 
 import numpy as np
 
-from .grid import Grid, SpectralField
+from .grid import Grid, SpectralField, _reflection
 
 __all__ = ["write_snapshot", "read_snapshot", "SnapshotError", "FORMAT_VERSION"]
 
@@ -34,7 +39,12 @@ def write_snapshot(path, field: SpectralField, time: float = 0.0) -> None:
     grid = field.grid
     header = _HEADER.pack(MAGIC, FORMAT_VERSION, grid.d, grid.n,
                           grid.box_length, time)
-    data = np.ascontiguousarray(field.coeffs, dtype="<c16")
+    h = grid.n // 2 + 1
+    data = np.empty((3,) + grid.shape, dtype="<c16")
+    data[..., :h] = field.coeffs
+    # Columns m_d = -n/2+1 .. -1 are conj(c(-k)) of the columns n/2-1 .. 1.
+    np.conjugate(field.coeffs[_reflection(grid, grid.d - 1) + (slice(h - 2, 0, -1),)],
+                 out=data[..., h:])
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(data.tobytes(order="C"))
@@ -56,5 +66,7 @@ def read_snapshot(path):
         data = np.frombuffer(fh.read(count * 16), dtype="<c16")
         if data.size != count:
             raise SnapshotError("truncated snapshot payload")
-        coeffs = data.reshape((3,) + grid.shape).astype(np.complex128)
-    return SpectralField(grid, coeffs.copy()), time
+    full = data.reshape((3,) + grid.shape).astype(np.complex128)
+    h = n // 2 + 1
+    real = 0.5 * (full[..., :h] + np.conj(full[_reflection(grid, d)][..., :h]))
+    return SpectralField(grid, real), time

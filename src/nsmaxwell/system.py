@@ -3,17 +3,16 @@ energy diagnostics, the time-stepping driver, the fixed-point (Picard)
 iteration with Z-norm bookkeeping, and the frequency splitting of initial
 data.
 
-The nonlinearity is one kernel, ``_nonlinearity_half``, on half-spectrum
-amplitudes ``coeffs[..., :n/2+1]`` with a leading batch axis; it reads and
-writes only the columns m_d = 0 .. n/2 that the real transforms use.
-``nonlinearity`` runs it on one state and fills the full layout back in.
+Every field is held as the half spectrum of the real field (see ``grid``).
+The nonlinearity is one kernel, ``_nonlinearity_half``, on amplitudes with
+a leading batch axis; ``nonlinearity`` runs it on one state.
 
-A ``Trajectory`` is held as half-spectrum time stacks: three arrays
-(times, 3, *shape[:-1], n/2+1) for v, E and B.  The propagators and the
-Leray projection act on that layout column for column (see ``grid``), so the
-free evolution and the Picard map run on the stacks; the kernel runs on
-chunks of times (``grid._time_chunks``), and ``z_norm`` reduces the stacks
-directly.  The full-layout states are built only when a caller reads them.
+A ``Trajectory`` is held as time stacks: three arrays
+(times, 3, *spectral_shape) for v, E and B.  The propagators and the Leray
+projection act on them mode for mode, so the free evolution and the Picard
+map run on the stacks; the kernel runs on chunks of times
+(``grid._time_chunks``), and ``z_norm`` reduces the stacks directly.  The
+states of a trajectory are views of its stacks.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ from .grid import (
     Grid,
     _half_physical,
     _half_spectral,
-    _hermitian_fill,
     _phys_cross,
     _time_chunks,
     leray_project,
@@ -118,9 +116,9 @@ class MhdState:
 
 @dataclass
 class Trajectory:
-    """Uniformly sampled states held as half-spectrum time stacks ``half`` =
-    (v, E, B), each (times, 3, *shape[:-1], n/2+1); the full-layout
-    ``states`` and the per-step ``diagnostics`` are built on first read."""
+    """Uniformly sampled states held as time stacks ``half`` = (v, E, B),
+    each (times, 3, *spectral_shape); ``states`` are views of the stacks,
+    and the per-step ``diagnostics`` are computed on first read."""
 
     grid: Grid
     times: np.ndarray
@@ -128,22 +126,19 @@ class Trajectory:
 
     @classmethod
     def from_states(cls, grid: Grid, states, count: int) -> "Trajectory":
-        """Stack the half spectra of ``count`` states (any iterable)."""
-        h = grid.n // 2 + 1
-        half = tuple(np.empty((count, 3) + grid.shape[:-1] + (h,), dtype=np.complex128)
+        """Stack ``count`` states (any iterable)."""
+        half = tuple(np.empty((count, 3) + grid.spectral_shape, dtype=np.complex128)
                      for _ in range(3))
         times = np.empty(count)
         for i, state in enumerate(states):
             times[i] = state.time
             for a, f in zip(half, (state.v, state.E, state.B)):
-                a[i] = f.coeffs[..., :h]
+                a[i] = f.coeffs
         return cls(grid, times, half)
 
     @cached_property
     def states(self) -> list:
-        grid = self.grid
-        return [MhdState(*(SpectralField(grid, _hermitian_fill(grid, a[i]))
-                           for a in self.half), time=t)
+        return [MhdState(*(SpectralField(self.grid, a[i]) for a in self.half), time=t)
                 for i, t in enumerate(self.times)]
 
     @cached_property
@@ -156,14 +151,12 @@ class Trajectory:
 
 def _divergence_defects(grid: Grid, v: np.ndarray, B: np.ndarray) -> np.ndarray:
     """``MhdState.divergence_defect`` per state of amplitudes v, B
-    (states, 3, *modes) on either layout; on the half spectrum each column
-    counts ``grid._half_count`` times."""
-    m = v.shape[-1]
-    count = grid._half_count if m < grid.n else np.ones(m)
-    ks = [k[..., :m] for k in grid.wavevectors()[: grid.d]]
+    (states, 3, *spectral_shape), by Parseval (``Grid._parseval_weight``)."""
+    weight = grid._parseval_weight.reshape(-1)
+    ks = grid.wavevectors()[: grid.d]
 
-    def power(a):  # sum of |a|^2 per state
-        return ((a.real**2 + a.imag**2) @ count).reshape(len(a), -1).sum(axis=1)
+    def power(a):  # squared L^2 norm per state
+        return ((a.real**2 + a.imag**2).reshape(len(a), -1, weight.size) @ weight).sum(axis=1)
 
     div_sq = np.maximum(*(power(sum(k * f[:, j] for j, k in enumerate(ks)))
                           for f in (v, B)))
@@ -199,8 +192,8 @@ def _divergence_form_advection(grid: Grid, vp: np.ndarray) -> np.ndarray:
 
 def _nonlinearity_half(grid: Grid, v: np.ndarray, E: np.ndarray, B: np.ndarray,
                        velocity_form: str = "advection", div_tol: float = 1e-8):
-    """(N_v, N_E) of ``nonlinearity`` on half-spectrum amplitudes
-    (states, 3, *shape[:-1], n/2+1) of a batch of states; N_B = 0.
+    """(N_v, N_E) of ``nonlinearity`` on the amplitudes
+    (states, 3, *spectral_shape) of a batch of states; N_B = 0.
 
     Raises InconsistentStateError when the divergence defect of any state
     of the batch exceeds ``div_tol``.  One pass in physical space: v, E, B
@@ -244,18 +237,16 @@ def nonlinearity(state: MhdState, velocity_form: str = "advection",
 
     ``velocity_form`` selects the advection form (v.grad)v or the divergence
     form div(v (x) v); the two agree for divergence-free v.  This is
-    ``_nonlinearity_half`` on the state as a batch of one, its result
-    filled back to the full (Hermitian) layout.
+    ``_nonlinearity_half`` on the state as a batch of one.
     """
     grid = state.grid
-    h = grid.n // 2 + 1
     n_v, n_E = _nonlinearity_half(
-        grid, *(f.coeffs[None, ..., :h] for f in (state.v, state.E, state.B)),
+        grid, *(f.coeffs[None] for f in (state.v, state.E, state.B)),
         velocity_form=velocity_form, div_tol=div_tol,
     )
     return MhdState(
-        v=SpectralField(grid, _hermitian_fill(grid, n_v[0])),
-        E=SpectralField(grid, _hermitian_fill(grid, n_E[0])),
+        v=SpectralField(grid, n_v[0]),
+        E=SpectralField(grid, n_E[0]),
         B=SpectralField.zeros(grid),
         time=state.time,
     )
@@ -269,10 +260,10 @@ def energy_report(state: MhdState):
         + lp_norm_physical(state.E, 2) ** 2
         + lp_norm_physical(state.B, 2) ** 2
     )
-    vol = state.grid.box_length**state.grid.d
-    grad_sq = vol * float(
-        np.sum(state.grid.k_squared() * np.sum(np.abs(state.v.coeffs) ** 2, axis=0))
-    )
+    grid = state.grid
+    v = state.v.coeffs
+    grad_sq = float(np.sum(grid._parseval_weight * grid.k_squared()
+                           * (v.real**2 + v.imag**2)))
     j = ohm_current(state)
     j_sq = lp_norm_physical(j, 2) ** 2
     return e, grad_sq, j_sq
@@ -323,8 +314,8 @@ def march(initial: MhdState, T: float, dt: float, scheme: str = "exp-trapezoid",
 
 def _free_evolution(initial: MhdState, T: float, table: PropagatorTable) -> Trajectory:
     """e^{t A} Gamma0 at the T/dt + 1 sample times, dt = ``table.dt``: the
-    half spectra of the prepared initial state, then one ``table.apply`` per
-    step on the previous half-spectrum state, written into the stacks."""
+    prepared initial state, then one ``table.apply`` per step on the
+    previous state, written into the stacks."""
     n_steps = step_count(T, table.dt)
     traj = Trajectory.from_states(table.grid, [initial.prepared()], n_steps + 1)
     half, times = traj.half, traj.times
@@ -369,7 +360,7 @@ def z_norm(traj: Trajectory, d: int, part: DyadicPartition | None = None) -> ZNo
     Z^E = ||E||_{tilde-Linf_T H^{d/2-1}_a} + ||E||_{L2_T H^{d/2-1}_a}
     Z^B = ||B||_{tilde-Linf_T H^{d/2-1}_a} + ||B||_{L2_T H^{d/2, d/2-1}_a}
 
-    Each field's half-spectrum stack goes through ``shell_series``.
+    Each field's stack goes through ``shell_series``.
     """
     grid = traj.grid
     if grid.d != d:
@@ -422,7 +413,7 @@ def _difference_trajectory(a: Trajectory, b: Trajectory) -> Trajectory:
 
 def _apply_phi(free: Trajectory, pert: Trajectory | None, table: PropagatorTable,
                velocity_form: str = "advection") -> Trajectory:
-    """One application of the fixed-point map on half-spectrum stacks:
+    """One application of the fixed-point map on trajectory stacks:
     quadrature of the Duhamel integral of N(free + pert) with exact
     propagator factors.  ``pert`` None is the zero perturbation: N is then
     evaluated on the free states themselves.
@@ -478,11 +469,9 @@ def picard_iterate(initial: MhdState, T: float, dt: float, n_iters: int,
     r_m = ||G^{m+1} - G^m||_Z / ||G^m - G^{m-1}||_Z; a ratio >= 1 is
     reported, not raised.
 
-    The free evolution and the iterates are half-spectrum ``Trajectory``
-    stacks; one ``PropagatorTable`` serves the free evolution and every
-    map.  The zero perturbation stores nothing (its stacks are broadcast
-    zeros), and the full-layout states of an iterate are built only if the
-    caller reads them.
+    The free evolution and the iterates are ``Trajectory`` stacks; one
+    ``PropagatorTable`` serves the free evolution and every map.  The zero
+    perturbation stores nothing (its stacks are broadcast zeros).
 
     Once successive differences fall below machine roundoff relative to
     the first iterate, further ratios are quotients of floating-point
@@ -551,37 +540,22 @@ def split_initial_data(initial: MhdState, delta_target: float,
     if part is None:
         part = build_partition(grid)
 
-    def tail_state(Q: int) -> MhdState:
-        return MhdState(
-            v=initial.v - low_pass(initial.v, part, Q),
-            E=initial.E - low_pass(initial.E, part, Q),
-            B=initial.B - low_pass(initial.B, part, Q),
-            time=initial.time,
-        )
+    def split_at(Q: int):
+        regular = MhdState(*(low_pass(f, part, Q) for f in (initial.v, initial.E, initial.B)),
+                           time=initial.time)
+        tail = MhdState(initial.v - regular.v, initial.E - regular.E,
+                        initial.B - regular.B, time=initial.time)
+        return regular, tail
 
     best_q, best_norm = None, np.inf
     for Q in range(part.q_min, part.q_max + 2):
-        tail = tail_state(Q)
+        regular, tail = split_at(Q)
         norm = initial_data_norm(tail, part)
         if norm < best_norm:
             best_q, best_norm = Q, norm
         if norm < delta_target:
-            regular = MhdState(
-                low_pass(initial.v, part, Q),
-                low_pass(initial.E, part, Q),
-                low_pass(initial.B, part, Q),
-                initial.time,
-            )
             return regular, tail, Q, norm
-    Q = best_q
-    tail = tail_state(Q)
-    regular = MhdState(
-        low_pass(initial.v, part, Q),
-        low_pass(initial.E, part, Q),
-        low_pass(initial.B, part, Q),
-        initial.time,
-    )
-    return regular, tail, Q, best_norm
+    return (*split_at(best_q), best_q, best_norm)
 
 
 # ---------------------------------------------------------------------------

@@ -39,10 +39,11 @@ def random_field(grid, seed=0, slope=0.0):
 
 
 def single_mode_field(grid, mode, amplitude, component=2):
-    """Real field with one Hermitian mode pair on the given component."""
-    c = np.zeros((3,) + grid.shape, dtype=np.complex128)
-    neg = tuple((-m) % grid.n for m in mode)
-    pos = tuple(m % grid.n for m in mode)
-    c[component][pos] = amplitude
-    c[component][neg] = np.conj(amplitude)
+    """Real field with one Hermitian mode pair on the given component: the
+    amplitude at ``mode`` and its conjugate at -mode, each stored where its
+    last index is >= 0 (the half spectrum)."""
+    c = np.zeros((3,) + grid.spectral_shape, dtype=np.complex128)
+    for m, a in ((mode, amplitude), (tuple(-x for x in mode), np.conj(amplitude))):
+        if m[-1] >= 0:
+            c[component][tuple(x % grid.n for x in m)] = a
     return SpectralField(grid, c)

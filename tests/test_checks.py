@@ -495,3 +495,10 @@ def test_fit_growth_exponent_on_power_law():
     qs = np.array([2.0, 4.0, 8.0, 16.0])
     ratios = 3.0 * qs**1.25
     assert abs(fit_growth_exponent(qs, ratios) - 1.25) < 1e-12
+
+
+def test_fit_growth_exponent_needs_two_shells():
+    with pytest.raises(ValueError, match="two distinct"):
+        fit_growth_exponent([3], [1.5])
+    with pytest.raises(ValueError, match="two distinct"):
+        fit_growth_exponent([3, 3], [1.5, 1.6])

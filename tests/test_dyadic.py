@@ -247,7 +247,7 @@ def test_partition_weights_bitwise_profile_formulas():
         resolved = ~grid.nyquist_mask()
         resolved[(0,) * grid.d] = False
         assert not part.stack.flags.writeable
-        total = np.zeros(grid.shape)
+        total = np.zeros(grid.spectral_shape)
         for q in part.shells():
             if q == part.q_min:
                 w = chi_profile(kmag / 2.0**(q + 1))
@@ -267,9 +267,9 @@ def test_partition_weights_bitwise_profile_formulas():
 
 @pytest.mark.parametrize("d, n", [(2, 32), (3, 16)])
 def test_shell_series_matches_per_shell_and_sup_references(d, n, monkeypatch):
-    # rows against sqrt(vol sum_k w_q^2 |u(k)|^2) shell by shell and linf
-    # against the full inverse transform, on a nonlinear trajectory cut
-    # into chunks of three states with a partial last chunk
+    # rows against the L^2 norm of each block's physical values shell by
+    # shell and linf against the inverse transform, on a nonlinear
+    # trajectory cut into chunks of three states with a partial last chunk
     from nsmaxwell import grid as grid_module
     from nsmaxwell.ensembles import gen_field
     from nsmaxwell.system import MhdState, simulate
@@ -289,8 +289,7 @@ def test_shell_series_matches_per_shell_and_sup_references(d, n, monkeypatch):
         fields = [getattr(state, name) for state in traj.states]
         series = shell_series(fields, traj.times, part, with_linf=True)
         rows = np.array([
-            [math.sqrt(vol * float(np.sum(part.weight(q) ** 2
-                                          * np.sum(np.abs(f.coeffs) ** 2, axis=0))))
+            [math.sqrt(vol / grid.n**d * float(np.sum(block(f, part, q).to_physical() ** 2)))
              for q in part.shells()]
             for f in fields
         ])
@@ -301,22 +300,37 @@ def test_shell_series_matches_per_shell_and_sup_references(d, n, monkeypatch):
 
 @pytest.mark.parametrize("d, n", [(2, 32), (3, 16)])
 def test_half_spectrum_shell_weights_match_full_layout(d, n):
-    # shell_series reads half spectra through _half_shell_matrix; on
-    # Hermitian fields its rows are the full-layout _block_l2 rows, and a
-    # stacked half-spectrum array and a list of fields give the same series.
-    from nsmaxwell.dyadic import _block_l2, _half_shell_matrix
+    # shell_matrix on the half spectrum carries each column's Parseval
+    # count: its weights sum to those of the whole lattice, tabulated here
+    # from the profile formulas on every mode m.  A stacked array and a list
+    # of fields give the same series, whose rows are the _block_l2 rows.
+    from nsmaxwell.dyadic import _block_l2
 
     grid = Grid(d, n)
     part = build_partition(grid)
     h = n // 2 + 1
     fields = [random_field(grid, seed=100 + i, slope=0.5 * i) for i in range(5)]
-    weights = _half_shell_matrix(part)
+    weights = part.shell_matrix()
     assert weights.shape == (n ** (d - 1) * h, len(part.shells()))
-    full = part.shell_matrix()
-    assert np.isclose(np.sum(weights), np.sum(full), rtol=1e-14, atol=0)
+    m = np.fft.fftfreq(n, d=1.0 / n)
+    kmag = np.sqrt(sum(k**2 for k in np.meshgrid(*([m * grid.k0] * d), indexing="ij")))
+    resolved = np.ones(kmag.shape, dtype=bool)
+    for ax in range(d):
+        resolved &= np.moveaxis(np.broadcast_to(m != -n // 2, kmag.shape), -1, ax)
+    resolved[(0,) * d] = False
+    full = 0.0
+    for q in part.shells():
+        if q == part.q_min:
+            w = chi_profile(kmag / 2.0**(q + 1))
+        elif q == part.q_max:
+            w = 1.0 - chi_profile(kmag / 2.0**q)
+        else:
+            w = phi_profile(kmag / 2.0**q)
+        full += grid.box_length**d * np.sum(np.where(resolved, w, 0.0) ** 2)
+    assert np.isclose(np.sum(weights), full, rtol=1e-14, atol=0)
     times = np.linspace(0.0, 1.0, len(fields))
     series = shell_series(fields, times, part, with_linf=True)
-    stacked = shell_series(np.stack([f.coeffs[..., :h] for f in fields]), times, part,
+    stacked = shell_series(np.stack([f.coeffs for f in fields]), times, part,
                            with_linf=True)
     assert np.array_equal(series.block_l2, stacked.block_l2)
     assert np.array_equal(series.linf, stacked.linf)

@@ -59,7 +59,7 @@ def test_real_pair_grid_field_is_real():
     grid = Grid(2, 32)
     b = gaussian_packet((4, 3), 2, np.array([0.0, 0.0, 1.0]))
     f = blocks_to_grid_field(real_pair(b), grid)
-    assert f.physical_imag_max() < 1e-12
+    assert f.hermitian_defect() < 1e-12
 
 
 def test_block_convolve_matches_grid_product():

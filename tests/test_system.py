@@ -175,9 +175,8 @@ def test_nonlinearity_transform_count(grid_name, expected, request, monkeypatch)
     assert set(calls) == {"rfftn", "irfftn"}
 
 
-def _half_stacks(states):
-    h = states[0].grid.n // 2 + 1
-    return [np.stack([getattr(s, name).coeffs[..., :h] for s in states])
+def _stacks(states):
+    return [np.stack([getattr(s, name).coeffs for s in states])
             for name in ("v", "E", "B")]
 
 
@@ -188,13 +187,13 @@ def test_batched_kernel_matches_per_state_nonlinearity(grid_name, velocity_form,
     grid = request.getfixturevalue(grid_name)
     h = grid.n // 2 + 1
     states = [_random_state(grid, seed=70 + 3 * i, amp=0.5 + i) for i in range(4)]
-    n_v, n_E = _nonlinearity_half(grid, *_half_stacks(states),
+    n_v, n_E = _nonlinearity_half(grid, *_stacks(states),
                                   velocity_form=velocity_form)
     assert n_v.shape == n_E.shape == (4, 3) + grid.shape[:-1] + (h,)
     for i, state in enumerate(states):
         out = nonlinearity(state, velocity_form=velocity_form)
-        assert np.array_equal(n_v[i], out.v.coeffs[..., :h]), i
-        assert np.array_equal(n_E[i], out.E.coeffs[..., :h]), i
+        assert np.array_equal(n_v[i], out.v.coeffs), i
+        assert np.array_equal(n_E[i], out.E.coeffs), i
 
 
 @pytest.mark.parametrize("field", ["v", "B"])
@@ -202,11 +201,11 @@ def test_batched_kernel_matches_per_state_nonlinearity(grid_name, velocity_form,
 def test_batched_kernel_rejects_one_divergent_state(grid_name, field, request):
     grid = request.getfixturevalue(grid_name)
     states = [_random_state(grid, seed=80 + 3 * i) for i in range(4)]
-    _nonlinearity_half(grid, *_half_stacks(states))  # all four consistent
+    _nonlinearity_half(grid, *_stacks(states))  # all four consistent
     setattr(states[2], field, random_field(grid, seed=90))  # not projected
     assert states[2].divergence_defect() > 1e-3
     with pytest.raises(InconsistentStateError):
-        _nonlinearity_half(grid, *_half_stacks(states))
+        _nonlinearity_half(grid, *_stacks(states))
 
 
 def test_nonlinearity_rejects_divergent_velocity(grid2):
@@ -264,8 +263,8 @@ def _assert_same_states(got, want):
 
 @pytest.mark.parametrize("grid_name", ["grid2", "grid3"])
 def test_simulate_states_are_march_states(grid_name, request):
-    # The half-spectrum stacks and their Hermitian fill give back every
-    # state of the nonlinear loop bit for bit.
+    # The trajectory's stacks give back every state of the nonlinear loop
+    # bit for bit.
     grid = request.getfixturevalue(grid_name)
     initial = _random_state(grid, seed=61, amp=0.1)
     _assert_same_states(simulate(initial, 0.1, 0.02).states,
@@ -273,9 +272,9 @@ def test_simulate_states_are_march_states(grid_name, request):
 
 
 @pytest.mark.parametrize("grid_name", ["grid2", "grid3"])
-def test_simulate_linear_is_full_layout_recursion(grid_name, request):
-    # The free evolution on the half spectrum against one full-layout
-    # table.apply per step, bit for bit.
+def test_simulate_linear_is_table_recursion(grid_name, request):
+    # The free evolution on the stacks against one table.apply per step on
+    # single states, bit for bit.
     grid = request.getfixturevalue(grid_name)
     initial = _random_state(grid, seed=62)
     table = PropagatorTable.build(grid, 0.05)
@@ -517,9 +516,9 @@ def test_picard_builds_one_propagator_table(grid2, part2, monkeypatch):
 
 
 def test_picard_iterates_are_lazy_half_stacks(grid2, part2):
-    # Each iterate holds (times, 3, n, n/2+1) stacks; its full-layout states
-    # are the Hermitian fill of those stacks, built when first read, and the
-    # zero perturbation stores no array of its own.
+    # Each iterate holds (times, 3, n, n/2+1) stacks; its states are views
+    # of those stacks, built when first read, and the zero perturbation
+    # stores no array of its own.
     iterates, _ = picard_iterate(_random_state(grid2, seed=58, amp=1e-2), 0.2, 0.05,
                                  3, part=part2)
     h = grid2.n // 2 + 1
@@ -530,7 +529,7 @@ def test_picard_iterates_are_lazy_half_stacks(grid2, part2):
     assert len(last) == 5
     for i, state in enumerate(last.states):
         for a, f in zip(last.half, (state.v, state.E, state.B)):
-            assert np.array_equal(f.coeffs[..., :h], a[i])
+            assert np.array_equal(f.coeffs, a[i]) and np.shares_memory(f.coeffs, a)
             assert f.hermitian_defect() <= 1e-14 * np.max(np.abs(a[i]))
 
 

@@ -6,7 +6,9 @@ import csv
 import importlib
 import importlib.util
 import os
+import warnings
 
+import numpy as np
 import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -42,13 +44,31 @@ def test_every_script_has_smoke_arguments():
     assert sorted(f for f in os.listdir(SCRIPTS) if f.endswith(".py")) == sorted(SCRIPT_ARGS)
 
 
-@pytest.mark.parametrize("name", sorted(SCRIPT_ARGS))
-def test_script_main_runs(name, tmp_path):
+def _load_script(name):
     spec = importlib.util.spec_from_file_location(name[:-3], os.path.join(SCRIPTS, name))
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
+    return script
+
+
+@pytest.mark.parametrize("name", sorted(SCRIPT_ARGS))
+def test_script_main_runs(name, tmp_path):
+    script = _load_script(name)
     out = tmp_path / "out.csv"
     assert script.main(SCRIPT_ARGS[name] + ["--out", str(out)]) == 0
     with open(out, newline="") as fh:
         header, *rows = list(csv.reader(fh))
     assert rows and all(len(row) == len(header) for row in rows)
+
+
+def test_criticality_sweep_of_one_shell_fits_no_exponent(tmp_path, capsys):
+    script = _load_script("criticality_sweep.py")
+    out = tmp_path / "one.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert script.main(["--q-min", "3", "--q-max", "3", "--out", str(out)]) == 0
+    assert not [w for w in caught if issubclass(w.category, np.exceptions.RankWarning)]
+    with open(out, newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert len(rows) == 1 and rows[0][0] == "3" and len(rows[0]) == len(header)
+    assert "unweighted growth exponent: not fitted (one shell)" in capsys.readouterr().err
