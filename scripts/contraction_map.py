@@ -48,8 +48,8 @@ def main(argv=None) -> int:
                 free = simulate(state, T, args.dt, nonlinear=False)
                 z = z_norm(free, 2, part).total
                 del free
-                # Only the ratios: the iterates would stay alive while the
-                # next run iterates.
+                # Only the ratios: the last iterate would stay alive while
+                # the next run iterates.
                 ratios = picard_iterate(state, T, args.dt, args.iters,
                                         part=part)[1]
                 worst = max(ratios) if ratios else 0.0

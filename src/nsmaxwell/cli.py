@@ -123,7 +123,7 @@ def _cmd_picard(cfg: RunConfig) -> int:
     rows = []
     for eps in cfg.epsilons:
         initial = base.scaled(eps)
-        # Only the ratios: holding the iterates would keep them alive
+        # Only the ratios: holding the last iterate would keep it alive
         # while the next epsilon iterates.
         ratios = picard_iterate(initial, cfg.T, cfg.dt, cfg.picard_iters)[1]
         worst = max(ratios) if ratios else 0.0

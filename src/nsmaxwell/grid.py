@@ -368,6 +368,7 @@ def _sup_series(half: np.ndarray, grid: Grid) -> np.ndarray:
 _CHUNK_ELEMENTS = 2**16
 
 
+# Callers count 3 * n**d per time on purpose; half-spectrum chunks raised peak RSS.
 def _time_chunks(samples, per_time: int) -> list:
     """Consecutive slices of ``samples`` of about _CHUNK_ELEMENTS / per_time."""
     step = max(1, _CHUNK_ELEMENTS // max(per_time, 1))

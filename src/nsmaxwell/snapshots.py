@@ -18,6 +18,7 @@ file's real part (c(k) + conj c(-k)) / 2, as older files need.
 
 from __future__ import annotations
 
+import os
 import struct
 
 import numpy as np
@@ -51,7 +52,7 @@ def write_snapshot(path, field: SpectralField, time: float = 0.0) -> None:
 
 
 def read_snapshot(path):
-    """Returns (field, time); rejects bad magic and unknown versions."""
+    """Returns (field, time); a defect of the file raises SnapshotError."""
     with open(path, "rb") as fh:
         raw = fh.read(_HEADER.size)
         if len(raw) < _HEADER.size:
@@ -61,11 +62,14 @@ def read_snapshot(path):
             raise SnapshotError(f"bad magic {magic!r}")
         if version != FORMAT_VERSION:
             raise SnapshotError(f"unknown snapshot version {version}")
-        grid = Grid(d, n, L)
-        count = 3 * n**d
-        data = np.frombuffer(fh.read(count * 16), dtype="<c16")
-        if data.size != count:
+        try:
+            grid = Grid(d, n, L)
+        except ValueError as exc:
+            raise SnapshotError(f"bad snapshot header: {exc}") from None
+        size = 3 * n**d * 16
+        if os.fstat(fh.fileno()).st_size - fh.tell() < size:
             raise SnapshotError("truncated snapshot payload")
+        data = np.frombuffer(fh.read(size), dtype="<c16")
     full = data.reshape((3,) + grid.shape).astype(np.complex128)
     h = n // 2 + 1
     real = 0.5 * (full[..., :h] + np.conj(full[_reflection(grid, d)][..., :h]))

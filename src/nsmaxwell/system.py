@@ -12,7 +12,8 @@ A ``Trajectory`` is held as time stacks: three arrays
 projection act on them mode for mode, so the free evolution and the Picard
 map run on the stacks; the kernel runs on chunks of times
 (``grid._time_chunks``), and ``z_norm`` reduces the stacks directly.  The
-states of a trajectory are views of its stacks.
+states of a trajectory are views of its stacks.  Picard holds the free
+evolution and two iterates, and forms their difference in the older one.
 """
 
 from __future__ import annotations
@@ -406,11 +407,6 @@ def initial_data_norm(state: MhdState, part: DyadicPartition | None = None) -> f
 # Picard iteration around the free evolution.
 
 
-def _difference_trajectory(a: Trajectory, b: Trajectory) -> Trajectory:
-    """a - b: one array subtraction per field."""
-    return Trajectory(a.grid, a.times, tuple(x - y for x, y in zip(a.half, b.half)))
-
-
 def _apply_phi(free: Trajectory, pert: Trajectory | None, table: PropagatorTable,
                velocity_form: str = "advection") -> Trajectory:
     """One application of the fixed-point map on trajectory stacks:
@@ -463,15 +459,16 @@ def picard_iterate(initial: MhdState, T: float, dt: float, n_iters: int,
                    part: DyadicPartition | None = None):
     """Iterate the fixed-point map starting from the zero perturbation.
 
-    Returns (iterates, contraction_ratios).  Iterates are perturbation
-    trajectories around the free evolution; the physical solution is
-    free + iterate.  ``iterates[0]`` is the zero perturbation.  Ratios
-    r_m = ||G^{m+1} - G^m||_Z / ||G^m - G^{m-1}||_Z; a ratio >= 1 is
-    reported, not raised.
+    Returns (last_iterate, contraction_ratios, differences).  Iterates are
+    perturbation trajectories around the free evolution; the physical
+    solution is free + iterate.  differences[m] = ||G^{m+1} - G^m||_Z, one
+    per map applied, with G^0 = 0; ratios r_m = differences[m] /
+    differences[m-1]; a ratio >= 1 is reported, not raised.
 
     The free evolution and the iterates are ``Trajectory`` stacks; one
-    ``PropagatorTable`` serves the free evolution and every map.  The zero
-    perturbation stores nothing (its stacks are broadcast zeros).
+    ``PropagatorTable`` serves the free evolution and every map.  Only the
+    free evolution and two iterates are alive: G^{m+1} - G^m is formed in
+    the buffers of G^m, which the map no longer needs.
 
     Once successive differences fall below machine roundoff relative to
     the first iterate, further ratios are quotients of floating-point
@@ -489,29 +486,25 @@ def picard_iterate(initial: MhdState, T: float, dt: float, n_iters: int,
         part = build_partition(grid)
     table = PropagatorTable.build(grid, dt)
     free = _free_evolution(initial, T, table)
-    zero = Trajectory(grid, free.times, tuple(
-        np.broadcast_to(np.complex128(0.0), a.shape) for a in free.half))
-    iterates = [zero]
-    diffs = []
-    for m in range(n_iters):
-        pert = iterates[-1] if m else None  # None: the zero perturbation
-        nxt = _apply_phi(free, pert, table, velocity_form)
-        diff = z_norm(nxt if pert is None else _difference_trajectory(nxt, pert),
-                      grid.d, part).total
-        if not math.isfinite(diff):
-            diff = math.inf
-        diffs.append(diff)
-        iterates.append(nxt)
+    prev, diffs = None, []  # None: the zero perturbation
+    for _ in range(n_iters):
+        nxt = _apply_phi(free, prev, table, velocity_form)
+        # G^m is dead once the map has run: its buffers take G^{m+1} - G^m.
+        diff = z_norm(nxt if prev is None else Trajectory(grid, free.times, tuple(
+            np.subtract(a, b, out=b) for a, b in zip(nxt.half, prev.half))),
+            grid.d, part).total
+        prev = nxt
+        diffs.append(diff if math.isfinite(diff) else math.inf)
         if not math.isfinite(diff):
             # Genuine divergence: stop iterating, report the infinite ratio.
             break
     ratios = [] if math.isfinite(diffs[0]) else [math.inf]
-    floor = 1e3 * np.finfo(np.float64).eps * diffs[0] if diffs and diffs[0] > 0 else 0.0
+    floor = 1e3 * np.finfo(np.float64).eps * diffs[0] if diffs[0] > 0 else 0.0
     for m in range(1, len(diffs)):
         if diffs[m] <= floor or diffs[m - 1] <= floor:
             break
         ratios.append(diffs[m] / diffs[m - 1])
-    return iterates, ratios
+    return nxt, ratios, diffs
 
 
 def picard_solution(free: Trajectory, perturbation: Trajectory) -> Trajectory:

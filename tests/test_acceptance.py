@@ -217,11 +217,11 @@ def test_criterion_05_picard_contraction():
     small = base.scaled(eps)
     free_s = simulate(small, T, dt, nonlinear=False)
     z_small = z_norm(free_s, 2, part).total
-    iters, ratios = picard_iterate(small, T, dt, 6, part=part)
+    last, ratios, _ = picard_iterate(small, T, dt, 6, part=part)
     assert ratios, "no contraction ratio above the roundoff floor"
     contracting = all(r < 1 for r in ratios)
 
-    fixed = picard_solution(free_s, iters[-1])
+    fixed = picard_solution(free_s, last)
     ref = simulate(small, T, dt)
     err = max(
         max(
@@ -244,11 +244,11 @@ def test_criterion_05_picard_contraction():
     # reaches 1 must leave the contraction regime: some ratio >= 1, or the
     # iteration stops on a non-finite difference.
     big = small.scaled(100.0)
-    _, big_ratios = picard_iterate(big, T, dt, 6, part=part)
+    _, big_ratios, _ = picard_iterate(big, T, dt, 6, part=part)
     linear = bool(big_ratios) and 0.5 <= big_ratios[0] / (100.0 * ratios[0]) <= 2.0
     s_star = 1.0 / ratios[0]
-    lost_iters, lost_ratios = picard_iterate(small.scaled(s_star), T, dt, 6, part=part)
-    lost = any(r >= 1.0 for r in lost_ratios) or len(lost_iters) < 7
+    _, lost_ratios, lost_diffs = picard_iterate(small.scaled(s_star), T, dt, 6, part=part)
+    lost = any(r >= 1.0 for r in lost_ratios) or len(lost_diffs) < 6
 
     def first(rs):
         return f"{rs[0]:.3e}" if rs else "none"

@@ -216,12 +216,20 @@ def test_time_grid_mismatch_exits_2(tmp_path, capsys):
     assert "integer multiple" in err[0]
 
 
-@pytest.mark.parametrize("defect", ["missing", "truncated"])
+@pytest.mark.parametrize("defect", ["missing", "truncated", "cut_payload", "bad_dimension"])
 def test_unreadable_init_file_exits_2(tmp_path, capsys, defect):
     stem = str(tmp_path / "ic")
-    if defect == "truncated":
-        for name in ("v", "E", "B"):
-            (tmp_path / f"ic_{name}.nsmw").write_bytes(b"NSMW")
+    for name in ("v", "E", "B"):
+        path = tmp_path / f"ic_{name}.nsmw"
+        if defect == "truncated":
+            path.write_bytes(b"NSMW")
+        elif defect != "missing":
+            write_snapshot(path, SpectralField.zeros(Grid(2, 16)))
+            raw = path.read_bytes()
+            if defect == "cut_payload":  # ends in the middle of an element
+                path.write_bytes(raw[:-5])
+            else:  # the header's d = 5 names no grid
+                path.write_bytes(raw[:8] + (5).to_bytes(4, "little") + raw[12:])
     cfg = _write_cfg(tmp_path, f"n = 16\nT = 0.1\ninit = file\ninit_file = {stem}\n")
     assert main(["simulate", cfg, "--out-dir", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err.splitlines()

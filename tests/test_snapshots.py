@@ -72,9 +72,10 @@ def test_truncated_payload(grid2, tmp_path):
     path = tmp_path / "field.nsmw"
     write_snapshot(path, f)
     raw = path.read_bytes()
-    path.write_bytes(raw[: len(raw) - 16])
-    with pytest.raises(SnapshotError, match="payload"):
-        read_snapshot(path)
+    for cut in (16, 5):  # one whole element; the middle of one
+        path.write_bytes(raw[: len(raw) - cut])
+        with pytest.raises(SnapshotError, match="payload"):
+            read_snapshot(path)
 
 
 def _write_full_layout(path, grid, coeffs, time):

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -33,7 +35,6 @@ from nsmaxwell.system import (
     InconsistentStateError,
     Trajectory,
     _apply_phi,
-    _difference_trajectory,
     _nonlinearity_half,
 )
 
@@ -432,20 +433,29 @@ def test_split_rejects_bad_target(grid2):
 
 
 def test_picard_zero_data(grid2, part2):
-    iterates, ratios = picard_iterate(MhdState.zeros(grid2), 0.2, 0.05, 3, part=part2)
+    last, ratios, diffs = picard_iterate(MhdState.zeros(grid2), 0.2, 0.05, 3, part=part2)
     assert ratios == []
-    for it in iterates:
-        for s in it.states:
-            assert np.max(np.abs(s.v.coeffs)) == 0.0
+    assert diffs == [0.0, 0.0, 0.0]
+    for s in last.states:
+        assert np.max(np.abs(s.v.coeffs)) == 0.0
 
 
 def test_picard_drops_ratios_of_roundoff_noise(grid2, part2):
     # Five iterates take these small data to a last difference below the
     # roundoff floor; the ratio with that difference as numerator is noise.
-    iterates, ratios = picard_iterate(_random_state(grid2, seed=55, amp=1e-2),
-                                      0.2, 0.05, 5, part=part2)
-    diffs = [z_norm(_difference_trajectory(b, a), 2, part2).total
-             for a, b in zip(iterates, iterates[1:])]
+    # The iterate chain is rebuilt here from the map and the norm.
+    initial = _random_state(grid2, seed=55, amp=1e-2)
+    last, ratios, got = picard_iterate(initial, 0.2, 0.05, 5, part=part2)
+    free = simulate(initial, 0.2, 0.05, nonlinear=False)
+    table = PropagatorTable.build(grid2, 0.05)
+    chain = [Trajectory(grid2, free.times, tuple(np.zeros_like(a) for a in free.half))]
+    for m in range(5):
+        chain.append(_apply_phi(free, chain[-1] if m else None, table))
+    diffs = [z_norm(Trajectory(grid2, b.times, tuple(x - y for x, y in zip(b.half, a.half))),
+                    2, part2).total
+             for a, b in zip(chain, chain[1:])]
+    assert got == diffs
+    assert all(np.array_equal(a, b) for a, b in zip(last.half, chain[-1].half))
     floor = 1e3 * np.finfo(np.float64).eps * diffs[0]
     assert diffs[-1] <= floor < diffs[-2]
     assert ratios == pytest.approx([diffs[m] / diffs[m - 1] for m in range(1, len(diffs) - 1)])
@@ -509,22 +519,52 @@ def test_picard_builds_one_propagator_table(grid2, part2, monkeypatch):
         return build(grid, dt)
 
     monkeypatch.setattr(PropagatorTable, "build", counted)
-    iterates, _ = picard_iterate(_random_state(grid2, seed=56, amp=1e-2), 0.2, 0.05,
+    _, _, diffs = picard_iterate(_random_state(grid2, seed=56, amp=1e-2), 0.2, 0.05,
                                  3, part=part2)
     assert calls == [0.05]
-    assert len(iterates) == 4
+    assert len(diffs) == 3
+
+
+def test_picard_holds_two_iterates(grid2, part2, monkeypatch):
+    # When map m runs, the outputs of maps <= m - 2 are dead: Picard holds
+    # the free evolution and two iterates however many maps it applies.
+    from nsmaxwell import system
+
+    outputs, alive_at_map = [], []
+    apply_phi = system._apply_phi
+
+    def alive():
+        gc.collect()
+        return [i for i, refs in enumerate(outputs) if any(r() is not None for r in refs)]
+
+    def watched(*args, **kwargs):
+        alive_at_map.append(alive())
+        out = apply_phi(*args, **kwargs)
+        outputs.append([weakref.ref(a) for a in out.half])
+        return out
+
+    monkeypatch.setattr(system, "_apply_phi", watched)
+    result = picard_iterate(_random_state(grid2, seed=59, amp=1e-2), 0.2, 0.05, 6,
+                            part=part2)
+    assert len(alive_at_map) == 6
+    for m, held in enumerate(alive_at_map):
+        assert all(i >= m - 1 for i in held), (m, held)
+    last, _, diffs = result
+    del result
+    assert len(diffs) == 6
+    assert alive() == [5]
+    del last
+    assert alive() == []
 
 
 def test_picard_iterates_are_lazy_half_stacks(grid2, part2):
     # Each iterate holds (times, 3, n, n/2+1) stacks; its states are views
-    # of those stacks, built when first read, and the zero perturbation
-    # stores no array of its own.
-    iterates, _ = picard_iterate(_random_state(grid2, seed=58, amp=1e-2), 0.2, 0.05,
-                                 3, part=part2)
+    # of those stacks, built when first read.
+    last, _, _ = picard_iterate(_random_state(grid2, seed=58, amp=1e-2), 0.2, 0.05,
+                                3, part=part2)
     h = grid2.n // 2 + 1
-    for a in iterates[0].half:
-        assert a.shape == (5, 3, grid2.n, h) and a.strides == (0,) * 4
-    last = iterates[-1]
+    for a in last.half:
+        assert a.shape == (5, 3, grid2.n, h)
     assert "states" not in vars(last)
     assert len(last) == 5
     for i, state in enumerate(last.states):
@@ -541,10 +581,10 @@ def test_picard_requires_two_iterations(grid2):
 def test_picard_matches_simulate_small_data(grid2, part2):
     initial = _random_state(grid2, seed=53, amp=1e-3)
     T, dt = 0.3, 0.01
-    iterates, ratios = picard_iterate(initial, T, dt, 4, part=part2)
+    last, ratios, _ = picard_iterate(initial, T, dt, 4, part=part2)
     assert all(r < 1.0 for r in ratios)
     free = simulate(initial, T, dt, nonlinear=False)
-    fixed = picard_solution(free, iterates[-1])
+    fixed = picard_solution(free, last)
     ref = simulate(initial, T, dt)
     scale = initial_data_norm(initial, part2)
     worst = max(
@@ -563,7 +603,7 @@ def test_picard_ratio_scales_with_epsilon(grid2, part2):
     eps = [1e-3, 1e-2, 1e-1]
     worst = []
     for e in eps:
-        _, ratios = picard_iterate(base.scaled(e), 0.2, 0.02, 3, part=part2)
+        _, ratios, _ = picard_iterate(base.scaled(e), 0.2, 0.02, 3, part=part2)
         worst.append(max(ratios))
     # approximately linear scaling of the first contraction ratio in eps
     slopes = np.diff(np.log(worst)) / np.diff(np.log(eps))
