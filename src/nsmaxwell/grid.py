@@ -154,9 +154,10 @@ class Grid:
         return _read_only((~self._dealias_mask).astype(np.float64))
 
     @cached_property
-    def _half_ik(self) -> tuple:
-        """i k_axis times the 2/3 truncation, per axis."""
-        return tuple(_read_only(1j * k * self._half_keep) for k in self._wavevectors)
+    def _half_ik(self) -> np.ndarray:
+        """i k times the 2/3 truncation, axes stacked (3, *spectral_shape);
+        the third row is 0 in 2D."""
+        return _read_only(1j * np.stack(self._wavevectors) * self._half_keep)
 
     @cached_property
     def _half_count(self) -> np.ndarray:
@@ -324,8 +325,9 @@ def leray_project(f: SpectralField) -> SpectralField:
     return SpectralField(grid, out)
 
 
-def _phys_cross(a: np.ndarray, b: np.ndarray, axis: int = 0) -> np.ndarray:
-    """Pointwise a x b of physical values, components along ``axis``."""
+def _cross(a: np.ndarray, b: np.ndarray, axis: int = 0) -> np.ndarray:
+    """Pointwise a x b, components along ``axis``: of physical values, or
+    of amplitudes mode by mode (i k x c)."""
     a1, a2, a3 = np.moveaxis(a, axis, 0)
     b1, b2, b3 = np.moveaxis(b, axis, 0)
     return np.stack([a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1],
@@ -389,7 +391,7 @@ def pointwise_product(a: SpectralField, b: SpectralField, combiner: str = "scala
     _check_same_grid(a, b)
     grid = a.grid
     if combiner == "cross":
-        prod = _phys_cross(_dealiased_physical(a), _dealiased_physical(b))
+        prod = _cross(_dealiased_physical(a), _dealiased_physical(b))
     elif combiner == "scalar":
         prod = _dealiased_physical(a) * _dealiased_physical(b)
     elif combiner == "advection":

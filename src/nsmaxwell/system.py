@@ -5,7 +5,10 @@ data.
 
 Every field is held as the half spectrum of the real field (see ``grid``).
 The nonlinearity is one kernel, ``_nonlinearity_half``, on amplitudes with
-a leading batch axis; ``nonlinearity`` runs it on one state.
+a leading batch axis; ``nonlinearity`` runs it on one state.  In the
+advection form it makes six real transforms: the Lorentz force is one j x B
+with the Ohm current j, and the advection term is the Leray-projected
+w x v, w = curl v.
 
 A ``Trajectory`` is held as time stacks: three arrays
 (times, 3, *spectral_shape) for v, E and B.  The propagators and the Leray
@@ -29,7 +32,7 @@ from .grid import (
     Grid,
     _half_physical,
     _half_spectral,
-    _phys_cross,
+    _cross,
     _time_chunks,
     leray_project,
     lp_norm_physical,
@@ -197,12 +200,21 @@ def _nonlinearity_half(grid: Grid, v: np.ndarray, E: np.ndarray, B: np.ndarray,
     (states, 3, *spectral_shape) of a batch of states; N_B = 0.
 
     Raises InconsistentStateError when the divergence defect of any state
-    of the batch exceeds ``div_tol``.  One pass in physical space: v, E, B
-    and d_i v are transformed back once each (2/3-truncated), v x B is
-    transformed forward once for the E slot and transformed back for
-    (v x B) x B, and the momentum forcing is summed before its single
-    forward transform and the Leray projection.  Each product is thus
-    dealiased exactly as a separate ``pointwise_product`` would be.
+    of the batch exceeds ``div_tol``.  One pass in physical space; the
+    advection form makes six real transforms in 2D and 3D.  Back, each
+    2/3-truncated: v, B, j / sigma = E + v x B and the vorticity
+    w = i k x v, formed on the half spectrum.  Forward: v x B, and the
+    momentum forcing sigma (j / sigma) x B + v x w, which is then
+    Leray-projected.
+
+    Both shortcuts are exact in exact arithmetic.  E and v x B are merged
+    before their transform back by linearity.  (v.grad)v = w x v
+    + grad(|v|^2 / 2) holds pointwise for the truncated fields, and the
+    2/3 rule keeps each grid product alias-free, so it holds for the
+    truncated amplitudes too; the Leray projection removes the gradient
+    mode by mode.  In 2D (grad = (d1, d2, 0), v_3 allowed) the identity
+    and the projection hold alike.  The divergence form transforms its
+    own products v_j v, an independent check of the advection form.
     """
     defects = _divergence_defects(grid, v, B)
     bad = np.flatnonzero(defects > div_tol)
@@ -212,19 +224,16 @@ def _nonlinearity_half(grid: Grid, v: np.ndarray, E: np.ndarray, B: np.ndarray,
         )
     if velocity_form not in ("advection", "divergence"):
         raise ValueError(f"unknown velocity form {velocity_form!r}")
-    vp, Ep, Bp = (_half_physical(grid, f * grid._half_keep) for f in (v, E, B))
-    vxB = _half_spectral(grid, _phys_cross(vp, Bp, axis=1))
-    # In-place sums and the early release of E keep few physical arrays
+    vp, Bp = (_half_physical(grid, f * grid._half_keep) for f in (v, B))
+    vxB = _half_spectral(grid, _cross(vp, Bp, axis=1))
+    # In-place sums and the early release of B keep few physical arrays
     # alive at once; the peak of a 3D step's resident memory depends on it.
-    force = _phys_cross(Ep, Bp, axis=1)
-    del Ep
-    force += _phys_cross(_half_physical(grid, vxB), Bp, axis=1)
+    force = _cross(_half_physical(grid, E * grid._half_keep + vxB), Bp, axis=1)
+    del Bp
     force *= SIGMA
     if velocity_form == "advection":
-        for i in range(grid.d):
-            grad = _half_physical(grid, v * grid._half_ik[i])
-            grad *= vp[:, i, None]
-            force -= grad
+        force += _cross(vp, _half_physical(grid, _cross(grid._half_ik[None], v, axis=1)),
+                        axis=1)
         mom = _half_spectral(grid, force)
     else:
         mom = _half_spectral(grid, force) - _divergence_form_advection(grid, vp)
@@ -234,11 +243,14 @@ def _nonlinearity_half(grid: Grid, v: np.ndarray, E: np.ndarray, B: np.ndarray,
 
 def nonlinearity(state: MhdState, velocity_form: str = "advection",
                  div_tol: float = 1e-8) -> MhdState:
-    """N(Gamma) = (P[-(v.grad)v + E x B + (v x B) x B], -v x B, 0).
+    """N(Gamma) = (P[-(v.grad)v + j x B], -sigma v x B, 0), with the Ohm
+    current j = sigma (E + v x B).
 
-    ``velocity_form`` selects the advection form (v.grad)v or the divergence
-    form div(v (x) v); the two agree for divergence-free v.  This is
-    ``_nonlinearity_half`` on the state as a batch of one.
+    ``velocity_form`` selects the advection form, computed as
+    P[(v.grad)v] = P[w x v] with w = curl v, or the divergence form
+    div(v (x) v); the two agree for divergence-free v.  This is
+    ``_nonlinearity_half`` on the state as a batch of one; the advection
+    form makes six real transforms.
     """
     grid = state.grid
     n_v, n_E = _nonlinearity_half(

@@ -164,16 +164,73 @@ def _count_transforms(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("grid_name, expected", [("grid2", 8), ("grid3", 9)])
-def test_nonlinearity_transform_count(grid_name, expected, request, monkeypatch):
-    # v, E, B and d_i v back (3 + d), v x B forward and back, the momentum
-    # forcing forward: every one a real-to-complex transform.
+@pytest.mark.parametrize("grid_name", ["grid2", "grid3"])
+def test_nonlinearity_transform_count(grid_name, request, monkeypatch):
+    # v, B, j / sigma = E + v x B and the vorticity w back; v x B and the
+    # momentum forcing forward: six real transforms in 2D and 3D alike.
     grid = request.getfixturevalue(grid_name)
     state = _random_state(grid, seed=48)
     calls = _count_transforms(monkeypatch)
     nonlinearity(state)
-    assert len(calls) == expected
+    assert len(calls) == 6
     assert set(calls) == {"rfftn", "irfftn"}
+
+
+def _physical_state(grid, values):
+    """The state with velocity of physical ``values`` (3, *shape) and
+    E = B = 0."""
+    zero = SpectralField.zeros(grid)
+    return MhdState(SpectralField.from_physical(grid, values), zero, zero.copy())
+
+
+def _coordinates(grid):
+    x = np.linspace(0.0, grid.box_length, grid.n, endpoint=False)
+    return np.meshgrid(*(x,) * grid.d, indexing="ij")
+
+
+def _assert_steady(state):
+    # A steady Euler flow: P[(v.grad)v] = 0 although w x v need not be 0.
+    out = nonlinearity(state)
+    scale = np.max(np.abs(state.v.coeffs)) ** 2
+    assert scale > 0
+    assert np.max(np.abs(out.v.coeffs)) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("grid_name", ["grid2", "grid3"])
+def test_shear_flow_is_steady(grid_name, request):
+    # v = (sin x_2, 0, 0): (v.grad)v = 0, while w x v = -grad(sin^2 x_2 / 2)
+    # is a nonzero gradient that only the Leray projection removes.
+    grid = request.getfixturevalue(grid_name)
+    x = _coordinates(grid)
+    values = np.zeros((3,) + grid.shape)
+    values[0] = np.sin(x[1])
+    state = _physical_state(grid, values)
+    w = np.zeros_like(values)
+    w[2] = -np.cos(x[1])
+    wxv = SpectralField.from_physical(grid, np.cross(w, values, axis=0))
+    assert np.max(np.abs(wxv.coeffs)) > 0.1
+    _assert_steady(state)
+
+
+def test_abc_flow_is_steady(grid3):
+    # The ABC flow is a Beltrami field, curl v = v, so w x v = 0.
+    a, b, c = 1.0, 0.7, 0.4
+    x1, x2, x3 = _coordinates(grid3)
+    values = np.stack([a * np.sin(x3) + c * np.cos(x2),
+                       b * np.sin(x1) + a * np.cos(x3),
+                       c * np.sin(x2) + b * np.cos(x1)])
+    _assert_steady(_physical_state(grid3, values))
+
+
+@pytest.mark.parametrize("grid_name", ["grid2", "grid3"])
+def test_lorentz_slot_is_ohm_current(grid_name, request):
+    # N_E = -sigma v x B, so sigma E - N_E is Ohm's j = sigma (E + v x B),
+    # the current whose j x B the kernel forms.
+    grid = request.getfixturevalue(grid_name)
+    state = _random_state(grid, seed=49)
+    j = ohm_current(state).coeffs
+    got = SIGMA * state.E.coeffs - nonlinearity(state).E.coeffs
+    assert np.max(np.abs(got - j)) <= 1e-14 * np.max(np.abs(j))
 
 
 def _stacks(states):

@@ -90,3 +90,18 @@ def test_picard_workload_meets_its_contract(monkeypatch, tmp_path):
     assert out["ratio_counts"] == [2, 2, 2]
     reference = workloads.load_reference(workload.name, True, 0)[0]
     assert workloads.mismatches(out, reference, workload.rel_tol) == []
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_simulate_workload_meets_its_contract(seed, monkeypatch, tmp_path):
+    # The simulate-3d workload's diagnostics must stay within its tolerance
+    # of the recorded references; a kernel change that moves them fails here.
+    monkeypatch.syspath_prepend(PERFBENCH)
+    workloads = importlib.import_module("workloads")
+    workload = workloads.SimulateWorkload()
+    workload.setup(seed, True, str(tmp_path))
+    [(_, operation)] = workload.round()
+    out = workload.outputs(0, operation())
+    assert workload.invariants(0, out) == []
+    reference = workloads.load_reference(workload.name, True, seed)[0]
+    assert workloads.mismatches(out, reference, workload.rel_tol) == []
