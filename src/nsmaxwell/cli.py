@@ -85,16 +85,18 @@ def _norm_column(state: MhdState, name: str, part) -> float:
 def _march_to_csv(cfg: RunConfig, csv_name: str, norms: tuple,
                   snapshots: bool) -> int:
     """March the configured run, writing one CSV row per state (and, with
-    ``snapshots``, every ``stride``-th state) as it arrives.  On blowup the
-    CSV ends with a truncation record and the exit code is 1."""
+    ``snapshots``, every ``stride``-th state) as it arrives; each row's
+    ohmic term takes the Ohm current that ``march`` yields with the state.
+    On blowup the CSV ends with a truncation record and the exit code is
+    1."""
     initial = build_initial_state(cfg)
     part = build_partition(initial.grid)
     with open(os.path.join(cfg.out_dir, csv_name), "w") as fh:
         fh.write(",".join(DIAG_COLUMNS + norms) + "\n")
         try:
-            for idx, state in enumerate(march(initial, cfg.T, cfg.dt,
-                                              scheme=cfg.scheme)):
-                row = (state.time, *energy_report(state),
+            for idx, (state, current) in enumerate(march(initial, cfg.T, cfg.dt,
+                                                         scheme=cfg.scheme)):
+                row = (state.time, *energy_report(state, current),
                        *(_norm_column(state, name, part) for name in norms))
                 fh.write(",".join(map(repr, row)) + "\n")
                 if snapshots and idx % cfg.stride == 0:

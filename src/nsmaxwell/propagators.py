@@ -275,7 +275,8 @@ def _check_finite(state, step: int) -> None:
 
 
 def duhamel_step(state, nonlinearity, dt: float, scheme: str = "exp-trapezoid",
-                 table: PropagatorTable | None = None, step_index: int = 0):
+                 table: PropagatorTable | None = None, step_index: int = 0,
+                 n0=None):
     """One step of the Duhamel integral equation.
 
     exp-euler:      G_{n+1} = G* = e^{dt A} (G_n + dt N(G_n))
@@ -285,7 +286,8 @@ def duhamel_step(state, nonlinearity, dt: float, scheme: str = "exp-trapezoid",
     e^{dt A} N(G_n) and e^{dt A} G_n + dt/2 (e^{dt A} N(G_n) + N(G*)), with
     one propagator apply per nonlinearity evaluation, as in the Picard map.
     The velocity slot of the nonlinearity is Leray-projected by the
-    ``nonlinearity`` evaluator itself.
+    ``nonlinearity`` evaluator itself.  ``n0`` is N(G_n) when the caller
+    already holds it (``march`` does); None evaluates it here.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -294,7 +296,8 @@ def duhamel_step(state, nonlinearity, dt: float, scheme: str = "exp-trapezoid",
     if table is None or table.dt != dt:
         table = PropagatorTable.build(state.v.grid, dt)
 
-    n0 = nonlinearity(state)
+    if n0 is None:
+        n0 = nonlinearity(state)
     out = table.apply(_shifted(state, n0, dt))
     if scheme == "exp-trapezoid":
         h = 0.5 * dt

@@ -10,6 +10,12 @@ advection form it makes six real transforms: the Lorentz force is one j x B
 with the Ohm current j, and the advection term is the Leray-projected
 w x v, w = curl v.
 
+``march`` is the one time loop.  It yields each state with its Ohm
+current, read off the N(G_n) that the next step takes (j = sigma E - N_E),
+so a diagnostics row costs no transform of its own: an exp-trapezoid step
+and its row make 12 real transforms.  ``Trajectory.diagnostics`` is built
+from the states alone and forms each current by ``ohm_current``.
+
 A ``Trajectory`` is held as time stacks: three arrays
 (times, 3, *spectral_shape) for v, E and B.  The propagators and the Leray
 projection act on them mode for mode, so the free evolution and the Picard
@@ -122,7 +128,8 @@ class MhdState:
 class Trajectory:
     """Uniformly sampled states held as time stacks ``half`` = (v, E, B),
     each (times, 3, *spectral_shape); ``states`` are views of the stacks,
-    and the per-step ``diagnostics`` are computed on first read."""
+    and the per-step ``diagnostics`` are computed on first read, each
+    with its own ``ohm_current``."""
 
     grid: Grid
     times: np.ndarray
@@ -265,9 +272,13 @@ def nonlinearity(state: MhdState, velocity_form: str = "advection",
     )
 
 
-def energy_report(state: MhdState):
+def energy_report(state: MhdState, j: SpectralField | None = None):
     """(energy, enstrophy dissipation, ohmic dissipation):
-    1/2 (||v||^2 + ||E||^2 + ||B||^2), ||grad v||^2, ||j||^2."""
+    1/2 (||v||^2 + ||E||^2 + ||B||^2), ||grad v||^2, ||j||^2.
+
+    ``j`` is the Ohm current of ``state`` when the caller already holds it
+    (``march`` yields it with each state); None forms it by
+    ``ohm_current``, three more real transforms."""
     e = 0.5 * (
         lp_norm_physical(state.v, 2) ** 2
         + lp_norm_physical(state.E, 2) ** 2
@@ -277,7 +288,8 @@ def energy_report(state: MhdState):
     v = state.v.coeffs
     grad_sq = float(np.sum(grid._parseval_weight * grid.k_squared()
                            * (v.real**2 + v.imag**2)))
-    j = ohm_current(state)
+    if j is None:
+        j = ohm_current(state)
     j_sq = lp_norm_physical(j, 2) ** 2
     return e, grad_sq, j_sq
 
@@ -295,12 +307,19 @@ def step_count(T: float, dt: float) -> int:
 
 def march(initial: MhdState, T: float, dt: float, scheme: str = "exp-trapezoid",
           velocity_form: str = "advection"):
-    """Yield the prepared initial state, then the state after each of the
-    T/dt nonlinear steps (``duhamel_step``) of the Duhamel integral
-    equation with exact propagators.
+    """Yield ``(state, current)`` for the prepared initial state, then for
+    the state after each of the T/dt nonlinear steps (``duhamel_step``) of
+    the Duhamel integral equation with exact propagators.
 
-    ``BlowupError`` passes out of the generator.  Raises ValueError unless
-    T is an integer multiple of dt.
+    ``current`` is the Ohm current j = sigma (E + v x B) of ``state``, the
+    one ``energy_report`` takes.  N(G_n) is evaluated before G_n is
+    yielded: j = sigma E - N_E is read off its E slot, and the same N(G_n)
+    goes into the step.  The last state, which no step follows, takes j
+    from ``ohm_current``.
+
+    ``BlowupError`` passes out of the generator from the step after the
+    last state yielded.  Raises ValueError unless T is an integer multiple
+    of dt.
     """
     n_steps = step_count(T, dt)
     state = initial.prepared()
@@ -318,11 +337,14 @@ def march(initial: MhdState, T: float, dt: float, scheme: str = "exp-trapezoid",
         return nonlinearity(s, velocity_form=velocity_form)
 
     table = PropagatorTable.build(grid, dt)
-    yield state
     for step in range(n_steps):
+        n0 = nl(state)
+        current = np.multiply(state.E.coeffs, SIGMA)
+        current -= n0.E.coeffs  # N_E = -sigma v x B
+        yield state, SpectralField(grid, current)
         state = duhamel_step(state, nl, dt, scheme=scheme, table=table,
-                             step_index=step)
-        yield state
+                             step_index=step, n0=n0)
+    yield state, ohm_current(state)
 
 
 def _free_evolution(initial: MhdState, T: float, table: PropagatorTable) -> Trajectory:
@@ -343,12 +365,13 @@ def _free_evolution(initial: MhdState, T: float, table: PropagatorTable) -> Traj
 
 def simulate(initial: MhdState, T: float, dt: float, scheme: str = "exp-trapezoid",
              nonlinear: bool = True, velocity_form: str = "advection") -> Trajectory:
-    """Every state of ``march`` as one trajectory, or with ``nonlinear``
-    False the free evolution e^{t A} Gamma0."""
+    """Every state of ``march`` as one trajectory (its currents are
+    dropped), or with ``nonlinear`` False the free evolution
+    e^{t A} Gamma0."""
     if not nonlinear:
         return _free_evolution(initial, T, PropagatorTable.build(initial.grid, dt))
-    return Trajectory.from_states(initial.grid, march(initial, T, dt, scheme, velocity_form),
-                                  step_count(T, dt) + 1)
+    states = (state for state, _ in march(initial, T, dt, scheme, velocity_form))
+    return Trajectory.from_states(initial.grid, states, step_count(T, dt) + 1)
 
 
 def _diagnostics(state: MhdState) -> dict:

@@ -27,6 +27,7 @@ from nsmaxwell.system import (
     picard_solution,
     simulate,
     split_initial_data,
+    step_count,
     taylor_green_velocity,
     z_norm,
 )
@@ -326,7 +327,37 @@ def test_simulate_states_are_march_states(grid_name, request):
     grid = request.getfixturevalue(grid_name)
     initial = _random_state(grid, seed=61, amp=0.1)
     _assert_same_states(simulate(initial, 0.1, 0.02).states,
-                        list(march(initial, 0.1, 0.02)))
+                        [state for state, _ in march(initial, 0.1, 0.02)])
+
+
+@pytest.mark.parametrize("scheme", ["exp-euler", "exp-trapezoid"])
+@pytest.mark.parametrize("grid_name", ["grid2", "grid3"])
+def test_march_yields_ohm_current(grid_name, scheme, request):
+    # Each state comes with sigma E - N_E of the N(G_n) its step takes, and
+    # the last one with ohm_current itself: Ohm's current bit for bit.
+    grid = request.getfixturevalue(grid_name)
+    initial = _random_state(grid, seed=63, amp=0.1)
+    T, dt = 0.1, 0.02
+    pairs = list(march(initial, T, dt, scheme))
+    assert len(pairs) == step_count(T, dt) + 1
+    for state, j in pairs:
+        want = ohm_current(state).coeffs
+        assert np.any(want)
+        assert np.array_equal(j.coeffs, want), state.time
+
+
+@pytest.mark.parametrize("scheme, per_step", [("exp-euler", 6), ("exp-trapezoid", 12)])
+def test_march_transform_count(scheme, per_step, grid2, monkeypatch):
+    # One nonlinearity per exp-euler step and two per exp-trapezoid step,
+    # six transforms each; the rows take their Ohm current from N(G_n).
+    # The CFL sup-norm makes one transform, and the last state's
+    # ohm_current three.
+    initial = _random_state(grid2, seed=64, amp=0.1)
+    n_steps = 5
+    calls = _count_transforms(monkeypatch)
+    for state, j in march(initial, 0.1, 0.1 / n_steps, scheme):
+        energy_report(state, j)
+    assert len(calls) == per_step * n_steps + 4
 
 
 @pytest.mark.parametrize("grid_name", ["grid2", "grid3"])
