@@ -1,7 +1,7 @@
 """Exact paraproduct analysis on the integer frequency lattice, no grid.
 
 A field is a collection of rectangular *blocks* of Fourier modes: a
-complex scalar profile on a patch of the 2D lattice times a fixed
+scalar profile on a patch of the 2D lattice times a fixed complex
 polarization vector.  Products are exact block convolutions (FFT-based),
 so there is no aliasing and no resolution ceiling — dyadic shells far
 beyond any affordable FFT grid are reachable as long as the fields are
@@ -9,14 +9,23 @@ frequency-localized.  Shell weights are evaluated analytically from the
 same radial profiles as the grid partition, using the full telescoping
 family (the lattice is unbounded, so no boundary absorption is needed).
 
+Real profiles stay real: a profile is stored as float64 unless it is
+complex, and packets, conjugate mirrors, radial multipliers, real
+scalings and the convolutions of real profiles (``fftconvolve`` runs
+those on real FFTs) keep it so; only a complex profile or a complex
+polarization scale makes a complex canvas.
+
 Real fields are represented as a block plus its conjugate mirror; shell
 norms merge overlapping blocks on a canvas before summing power, so the
-results are exact for arbitrary block overlap.  Each canvas point is
-assigned its shells once: phi_q = chi(./2^{q+1}) - chi(./2^q) and the chi
-transition bands (3/4, 4/3) * 2^j are disjoint, so a point at radius r
-meets only shells J - 1 and J (J = round(log2 r)), with weights c and
-1 - c from the single value c = chi(r / 2^J).  The per-shell sums are two
-bincounts over the canvas, not one profile sweep per shell.
+results are exact for arbitrary block overlap.  A canvas is measured in
+chunks of 2^18 points, and only its covered points count: the points of
+zero power, which no block reaches, and k = 0 are dropped before any
+radius is formed.  Each covered point is assigned its shells once:
+phi_q = chi(./2^{q+1}) - chi(./2^q) and the chi transition bands
+(3/4, 4/3) * 2^j are disjoint, so a point at radius r meets only shells
+J - 1 and J (J = round(log2 r)), with weights c and 1 - c from the single
+value c = chi(r / 2^J).  The per-shell sums are two bincounts over the
+covered points, not one profile sweep per shell.
 
 A real field's coefficients satisfy f(-m) = conj(f(m)), so its power is
 mirror-symmetric and the remainder route measures only the Hermitian
@@ -63,6 +72,8 @@ BOX_VOLUME_2D = (2.0 * math.pi) ** 2
 # Relative slack on the profile cuts: corner radii and per-point radii may
 # round differently, and a term is skipped only where its profile is 0.
 _CUT_SLACK = 1e-12
+# Canvas points per measured chunk: bounds the shell-sum temporaries.
+_CHUNK_POINTS = 2**18
 
 
 @dataclass
@@ -75,7 +86,9 @@ class BlockField:
     pol: np.ndarray
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.complex128)
+        values = np.asarray(self.values)
+        self.values = values.astype(
+            np.complex128 if np.iscomplexobj(values) else np.float64, copy=False)
         self.pol = np.asarray(self.pol, dtype=np.complex128)
         if self.values.ndim != 2:
             raise ValueError("block profile must be a 2D array")
@@ -114,9 +127,6 @@ class BlockField:
 
     def scaled(self, factor: complex) -> "BlockField":
         return BlockField(self.origin, factor * self.values, self.pol)
-
-    def power(self) -> np.ndarray:
-        return np.abs(self.values) ** 2 * float(np.sum(np.abs(self.pol) ** 2))
 
 
 def real_pair(block: BlockField) -> list:
@@ -305,10 +315,12 @@ def _paste(pieces, box: tuple) -> BlockField:
     ``pieces`` yields ``(block, mirrored)`` pairs, taken one at a time from
     any iterable; a mirrored block is pasted as its conjugate mirror, by
     index.  Requires a shared polarization direction; amplitudes relative
-    to the first block's are folded into the scalar.
+    to the first block's are folded into the scalar.  The canvas is real
+    while every piece and every polarization scale is, and turns complex
+    at the first complex contribution.
     """
     r0, r1, c0, c1 = box
-    canvas = np.zeros((r1 + 1 - r0, c1 + 1 - c0), dtype=np.complex128)
+    canvas = np.zeros((r1 + 1 - r0, c1 + 1 - c0))
     pol = None
     for b, mirrored in pieces:
         vals, b_pol, (o0, o1) = b.values, b.pol, b.origin
@@ -321,8 +333,13 @@ def _paste(pieces, box: tuple) -> BlockField:
         j0, j1 = max(o1, c0), min(o1 + vals.shape[1], c1 + 1)
         if i0 < i1 and j0 < j1:
             vals = vals[i0 - o0 : i1 - o0, j0 - o1 : j1 - o1]
-            canvas[i0 - r0 : i1 - r0, j0 - c0 : j1 - c0] += _pol_scale(b_pol, pol) * (
+            scale = _pol_scale(b_pol, pol)
+            term = (scale.real if scale.imag == 0.0 else scale) * (
                 np.conj(vals) if mirrored else vals)
+            if np.iscomplexobj(term) and not np.iscomplexobj(canvas):
+                canvas = canvas.astype(np.complex128)
+            canvas[i0 - r0 : i1 - r0, j0 - c0 : j1 - c0] += term
+            del term
         del b, vals  # a generator's next block is made while these would still live
     return BlockField((r0, c0), canvas, pol)
 
@@ -374,22 +391,42 @@ def _shell_sums(r: np.ndarray, power: np.ndarray, lowpass_shell=None) -> tuple:
     return {q0 + i: float(s) for i, s in enumerate(sums) if s > 0.0}, low
 
 
+def _covered_points(block: BlockField, half: bool = False):
+    """``(r, power)`` of the block's points with nonzero power, in row
+    chunks of about ``_CHUNK_POINTS`` points.  Points no box covers carry
+    no power; k = 0 is given none, and with ``half`` so is the row m1 = 0
+    at m2 < 0, which leaves the Hermitian half-plane.  r is the sqrt of
+    the exact integer m1^2 + m2^2, formed at the kept points only."""
+    pol_sq = float(np.sum(np.abs(block.pol) ** 2))
+    (r0, c0), (n_rows, n_cols) = block.origin, block.shape
+    cols_sq = np.arange(c0, c0 + n_cols, dtype=float) ** 2
+    chunk = max(1, _CHUNK_POINTS // n_cols)
+    for row0 in range(0, n_rows, chunk):
+        power = np.abs(block.values[row0 : row0 + chunk])
+        np.square(power, out=power)
+        power *= pol_sq
+        row = -r0 - row0  # the chunk's row m1 = 0
+        if 0 <= row < len(power):
+            power[row, 0 if half else max(0, -c0) : max(0, 1 - c0)] = 0.0
+        keep = power > 0.0
+        rows_sq = np.arange(r0 + row0, r0 + row0 + len(power), dtype=float) ** 2
+        yield np.sqrt((rows_sq[:, None] + cols_sq[None, :])[keep]), power[keep]
+
+
 def shell_norms(blocks: list) -> dict:
-    """||Delta_q (sum of blocks)||_{L^2} per occupied shell (k=0 dropped)."""
+    """||Delta_q (sum of blocks)||_{L^2} per occupied shell (k=0 dropped),
+    in increasing shell order."""
     acc = Counter()
     for merged in _merged(blocks):
-        r = merged.radius()
-        keep = r > 0.0
-        acc.update(_shell_sums(r[keep], merged.power()[keep])[0])
-    return {q: math.sqrt(BOX_VOLUME_2D * s) for q, s in acc.items()}
+        for r, power in _covered_points(merged):
+            acc.update(_shell_sums(r, power)[0])
+    return {q: math.sqrt(BOX_VOLUME_2D * s) for q, s in sorted(acc.items())}
 
 
 def l2_norm(blocks: list) -> float:
-    total = 0.0
-    for merged in _merged(blocks):
-        power = merged.power()
-        zero = merged.radius() == 0.0
-        total += float(np.sum(np.where(zero, 0.0, power)))
+    """||sum of blocks||_{L^2} (k=0 dropped)."""
+    total = sum(float(np.sum(power)) for merged in _merged(blocks)
+                for _, power in _covered_points(merged))
     return math.sqrt(BOX_VOLUME_2D * total)
 
 
@@ -446,7 +483,7 @@ def gaussian_packet(center: tuple, half_width: int, pol,
     x = np.arange(-h, h + 1, dtype=float)
     sigma = max(h / 2.0, 1.0)
     prof = np.exp(-0.5 * (x / sigma) ** 2)
-    vals = np.outer(prof, prof).astype(np.complex128)
+    vals = np.outer(prof, prof)
     if rng is not None:
         vals = vals * (1.0 + 0.1 * rng.standard_normal(vals.shape))
     return BlockField((center[0] - h, center[1] - h), vals, pol)
@@ -579,18 +616,8 @@ def remainder_cluster_stats(p, q, t_blocks=(), lowpass_shell: int = 2) -> tuple:
         if half:
             box = (0,) + box[1:]  # rows m1 >= 0; row m1 = 0 counts m2 > 0 only
         merged = _paste(pieces(set(idxs)), box)
-        pol_sq = float(np.sum(np.abs(merged.pol) ** 2))
-        (r0, c0), (n_rows, n_cols) = merged.origin, merged.shape
-        cols = (c0 + np.arange(n_cols)).astype(float)
-        chunk = max(1, 2**18 // n_cols)  # bounds the shell-sum temporaries
-        for row0 in range(0, n_rows, chunk):
-            rows = (r0 + np.arange(row0, min(row0 + chunk, n_rows))).astype(float)
-            rr = np.hypot(rows[:, None], cols[None, :])
-            keep = rr > 0.0
-            if half:
-                keep &= (rows[:, None] > 0.0) | (cols[None, :] > 0.0)
-            power = np.abs(merged.values[row0 : row0 + len(rows)][keep]) ** 2 * pol_sq
-            sums, low = _shell_sums(rr[keep], power, lowpass_shell)
+        for r, power in _covered_points(merged, half):
+            sums, low = _shell_sums(r, power, lowpass_shell)
             s_low_sq += low
             comp_sq.update(sums)
         del merged

@@ -305,8 +305,7 @@ def step_count(T: float, dt: float) -> int:
     return n_steps
 
 
-def march(initial: MhdState, T: float, dt: float, scheme: str = "exp-trapezoid",
-          velocity_form: str = "advection"):
+def march(initial: MhdState, T: float, dt: float, scheme: str = "exp-trapezoid"):
     """Yield ``(state, current)`` for the prepared initial state, then for
     the state after each of the T/dt nonlinear steps (``duhamel_step``) of
     the Duhamel integral equation with exact propagators.
@@ -333,16 +332,13 @@ def march(initial: MhdState, T: float, dt: float, scheme: str = "exp-trapezoid",
 
         warnings.warn(f"dt * max|v| = {vmax * dt:.3e} exceeds grid spacing {h:.3e}")
 
-    def nl(s):
-        return nonlinearity(s, velocity_form=velocity_form)
-
     table = PropagatorTable.build(grid, dt)
     for step in range(n_steps):
-        n0 = nl(state)
+        n0 = nonlinearity(state)
         current = np.multiply(state.E.coeffs, SIGMA)
         current -= n0.E.coeffs  # N_E = -sigma v x B
         yield state, SpectralField(grid, current)
-        state = duhamel_step(state, nl, dt, scheme=scheme, table=table,
+        state = duhamel_step(state, nonlinearity, dt, scheme=scheme, table=table,
                              step_index=step, n0=n0)
     yield state, ohm_current(state)
 
@@ -364,13 +360,13 @@ def _free_evolution(initial: MhdState, T: float, table: PropagatorTable) -> Traj
 
 
 def simulate(initial: MhdState, T: float, dt: float, scheme: str = "exp-trapezoid",
-             nonlinear: bool = True, velocity_form: str = "advection") -> Trajectory:
+             nonlinear: bool = True) -> Trajectory:
     """Every state of ``march`` as one trajectory (its currents are
     dropped), or with ``nonlinear`` False the free evolution
     e^{t A} Gamma0."""
     if not nonlinear:
         return _free_evolution(initial, T, PropagatorTable.build(initial.grid, dt))
-    states = (state for state, _ in march(initial, T, dt, scheme, velocity_form))
+    states = (state for state, _ in march(initial, T, dt, scheme))
     return Trajectory.from_states(initial.grid, states, step_count(T, dt) + 1)
 
 
@@ -442,8 +438,7 @@ def initial_data_norm(state: MhdState, part: DyadicPartition | None = None) -> f
 # Picard iteration around the free evolution.
 
 
-def _apply_phi(free: Trajectory, pert: Trajectory | None, table: PropagatorTable,
-               velocity_form: str = "advection") -> Trajectory:
+def _apply_phi(free: Trajectory, pert: Trajectory | None, table: PropagatorTable) -> Trajectory:
     """One application of the fixed-point map on trajectory stacks:
     quadrature of the Duhamel integral of N(free + pert) with exact
     propagator factors.  ``pert`` None is the zero perturbation: N is then
@@ -470,8 +465,7 @@ def _apply_phi(free: Trajectory, pert: Trajectory | None, table: PropagatorTable
             fields = (a[at] for a in free.half)
         else:
             fields = (a[at] + b[at] for a, b in zip(free.half, pert.half))
-        n_v, n_E = (h * n for n in _nonlinearity_half(grid, *fields,
-                                                      velocity_form=velocity_form))
+        n_v, n_E = (h * n for n in _nonlinearity_half(grid, *fields))
         for j, i in enumerate(chunk):
             if prev is not None:
                 np.add(out[0][i - 1], prev[0], out=out[0][i])
@@ -490,7 +484,6 @@ def _apply_phi(free: Trajectory, pert: Trajectory | None, table: PropagatorTable
 
 
 def picard_iterate(initial: MhdState, T: float, dt: float, n_iters: int,
-                   velocity_form: str = "advection",
                    part: DyadicPartition | None = None):
     """Iterate the fixed-point map starting from the zero perturbation.
 
@@ -523,7 +516,7 @@ def picard_iterate(initial: MhdState, T: float, dt: float, n_iters: int,
     free = _free_evolution(initial, T, table)
     prev, diffs = None, []  # None: the zero perturbation
     for _ in range(n_iters):
-        nxt = _apply_phi(free, prev, table, velocity_form)
+        nxt = _apply_phi(free, prev, table)
         # G^m is dead once the map has run: its buffers take G^{m+1} - G^m.
         diff = z_norm(nxt if prev is None else Trajectory(grid, free.times, tuple(
             np.subtract(a, b, out=b) for a, b in zip(nxt.half, prev.half))),

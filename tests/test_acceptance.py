@@ -48,8 +48,7 @@ def _report(num: int, name: str, ok: bool, detail: str) -> None:
 def test_criterion_01_propagator_oracle():
     rng = np.random.default_rng(42)
     kmags = [0.0, 0.1, 0.5, 1.0, 2.0, 10.0]
-    worst = 0.0
-    n_modes = 0
+    cases, E0s, B0s, ks = [], [], [], []
     for kmag in kmags:
         per = 15 if kmag == 0.0 else 17
         if kmag == 0.0:
@@ -60,43 +59,50 @@ def test_criterion_01_propagator_oracle():
             grid = Grid(3, 8, 2 * np.pi / kmag)
             mode = (1, 0, 0)
             k = np.array([kmag, 0.0, 0.0])
-        E0s = rng.standard_normal((per, 3)) + 1j * rng.standard_normal((per, 3))
-        B0s = rng.standard_normal((per, 3)) + 1j * rng.standard_normal((per, 3))
+        E0 = rng.standard_normal((per, 3)) + 1j * rng.standard_normal((per, 3))
+        B0 = rng.standard_normal((per, 3)) + 1j * rng.standard_normal((per, 3))
         if kmag > 0:
             kh = k / np.linalg.norm(k)
-            B0s = B0s - np.outer(B0s @ kh, kh)  # div-free
-        # vectorized classical RK4 on y = (E, B), dE = ik x B - E, dB = -ik x E
-        y = np.concatenate([E0s, B0s], axis=1)
-        kb = np.broadcast_to(k, (per, 3))
+            B0 = B0 - np.outer(B0 @ kh, kh)  # div-free
+        cases += [(grid, mode)] * per
+        E0s.append(E0)
+        B0s.append(B0)
+        ks.append(np.broadcast_to(k, (per, 3)))
+    E0s, B0s, kb = np.concatenate(E0s), np.concatenate(B0s), np.concatenate(ks)
 
-        def f(y):
-            E, B = y[:, :3], y[:, 3:]
-            return np.concatenate(
-                [-E + 1j * np.cross(kb, B), -1j * np.cross(kb, E)], axis=1
-            )
+    # classical RK4 on y = (E, B), dE = ik x B - E, dB = -ik x E, one row
+    # per mode: every |k| advances in the same loop
+    def f(y):
+        E, B = y[:, :3], y[:, 3:]
+        return np.concatenate(
+            [-E + 1j * np.cross(kb, B), -1j * np.cross(kb, E)], axis=1
+        )
 
-        dt = 1e-4
-        for _ in range(10_000):
-            k1 = f(y)
-            k2 = f(y + dt / 2 * k1)
-            k3 = f(y + dt / 2 * k2)
-            k4 = f(y + dt * k3)
-            y = y + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        for s in range(per):
-            Ef = SpectralField.zeros(grid)
-            Bf = SpectralField.zeros(grid)
-            Ef.coeffs[(slice(None),) + mode] = E0s[s]
-            Bf.coeffs[(slice(None),) + mode] = B0s[s]
-            E1, B1 = maxwell_apply(Ef, Bf, 1.0)
-            B2 = maxwell_wave_route(Ef, Bf, 1.0)
-            scale = max(np.max(np.abs(y[s])), 1e-300)
-            err = max(
-                np.max(np.abs(E1.coeffs[(slice(None),) + mode] - y[s, :3])),
-                np.max(np.abs(B1.coeffs[(slice(None),) + mode] - y[s, 3:])),
-                np.max(np.abs(B2.coeffs[(slice(None),) + mode] - y[s, 3:])),
-            ) / scale
-            worst = max(worst, err)
-            n_modes += 1
+    y = np.concatenate([E0s, B0s], axis=1)
+    dt = 1e-4
+    for _ in range(10_000):
+        k1 = f(y)
+        k2 = f(y + dt / 2 * k1)
+        k3 = f(y + dt / 2 * k2)
+        k4 = f(y + dt * k3)
+        y = y + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+    worst = 0.0
+    n_modes = 0
+    for s, (grid, mode) in enumerate(cases):
+        Ef = SpectralField.zeros(grid)
+        Bf = SpectralField.zeros(grid)
+        Ef.coeffs[(slice(None),) + mode] = E0s[s]
+        Bf.coeffs[(slice(None),) + mode] = B0s[s]
+        E1, B1 = maxwell_apply(Ef, Bf, 1.0)
+        B2 = maxwell_wave_route(Ef, Bf, 1.0)
+        scale = max(np.max(np.abs(y[s])), 1e-300)
+        err = max(
+            np.max(np.abs(E1.coeffs[(slice(None),) + mode] - y[s, :3])),
+            np.max(np.abs(B1.coeffs[(slice(None),) + mode] - y[s, 3:])),
+            np.max(np.abs(B2.coeffs[(slice(None),) + mode] - y[s, 3:])),
+        ) / scale
+        worst = max(worst, err)
+        n_modes += 1
     ok = n_modes == 100 and worst <= 1e-8
     _report(1, "propagator vs ODE oracle", ok,
             f"{n_modes} modes, worst rel err {worst:.3e} (tol 1e-8)")

@@ -29,6 +29,7 @@ from nsmaxwell.latticeblocks import (
     lowpass_l2,
     packet_pair,
     paraproduct_pieces,
+    radial_multiply,
     real_pair,
     real_product_blocks,
     remainder_cluster_stats,
@@ -250,12 +251,12 @@ def test_remainder_cluster_stats_rejects_unmirrored_block():
     remainder_cluster_stats(p_list, b_list, t_blocks=real_pair(lone))
 
 
-def _counting(monkeypatch, name):
+def _counting(monkeypatch, name, record=lambda *args: None):
     calls = []
     original = getattr(latticeblocks, name)
 
     def wrapper(*args, **kwargs):
-        calls.append(None)
+        calls.append(record(*args))
         return original(*args, **kwargs)
 
     monkeypatch.setattr(latticeblocks, name, wrapper)
@@ -279,3 +280,128 @@ def test_bony_paraproducts_skips_empty_terms_unevaluated(q, sizes, monkeypatch):
     t_ab, t_ba = bony_paraproducts(p_list, b_list)
     assert (len(t_ab), len(t_ba)) == sizes
     assert (len(calls) == 0) == (sizes == (0, 0))
+
+
+def test_real_profiles_stay_real():
+    e_pol, b_pol = np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0])
+    p = gaussian_packet((6, 5), 2, e_pol, np.random.default_rng(0))
+    q = gaussian_packet((-7, 3), 2, b_pol)
+    real = [p, p.conj_mirror(), radial_multiply(p, lambda r: 1.0 / (1.0 + r)),
+            p.scaled(-1), block_convolve(p, q), block_convolve(p, q.conj_mirror())]
+    assert all(b.values.dtype == np.float64 for b in real)
+    assert all(b.pol.dtype == np.complex128 for b in real)
+    box = (-8, 8, -7, 7)
+    canvas = latticeblocks._paste([(p, False), (p, True), (p.scaled(-2.0), False)], box)
+    assert canvas.values.dtype == np.float64
+    # a complex profile or a complex polarization scale makes a complex canvas
+    turned = p.scaled(1j)
+    assert turned.values.dtype == np.complex128
+    for piece in (turned, BlockField(p.origin, p.values, 1j * p.pol)):
+        canvas = latticeblocks._paste([(p, False), (piece, False), (p, True)], box)
+        assert canvas.values.dtype == np.complex128
+        at = (slice(p.origin[0] - box[0], p.origin[0] - box[0] + p.shape[0]),
+              slice(p.origin[1] - box[2], p.origin[1] - box[2] + p.shape[1]))
+        assert np.array_equal(canvas.values[at], (1.0 + 1j) * p.values)
+
+
+def _vector_canvas(blocks):
+    """A block sum as 3-vector coefficients on one complex canvas, with the
+    lattice coordinates of its rows and columns."""
+    r0 = min(b.origin[0] for b in blocks)
+    c0 = min(b.origin[1] for b in blocks)
+    r1 = max(b.origin[0] + b.shape[0] for b in blocks)
+    c1 = max(b.origin[1] + b.shape[1] for b in blocks)
+    canvas = np.zeros((3, r1 - r0, c1 - c0), dtype=np.complex128)
+    for b in blocks:
+        i, j = b.origin[0] - r0, b.origin[1] - c0
+        canvas[:, i : i + b.shape[0], j : j + b.shape[1]] += b.pol[:, None, None] * b.values
+    return canvas, np.arange(r0, r1), np.arange(c0, c1)
+
+
+def _one_canvas_reference(blocks):
+    """Per-shell L^2 norms and the L^2 norm (k = 0 dropped) of a block sum
+    on ``_vector_canvas``, by one phi_profile sweep per shell."""
+    canvas, rows, cols = _vector_canvas(blocks)
+    power = np.sum(np.abs(canvas) ** 2, axis=0)
+    r = np.hypot(rows[:, None], cols[None, :]).astype(float)
+    keep = r > 0.0
+    sums, _ = _shell_sums_reference(r[keep], power[keep], None)
+    shells = {s_q: math.sqrt(latticeblocks.BOX_VOLUME_2D * s) for s_q, s in sums.items()}
+    return shells, math.sqrt(latticeblocks.BOX_VOLUME_2D * float(np.sum(power[keep])))
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+def test_complex_phases_match_one_canvas_reference(q):
+    # a unit phase e^{i theta} on every block makes every profile and canvas
+    # complex; the real field is still block + conjugate mirror
+    rng = np.random.default_rng(20 + q)
+    p_list, b_list = (
+        [b.scaled(np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))) for b in blocks]
+        for blocks in criticality_packets(q, rng)
+    )
+    t_ab, t_ba = bony_paraproducts(p_list, b_list)
+    assert all(b.values.dtype == np.complex128 for b in t_ab + t_ba)
+    s_low, comp = remainder_cluster_stats(
+        p_list, b_list, t_blocks=t_ab + t_ba, lowpass_shell=2
+    )
+    rem = real_product_blocks(p_list, b_list) + [b.scaled(-1.0) for b in t_ab + t_ba]
+    assert all(b.values.dtype == np.complex128 for b in rem)
+    _, s_low_ref = _one_canvas_reference(lowpass_blocks(rem, 2))
+    high = lowpass_blocks(rem, 2, complement=True)
+    comp_ref, _ = _one_canvas_reference(high)
+    scale = max(comp_ref.values())
+    assert abs(s_low - s_low_ref) <= 1e-12 * scale
+    shells = shell_norms(high)
+    for s_q in set(comp) | set(comp_ref) | set(shells):
+        want = comp_ref.get(s_q, 0.0)
+        assert abs(comp.get(s_q, 0.0) - want) <= 1e-12 * scale, s_q
+        assert abs(shells.get(s_q, 0.0) - want) <= 1e-12 * scale, s_q
+
+
+def _points_received(monkeypatch):
+    # the radii of every point given to _shell_sums, whose power must be > 0
+    def record(r, power, *rest):
+        assert r.shape == power.shape
+        assert np.all(r > 0.0) and np.all(power > 0.0)
+        return r
+    return _counting(monkeypatch, "_shell_sums", record)
+
+
+def test_shell_norms_measure_only_covered_points(monkeypatch):
+    # two overlapping blocks leave 12 of their 36-point union box uncovered;
+    # of the 24 covered points, k = 0 is dropped and one holds an exact zero
+    pol = np.array([0.0, 1.0, 0.0])
+    a = BlockField((-2, -2), np.ones((3, 3)), pol)
+    vals = np.arange(1.0, 17.0).reshape(4, 4)
+    vals[2, 1] = 0.0
+    b = BlockField((0, 0), vals, 2.0 * pol)
+    points = {(m1, m2) for m1 in range(-2, 1) for m2 in range(-2, 1)}
+    points |= {(m1, m2) for m1 in range(4) for m2 in range(4)}
+    points -= {(0, 0), (2, 1)}
+    received = _points_received(monkeypatch)
+    shell_norms([a, b])
+    assert len(received) == 1
+    want = np.sort([math.hypot(m1, m2) for m1, m2 in points])
+    assert np.array_equal(np.sort(received[0]), want)
+    power = 4.0 * (np.sum(vals**2) - 1.0) + 8.0  # b's points but k = 0, a's 8 others
+    assert l2_norm([a, b]) == pytest.approx(math.sqrt(latticeblocks.BOX_VOLUME_2D * power),
+                                            rel=1e-15)
+
+
+@pytest.mark.parametrize("q", [4, 5])
+def test_remainder_cluster_stats_measures_only_covered_points(q, monkeypatch):
+    p_list, b_list = criticality_packets(q, np.random.default_rng(1))
+    t_ab, t_ba = bony_paraproducts(p_list, b_list)
+    canvas_sizes = _counting(monkeypatch, "_paste", lambda pieces, box:
+                             (box[1] + 1 - box[0]) * (box[3] + 1 - box[2]))
+    received = _points_received(monkeypatch)
+    remainder_cluster_stats(p_list, b_list, t_blocks=t_ab + t_ba)
+    n_received = sum(r.size for r in received)
+    # every nonzero-power point with r > 0 of the whole remainder, counted
+    # on one canvas, is a measured point or the mirror of one
+    rem = real_product_blocks(p_list, b_list) + [b.scaled(-1.0) for b in t_ab + t_ba]
+    canvas, rows, cols = _vector_canvas(rem)
+    covered = np.any(canvas != 0.0, axis=0)
+    covered[-rows[0], -cols[0]] = False  # k = 0
+    assert 2 * n_received == int(np.sum(covered))
+    assert n_received < sum(canvas_sizes)  # the measured canvases had gaps
