@@ -11,9 +11,9 @@ family (the lattice is unbounded, so no boundary absorption is needed).
 
 Real profiles stay real: a profile is stored as float64 unless it is
 complex, and packets, conjugate mirrors, radial multipliers, real
-scalings and the convolutions of real profiles (``fftconvolve`` runs
-those on real FFTs) keep it so; only a complex profile or a complex
-polarization scale makes a complex canvas.
+scalings and the convolutions of real profiles (``block_convolve`` runs
+those on real FFTs of ``scipy.fft``) keep it so; only a complex profile or
+a complex polarization scale makes a complex canvas.
 
 Real fields are represented as a block plus its conjugate mirror; shell
 norms merge overlapping blocks on a canvas before summing power, so the
@@ -43,7 +43,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
+import scipy.fft
 
 from .dyadic import chi_profile, phi_profile, CHI_HI, PHI_LO, PHI_HI
 
@@ -135,8 +135,23 @@ def real_pair(block: BlockField) -> list:
 
 
 def block_convolve(a: BlockField, b: BlockField) -> BlockField:
-    """Convolution of two blocks with cross-product polarization."""
-    vals = fftconvolve(a.values, b.values)
+    """Full linear convolution of two blocks, with cross-product
+    polarization, by the steps of ``scipy.signal.fftconvolve``: FFTs on
+    the axes where neither profile has length 1 (the others broadcast),
+    padded to ``next_fast_len(s1 + s2 - 1)``, real FFTs for two real
+    profiles; the result is cropped to s1 + s2 - 1 and copied."""
+    x, y = a.values, b.values
+    shape = tuple(p + q - 1 for p, q in zip(x.shape, y.shape))
+    axes = [i for i in range(2) if x.shape[i] != 1 and y.shape[i] != 1]
+    if axes:
+        real = not (np.iscomplexobj(x) or np.iscomplexobj(y))
+        fft, ifft = ((scipy.fft.rfftn, scipy.fft.irfftn) if real
+                     else (scipy.fft.fftn, scipy.fft.ifftn))
+        fshape = [scipy.fft.next_fast_len(shape[i], real) for i in axes]
+        vals = ifft(fft(x, fshape, axes=axes) * fft(y, fshape, axes=axes), fshape, axes=axes)
+    else:
+        vals = x * y
+    vals = vals[: shape[0], : shape[1]].copy()
     origin = (a.origin[0] + b.origin[0], a.origin[1] + b.origin[1])
     return BlockField(origin, vals, np.cross(a.pol, b.pol))
 

@@ -13,8 +13,8 @@ w x v, w = curl v.
 ``march`` is the one time loop.  It yields each state with its Ohm
 current, read off the N(G_n) that the next step takes (j = sigma E - N_E),
 so a diagnostics row costs no transform of its own: an exp-trapezoid step
-and its row make 12 real transforms.  ``Trajectory.diagnostics`` is built
-from the states alone and forms each current by ``ohm_current``.
+and its row make 12 real transforms.  ``simulate`` records each row of
+``Trajectory.diagnostics`` from these pairs as it stacks the states.
 
 A ``Trajectory`` is held as time stacks: three arrays
 (times, 3, *spectral_shape) for v, E and B.  The propagators and the Leray
@@ -28,7 +28,7 @@ evolution and two iterates, and forms their difference in the older one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -127,13 +127,15 @@ class MhdState:
 @dataclass
 class Trajectory:
     """Uniformly sampled states held as time stacks ``half`` = (v, E, B),
-    each (times, 3, *spectral_shape); ``states`` are views of the stacks,
-    and the per-step ``diagnostics`` are computed on first read, each
-    with its own ``ohm_current``."""
+    each (times, 3, *spectral_shape); ``states`` are views of the stacks.
+    ``diagnostics`` holds one ``energy_report`` row per state of a
+    nonlinear ``simulate`` run, and is empty for the free evolution and
+    the Picard iterates."""
 
     grid: Grid
     times: np.ndarray
     half: tuple
+    diagnostics: list = field(default_factory=list)
 
     @classmethod
     def from_states(cls, grid: Grid, states, count: int) -> "Trajectory":
@@ -151,10 +153,6 @@ class Trajectory:
     def states(self) -> list:
         return [MhdState(*(SpectralField(self.grid, a[i]) for a in self.half), time=t)
                 for i, t in enumerate(self.times)]
-
-    @cached_property
-    def diagnostics(self) -> list:
-        return [_diagnostics(state) for state in self.states]
 
     def __len__(self) -> int:
         return len(self.times)
@@ -361,18 +359,23 @@ def _free_evolution(initial: MhdState, T: float, table: PropagatorTable) -> Traj
 
 def simulate(initial: MhdState, T: float, dt: float, scheme: str = "exp-trapezoid",
              nonlinear: bool = True) -> Trajectory:
-    """Every state of ``march`` as one trajectory (its currents are
-    dropped), or with ``nonlinear`` False the free evolution
-    e^{t A} Gamma0."""
+    """Every state of ``march`` as one trajectory, with one diagnostics
+    row per state from ``energy_report`` on the state and the current
+    ``march`` yields with it; or with ``nonlinear`` False the free
+    evolution e^{t A} Gamma0, which has no rows."""
     if not nonlinear:
         return _free_evolution(initial, T, PropagatorTable.build(initial.grid, dt))
-    states = (state for state, _ in march(initial, T, dt, scheme))
-    return Trajectory.from_states(initial.grid, states, step_count(T, dt) + 1)
+    rows = []
 
+    def recorded():
+        for state, current in march(initial, T, dt, scheme):
+            e, grad_sq, j_sq = energy_report(state, current)
+            rows.append({"time": state.time, "energy": e, "grad_v_sq": grad_sq, "j_sq": j_sq})
+            yield state
 
-def _diagnostics(state: MhdState) -> dict:
-    e, grad_sq, j_sq = energy_report(state)
-    return {"time": state.time, "energy": e, "grad_v_sq": grad_sq, "j_sq": j_sq}
+    traj = Trajectory.from_states(initial.grid, recorded(), step_count(T, dt) + 1)
+    traj.diagnostics = rows
+    return traj
 
 
 # ---------------------------------------------------------------------------

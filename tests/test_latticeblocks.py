@@ -224,6 +224,36 @@ def test_convolution_polarization_is_cross():
     assert np.allclose(c.pol, [0.0, 0.0, 1.0])
 
 
+@pytest.mark.parametrize("complex_a, complex_b",
+                         [(False, False), (True, False), (False, True), (True, True)])
+@pytest.mark.parametrize("shape_a, shape_b", [
+    ((1, 5), (4, 1)),  # no FFT axis: the broadcast product
+    ((6, 1), (4, 7)),  # FFT on axis 0 only
+    ((1, 1), (5, 3)),
+    ((5, 8), (3, 4)),  # FFT on both axes, each padded past s1 + s2 - 1
+])
+def test_block_convolve_matches_direct_sum(shape_a, shape_b, complex_a, complex_b):
+    rng = np.random.default_rng(7)
+
+    def profile(shape, is_complex):
+        vals = rng.standard_normal(shape)
+        return vals + 1j * rng.standard_normal(shape) if is_complex else vals
+
+    x, y = profile(shape_a, complex_a), profile(shape_b, complex_b)
+    want = np.zeros((shape_a[0] + shape_b[0] - 1, shape_a[1] + shape_b[1] - 1),
+                    dtype=np.result_type(x, y))
+    for i, j in np.ndindex(*shape_a):
+        for k, l in np.ndindex(*shape_b):
+            want[i + k, j + l] += x[i, j] * y[k, l]
+    pol = np.array([0.0, 0.0, 1.0])
+    got = block_convolve(BlockField((2, -3), x, pol), BlockField((-1, 4), y, pol))
+    assert got.origin == (1, 1)
+    assert got.values.dtype == (np.complex128 if complex_a or complex_b else np.float64)
+    assert got.values.flags.c_contiguous
+    assert got.values.shape == want.shape
+    assert np.max(np.abs(got.values - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 @pytest.mark.parametrize("seed", range(4))
 @pytest.mark.parametrize("q", range(2, 8))
 def test_remainder_cluster_stats_matches_one_canvas_reference(q, seed):

@@ -1,15 +1,20 @@
 """The benchmark's span tracer (perfbench/tracing.py) wraps functions of the
 package by name, and the scripts in scripts/ call the package's public API;
-a rename must fail here, not only in a benchmark or script run."""
+a rename must fail here, not only in a benchmark or script run.  Every run
+pays the package's import, so its import graph is checked here too."""
 
 import csv
 import importlib
 import importlib.util
 import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
+
+import nsmaxwell
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PERFBENCH = os.path.join(ROOT, "perfbench")
@@ -38,6 +43,24 @@ def test_trace_targets_resolve(monkeypatch):
         if owner is None or attr not in vars(owner):
             missing.append(f"nsmaxwell.{module}.{path}")
     assert tracing.TARGETS and not missing
+
+
+def test_import_loads_no_heavy_scipy_subpackage():
+    # The package needs numpy and scipy.fft only; scipy.signal alone would
+    # pull in the rest of this list and most of the import time and memory
+    # of every nsmw run.
+    heavy = ["scipy." + name for name in ("signal", "integrate", "interpolate", "linalg",
+                                          "ndimage", "optimize", "sparse", "spatial",
+                                          "stats")]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(nsmaxwell.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("PYTHONWARNINGS", None)
+    run = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, nsmaxwell, nsmaxwell.cli; print(' '.join(sorted(sys.modules)))"],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    assert sorted(set(run.stdout.split()) & set(heavy)) == []
 
 
 def test_every_script_has_smoke_arguments():
