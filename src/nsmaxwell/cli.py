@@ -68,6 +68,9 @@ def build_initial_state(cfg: RunConfig) -> MhdState:
             B, _ = read_snapshot(cfg.init_file + "_B.nsmw")
         except (OSError, SnapshotError) as exc:
             raise ConfigError([f"init_file: {exc}"]) from exc
+        if not v.grid == E.grid == B.grid:
+            raise ConfigError([f"init_file: the v, E and B snapshots lie on different "
+                               f"grids: {v.grid}, {E.grid}, {B.grid}"])
         return MhdState(v, E, B, time=t0).prepared()
     return MhdState(v, E, B, time=0.0).prepared()
 

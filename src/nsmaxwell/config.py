@@ -58,7 +58,16 @@ class RunConfig:
     norms: tuple = ()
 
 
-_LIST_ELEM = {"epsilons": float, "estimates": str, "norms": str}
+def _finite(raw: str) -> float:
+    """A float that is neither NaN nor infinite: every range check below
+    is a comparison, which NaN passes."""
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"{raw!r} is not finite")
+    return value
+
+
+_LIST_ELEM = {"epsilons": _finite, "estimates": str, "norms": str}
 
 
 def _convert(name: str, kind, raw: str):
@@ -70,7 +79,7 @@ def _convert(name: str, kind, raw: str):
         v = int(raw)
         return v
     if kind is float:
-        return float(raw)
+        return _finite(raw)
     return raw
 
 
@@ -144,8 +153,9 @@ def parse_config(text: str) -> RunConfig:
             values[key] = _convert(key, kinds[key], raw)
             lines_of[key] = lineno
         except ValueError:
-            errors.append(f"line {lineno}: {key}: cannot parse {raw!r} "
-                          f"as {kinds[key].__name__}")
+            kind = _LIST_ELEM.get(key, kinds[key])
+            errors.append(f"line {lineno}: {key}: cannot parse {raw!r} as "
+                          f"{'a finite float' if kind in (float, _finite) else kind.__name__}")
     # Validate whatever did parse, so constraint violations are reported
     # alongside parse errors instead of only on a second attempt.
     cfg = RunConfig(**values)

@@ -14,7 +14,9 @@ factor e_par of the longitudinal part of E; no field is split into parts:
     B_t = a22 (B - khat (khat.B)) - a12 i khat x E.
 It takes the imaginary coupling i a12, which ``PropagatorTable`` builds once
 and ``maxwell_apply``, ``maxwell_apply_undamped`` and the closed-form decay
-checker (whose factors carry a time axis) form per call.
+checker (whose factors carry a time axis) form per call.  The table applies
+it, with the k = 0 fix of ``_maxwell_group``, to amplitudes, not states,
+writing into output slots that may be its inputs.
 
 Every factor lives on the grid's stored modes, the half spectrum (see
 ``grid``), so it multiplies the amplitudes column for column.
@@ -141,12 +143,13 @@ def _maxwell_coefficients(ksq: np.ndarray, t):
 
 
 def _maxwell_modes(khat: np.ndarray, E: np.ndarray, B: np.ndarray,
-                   a11, i_a12, a22, e_par):
+                   a11, i_a12, a22, e_par, out=None):
     """The fused Maxwell pass of the module docstring on amplitudes E, B
     (3, *modes) with unit wavevectors khat (d, *modes) and the imaginary
     coupling ``i_a12`` = 1j * a12.  The factors broadcast against ``modes``;
     a leading (time) axis of theirs goes before the component axis of the
-    result.  At khat = 0: E_t = a11 E, B_t = a22 B."""
+    result.  At khat = 0: E_t = a11 E, B_t = a22 B.  ``out`` = (E_t, B_t)
+    may be (E, B): every product of theirs is formed before the first write."""
     if len(khat) == 2:  # d = 2: khat_3 = 0
         h1, h2 = khat
         kE = h1 * E[0] + h2 * E[1]
@@ -163,8 +166,8 @@ def _maxwell_modes(khat: np.ndarray, E: np.ndarray, B: np.ndarray,
     par_B = a22 * kB
     shape = np.broadcast_shapes(np.shape(a11), np.shape(e_par), E.shape[1:])
     lead = len(shape) - (khat.ndim - 1)
-    E_t = np.empty(shape[:lead] + (3,) + shape[lead:], dtype=np.complex128)
-    B_t = np.empty_like(E_t)
+    shape = shape[:lead] + (3,) + shape[lead:]
+    E_t, B_t = out or (np.empty(shape, np.complex128), np.empty(shape, np.complex128))
     for j, (Ej, Bj) in enumerate(zip(np.moveaxis(E_t, lead, 0), np.moveaxis(B_t, lead, 0))):
         np.multiply(a11, E[j], out=Ej)
         Ej += i_a12 * xB[j]
@@ -176,16 +179,16 @@ def _maxwell_modes(khat: np.ndarray, E: np.ndarray, B: np.ndarray,
     return E_t, B_t
 
 
-def _maxwell_group(E: SpectralField, B: SpectralField, a11, i_a12, a22, e_par):
-    """``_maxwell_modes`` on fields over their grid; at k = 0 the decoupled
-    ODEs E0' = -E0, B0' = 0 scale E by ``e_par`` and leave B unchanged."""
-    grid = E.grid
-    E_t, B_t = _maxwell_modes(grid._unit_wavevectors, E.coeffs, B.coeffs,
-                              a11, i_a12, a22, e_par)
+def _maxwell_group(grid: Grid, E, B, a11, i_a12, a22, e_par, out=None):
+    """``_maxwell_modes`` on amplitudes (3, *grid.spectral_shape); at k = 0
+    the decoupled ODEs E0' = -E0, B0' = 0 scale E by ``e_par`` and leave B
+    unchanged, read before the pass, so ``out`` may be (E, B)."""
     origin = (slice(None),) + (0,) * grid.d
-    E_t[origin] = e_par * E.coeffs[origin]
-    B_t[origin] = B.coeffs[origin]
-    return SpectralField(grid, E_t), SpectralField(grid, B_t)
+    E0, B0 = E[origin].copy(), B[origin].copy()
+    E_t, B_t = _maxwell_modes(grid._unit_wavevectors, E, B, a11, i_a12, a22, e_par, out)
+    E_t[origin] = e_par * E0
+    B_t[origin] = B0
+    return E_t, B_t
 
 
 def maxwell_apply(E: SpectralField, B: SpectralField, t: float):
@@ -198,7 +201,8 @@ def maxwell_apply(E: SpectralField, B: SpectralField, t: float):
     if t < 0:
         raise ValueError("time must be nonnegative")
     a11, a12, a22 = _maxwell_coefficients(E.grid.k_squared(), t)
-    return _maxwell_group(E, leray_project(B), a11, 1j * a12, a22, np.exp(-t))
+    return tuple(SpectralField(E.grid, a) for a in _maxwell_group(
+        E.grid, E.coeffs, leray_project(B).coeffs, a11, 1j * a12, a22, np.exp(-t)))
 
 
 def maxwell_wave_route(E0: SpectralField, B0: SpectralField, t: float) -> SpectralField:
@@ -223,13 +227,15 @@ def maxwell_apply_undamped(E: SpectralField, B: SpectralField, t: float):
         raise ValueError("time must be nonnegative")
     kmag = E.grid.k_magnitude()
     c, s = np.cos(kmag * t), np.sin(kmag * t)
-    return _maxwell_group(E, leray_project(B), c, 1j * s, c, 1.0)
+    return tuple(SpectralField(E.grid, a) for a in _maxwell_group(
+        E.grid, E.coeffs, leray_project(B).coeffs, c, 1j * s, c, 1.0))
 
 
 @dataclass
 class PropagatorTable:
     """Per-mode propagator factors at a fixed step dt, immutable once built;
-    ``i_a12`` is the imaginary coupling 1j * a12 of ``_maxwell_modes``."""
+    ``i_a12`` is the imaginary coupling 1j * a12 of ``_maxwell_modes``.  Its
+    applies act on amplitudes (3, *spectral_shape), into ``out`` if given."""
 
     grid: Grid
     dt: float
@@ -255,23 +261,20 @@ class PropagatorTable:
             e_damp=float(np.exp(-dt)),
         )
 
-    def apply_heat(self, v: SpectralField) -> SpectralField:
-        return SpectralField(self.grid, v.coeffs * self.heat)
+    def apply_heat(self, v, out=None):
+        return np.multiply(v, self.heat, out=out)
 
-    def apply_maxwell(self, E: SpectralField, B: SpectralField):
-        return _maxwell_group(E, B, self.a11, self.i_a12, self.a22, self.e_damp)
+    def apply_maxwell(self, E, B, out=None):
+        """No projection: B is taken as divergence-free."""
+        return _maxwell_group(self.grid, E, B, self.a11, self.i_a12, self.a22, self.e_damp, out)
 
-    def apply(self, state):
-        """Full linear group on an MhdState-like triple."""
-        v = self.apply_heat(state.v)
-        E, B = self.apply_maxwell(state.E, state.B)
-        return type(state)(v=v, E=E, B=B, time=state.time + self.dt)
-
-
-def _check_finite(state, step: int) -> None:
-    for f in (state.v, state.E, state.B):
-        if not np.all(np.isfinite(f.coeffs)):
-            raise BlowupError(step)
+    def apply(self, v, E, B, out=None):
+        """e^{dt A} on the amplitudes (v, E, B), written into the slots
+        ``out`` = (v, E, B), which may be the inputs, and returned; None
+        allocates three new arrays."""
+        if out is None:
+            return self.apply_heat(v), *self.apply_maxwell(E, B)
+        return self.apply_heat(v, out[0]), *self.apply_maxwell(E, B, out[1:])
 
 
 def duhamel_step(state, nonlinearity, dt: float, scheme: str = "exp-trapezoid",
@@ -285,9 +288,11 @@ def duhamel_step(state, nonlinearity, dt: float, scheme: str = "exp-trapezoid",
     By linearity of e^{dt A} these are the forms e^{dt A} G_n + dt
     e^{dt A} N(G_n) and e^{dt A} G_n + dt/2 (e^{dt A} N(G_n) + N(G*)), with
     one propagator apply per nonlinearity evaluation, as in the Picard map.
-    The velocity slot of the nonlinearity is Leray-projected by the
-    ``nonlinearity`` evaluator itself.  ``n0`` is N(G_n) when the caller
-    already holds it (``march`` does); None evaluates it here.
+    Each apply runs in place on the amplitudes of the sum it propagates; a
+    non-finite amplitude of G_{n+1} raises ``BlowupError``.  The velocity
+    slot of the nonlinearity is Leray-projected by the ``nonlinearity``
+    evaluator itself.  ``n0`` is N(G_n) when the caller already holds it
+    (``march`` does); None evaluates it here.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -296,26 +301,28 @@ def duhamel_step(state, nonlinearity, dt: float, scheme: str = "exp-trapezoid",
     if table is None or table.dt != dt:
         table = PropagatorTable.build(state.v.grid, dt)
 
+    grid, time = state.v.grid, state.time + table.dt
     if n0 is None:
         n0 = nonlinearity(state)
-    out = table.apply(_shifted(state, n0, dt))
+    out = _shifted(state, n0, dt)
+    table.apply(*out, out=out)
     if scheme == "exp-trapezoid":
         h = 0.5 * dt
-        n1 = nonlinearity(out)
-        out = table.apply(_shifted(state, n0, h))
-        for f, n in zip((out.v, out.E, out.B), (n1.v, n1.E, n1.B)):
-            f.coeffs += h * n.coeffs  # the apply's own arrays
-    _check_finite(out, step_index)
-    return out
+        n1 = nonlinearity(type(state)(*(SpectralField(grid, a) for a in out), time=time))
+        out = _shifted(state, n0, h)
+        table.apply(*out, out=out)
+        for a, n in zip(out, (n1.v, n1.E, n1.B)):
+            a += h * n.coeffs
+    if not all(np.all(np.isfinite(a)) for a in out):
+        raise BlowupError(step_index)
+    return type(state)(*(SpectralField(grid, a) for a in out), time=time)
 
 
-def _shifted(g, n, w: float):
-    """g + w n, slot by slot, at the time of g, with one new array per slot:
-    at 3D n=32 every further temporary of a step costs page faults that
-    show in the step's time."""
-    slots = []
-    for a, b in ((g.v, n.v), (g.E, n.E), (g.B, n.B)):
-        c = np.multiply(b.coeffs, w)
+def _shifted(g, n, w: float) -> tuple:
+    """The amplitudes of g + w n, slot by slot, as three new arrays: at 3D
+    n=32 every further temporary of a step costs page faults that show in
+    the step's time."""
+    out = tuple(np.multiply(b.coeffs, w) for b in (n.v, n.E, n.B))
+    for c, a in zip(out, (g.v, g.E, g.B)):
         c += a.coeffs
-        slots.append(SpectralField(a.grid, c))
-    return type(g)(*slots, time=g.time)
+    return out

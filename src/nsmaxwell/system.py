@@ -19,10 +19,11 @@ and its row make 12 real transforms.  ``simulate`` records each row of
 A ``Trajectory`` is held as time stacks: three arrays
 (times, 3, *spectral_shape) for v, E and B.  The propagators and the Leray
 projection act on them mode for mode, so the free evolution and the Picard
-map run on the stacks; the kernel runs on chunks of times
-(``grid._time_chunks``), and ``z_norm`` reduces the stacks directly.  The
-states of a trajectory are views of its stacks.  Picard holds the free
-evolution and two iterates, and forms their difference in the older one.
+map run on the stacks, slot into slot, with no state built per step.  The
+kernel runs on chunks of times (``grid._time_chunks``), and ``z_norm``
+reduces the stacks directly.  The states of a trajectory are views of its
+stacks.  Picard holds the free evolution and two iterates, and forms their
+difference in the older one.
 """
 
 from __future__ import annotations
@@ -343,17 +344,14 @@ def march(initial: MhdState, T: float, dt: float, scheme: str = "exp-trapezoid")
 
 def _free_evolution(initial: MhdState, T: float, table: PropagatorTable) -> Trajectory:
     """e^{t A} Gamma0 at the T/dt + 1 sample times, dt = ``table.dt``: the
-    prepared initial state, then one ``table.apply`` per step on the
-    previous state, written into the stacks."""
+    prepared initial state, then one ``table.apply`` per step from slot
+    i - 1 of the stacks into slot i."""
     n_steps = step_count(T, table.dt)
     traj = Trajectory.from_states(table.grid, [initial.prepared()], n_steps + 1)
     half, times = traj.half, traj.times
     for i in range(1, n_steps + 1):
-        step = table.apply(MhdState(*(SpectralField(table.grid, a[i - 1]) for a in half),
-                                    time=times[i - 1]))
-        times[i] = step.time
-        for a, f in zip(half, (step.v, step.E, step.B)):
-            a[i] = f.coeffs
+        table.apply(*(a[i - 1] for a in half), out=tuple(a[i] for a in half))
+        times[i] = times[i - 1] + table.dt
     return traj
 
 
@@ -453,8 +451,8 @@ def _apply_phi(free: Trajectory, pert: Trajectory | None, table: PropagatorTable
     a group.  N is evaluated by one ``_nonlinearity_half`` call per chunk of
     times (``grid._time_chunks``) as the recursion reaches it, so one chunk
     of N is held at a time.  The sum Phi_{n-1} + dt/2 N_{n-1} is formed in
-    the slot of Phi_n, so a step allocates only the apply's results.
-    N_B = 0, so B is only propagated.
+    the slot of Phi_n, where the apply (B from slot n - 1) and the sum with
+    dt/2 N_n run in place.  N_B = 0, so B is only propagated.
     """
     grid = free.grid
     h = 0.5 * table.dt
@@ -471,17 +469,12 @@ def _apply_phi(free: Trajectory, pert: Trajectory | None, table: PropagatorTable
         n_v, n_E = (h * n for n in _nonlinearity_half(grid, *fields))
         for j, i in enumerate(chunk):
             if prev is not None:
-                np.add(out[0][i - 1], prev[0], out=out[0][i])
-                np.add(out[1][i - 1], prev[1], out=out[1][i])
-                step = table.apply(MhdState(
-                    SpectralField(grid, out[0][i]),
-                    SpectralField(grid, out[1][i]),
-                    SpectralField(grid, out[2][i - 1]),
-                    free.times[i - 1],
-                ))
-                np.add(step.v.coeffs, n_v[j], out=out[0][i])
-                np.add(step.E.coeffs, n_E[j], out=out[1][i])
-                out[2][i] = step.B.coeffs
+                v, E, B = (a[i] for a in out)
+                np.add(out[0][i - 1], prev[0], out=v)
+                np.add(out[1][i - 1], prev[1], out=E)
+                table.apply(v, E, out[2][i - 1], out=(v, E, B))
+                v += n_v[j]
+                E += n_E[j]
             prev = n_v[j], n_E[j]
     return Trajectory(grid, free.times, out)
 

@@ -47,3 +47,10 @@ def single_mode_field(grid, mode, amplitude, component=2):
         if m[-1] >= 0:
             c[component][tuple(x % grid.n for x in m)] = a
     return SpectralField(grid, c)
+
+
+def apply_state(table, state):
+    """``table.apply`` on an ``MhdState``: the state dt = ``table.dt`` later."""
+    slots = table.apply(state.v.coeffs, state.E.coeffs, state.B.coeffs)
+    return type(state)(*(SpectralField(table.grid, a) for a in slots),
+                       time=state.time + table.dt)

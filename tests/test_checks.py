@@ -430,6 +430,25 @@ def test_maxwell_energy_decay_with_forcing_bounded():
     assert 0.0 < decay.max_ratio < 1.0
 
 
+def test_maxwell_energy_decay_with_forcing_second_order():
+    # The stepped group with the exponential trapezoid for the forcing:
+    # the decay LHS converges at second order in dt.
+    grid = Grid(2, 32, 16.0 * np.pi)
+    part = build_partition(grid)
+    rng = np.random.default_rng(7)
+    E0, B0 = fast_eigenmode_state(grid, rng)
+    G0 = gen_field(grid, rng, slope=1.0)
+
+    def lhs(dt):
+        _, decay = check_maxwell_energy_decay(E0, B0, (G0, 1.0), 4.0, dt, 1.0, part)
+        return decay.lhs[0]
+
+    ref = lhs(0.0025)
+    errs = [abs(lhs(dt) - ref) for dt in (0.08, 0.04, 0.02)]
+    orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
+    assert all(1.9 <= o <= 2.1 for o in orders), orders
+
+
 # ---------------------------------------------------------------------------
 # Product laws.
 

@@ -216,13 +216,23 @@ def test_time_grid_mismatch_exits_2(tmp_path, capsys):
     assert "integer multiple" in err[0]
 
 
-@pytest.mark.parametrize("defect", ["missing", "truncated", "cut_payload", "bad_dimension"])
+def test_non_finite_config_value_exits_2(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, "n = 16\nT = 0.1\ndt = 0.01\namplitude = nan\n")
+    assert main(["simulate", cfg, "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["config error: line 4: amplitude: cannot parse 'nan' as a finite float"]
+
+
+@pytest.mark.parametrize("defect", ["missing", "truncated", "cut_payload", "bad_dimension",
+                                    "mixed_grids"])
 def test_unreadable_init_file_exits_2(tmp_path, capsys, defect):
     stem = str(tmp_path / "ic")
     for name in ("v", "E", "B"):
         path = tmp_path / f"ic_{name}.nsmw"
         if defect == "truncated":
             path.write_bytes(b"NSMW")
+        elif defect == "mixed_grids":  # E on a finer grid than v and B
+            write_snapshot(path, SpectralField.zeros(Grid(2, 32 if name == "E" else 16)))
         elif defect != "missing":
             write_snapshot(path, SpectralField.zeros(Grid(2, 16)))
             raw = path.read_bytes()

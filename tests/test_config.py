@@ -81,6 +81,22 @@ def test_constraint_validation():
         parse_config("norms = v_l3\n")
 
 
+@pytest.mark.parametrize("text", [
+    "T = nan\n", "dt = nan\n", "T = inf\n", "amplitude = nan\n", "amplitude = inf\n",
+    "slope = nan\n", "box_length = inf\n", "delta_target = -inf\n",
+    "epsilons = 0.1, nan\n", "epsilons = inf\n",
+])
+def test_non_finite_floats_rejected(text):
+    # Every range check is a comparison that NaN passes: non-finite values
+    # are refused where they are parsed, each with one error.
+    key = text.split("=")[0].strip()
+    with pytest.raises(ConfigError) as exc:
+        parse_config(text)
+    assert len(exc.value.errors) == 1
+    assert exc.value.errors[0].startswith(f"line 1: {key}: cannot parse")
+    assert "finite" in exc.value.errors[0]
+
+
 def test_file_preset_requires_path():
     with pytest.raises(ConfigError) as exc:
         parse_config("init = file\n")
