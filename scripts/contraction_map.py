@@ -46,7 +46,7 @@ def main(argv=None) -> int:
             state = base.scaled(eps)
             for T in args.windows:
                 free = simulate(state, T, args.dt, nonlinear=False)
-                z = z_norm(free, 2, part).total
+                z = z_norm(free, part).total
                 del free
                 # Only the ratios: the last iterate would stay alive while
                 # the next run iterates.

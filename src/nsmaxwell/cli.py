@@ -23,7 +23,7 @@ from .checks import (
     write_reports_csv,
     write_reports_jsonl,
 )
-from .config import ConfigError, RunConfig, parse_config
+from .config import ConfigError, RunConfig, apply_flags, parse_config
 from .dyadic import NormSpec, build_partition, norm_hst
 from .ensembles import FieldEnsembleSpec, gen_field
 from .grid import Grid, SpectralField, lp_norm_physical
@@ -68,9 +68,10 @@ def build_initial_state(cfg: RunConfig) -> MhdState:
             B, _ = read_snapshot(cfg.init_file + "_B.nsmw")
         except (OSError, SnapshotError) as exc:
             raise ConfigError([f"init_file: {exc}"]) from exc
-        if not v.grid == E.grid == B.grid:
-            raise ConfigError([f"init_file: the v, E and B snapshots lie on different "
-                               f"grids: {v.grid}, {E.grid}, {B.grid}"])
+        for name, f in zip("vEB", (v, E, B)):
+            if f.grid != grid:
+                raise ConfigError([f"init_file: the {name} snapshot lies on {f.grid}, "
+                                   f"the config on {grid}"])
         return MhdState(v, E, B, time=t0).prepared()
     return MhdState(v, E, B, time=0.0).prepared()
 
@@ -200,7 +201,7 @@ _COMMANDS = {
 
 
 def run_subcommand(cmd: str, cfg: RunConfig) -> int:
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    """Run ``cmd`` on ``cfg``, whose ``out_dir`` exists."""
     return _COMMANDS[cmd](cfg)
 
 
@@ -234,14 +235,15 @@ def main(argv=None) -> int:
         return _config_error([str(exc)])
     except ConfigError as exc:
         return _config_error(exc.errors)
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.out_dir is not None:
-        cfg.out_dir = args.out_dir
-    if args.stride is not None:
-        if args.stride < 1:
-            return _config_error(["--stride must be positive"])
-        cfg.stride = args.stride
+    try:
+        cfg = apply_flags(cfg, {"seed": args.seed, "out_dir": args.out_dir,
+                                "stride": args.stride})
+        os.makedirs(cfg.out_dir, exist_ok=True)
+    except ConfigError as exc:
+        return _config_error(exc.errors)
+    except OSError as exc:
+        key = "out_dir" if args.out_dir is None else "--out-dir"
+        return _config_error([f"{key}: cannot create {cfg.out_dir!r}: {exc.strerror}"])
 
     # Warnings that reach stderr (the advisory CFL check) take one line.
     formatwarning, warnings.formatwarning = warnings.formatwarning, _one_line_warning

@@ -9,18 +9,15 @@ so a bad file reports all of its defects in one pass.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
+from .checks import PRODUCT_LAW_IDS
+from .propagators import SCHEMES
 from .system import step_count
 
-__all__ = ["RunConfig", "ConfigError", "parse_config"]
+__all__ = ["RunConfig", "ConfigError", "parse_config", "apply_flags"]
 
 INIT_PRESETS = ("taylor-green", "random", "shell", "file")
-SCHEMES = ("exp-euler", "exp-trapezoid")
-ESTIMATE_IDS = (
-    "est1-2D", "est4-2D", "est3-uB-2D",
-    "est1-3D", "est4-3D", "est3-uB-3D",
-)
 NORM_COLUMNS = (
     "v_l2", "E_l2", "B_l2", "v_h1", "E_l2log", "B_l2log",
 )
@@ -54,7 +51,7 @@ class RunConfig:
     picard_iters: int = 6
     delta_target: float = 0.1
     epsilons: tuple = (0.01, 0.1, 1.0)
-    estimates: tuple = ESTIMATE_IDS
+    estimates: tuple = PRODUCT_LAW_IDS
     norms: tuple = ()
 
 
@@ -84,10 +81,11 @@ def _convert(name: str, kind, raw: str):
 
 
 def _validate(cfg: RunConfig, where) -> list:
+    """Every rule ``cfg`` breaks, one message each, led by ``where(key)``."""
     errors = []
 
     def bad(key: str, message: str):
-        errors.append(f"line {where(key)}: {key}: {message}")
+        errors.append(f"{where(key)}: {message}")
 
     if cfg.d not in (2, 3):
         bad("d", f"dimension must be 2 or 3, got {cfg.d}")
@@ -112,6 +110,8 @@ def _validate(cfg: RunConfig, where) -> list:
         bad("init", f"unknown preset {cfg.init!r}; choose from {INIT_PRESETS}")
     if cfg.init == "file" and not cfg.init_file:
         bad("init_file", "required when init = file")
+    if not cfg.out_dir:
+        bad("out_dir", "must not be empty")
     if cfg.scheme not in SCHEMES:
         bad("scheme", f"unknown scheme {cfg.scheme!r}; choose from {SCHEMES}")
     if any(e <= 0 for e in cfg.epsilons):
@@ -119,7 +119,7 @@ def _validate(cfg: RunConfig, where) -> list:
     if not cfg.epsilons:
         bad("epsilons", "must not be empty")
     for est in cfg.estimates:
-        if est not in ESTIMATE_IDS:
+        if est not in PRODUCT_LAW_IDS:
             bad("estimates", f"unknown estimate id {est!r}")
     for norm in cfg.norms:
         if norm not in NORM_COLUMNS:
@@ -159,7 +159,19 @@ def parse_config(text: str) -> RunConfig:
     # Validate whatever did parse, so constraint violations are reported
     # alongside parse errors instead of only on a second attempt.
     cfg = RunConfig(**values)
-    errors.extend(_validate(cfg, lambda k: lines_of.get(k, 0)))
+    errors.extend(_validate(cfg, lambda k: f"line {lines_of.get(k, 0)}: {k}"))
+    if errors:
+        raise ConfigError(errors)
+    return cfg
+
+
+def apply_flags(cfg: RunConfig, flags: dict) -> RunConfig:
+    """``cfg`` with each field of ``flags`` that is not None replaced by
+    its command-line value, checked by the rules of the file's keys; a
+    problem is named by its flag (``--out-dir`` for ``out_dir``).  The
+    other fields passed ``parse_config``, so no rule they enter breaks."""
+    cfg = replace(cfg, **{k: v for k, v in flags.items() if v is not None})
+    errors = _validate(cfg, lambda k: "--" + k.replace("_", "-"))
     if errors:
         raise ConfigError(errors)
     return cfg

@@ -18,7 +18,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Grid, SpectralField, _read_only, _sup_series, _time_chunks
+from .grid import (
+    Grid,
+    SpectralField,
+    _read_only,
+    _sup_series,
+    _time_chunks,
+    lp_norm_physical,
+    pointwise_product,
+)
 
 __all__ = [
     "DyadicPartition",
@@ -169,12 +177,6 @@ class DyadicBlocks:
         return out
 
 
-def _product(a: SpectralField, b: SpectralField, combiner: str) -> SpectralField:
-    from .grid import pointwise_product
-
-    return pointwise_product(a, b, combiner)
-
-
 def bony_decompose(u: SpectralField, v: SpectralField, part: DyadicPartition,
                    combiner: str = "scalar"):
     """Bony split of the (dealiased) product u v into (T_u v, T_v u, R).
@@ -195,13 +197,13 @@ def bony_decompose(u: SpectralField, v: SpectralField, part: DyadicPartition,
     for q in part.shells():
         dq_v = block(v, part, q)
         dq_u = block(u, part, q)
-        t_uv = t_uv + _product(low_pass(u, part, q - 1), dq_v, combiner)
-        t_vu = t_vu + _product(dq_u, low_pass(v, part, q - 1), combiner)
+        t_uv = t_uv + pointwise_product(low_pass(u, part, q - 1), dq_v, combiner)
+        t_vu = t_vu + pointwise_product(dq_u, low_pass(v, part, q - 1), combiner)
         tilde = SpectralField.zeros(grid)
         for j in (q - 1, q, q + 1):
             if part.q_min <= j <= part.q_max:
                 tilde = tilde + block(v, part, j)
-        r_uv = r_uv + _product(dq_u, tilde, combiner)
+        r_uv = r_uv + pointwise_product(dq_u, tilde, combiner)
     # Mean-mean cross term is covered by none of the three sums.
     mu, mv = u.mean(), v.mean()
     if combiner == "scalar":
@@ -284,11 +286,9 @@ def norm_hst(u: SpectralField, part: DyadicPartition, spec: NormSpec) -> float:
 
 def norm_besov(u: SpectralField, part: DyadicPartition, s: float, p, r) -> float:
     """Homogeneous Besov norm: l^r over shells of 2^{qs} ||Delta_q u||_{L^p}."""
-    from .grid import lp_norm_physical
-
     if p == 2:
         b = _block_l2(u, part)
-    elif p == np.inf or p == "inf":
+    elif p == np.inf:
         b = np.array(
             [lp_norm_physical(block(u, part, q), np.inf) for q in part.shells()]
         )
@@ -300,7 +300,7 @@ def norm_besov(u: SpectralField, part: DyadicPartition, s: float, p, r) -> float
         return float(np.sum(terms))
     if r == 2:
         return float(np.sqrt(np.sum(terms**2)))
-    if r == np.inf or r == "inf":
+    if r == np.inf:
         return float(np.max(terms)) if terms.size else 0.0
     raise ValueError(f"unsupported summability exponent {r!r}")
 
@@ -358,7 +358,7 @@ def time_lebesgue(values: np.ndarray, times: np.ndarray, r):
     the first axis: a float for one series, one norm per column for a
     (times x shells) table."""
     values = np.asarray(values, dtype=float)
-    if r == np.inf or r == "inf":
+    if r == np.inf:
         out = np.max(values, axis=0)
     elif r == 1:
         out = np.trapezoid(values, times, axis=0)

@@ -407,14 +407,13 @@ def pointwise_product(a: SpectralField, b: SpectralField, combiner: str = "scala
 def lp_norm_physical(f: SpectralField, p) -> float:
     """L^p norm over the box, p in {2, inf}.
 
-    p=2 via Parseval on coefficients (``Grid._parseval_weight``); p=inf via
-    inverse transform and the max of the pointwise Euclidean norm of the R^3
+    p=2 via Parseval on coefficients (``Grid._parseval_weight``); p=inf by
+    ``_sup_series``, the max of the pointwise Euclidean norm of the R^3
     value.
     """
     if p == 2:
         c = f.coeffs
         return float(np.sqrt(np.sum(f.grid._parseval_weight * (c.real**2 + c.imag**2))))
-    if p == np.inf or p == "inf":
-        u = f.to_physical()
-        return float(np.max(np.sqrt(np.sum(u**2, axis=0))))
+    if p == np.inf:
+        return float(_sup_series(f.coeffs[None], f.grid)[0])
     raise ValueError(f"unsupported exponent {p!r}")

@@ -74,6 +74,9 @@ BOX_VOLUME_2D = (2.0 * math.pi) ** 2
 _CUT_SLACK = 1e-12
 # Canvas points per measured chunk: bounds the shell-sum temporaries.
 _CHUNK_POINTS = 2**18
+# Packet centres of ``packet_pair`` and ``criticality_packets`` sit at
+# m0 = round(PACKET_CENTER_SCALE * 2^q) on both axes, radius ~1.75 * 2^q.
+PACKET_CENTER_SCALE = 1.2375
 
 
 @dataclass
@@ -203,8 +206,8 @@ def real_product_blocks(p, q) -> list:
     return out
 
 
-def _nonzero(block: BlockField, tol: float = 0.0) -> bool:
-    return float(np.max(np.abs(block.values))) > tol
+def _nonzero(block: BlockField) -> bool:
+    return float(np.max(np.abs(block.values))) > 0.0
 
 
 def _paraproduct(lows, highs, low_first: bool) -> list:
@@ -465,9 +468,9 @@ def besov_norm(blocks: list, s: float) -> float:
     return sum(2.0 ** (q * s) * bq for q, bq in shell_norms(blocks).items())
 
 
-def lowpass_l2(blocks: list, q: int, complement: bool = False) -> float:
-    """||S_q (sum of blocks)||_{L^2} (or the complement's norm)."""
-    return l2_norm(lowpass_blocks(blocks, q, complement))
+def lowpass_l2(blocks: list, q: int) -> float:
+    """||S_q (sum of blocks)||_{L^2}."""
+    return l2_norm(lowpass_blocks(blocks, q))
 
 
 def lowpass_blocks(blocks: list, q: int, complement: bool = False) -> list:
@@ -504,17 +507,17 @@ def gaussian_packet(center: tuple, half_width: int, pol,
     return BlockField((center[0] - h, center[1] - h), vals, pol)
 
 
-def packet_pair(q: int, rng: np.random.Generator | None = None,
-                rel_width: float = 0.22, center_scale: float = 1.2375):
+def packet_pair(q: int, rng: np.random.Generator | None = None):
     """Two real shell-q wave packets at opposite frequencies.
 
-    Both packets live on dyadic shell ~q (|m| ~ 1.75 * 2^q); their product
-    is a spatially localized bump whose spectrum is flat across all output
-    shells up to ~q + log2(rel_width), the configuration that drives the
-    logarithmic loss of the 2D product estimate.
+    Both packets live on dyadic shell ~q (|m| ~ 1.75 * 2^q) with half width
+    0.22 * 2^q; their product is a spatially localized bump whose spectrum
+    is flat across all output shells up to ~q + log2(0.22), the
+    configuration that drives the logarithmic loss of the 2D product
+    estimate.
     """
-    m0 = int(round(center_scale * 2.0**q))
-    h = max(1, int(round(rel_width * 2.0**q)))
+    m0 = int(round(PACKET_CENTER_SCALE * 2.0**q))
+    h = max(1, int(round(0.22 * 2.0**q)))
     h = min(h, m0 - 1)  # keep the packet away from k = 0
     e_pol = np.array([0.0, 0.0, 1.0])
     b_pol = np.array([1.0, 0.0, 0.0])
@@ -523,27 +526,24 @@ def packet_pair(q: int, rng: np.random.Generator | None = None,
     return p, qb
 
 
-def criticality_packets(q: int, rng: np.random.Generator | None = None,
-                        rel_width: float = 0.16, half_width_pad: float = 1.5,
-                        chords: tuple = (0.125, 0.25, 0.5, 1.0, 2.0),
-                        center_scale: float = 1.2375):
+def criticality_packets(q: int, rng: np.random.Generator | None = None):
     """Shell-q field pair whose product spreads evenly over shells -1..q.
 
-    The first field is a full wave packet at c = (m0, m0); the second is
-    the opposite packet at -c plus packets of the same width at rotated
-    positions -R(theta_j) c on the same circle, with chord lengths
-    ``chords[j] * 2^q``.  The opposite pair's product is a spatially
-    coherent bump whose flat spectrum saturates the low-frequency
-    Bernstein bound on every shell up to the packet bandwidth at once;
-    the rotated packets place equally saturated bumps on the top shells
-    the bandwidth misses.  The chord ladder is scale-invariant, so each
-    shell receives a comparable share at every q — the extremal
-    configuration for the two-dimensional product estimate.  All modes
-    of both fields lie at radius ~1.75 * 2^q (shell q).
+    The first field is a full wave packet at c = (m0, m0) with half width
+    0.16 * 2^q + 1.5; the second is the opposite packet at -c plus packets
+    of the same width at rotated positions -R(theta_j) c on the same
+    circle, with chord lengths 2^{j-3} * 2^q, j = 0..4.  The opposite
+    pair's product is a spatially coherent bump whose flat spectrum
+    saturates the low-frequency Bernstein bound on every shell up to the
+    packet bandwidth at once; the rotated packets place equally saturated
+    bumps on the top shells the bandwidth misses.  The chord ladder is
+    scale-invariant, so each shell receives a comparable share at every
+    q — the extremal configuration for the 2D product estimate.  All
+    modes of both fields lie at radius ~1.75 * 2^q (shell q).
     """
-    radius = center_scale * math.sqrt(2.0) * 2.0**q
-    m0 = int(round(center_scale * 2.0**q))
-    h = max(2, int(round(rel_width * 2.0**q + half_width_pad)))
+    radius = PACKET_CENTER_SCALE * math.sqrt(2.0) * 2.0**q
+    m0 = int(round(PACKET_CENTER_SCALE * 2.0**q))
+    h = max(2, int(round(0.16 * 2.0**q + 1.5)))
     h = min(h, m0 - 1)  # keep every packet away from k = 0
     base_angle = math.atan2(m0, m0)
     e_pol = np.array([0.0, 0.0, 1.0])
@@ -551,7 +551,7 @@ def criticality_packets(q: int, rng: np.random.Generator | None = None,
     p = gaussian_packet((m0, m0), h, e_pol, rng)
     centers = {(-m0, -m0)}
     b_blocks = [gaussian_packet((-m0, -m0), h, b_pol, rng)]
-    for c in chords:
+    for c in (0.125, 0.25, 0.5, 1.0, 2.0):
         s = c * 2.0**q / (2.0 * radius)
         if s >= 1.0:
             continue
@@ -572,17 +572,16 @@ def _conv_box(a: BlockField, b: BlockField) -> tuple:
     return _bbox(origin, (a.shape[0] + b.shape[0] - 1, a.shape[1] + b.shape[1] - 1))
 
 
-def remainder_cluster_stats(p, q, t_blocks=(), lowpass_shell: int = 2) -> tuple:
+def remainder_cluster_stats(p, q, t_blocks=()) -> tuple:
     """Streaming norms of R = (product of two real fields) - (given blocks).
 
     Equivalent to pasting ``real_product_blocks(p, q)`` plus the negated
     ``t_blocks`` on one canvas and measuring, but clusters of overlapping
     contributions are materialized one at a time so the peak memory is a
     single cluster canvas instead of every convolution at once.  Returns
-    ``(s_low_l2, complement_shell_l2)``: the L^2 norm of the shell-
-    ``lowpass_shell`` low-pass of R and a dict of per-shell L^2 norms of
-    the complementary part, in increasing shell order.  All polarizations
-    must be parallel.
+    ``(s_low_l2, complement_shell_l2)``: the L^2 norm of the low-pass S_2 R
+    and a dict of per-shell L^2 norms of the complementary part, in
+    increasing shell order.  All polarizations must be parallel.
 
     R must be real, so ``t_blocks`` must be closed under conjugate
     mirroring, as ``bony_paraproducts`` returns them.  Then the power of R
@@ -632,7 +631,7 @@ def remainder_cluster_stats(p, q, t_blocks=(), lowpass_shell: int = 2) -> tuple:
             box = (0,) + box[1:]  # rows m1 >= 0; row m1 = 0 counts m2 > 0 only
         merged = _paste(pieces(set(idxs)), box)
         for r, power in _covered_points(merged, half):
-            sums, low = _shell_sums(r, power, lowpass_shell)
+            sums, low = _shell_sums(r, power, 2)
             s_low_sq += low
             comp_sq.update(sums)
         del merged

@@ -40,14 +40,18 @@ __all__ = [
     "PropagatorTable",
     "duhamel_step",
     "BlowupError",
+    "SCHEMES",
 ]
+
+# The Duhamel steppers of ``duhamel_step``.
+SCHEMES = ("exp-euler", "exp-trapezoid")
 
 
 class BlowupError(RuntimeError):
     """Raised when a NaN/Inf coefficient appears during time stepping."""
 
-    def __init__(self, step: int, message: str = "numerical blowup"):
-        super().__init__(f"{message} at step {step}")
+    def __init__(self, step: int):
+        super().__init__(f"numerical blowup at step {step}")
         self.step = step
 
 
@@ -277,10 +281,9 @@ class PropagatorTable:
         return self.apply_heat(v, out[0]), *self.apply_maxwell(E, B, out[1:])
 
 
-def duhamel_step(state, nonlinearity, dt: float, scheme: str = "exp-trapezoid",
-                 table: PropagatorTable | None = None, step_index: int = 0,
-                 n0=None):
-    """One step of the Duhamel integral equation.
+def duhamel_step(state, nonlinearity, table: PropagatorTable,
+                 scheme: str = "exp-trapezoid", step_index: int = 0, n0=None):
+    """One step of size dt = ``table.dt`` of the Duhamel integral equation.
 
     exp-euler:      G_{n+1} = G* = e^{dt A} (G_n + dt N(G_n))
     exp-trapezoid:  G_{n+1} = e^{dt A} (G_n + dt/2 N(G_n)) + dt/2 N(G*)
@@ -294,14 +297,13 @@ def duhamel_step(state, nonlinearity, dt: float, scheme: str = "exp-trapezoid",
     evaluator itself.  ``n0`` is N(G_n) when the caller already holds it
     (``march`` does); None evaluates it here.
     """
+    dt = table.dt
     if dt <= 0:
         raise ValueError("dt must be positive")
-    if scheme not in ("exp-euler", "exp-trapezoid"):
+    if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
-    if table is None or table.dt != dt:
-        table = PropagatorTable.build(state.v.grid, dt)
 
-    grid, time = state.v.grid, state.time + table.dt
+    grid, time = state.v.grid, state.time + dt
     if n0 is None:
         n0 = nonlinearity(state)
     out = _shifted(state, n0, dt)

@@ -75,6 +75,8 @@ __all__ = [
 
 SIGMA = 1.0
 NU = 1.0
+# Largest divergence defect a state may carry into the nonlinearity.
+DIV_TOL = 1e-8
 
 
 class InconsistentStateError(ValueError):
@@ -201,12 +203,12 @@ def _divergence_form_advection(grid: Grid, vp: np.ndarray) -> np.ndarray:
 
 
 def _nonlinearity_half(grid: Grid, v: np.ndarray, E: np.ndarray, B: np.ndarray,
-                       velocity_form: str = "advection", div_tol: float = 1e-8):
+                       velocity_form: str = "advection"):
     """(N_v, N_E) of ``nonlinearity`` on the amplitudes
     (states, 3, *spectral_shape) of a batch of states; N_B = 0.
 
     Raises InconsistentStateError when the divergence defect of any state
-    of the batch exceeds ``div_tol``.  One pass in physical space; the
+    of the batch exceeds ``DIV_TOL``.  One pass in physical space; the
     advection form makes six real transforms in 2D and 3D.  Back, each
     2/3-truncated: v, B, j / sigma = E + v x B and the vorticity
     w = i k x v, formed on the half spectrum.  Forward: v x B, and the
@@ -223,10 +225,10 @@ def _nonlinearity_half(grid: Grid, v: np.ndarray, E: np.ndarray, B: np.ndarray,
     own products v_j v, an independent check of the advection form.
     """
     defects = _divergence_defects(grid, v, B)
-    bad = np.flatnonzero(defects > div_tol)
+    bad = np.flatnonzero(defects > DIV_TOL)
     if bad.size:
         raise InconsistentStateError(
-            f"divergence defect {defects[bad[0]]:.3e} exceeds {div_tol:.1e}"
+            f"divergence defect {defects[bad[0]]:.3e} exceeds {DIV_TOL:.1e}"
         )
     if velocity_form not in ("advection", "divergence"):
         raise ValueError(f"unknown velocity form {velocity_form!r}")
@@ -247,8 +249,7 @@ def _nonlinearity_half(grid: Grid, v: np.ndarray, E: np.ndarray, B: np.ndarray,
     return leray_project(SpectralField(grid, mom)).coeffs, vxB
 
 
-def nonlinearity(state: MhdState, velocity_form: str = "advection",
-                 div_tol: float = 1e-8) -> MhdState:
+def nonlinearity(state: MhdState, velocity_form: str = "advection") -> MhdState:
     """N(Gamma) = (P[-(v.grad)v + j x B], -sigma v x B, 0), with the Ohm
     current j = sigma (E + v x B).
 
@@ -261,7 +262,7 @@ def nonlinearity(state: MhdState, velocity_form: str = "advection",
     grid = state.grid
     n_v, n_E = _nonlinearity_half(
         grid, *(f.coeffs[None] for f in (state.v, state.E, state.B)),
-        velocity_form=velocity_form, div_tol=div_tol,
+        velocity_form=velocity_form,
     )
     return MhdState(
         v=SpectralField(grid, n_v[0]),
@@ -337,8 +338,7 @@ def march(initial: MhdState, T: float, dt: float, scheme: str = "exp-trapezoid")
         current = np.multiply(state.E.coeffs, SIGMA)
         current -= n0.E.coeffs  # N_E = -sigma v x B
         yield state, SpectralField(grid, current)
-        state = duhamel_step(state, nonlinearity, dt, scheme=scheme, table=table,
-                             step_index=step, n0=n0)
+        state = duhamel_step(state, nonlinearity, table, scheme, step_index=step, n0=n0)
     yield state, ohm_current(state)
 
 
@@ -355,18 +355,18 @@ def _free_evolution(initial: MhdState, T: float, table: PropagatorTable) -> Traj
     return traj
 
 
-def simulate(initial: MhdState, T: float, dt: float, scheme: str = "exp-trapezoid",
+def simulate(initial: MhdState, T: float, dt: float,
              nonlinear: bool = True) -> Trajectory:
-    """Every state of ``march`` as one trajectory, with one diagnostics
-    row per state from ``energy_report`` on the state and the current
-    ``march`` yields with it; or with ``nonlinear`` False the free
-    evolution e^{t A} Gamma0, which has no rows."""
+    """Every state of the exp-trapezoid ``march`` as one trajectory, with
+    one diagnostics row per state from ``energy_report`` on the state and
+    the current ``march`` yields with it; or with ``nonlinear`` False the
+    free evolution e^{t A} Gamma0, which has no rows."""
     if not nonlinear:
         return _free_evolution(initial, T, PropagatorTable.build(initial.grid, dt))
     rows = []
 
     def recorded():
-        for state, current in march(initial, T, dt, scheme):
+        for state, current in march(initial, T, dt):
             e, grad_sq, j_sq = energy_report(state, current)
             rows.append({"time": state.time, "energy": e, "grad_v_sq": grad_sq, "j_sq": j_sq})
             yield state
@@ -386,7 +386,7 @@ def _z_specs(d: int):
     return alpha, half
 
 
-def z_norm(traj: Trajectory, d: int, part: DyadicPartition | None = None) -> ZNorm:
+def z_norm(traj: Trajectory, part: DyadicPartition | None = None) -> ZNorm:
     """The composite solution-space norm with alpha = 1 (d=2) / 0 (d=3):
 
     Z^u = ||u||_{L2_T H^{d/2}} + ||u||_{L2_T Linf} + ||u||_{tilde-Linf_T H^{d/2-1}}
@@ -395,12 +395,9 @@ def z_norm(traj: Trajectory, d: int, part: DyadicPartition | None = None) -> ZNo
 
     Each field's stack goes through ``shell_series``.
     """
-    grid = traj.grid
-    if grid.d != d:
-        raise ValueError("dimension does not match the trajectory grid")
     if part is None:
-        part = build_partition(grid)
-    alpha, half = _z_specs(d)
+        part = build_partition(traj.grid)
+    alpha, half = _z_specs(traj.grid.d)
 
     v, E, B = traj.half
     sv = shell_series(v, traj.times, part, with_linf=True)
@@ -516,7 +513,7 @@ def picard_iterate(initial: MhdState, T: float, dt: float, n_iters: int,
         # G^m is dead once the map has run: its buffers take G^{m+1} - G^m.
         diff = z_norm(nxt if prev is None else Trajectory(grid, free.times, tuple(
             np.subtract(a, b, out=b) for a, b in zip(nxt.half, prev.half))),
-            grid.d, part).total
+            part).total
         prev = nxt
         diffs.append(diff if math.isfinite(diff) else math.inf)
         if not math.isfinite(diff):

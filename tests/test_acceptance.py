@@ -219,10 +219,10 @@ def test_criterion_05_picard_contraction():
 
     T, dt = 1.0, 0.01
     free = simulate(base, T, dt, nonlinear=False)
-    eps = 0.9e-2 / z_norm(free, 2, part).total
+    eps = 0.9e-2 / z_norm(free, part).total
     small = base.scaled(eps)
     free_s = simulate(small, T, dt, nonlinear=False)
-    z_small = z_norm(free_s, 2, part).total
+    z_small = z_norm(free_s, part).total
     last, ratios, _ = picard_iterate(small, T, dt, 6, part=part)
     assert ratios, "no contraction ratio above the roundoff floor"
     contracting = all(r < 1 for r in ratios)

@@ -43,6 +43,22 @@ def test_bad_stride_flag(tmp_path, capsys):
     assert "--stride" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--seed", "-1", "--seed: must be nonnegative, got -1"),
+    ("--out-dir", "", "--out-dir: must not be empty"),
+    ("--out-dir", "blocker/out", "--out-dir: cannot create "),
+], ids=["negative_seed", "empty_out_dir", "out_dir_under_file"])
+def test_bad_flag_exits_2_with_one_line(tmp_path, capsys, monkeypatch, flag, value, message):
+    # The flags obey the rules of the file's keys; an out-dir below a
+    # regular file cannot be created.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "blocker").write_text("a regular file\n")
+    cfg = _write_cfg(tmp_path, BASE + "init = random\n")
+    assert main(["simulate", cfg, flag, value]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: " + message), err
+
+
 def test_simulate_taylor_green_monotone_energy(tmp_path):
     out = tmp_path / "out"
     cfg = _write_cfg(tmp_path, BASE + "norms = v_l2\n")
@@ -224,7 +240,7 @@ def test_non_finite_config_value_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("defect", ["missing", "truncated", "cut_payload", "bad_dimension",
-                                    "mixed_grids"])
+                                    "mixed_grids", "config_grid_mismatch"])
 def test_unreadable_init_file_exits_2(tmp_path, capsys, defect):
     stem = str(tmp_path / "ic")
     for name in ("v", "E", "B"):
@@ -233,6 +249,8 @@ def test_unreadable_init_file_exits_2(tmp_path, capsys, defect):
             path.write_bytes(b"NSMW")
         elif defect == "mixed_grids":  # E on a finer grid than v and B
             write_snapshot(path, SpectralField.zeros(Grid(2, 32 if name == "E" else 16)))
+        elif defect == "config_grid_mismatch":  # all 2D n = 32; the config says 3D n = 16
+            write_snapshot(path, SpectralField.zeros(Grid(2, 32)))
         elif defect != "missing":
             write_snapshot(path, SpectralField.zeros(Grid(2, 16)))
             raw = path.read_bytes()
@@ -240,11 +258,14 @@ def test_unreadable_init_file_exits_2(tmp_path, capsys, defect):
                 path.write_bytes(raw[:-5])
             else:  # the header's d = 5 names no grid
                 path.write_bytes(raw[:8] + (5).to_bytes(4, "little") + raw[12:])
-    cfg = _write_cfg(tmp_path, f"n = 16\nT = 0.1\ninit = file\ninit_file = {stem}\n")
+    d = 3 if defect == "config_grid_mismatch" else 2
+    cfg = _write_cfg(tmp_path, f"d = {d}\nn = 16\nT = 0.1\ninit = file\ninit_file = {stem}\n")
     assert main(["simulate", cfg, "--out-dir", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert err[0].startswith("config error: init_file:")
+    if defect == "config_grid_mismatch":
+        assert "Grid(d=2, n=32" in err[0] and "Grid(d=3, n=16" in err[0]
 
 
 def test_picard_zero_data_reads_zero(tmp_path):

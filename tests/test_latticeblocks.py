@@ -172,9 +172,7 @@ def test_remainder_cluster_stats_matches_exact_route():
     rng = np.random.default_rng(4)
     p_list, b_list = criticality_packets(4, rng)
     t_ab, t_ba = bony_paraproducts(p_list, b_list)
-    s_low, comp = remainder_cluster_stats(
-        p_list, b_list, t_blocks=t_ab + t_ba, lowpass_shell=2
-    )
+    s_low, comp = remainder_cluster_stats(p_list, b_list, t_blocks=t_ab + t_ba)
     # exact route: full product minus paraproducts, measured block-wise
     full = real_product_blocks(p_list, b_list)
     rem = full + [b.scaled(-1.0) for b in t_ab + t_ba]
@@ -260,9 +258,7 @@ def test_remainder_cluster_stats_matches_one_canvas_reference(q, seed):
     # the half-plane route against pasting the whole remainder and measuring
     p_list, b_list = criticality_packets(q, np.random.default_rng(seed))
     t_ab, t_ba = bony_paraproducts(p_list, b_list)
-    s_low, comp = remainder_cluster_stats(
-        p_list, b_list, t_blocks=t_ab + t_ba, lowpass_shell=2
-    )
+    s_low, comp = remainder_cluster_stats(p_list, b_list, t_blocks=t_ab + t_ba)
     rem = real_product_blocks(p_list, b_list) + [b.scaled(-1.0) for b in t_ab + t_ba]
     s_low_ref = lowpass_l2(rem, 2)
     comp_ref = shell_norms(lowpass_blocks(rem, 2, complement=True))
@@ -371,9 +367,7 @@ def test_complex_phases_match_one_canvas_reference(q):
     )
     t_ab, t_ba = bony_paraproducts(p_list, b_list)
     assert all(b.values.dtype == np.complex128 for b in t_ab + t_ba)
-    s_low, comp = remainder_cluster_stats(
-        p_list, b_list, t_blocks=t_ab + t_ba, lowpass_shell=2
-    )
+    s_low, comp = remainder_cluster_stats(p_list, b_list, t_blocks=t_ab + t_ba)
     rem = real_product_blocks(p_list, b_list) + [b.scaled(-1.0) for b in t_ab + t_ba]
     assert all(b.values.dtype == np.complex128 for b in rem)
     _, s_low_ref = _one_canvas_reference(lowpass_blocks(rem, 2))

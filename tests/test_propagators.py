@@ -274,9 +274,8 @@ def test_duhamel_linear_is_exact(grid2):
     def zero_nl(s):
         return MhdState.zeros(grid2, s.time)
 
-    dt = 0.25
-    stepped = duhamel_step(state, zero_nl, dt)
-    table = PropagatorTable.build(grid2, dt)
+    table = PropagatorTable.build(grid2, 0.25)
+    stepped = duhamel_step(state, zero_nl, table)
     exact = apply_state(table, state)
     for name in ("v", "E", "B"):
         a = getattr(stepped, name).coeffs
@@ -294,9 +293,9 @@ def test_duhamel_trapezoid_order():
         return MhdState(forcing.v, forcing.E, forcing.B, s.time)
 
     def solve(dt, T=0.5):
-        state = state0
+        state, table = state0, PropagatorTable.build(grid, dt)
         for i in range(round(T / dt)):
-            state = duhamel_step(state, nl, dt, scheme="exp-trapezoid")
+            state = duhamel_step(state, nl, table, scheme="exp-trapezoid")
         return state
 
     ref = solve(0.5 / 256)
@@ -328,7 +327,8 @@ def test_duhamel_applies_one_propagator_per_evaluation(grid2, monkeypatch, schem
     def nl(s):
         return MhdState(forcing.v, forcing.E, forcing.B, s.time)
 
-    duhamel_step(_random_state(grid2, seed=36), nl, 0.1, scheme=scheme)
+    duhamel_step(_random_state(grid2, seed=36), nl, PropagatorTable.build(grid2, 0.1),
+                 scheme=scheme)
     assert len(calls) == applies
 
 
@@ -349,7 +349,7 @@ def test_blowup_detection(grid2):
         return out
 
     with pytest.raises(BlowupError) as exc:
-        duhamel_step(state, bad_nl, 0.1, step_index=7)
+        duhamel_step(state, bad_nl, PropagatorTable.build(grid2, 0.1), step_index=7)
     assert exc.value.step == 7
 
 

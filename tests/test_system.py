@@ -426,7 +426,7 @@ def test_diagnostics_schema(grid2):
 def test_z_norm_zero_and_single_component(grid2, part2):
     initial = MhdState.zeros(grid2)
     traj = simulate(initial, 0.2, 0.1, nonlinear=False)
-    z = z_norm(traj, 2, part2)
+    z = z_norm(traj, part2)
     assert z.total == 0.0
     v_only = MhdState(
         leray_project(random_field(grid2, seed=49)),
@@ -435,7 +435,7 @@ def test_z_norm_zero_and_single_component(grid2, part2):
     ).prepared()
     states = [MhdState(v_only.v, v_only.E, v_only.B, t) for t in (0.0, 0.1, 0.2)]
     traj = Trajectory.from_states(grid2, states, 3)
-    z = z_norm(traj, 2, part2)
+    z = z_norm(traj, part2)
     assert z.u > 0 and z.E == 0.0 and z.B == 0.0
     assert z.total == z.u + z.E + z.B
 
@@ -455,15 +455,9 @@ def test_z_norm_pinned_static_single_shell(grid2, part2):
     states = [MhdState(SpectralField.zeros(grid2), SpectralField.zeros(grid2), B, t)
               for t in times]
     traj = Trajectory.from_states(grid2, states, 21)
-    z = z_norm(traj, 2, part2)
+    z = z_norm(traj, part2)
     assert abs(z.B - 2.0 * math.sqrt(2.0)) < 1e-10
     assert z.u == 0.0 and z.E == 0.0
-
-
-def test_z_norm_dimension_mismatch(grid2, part2):
-    traj = simulate(MhdState.zeros(grid2), 0.2, 0.1, nonlinear=False)
-    with pytest.raises(ValueError):
-        z_norm(traj, 3, part2)
 
 
 # ---------------------------------------------------------------------------
@@ -540,7 +534,7 @@ def test_picard_drops_ratios_of_roundoff_noise(grid2, part2):
     for m in range(5):
         chain.append(_apply_phi(free, chain[-1] if m else None, table))
     diffs = [z_norm(Trajectory(grid2, b.times, tuple(x - y for x, y in zip(b.half, a.half))),
-                    2, part2).total
+                    part2).total
              for a, b in zip(chain, chain[1:])]
     assert got == diffs
     assert all(np.array_equal(a, b) for a, b in zip(last.half, chain[-1].half))

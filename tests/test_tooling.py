@@ -1,8 +1,10 @@
 """The benchmark's span tracer (perfbench/tracing.py) wraps functions of the
 package by name, and the scripts in scripts/ call the package's public API;
 a rename must fail here, not only in a benchmark or script run.  Every run
-pays the package's import, so its import graph is checked here too."""
+pays the package's import, so its import graph is checked here too, and
+every defaulted parameter of the package must have a caller that sets it."""
 
+import ast
 import csv
 import importlib
 import importlib.util
@@ -43,6 +45,69 @@ def test_trace_targets_resolve(monkeypatch):
         if owner is None or attr not in vars(owner):
             missing.append(f"nsmaxwell.{module}.{path}")
     assert tracing.TARGETS and not missing
+
+
+# Signatures fixed by a protocol, not by this package's callers.
+UNSET_PARAMETER_ALLOWLIST = {"cli._one_line_warning(line)"}
+
+
+def _python_files(*dirs):
+    for top in dirs:
+        for folder, _, names in os.walk(os.path.join(ROOT, top)):
+            for name in sorted(names):
+                if name.endswith(".py"):
+                    path = os.path.join(folder, name)
+                    with open(path) as fh:
+                        yield path, ast.parse(fh.read())
+
+
+def _sets(call, names, shift, param, index, default) -> bool:
+    """Whether ``call`` may set ``param`` (at positional ``index``, or None
+    when keyword-only) of a function called by one of ``names`` to other
+    than its ``default``; a ``*args`` or ``**kwargs`` call sets everything."""
+    func = call.func
+    if (getattr(func, "id", None) or getattr(func, "attr", None)) not in names:
+        return False
+    if any(isinstance(a, ast.Starred) for a in call.args) or any(
+            k.arg is None for k in call.keywords):
+        return True
+    value = next((k.value for k in call.keywords if k.arg == param), None)
+    if value is None and index is not None and shift + len(call.args) > index:
+        value = call.args[index - shift]
+    return value is not None and ast.dump(value) != ast.dump(default)
+
+
+def test_every_defaulted_parameter_is_set_by_a_caller():
+    # A parameter that every call leaves at its default, or passes its
+    # default literal, is a constant in disguise.  Calls are matched by the
+    # called name alone, so a method call counts for every method of that
+    # name; the class name counts as a call of its __init__.
+    calls = [node for _, tree in _python_files("src", "tests", "scripts", "perfbench")
+             for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    unset = []
+    for path, tree in _python_files(os.path.join("src", "nsmaxwell")):
+        module = os.path.basename(path)[:-3]
+        owners = {id(f): c for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+                  for f in c.body}
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            cls = owners.get(id(fn))
+            static = any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)
+            shift = 1 if cls is not None and not static else 0
+            names = {fn.name} | ({cls.name} if fn.name == "__init__" else set())
+            args = fn.args
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            params = [(p.arg, i, d) for i, (p, d) in
+                      enumerate(zip(positional[first:], args.defaults), first)]
+            params += [(p.arg, None, d) for p, d in zip(args.kwonlyargs, args.kw_defaults)
+                       if d is not None]
+            qualname = f"{module}.{cls.name + '.' if cls else ''}{fn.name}"
+            unset += [f"{qualname}({param})" for param, index, default in params
+                      if not any(_sets(c, names, shift, param, index, default)
+                                 for c in calls)]
+    assert sorted(set(unset) - UNSET_PARAMETER_ALLOWLIST) == []
 
 
 def test_import_loads_no_heavy_scipy_subpackage():
