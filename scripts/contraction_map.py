@@ -12,7 +12,6 @@ import sys
 
 import numpy as np
 
-from nsmaxwell.dyadic import build_partition
 from nsmaxwell.ensembles import gen_field
 from nsmaxwell.grid import Grid
 from nsmaxwell.system import MhdState, picard_iterate, simulate, z_norm
@@ -32,11 +31,10 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     grid = Grid(2, args.n)
-    part = build_partition(grid)
     rng = np.random.default_rng(args.seed)
-    v = gen_field(grid, rng, args.slope, None, True, part)
-    E = gen_field(grid, rng, args.slope, None, False, part)
-    B = gen_field(grid, rng, args.slope, None, True, part)
+    v = gen_field(grid, rng, args.slope, None, True)
+    E = gen_field(grid, rng, args.slope, None, False)
+    B = gen_field(grid, rng, args.slope, None, True)
     base = MhdState(v, E, B).prepared()
 
     with open(args.out, "w", newline="") as fh:
@@ -46,12 +44,11 @@ def main(argv=None) -> int:
             state = base.scaled(eps)
             for T in args.windows:
                 free = simulate(state, T, args.dt, nonlinear=False)
-                z = z_norm(free, part).total
+                z = z_norm(free).total
                 del free
                 # Only the ratios: the last iterate would stay alive while
                 # the next run iterates.
-                ratios = picard_iterate(state, T, args.dt, args.iters,
-                                        part=part)[1]
+                ratios = picard_iterate(state, T, args.dt, args.iters)[1]
                 worst = max(ratios) if ratios else 0.0
                 w.writerow([repr(eps), repr(T), repr(z), repr(worst),
                             int(bool(ratios) and worst < 1.0)])

@@ -13,7 +13,6 @@ import sys
 import numpy as np
 
 from nsmaxwell.checks import check_maxwell_energy_decay, fast_eigenmode_state
-from nsmaxwell.dyadic import build_partition
 from nsmaxwell.grid import Grid
 
 
@@ -31,7 +30,6 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     grid = Grid(args.d, args.n, args.box_length)
-    part = build_partition(grid)
     with open(args.out, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["sample", "T", "energy_ratio", "decay_ratio"])
@@ -42,9 +40,8 @@ def main(argv=None) -> int:
             ve, vd = [], []
             for T in args.windows:
                 dt = min(0.0025 * T, 0.05)
-                er, dr = check_maxwell_energy_decay(
-                    E0, B0, None, T, dt=dt, alpha=args.alpha, part=part
-                )
+                er, dr = check_maxwell_energy_decay(E0, B0, None, T, dt=dt,
+                                                    alpha=args.alpha)
                 ve.append(er.max_ratio)
                 vd.append(dr.max_ratio)
                 w.writerow([s, repr(T), repr(er.max_ratio), repr(dr.max_ratio)])

@@ -55,6 +55,5 @@ from .checks import (
     product_law_report,
 )
 from .config import ConfigError, RunConfig, parse_config
-from .cli import main as cli_main
 
 __version__ = "0.1.0"

@@ -209,13 +209,13 @@ class SeparableTrajectory:
     field: SpectralField
     rate: float = SEPARABLE_RATE
 
-    def spacetime(self, part: DyadicPartition, spec: NormSpec, T: float) -> float:
-        return norm_hst(self.field, part, spec) * envelope_time_norm(
+    def spacetime(self, spec: NormSpec, T: float) -> float:
+        return norm_hst(self.field, spec) * envelope_time_norm(
             self.rate, T, spec.time_exponent
         )
 
-    def besov_spacetime(self, part: DyadicPartition, s: float, time_p, T: float) -> float:
-        return norm_besov(self.field, part, s, 2, 1) * envelope_time_norm(
+    def besov_spacetime(self, s: float, time_p, T: float) -> float:
+        return norm_besov(self.field, s, 1) * envelope_time_norm(
             self.rate, T, time_p
         )
 
@@ -238,8 +238,7 @@ def separable_product(a: SeparableTrajectory, b: SeparableTrajectory,
 # Bernstein.
 
 
-def check_bernstein(spec: FieldEnsembleSpec, q: int,
-                    part: DyadicPartition | None = None) -> EstimateReport:
+def check_bernstein(spec: FieldEnsembleSpec, q: int) -> EstimateReport:
     """Both-sided first-derivative bound on shell-q blocks.
 
     Per sample: max_axis ||d_axis Delta_q f|| / (2^q ||Delta_q f||).  The
@@ -247,17 +246,14 @@ def check_bernstein(spec: FieldEnsembleSpec, q: int,
     constant is max(max_ratio, 1/min nonzero ratio); we store both
     orientations as separate samples.
     """
-    grid = spec.grid()
-    if part is None:
-        part = build_partition(grid)
     report = EstimateReport("bernstein", {"q": q, "seed": spec.seed})
-    for f in gen_ensemble(spec, part):
-        bq = block(f, part, q)
+    for f in gen_ensemble(spec):
+        bq = block(f, q)
         base = lp_norm_physical(bq, 2)
         if base == 0.0:
             raise ValueError(f"shell {q} empty for this ensemble")
         best = max(lp_norm_physical(gradient_component(bq, axis), 2)
-                   for axis in range(grid.d))
+                   for axis in range(spec.d))
         ratio = best / (2.0**q * base)
         report.add_sample(ratio, 1.0)
         report.add_sample(1.0, ratio)
@@ -269,13 +265,14 @@ def check_bernstein(spec: FieldEnsembleSpec, q: int,
 # a chunk of sample times per array operation (``grid._time_chunks``).
 
 
-def _selected_modes(part: DyadicPartition, *coeffs):
+def _selected_modes(grid: Grid, *coeffs):
     """The modes with power in some of ``coeffs`` and weight in some shell:
     a picker for them on (components, *spectral_shape) arrays, their |k|^2,
     and their ``shell_matrix`` rows (modes x shells)."""
+    part = build_partition(grid)
     power = sum(_mode_power(c.reshape(3, -1)) for c in coeffs)
     idx = np.flatnonzero((power > 0) & (part.partition_sum().ravel() > 0))
-    return (lambda c: c.reshape(len(c), -1)[:, idx], part.grid.k_squared().ravel()[idx],
+    return (lambda c: c.reshape(len(c), -1)[:, idx], grid.k_squared().ravel()[idx],
             part.shell_matrix(idx))
 
 
@@ -313,8 +310,7 @@ def heat_forced_coeffs(u0: SpectralField, forcings, t: float) -> SpectralField:
 
 
 def check_parabolic_smoothing(u0: SpectralField, forcing, T: float, p,
-                              s: float, r, dt: float = 0.01,
-                              part: DyadicPartition | None = None) -> EstimateReport:
+                              s: float, r, dt: float = 0.01) -> EstimateReport:
     """Heat regularization in Besov-(2,1) scale.
 
     LHS = sup_t ||u(t)||_{B^s_{2,1}} + tilde-L^p_T B^{s+2/p}_{2,1};
@@ -323,28 +319,26 @@ def check_parabolic_smoothing(u0: SpectralField, forcing, T: float, p,
     sample times come from the closed-form solution, a chunk of times at once.
     """
     grid = u0.grid
-    if part is None:
-        part = build_partition(grid)
     forcings = [] if forcing is None else [forcing]
     times = np.arange(0.0, T + dt / 2, dt)
-    sel, ksq, w2 = _selected_modes(part, u0.coeffs, *(F.coeffs for F, _ in forcings))
+    sel, ksq, w2 = _selected_modes(grid, u0.coeffs, *(F.coeffs for F, _ in forcings))
     amps = [(sel(F.coeffs), lam) for F, lam in forcings]
     rows = np.vstack([
         _shell_l2(_mode_power(_heat_forced(ksq, sel(u0.coeffs), amps, t[:, None, None])),
                   w2)
         for t in _time_chunks(times, 3 * ksq.size)
     ])
-    q_values = np.array(part.shells(), dtype=float)
+    q_values = np.array(build_partition(grid).shells(), dtype=float)
 
     sup_besov = float(np.max(rows @ 2.0 ** (s * q_values)))
     # tilde-L^p_T B^{s+2/p}_{2,1}: time norm per shell, then the l^1 sum.
     smoothed = float(2.0 ** (q_values * (s + 2.0 / p)) @ time_lebesgue(rows, times, p))
     lhs = sup_besov + smoothed
 
-    rhs = norm_besov(u0, part, s, 2, 1)
+    rhs = norm_besov(u0, s, 1)
     if forcing is not None:
         F, lam = forcing
-        rhs += norm_besov(F, part, s - 2.0 + 2.0 / r, 2, 1) * envelope_time_norm(
+        rhs += norm_besov(F, s - 2.0 + 2.0 / r, 1) * envelope_time_norm(
             lam, T, r
         )
     report = EstimateReport(
@@ -393,12 +387,12 @@ def check_l2linfty(u0: SpectralField, f1, f2, T: float, dt: float = 0.01,
     The sup series comes from the closed-form solution, a chunk of times
     per ``_sup_series``.  Only the components that are nonzero in u0 or in
     some forcing are transformed: the heat flow acts componentwise, so the
-    others stay zero.
+    others stay zero.  ``part``, if given, must be a partition of u0's grid.
     """
     grid = u0.grid
     d = grid.d
-    if part is None:
-        part = build_partition(grid)
+    if part is not None and part.grid != grid:
+        raise ValueError(f"the partition lies on {part.grid}, the data on {grid}")
     forcings = [f for f in (f1, f2) if f is not None]
     times = np.arange(0.0, T + dt / 2, dt)
     data = [u0] + [F for F, _ in forcings]
@@ -413,13 +407,13 @@ def check_l2linfty(u0: SpectralField, f1, f2, T: float, dt: float = 0.01,
     lhs = float(np.sqrt(np.trapezoid(sup_series**2, times)))
 
     spec = NormSpec.sobolev(d / 2.0 - 1.0)
-    rhs = norm_hst(u0, part, spec)
+    rhs = norm_hst(u0, spec)
     if f1 is not None:
         F, lam = f1
-        rhs += norm_hst(F, part, spec) * envelope_time_norm(lam, T, 1)
+        rhs += norm_hst(F, spec) * envelope_time_norm(lam, T, 1)
     if f2 is not None:
         F, lam = f2
-        rhs += norm_besov(F, part, d / 2.0 - 2.0, 2, 1) * envelope_time_norm(lam, T, 2)
+        rhs += norm_besov(F, d / 2.0 - 2.0, 1) * envelope_time_norm(lam, T, 2)
     report = EstimateReport("l2-linfty", {"T": T, "dt": dt, "d": d})
     report.add_sample(lhs, rhs)
     return report
@@ -473,8 +467,7 @@ def fast_eigenmode_state(grid: Grid, rng: np.random.Generator,
     return Ef, leray_project(Bf)
 
 
-def _free_maxwell_rows(E0: SpectralField, B0: SpectralField,
-                       part: DyadicPartition, times: np.ndarray):
+def _free_maxwell_rows(E0: SpectralField, B0: SpectralField, times: np.ndarray):
     """Shell rows ||Delta_q E(t)||, ||Delta_q B(t)|| of the unforced
     damped-Maxwell group at ``times`` (times[0] = 0), from its exact
     per-mode solution.
@@ -483,9 +476,9 @@ def _free_maxwell_rows(E0: SpectralField, B0: SpectralField,
     drops that part from later rows.  No selected mode is k = 0, which no
     shell weighs.
     """
-    sel, ksq, w2 = _selected_modes(part, E0.coeffs, B0.coeffs)
-    khat, E, B = map(sel, (part.grid._unit_wavevectors, E0.coeffs, B0.coeffs))
-    rows_E, rows_B = [_block_l2(E0, part)[None]], [_block_l2(B0, part)[None]]
+    sel, ksq, w2 = _selected_modes(E0.grid, E0.coeffs, B0.coeffs)
+    khat, E, B = map(sel, (E0.grid._unit_wavevectors, E0.coeffs, B0.coeffs))
+    rows_E, rows_B = [_block_l2(E0)[None]], [_block_l2(B0)[None]]
     for t in _time_chunks(times[1:], 3 * ksq.size):
         a11, a12, a22 = _maxwell_coefficients(ksq, t[:, None])
         E_t, B_t = _maxwell_modes(khat, E, B, a11, 1j * a12, a22, np.exp(-t)[:, None])
@@ -507,23 +500,24 @@ def check_maxwell_energy_decay(E0: SpectralField, B0: SpectralField, G,
     The shell norms are sampled at t_n = n dt; T must be a multiple of dt.
     Without forcing they come from the exact group at every t_n at once;
     with forcing the group is stepped and the Duhamel integral of G taken
-    by the exponential trapezoid rule.
+    by the exponential trapezoid rule.  ``part``, if given, must be a
+    partition of E0's grid.
     """
     grid = E0.grid
     d = grid.d
-    if part is None:
-        part = build_partition(grid)
+    if part is not None and part.grid != grid:
+        raise ValueError(f"the partition lies on {part.grid}, the data on {grid}")
     n_steps = step_count(T, dt)
     times = np.arange(n_steps + 1) * dt
 
     if G is None:
-        rows_E, rows_B = _free_maxwell_rows(E0, B0, part, times)
+        rows_E, rows_B = _free_maxwell_rows(E0, B0, times)
     else:
         G0, rate = G
         table = PropagatorTable.build(grid, dt)
         E, B, g = E0.coeffs.copy(), B0.coeffs.copy(), G0.coeffs
         zero = np.zeros_like(E)
-        rows = [(_block_l2(E0, part), _block_l2(B0, part))]
+        rows = [(_block_l2(E0), _block_l2(B0))]
         for n in range(n_steps):
             table.apply_maxwell(E, B, out=(E, B))
             # Exponential trapezoid for the forcing Duhamel integral.
@@ -531,9 +525,9 @@ def check_maxwell_energy_decay(E0: SpectralField, B0: SpectralField, G,
             gE += g * math.exp(-rate * times[n + 1])
             E += gE * (dt / 2.0)
             B += gB * (dt / 2.0)
-            rows.append(tuple(_block_l2(SpectralField(grid, a), part) for a in (E, B)))
+            rows.append(tuple(_block_l2(SpectralField(grid, a)) for a in (E, B)))
         rows_E, rows_B = np.array(rows).transpose(1, 0, 2)
-    q_values = np.array(part.shells())
+    q_values = np.array(build_partition(grid).shells())
     series_E, series_B = (ShellSeries(times, q_values, r) for r in (rows_E, rows_B))
     spec_data = NormSpec(d / 2.0 - 1.0, d / 2.0 - 1.0, alpha, np.inf, tilde=True)
     spec_l2 = NormSpec(d / 2.0 - 1.0, d / 2.0 - 1.0, alpha, 2, tilde=True)
@@ -545,10 +539,10 @@ def check_maxwell_energy_decay(E0: SpectralField, B0: SpectralField, G,
     lhs_decay = spacetime_norm_from_series(series_B, spec_decay)
 
     rhs = math.sqrt(
-        norm_hst(E0, part, spec_data) ** 2 + norm_hst(B0, part, spec_data) ** 2
+        norm_hst(E0, spec_data) ** 2 + norm_hst(B0, spec_data) ** 2
     )
     if G is not None:
-        rhs += norm_hst(G0, part, spec_data) * envelope_time_norm(rate, T, 2)
+        rhs += norm_hst(G0, spec_data) * envelope_time_norm(rate, T, 2)
 
     params = {"T": T, "dt": dt, "alpha": alpha, "d": d}
     energy = EstimateReport("maxwell-energy", dict(params))
@@ -608,8 +602,7 @@ def check_product_law(estimate_id: str, T: float,
                       u: SeparableTrajectory | None = None,
                       v: SeparableTrajectory | None = None,
                       E: SeparableTrajectory | None = None,
-                      B: SeparableTrajectory | None = None,
-                      part: DyadicPartition | None = None) -> EstimateReport:
+                      B: SeparableTrajectory | None = None) -> EstimateReport:
     """One sample of one of the six bilinear estimates; LHS sum-space norms
     use the paraproduct-induced split (an upper bound for the true
     infimum, and the split the estimates are proved through)."""
@@ -618,8 +611,6 @@ def check_product_law(estimate_id: str, T: float,
     ref = next(t for t in (u, v, E, B) if t is not None)
     grid = ref.field.grid
     d = grid.d
-    if part is None:
-        part = build_partition(grid)
     report = EstimateReport(estimate_id, {"T": T, "d": d})
 
     if estimate_id.startswith("est1"):
@@ -629,6 +620,7 @@ def check_product_law(estimate_id: str, T: float,
             lhs = _power_l2(power, grid) * env
             s_high = 1.0
         else:
+            part = build_partition(grid)
             rows = _shell_l2(power.ravel(), part.shell_matrix())
             lhs = float(_weighted_l2(rows, part.shells(), NormSpec.sobolev(0.5))) * env
             s_high = 1.5
@@ -636,34 +628,34 @@ def check_product_law(estimate_id: str, T: float,
         for traj in (u, v):
             rhs *= _intersection(
                 traj.linf_spacetime(2, T),
-                traj.spacetime(part, NormSpec.sobolev(s_high, time_exponent=2), T),
+                traj.spacetime(NormSpec.sobolev(s_high, time_exponent=2), T),
             )
         report.add_sample(lhs, rhs)
         return report
 
     if estimate_id.startswith("est4"):
         if d == 2:
-            t_eb, t_be, r = bony_decompose(E.field, B.field, part, "cross")
+            t_eb, t_be, r = bony_decompose(E.field, B.field, "cross")
             rate = E.rate + B.rate
             env2 = envelope_time_norm(rate, T, 2)
             env1 = envelope_time_norm(rate, T, 1)
             lhs = (
-                norm_besov(t_eb + t_be, part, -1.0, 2, 1) * env2
-                + lp_norm_physical(low_pass(r, part, 2), 2) * env1
-                + norm_besov(r - low_pass(r, part, 2), part, -1.0, 2, 1) * env2
+                norm_besov(t_eb + t_be, -1.0, 1) * env2
+                + lp_norm_physical(low_pass(r, 2), 2) * env1
+                + norm_besov(r - low_pass(r, 2), -1.0, 1) * env2
             )
             log_spec = NormSpec.sobolev_log(0.0)
-            rhs = E.spacetime(part, NormSpec.sobolev_log(0.0, time_exponent=2), T) * (
+            rhs = E.spacetime(NormSpec.sobolev_log(0.0, time_exponent=2), T) * (
                 _intersection(
-                    B.spacetime(part, log_spec, T),
-                    B.spacetime(part, NormSpec(1.0, 0.0, 0.0, time_exponent=2), T),
+                    B.spacetime(log_spec, T),
+                    B.spacetime(NormSpec(1.0, 0.0, 0.0, time_exponent=2), T),
                 )
             )
         else:
             prod = separable_product(E, B, "cross")
-            lhs = prod.besov_spacetime(part, -0.5, 2, T)
-            rhs = E.spacetime(part, NormSpec.sobolev(0.5, time_exponent=2), T) * (
-                B.spacetime(part, NormSpec.sobolev(0.5), T)
+            lhs = prod.besov_spacetime(-0.5, 2, T)
+            rhs = E.spacetime(NormSpec.sobolev(0.5, time_exponent=2), T) * (
+                B.spacetime(NormSpec.sobolev(0.5), T)
             )
         report.add_sample(lhs, rhs)
         return report
@@ -671,29 +663,26 @@ def check_product_law(estimate_id: str, T: float,
     # est3-uB
     prod = separable_product(u, B, "cross")
     if d == 2:
-        lhs = prod.spacetime(part, NormSpec.sobolev_log(0.0, time_exponent=2), T)
+        lhs = prod.spacetime(NormSpec.sobolev_log(0.0, time_exponent=2), T)
         rhs = _intersection(
             u.linf_spacetime(2, T),
-            u.spacetime(part, NormSpec.sobolev(1.0, time_exponent=2), T),
-        ) * B.spacetime(part, NormSpec.sobolev_log(0.0), T)
+            u.spacetime(NormSpec.sobolev(1.0, time_exponent=2), T),
+        ) * B.spacetime(NormSpec.sobolev_log(0.0), T)
     else:
-        lhs = prod.spacetime(part, NormSpec.sobolev(0.5, time_exponent=2), T)
+        lhs = prod.spacetime(NormSpec.sobolev(0.5, time_exponent=2), T)
         rhs = _intersection(
             u.linf_spacetime(2, T),
-            u.spacetime(part, NormSpec.sobolev(1.5, time_exponent=2), T),
-        ) * B.spacetime(part, NormSpec.sobolev(0.5), T)
+            u.spacetime(NormSpec.sobolev(1.5, time_exponent=2), T),
+        ) * B.spacetime(NormSpec.sobolev(0.5), T)
     report.add_sample(lhs, rhs)
     return report
 
 
 def product_law_report(estimate_id: str, spec: FieldEnsembleSpec, T: float,
-                       bound: float | None = None,
-                       part: DyadicPartition | None = None) -> EstimateReport:
+                       bound: float | None = None) -> EstimateReport:
     """Ensemble version: pairs of random fields as separable trajectories
     at ``SEPARABLE_RATE``."""
     grid = spec.grid()
-    if part is None:
-        part = build_partition(grid)
     rng = np.random.default_rng(spec.seed)
     merged = EstimateReport(
         estimate_id,
@@ -701,16 +690,16 @@ def product_law_report(estimate_id: str, spec: FieldEnsembleSpec, T: float,
         bound=bound,
     )
     for _ in range(spec.count):
-        fa = gen_field(grid, rng, spec.slope, spec.shell, True, part)
-        fb = gen_field(grid, rng, spec.slope, spec.shell, spec.divergence_free, part)
+        fa = gen_field(grid, rng, spec.slope, spec.shell, True)
+        fb = gen_field(grid, rng, spec.slope, spec.shell, spec.divergence_free)
         a = SeparableTrajectory(fa)
         b = SeparableTrajectory(fb)
         if estimate_id.startswith("est1"):
-            sample = check_product_law(estimate_id, T, u=a, v=b, part=part)
+            sample = check_product_law(estimate_id, T, u=a, v=b)
         elif estimate_id.startswith("est4"):
-            sample = check_product_law(estimate_id, T, E=a, B=b, part=part)
+            sample = check_product_law(estimate_id, T, E=a, B=b)
         else:
-            sample = check_product_law(estimate_id, T, u=a, B=b, part=part)
+            sample = check_product_law(estimate_id, T, u=a, B=b)
         merged.add_sample(sample.lhs[0], sample.rhs[0])
     return merged
 

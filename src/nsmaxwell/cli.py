@@ -56,9 +56,9 @@ def build_initial_state(cfg: RunConfig) -> MhdState:
         if shell is not None and shell not in part.shells():
             raise ConfigError([f"shell: shell index {shell} outside "
                                f"[{part.q_min}, {part.q_max}] for n = {cfg.n}"])
-        v = gen_field(grid, rng, cfg.slope, shell, True, part)
-        E = gen_field(grid, rng, cfg.slope, shell, False, part)
-        B = gen_field(grid, rng, cfg.slope, shell, True, part)
+        v = gen_field(grid, rng, cfg.slope, shell, True)
+        E = gen_field(grid, rng, cfg.slope, shell, False)
+        B = gen_field(grid, rng, cfg.slope, shell, True)
         for f in (v, E, B):
             f.coeffs *= cfg.amplitude
     else:  # file: one snapshot per field, <prefix>_v/_E/_B.nsmw
@@ -72,18 +72,20 @@ def build_initial_state(cfg: RunConfig) -> MhdState:
             if f.grid != grid:
                 raise ConfigError([f"init_file: the {name} snapshot lies on {f.grid}, "
                                    f"the config on {grid}"])
-        return MhdState(v, E, B, time=t0).prepared()
+        # One grid instance for the run, which keeps the partition's weights.
+        return MhdState(*(SpectralField(grid, f.coeffs) for f in (v, E, B)),
+                        time=t0).prepared()
     return MhdState(v, E, B, time=0.0).prepared()
 
 
-def _norm_column(state: MhdState, name: str, part) -> float:
+def _norm_column(state: MhdState, name: str) -> float:
     field = {"v": state.v, "E": state.E, "B": state.B}[name.split("_")[0]]
     kind = name.split("_", 1)[1]
     if kind == "l2":
         return lp_norm_physical(field, 2)
     if kind == "h1":
-        return norm_hst(field, part, NormSpec.sobolev(1.0))
-    return norm_hst(field, part, NormSpec.sobolev_log(0.0))  # l2log
+        return norm_hst(field, NormSpec.sobolev(1.0))
+    return norm_hst(field, NormSpec.sobolev_log(0.0))  # l2log
 
 
 def _march_to_csv(cfg: RunConfig, csv_name: str, norms: tuple,
@@ -94,14 +96,13 @@ def _march_to_csv(cfg: RunConfig, csv_name: str, norms: tuple,
     On blowup the CSV ends with a truncation record and the exit code is
     1."""
     initial = build_initial_state(cfg)
-    part = build_partition(initial.grid)
     with open(os.path.join(cfg.out_dir, csv_name), "w") as fh:
         fh.write(",".join(DIAG_COLUMNS + norms) + "\n")
         try:
             for idx, (state, current) in enumerate(march(initial, cfg.T, cfg.dt,
                                                          scheme=cfg.scheme)):
                 row = (state.time, *energy_report(state, current),
-                       *(_norm_column(state, name, part) for name in norms))
+                       *(_norm_column(state, name) for name in norms))
                 fh.write(",".join(map(repr, row)) + "\n")
                 if snapshots and idx % cfg.stride == 0:
                     _write_snapshot(cfg, idx, state)
@@ -215,8 +216,16 @@ def _config_error(messages) -> int:
     return 2
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """A rejected command line is one ``config error`` line, not a usage
+    block: ``main`` catches the ``ConfigError``."""
+
+    def error(self, message):
+        raise ConfigError([message])
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="nsmw",
         description="Pseudo-spectral simulator and estimate verifier "
                     "for the viscous fluid / damped Maxwell system.",
@@ -226,9 +235,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--out-dir", default=None)
     parser.add_argument("--stride", type=int, default=None)
-    args = parser.parse_args(argv)
-
     try:
+        args = parser.parse_args(argv)
         with open(args.config) as fh:
             cfg = parse_config(fh.read())
     except OSError as exc:

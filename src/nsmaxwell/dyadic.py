@@ -8,7 +8,9 @@ that the partition of unity is exact on every resolved nonzero mode.
 The weights live on the grid's stored modes, the half spectrum (see
 ``grid``); ``DyadicPartition.shell_matrix`` carries the Parseval weight of
 each mode, so every shell norm read from the half spectrum is the norm of
-the real field.
+the real field.  ``build_partition`` builds a grid's shell weights once
+and keeps them on that grid; every function here reads the partition of
+its field's grid.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from .grid import (
     _read_only,
     _sup_series,
     _time_chunks,
-    lp_norm_physical,
     pointwise_product,
 )
 
@@ -125,6 +126,15 @@ class DyadicPartition:
 
 
 def build_partition(grid: Grid) -> DyadicPartition:
+    """The partition of ``grid``.  Its shell range and read-only weight
+    stack are built on first use and kept on that instance, as the grid
+    keeps its geometry, so all partitions of one grid share one stack.  The
+    grid keeps the weights rather than the partition, which refers to the
+    grid: a reference cycle would leave every dropped grid, geometry and
+    weights included, to the cycle collector."""
+    shells = grid.__dict__.get("_shells")
+    if shells is not None:
+        return DyadicPartition(grid, *shells)
     kmag = grid.k_magnitude()
     resolved = ~grid.nyquist_mask()
     resolved[(0,) * grid.d] = False
@@ -148,17 +158,19 @@ def build_partition(grid: Grid) -> DyadicPartition:
         else:
             w = phi_profile(kmag / 2.0**q)
         stack[i] = np.where(resolved, w, 0.0)
-    return DyadicPartition(grid=grid, q_min=q_min, q_max=q_max, stack=_read_only(stack))
+    # Stored as ``cached_property`` stores, past the frozen dataclass's setattr.
+    shells = grid.__dict__["_shells"] = (q_min, q_max, _read_only(stack))
+    return DyadicPartition(grid, *shells)
 
 
-def block(u: SpectralField, part: DyadicPartition, q: int) -> SpectralField:
+def block(u: SpectralField, q: int) -> SpectralField:
     """Delta_q u: per-mode multiply by the tabulated shell weight."""
-    return SpectralField(u.grid, u.coeffs * part.weight(q))
+    return SpectralField(u.grid, u.coeffs * build_partition(u.grid).weight(q))
 
 
-def low_pass(u: SpectralField, part: DyadicPartition, q: int) -> SpectralField:
+def low_pass(u: SpectralField, q: int) -> SpectralField:
     """S_q u: sum of blocks below q plus the mean mode."""
-    return SpectralField(u.grid, u.coeffs * part.lowpass_weight(q))
+    return SpectralField(u.grid, u.coeffs * build_partition(u.grid).lowpass_weight(q))
 
 
 @dataclass
@@ -167,8 +179,9 @@ class DyadicBlocks:
     blocks: dict
 
     @classmethod
-    def decompose(cls, u: SpectralField, part: DyadicPartition) -> "DyadicBlocks":
-        return cls(part, {q: block(u, part, q) for q in part.shells()})
+    def decompose(cls, u: SpectralField) -> "DyadicBlocks":
+        part = build_partition(u.grid)
+        return cls(part, {q: block(u, q) for q in part.shells()})
 
     def reconstruct(self) -> SpectralField:
         out = SpectralField.zeros(self.partition.grid)
@@ -177,8 +190,7 @@ class DyadicBlocks:
         return out
 
 
-def bony_decompose(u: SpectralField, v: SpectralField, part: DyadicPartition,
-                   combiner: str = "scalar"):
+def bony_decompose(u: SpectralField, v: SpectralField, combiner: str = "scalar"):
     """Bony split of the (dealiased) product u v into (T_u v, T_v u, R).
 
     T_u v = sum_q S_{q-1} u Delta_q v and R = sum_q Delta_q u
@@ -191,18 +203,19 @@ def bony_decompose(u: SpectralField, v: SpectralField, part: DyadicPartition,
     if u.grid != v.grid:
         raise ValueError("fields live on different grids")
     grid = u.grid
+    part = build_partition(grid)
     t_uv = SpectralField.zeros(grid)
     t_vu = SpectralField.zeros(grid)
     r_uv = SpectralField.zeros(grid)
     for q in part.shells():
-        dq_v = block(v, part, q)
-        dq_u = block(u, part, q)
-        t_uv = t_uv + pointwise_product(low_pass(u, part, q - 1), dq_v, combiner)
-        t_vu = t_vu + pointwise_product(dq_u, low_pass(v, part, q - 1), combiner)
+        dq_v = block(v, q)
+        dq_u = block(u, q)
+        t_uv = t_uv + pointwise_product(low_pass(u, q - 1), dq_v, combiner)
+        t_vu = t_vu + pointwise_product(dq_u, low_pass(v, q - 1), combiner)
         tilde = SpectralField.zeros(grid)
         for j in (q - 1, q, q + 1):
             if part.q_min <= j <= part.q_max:
-                tilde = tilde + block(v, part, j)
+                tilde = tilde + block(v, j)
         r_uv = r_uv + pointwise_product(dq_u, tilde, combiner)
     # Mean-mean cross term is covered by none of the three sums.
     mu, mv = u.mean(), v.mean()
@@ -272,37 +285,27 @@ def _weighted_l2(rows: np.ndarray, q_values, spec: NormSpec):
     return np.sqrt(rows**2 @ spec.shell_weight_sq(q_values))
 
 
-def _block_l2(u: SpectralField, part: DyadicPartition) -> np.ndarray:
+def _block_l2(u: SpectralField) -> np.ndarray:
     """Array of ||Delta_q u||_{L^2} over the shell range."""
-    return _shell_l2(_mode_power(u.coeffs.reshape(3, -1)), part.shell_matrix())
+    return _shell_l2(_mode_power(u.coeffs.reshape(3, -1)),
+                     build_partition(u.grid).shell_matrix())
 
 
-def norm_hst(u: SpectralField, part: DyadicPartition, spec: NormSpec) -> float:
+def norm_hst(u: SpectralField, spec: NormSpec) -> float:
     """The hybrid Sobolev norm: sqrt of
     sum_{q<=0} 2^{2qs} ||Delta_q u||^2 + sum_{q>0} q^alpha 2^{2qt} ||Delta_q u||^2,
     with the k=0 mode excluded (homogeneous norm)."""
-    return float(_weighted_l2(_block_l2(u, part), part.shells(), spec))
+    return float(_weighted_l2(_block_l2(u), build_partition(u.grid).shells(), spec))
 
 
-def norm_besov(u: SpectralField, part: DyadicPartition, s: float, p, r) -> float:
-    """Homogeneous Besov norm: l^r over shells of 2^{qs} ||Delta_q u||_{L^p}."""
-    if p == 2:
-        b = _block_l2(u, part)
-    elif p == np.inf:
-        b = np.array(
-            [lp_norm_physical(block(u, part, q), np.inf) for q in part.shells()]
-        )
-    else:
-        raise ValueError(f"unsupported Lebesgue exponent {p!r}")
-    qs = np.array(list(part.shells()), dtype=float)
-    terms = 2.0 ** (qs * s) * b
-    if r == 1:
-        return float(np.sum(terms))
-    if r == 2:
-        return float(np.sqrt(np.sum(terms**2)))
-    if r == np.inf:
-        return float(np.max(terms)) if terms.size else 0.0
-    raise ValueError(f"unsupported summability exponent {r!r}")
+def norm_besov(u: SpectralField, s: float, r) -> float:
+    """Homogeneous Besov norm B^s_{2,r}, r in {1, 2}: l^r over shells of
+    2^{qs} ||Delta_q u||_{L^2}."""
+    if r not in (1, 2):
+        raise ValueError(f"unsupported summability exponent {r!r}")
+    qs = np.array(build_partition(u.grid).shells(), dtype=float)
+    terms = 2.0 ** (qs * s) * _block_l2(u)
+    return float(np.sum(terms) if r == 1 else np.sqrt(np.sum(terms**2)))
 
 
 # ---------------------------------------------------------------------------
@@ -323,8 +326,8 @@ class ShellSeries:
     linf: np.ndarray | None = None
 
 
-def shell_series(fields, times, part: DyadicPartition, with_linf: bool = False) -> ShellSeries:
-    """Reduce samples of a real field to per-shell norm time series.
+def shell_series(fields, times, grid: Grid, with_linf: bool = False) -> ShellSeries:
+    """Reduce samples of a real field on ``grid`` to per-shell norm time series.
 
     ``fields`` is a sequence of SpectralFields or an array of stacked
     amplitudes (times, 3, *spectral_shape).  Per chunk of times the
@@ -336,7 +339,7 @@ def shell_series(fields, times, part: DyadicPartition, with_linf: bool = False) 
     steps = np.diff(times)
     if not np.allclose(steps, steps[0], rtol=1e-10, atol=1e-14):
         raise ValueError("time grid must be uniform")
-    grid = part.grid
+    part = build_partition(grid)
     rows, linf = [], []
     weights = part.shell_matrix()
     for chunk in _time_chunks(fields, 3 * grid.n**grid.d):

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Grid, SpectralField, leray_project
-from .dyadic import DyadicPartition, block, build_partition
+from .dyadic import block
 
 __all__ = ["FieldEnsembleSpec", "gen_field", "gen_ensemble"]
 
@@ -35,8 +35,7 @@ class FieldEnsembleSpec:
 
 
 def gen_field(grid: Grid, rng: np.random.Generator, slope: float = 0.0,
-              shell: int | None = None, divergence_free: bool = False,
-              part: DyadicPartition | None = None) -> SpectralField:
+              shell: int | None = None, divergence_free: bool = False) -> SpectralField:
     """One random field: real white noise shaped to |k|^{-slope} amplitudes."""
     white = rng.standard_normal((3,) + grid.shape)
     f = SpectralField.from_physical(grid, white)
@@ -47,20 +46,16 @@ def gen_field(grid: Grid, rng: np.random.Generator, slope: float = 0.0,
     f.dealias()
     f.zero_nyquist()
     if shell is not None:
-        if part is None:
-            part = build_partition(grid)
-        f = block(f, part, shell)
+        f = block(f, shell)
     if divergence_free:
         f = leray_project(f)
     return f
 
 
-def gen_ensemble(spec: FieldEnsembleSpec, part: DyadicPartition | None = None) -> list:
+def gen_ensemble(spec: FieldEnsembleSpec) -> list:
     grid = spec.grid()
     rng = np.random.default_rng(spec.seed)
-    if spec.shell is not None and part is None:
-        part = build_partition(grid)
     return [
-        gen_field(grid, rng, spec.slope, spec.shell, spec.divergence_free, part)
+        gen_field(grid, rng, spec.slope, spec.shell, spec.divergence_free)
         for _ in range(spec.count)
     ]

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft
 
-from .dyadic import chi_profile, phi_profile, CHI_HI, PHI_LO, PHI_HI
+from .dyadic import NormSpec, chi_profile, phi_profile, CHI_HI, PHI_LO, PHI_HI
 
 __all__ = [
     "BlockField",
@@ -454,13 +454,8 @@ def hst_norm(blocks: list, s: float, t: float, alpha: float = 0.0) -> float:
 
 def hst_from_shells(norms: dict, s: float, t: float, alpha: float = 0.0) -> float:
     """``hst_norm`` from a field's ``shell_norms``, measured once."""
-    total = 0.0
-    for q, bq in norms.items():
-        if q <= 0:
-            total += 4.0 ** (q * s) * bq**2
-        else:
-            total += float(q) ** alpha * 4.0 ** (q * t) * bq**2
-    return math.sqrt(total)
+    weight_sq = NormSpec(s, t, alpha).shell_weight_sq
+    return math.sqrt(sum(float(weight_sq(q)) * bq**2 for q, bq in norms.items()))
 
 
 def besov_norm(blocks: list, s: float) -> float:
@@ -552,10 +547,8 @@ def criticality_packets(q: int, rng: np.random.Generator | None = None):
     centers = {(-m0, -m0)}
     b_blocks = [gaussian_packet((-m0, -m0), h, b_pol, rng)]
     for c in (0.125, 0.25, 0.5, 1.0, 2.0):
-        s = c * 2.0**q / (2.0 * radius)
-        if s >= 1.0:
-            continue
-        theta = base_angle + 2.0 * math.asin(s)
+        # Chord over diameter is c / 3.5 <= 4/7 < 1: asin is defined for every c.
+        theta = base_angle + 2.0 * math.asin(c * 2.0**q / (2.0 * radius))
         ctr = (
             -int(round(radius * math.cos(theta))),
             -int(round(radius * math.sin(theta))),

@@ -46,7 +46,6 @@ from .grid import (
     pointwise_product,
 )
 from .dyadic import (
-    DyadicPartition,
     NormSpec,
     build_partition,
     low_pass,
@@ -386,7 +385,7 @@ def _z_specs(d: int):
     return alpha, half
 
 
-def z_norm(traj: Trajectory, part: DyadicPartition | None = None) -> ZNorm:
+def z_norm(traj: Trajectory) -> ZNorm:
     """The composite solution-space norm with alpha = 1 (d=2) / 0 (d=3):
 
     Z^u = ||u||_{L2_T H^{d/2}} + ||u||_{L2_T Linf} + ||u||_{tilde-Linf_T H^{d/2-1}}
@@ -395,14 +394,12 @@ def z_norm(traj: Trajectory, part: DyadicPartition | None = None) -> ZNorm:
 
     Each field's stack goes through ``shell_series``.
     """
-    if part is None:
-        part = build_partition(traj.grid)
     alpha, half = _z_specs(traj.grid.d)
 
     v, E, B = traj.half
-    sv = shell_series(v, traj.times, part, with_linf=True)
-    se = shell_series(E, traj.times, part)
-    sb = shell_series(B, traj.times, part)
+    sv = shell_series(v, traj.times, traj.grid, with_linf=True)
+    se = shell_series(E, traj.times, traj.grid)
+    sb = shell_series(B, traj.times, traj.grid)
 
     zu = (
         spacetime_norm_from_series(sv, NormSpec.sobolev(half, time_exponent=2, tilde=False))
@@ -420,15 +417,12 @@ def z_norm(traj: Trajectory, part: DyadicPartition | None = None) -> ZNorm:
     return ZNorm(u=zu, E=ze, B=zb)
 
 
-def initial_data_norm(state: MhdState, part: DyadicPartition | None = None) -> float:
+def initial_data_norm(state: MhdState) -> float:
     """Norm of Gamma0 in H^{d/2-1} x H^{d/2-1}_a x H^{d/2-1}_a."""
-    grid = state.grid
-    if part is None:
-        part = build_partition(grid)
-    alpha, half = _z_specs(grid.d)
-    nv = norm_hst(state.v, part, NormSpec.sobolev(half - 1))
-    ne = norm_hst(state.E, part, NormSpec(half - 1, half - 1, alpha))
-    nb = norm_hst(state.B, part, NormSpec(half - 1, half - 1, alpha))
+    alpha, half = _z_specs(state.grid.d)
+    nv = norm_hst(state.v, NormSpec.sobolev(half - 1))
+    ne = norm_hst(state.E, NormSpec(half - 1, half - 1, alpha))
+    nb = norm_hst(state.B, NormSpec(half - 1, half - 1, alpha))
     return nv + ne + nb
 
 
@@ -476,8 +470,7 @@ def _apply_phi(free: Trajectory, pert: Trajectory | None, table: PropagatorTable
     return Trajectory(grid, free.times, out)
 
 
-def picard_iterate(initial: MhdState, T: float, dt: float, n_iters: int,
-                   part: DyadicPartition | None = None):
+def picard_iterate(initial: MhdState, T: float, dt: float, n_iters: int):
     """Iterate the fixed-point map starting from the zero perturbation.
 
     Returns (last_iterate, contraction_ratios, differences).  Iterates are
@@ -503,8 +496,6 @@ def picard_iterate(initial: MhdState, T: float, dt: float, n_iters: int,
     if n_iters < 2:
         raise ValueError("need at least two iterations")
     grid = initial.grid
-    if part is None:
-        part = build_partition(grid)
     table = PropagatorTable.build(grid, dt)
     free = _free_evolution(initial, T, table)
     prev, diffs = None, []  # None: the zero perturbation
@@ -512,8 +503,7 @@ def picard_iterate(initial: MhdState, T: float, dt: float, n_iters: int,
         nxt = _apply_phi(free, prev, table)
         # G^m is dead once the map has run: its buffers take G^{m+1} - G^m.
         diff = z_norm(nxt if prev is None else Trajectory(grid, free.times, tuple(
-            np.subtract(a, b, out=b) for a, b in zip(nxt.half, prev.half))),
-            part).total
+            np.subtract(a, b, out=b) for a, b in zip(nxt.half, prev.half)))).total
         prev = nxt
         diffs.append(diff if math.isfinite(diff) else math.inf)
         if not math.isfinite(diff):
@@ -539,8 +529,7 @@ def picard_solution(free: Trajectory, perturbation: Trajectory) -> Trajectory:
 # Initial-data splitting (Fourier cutoff).
 
 
-def split_initial_data(initial: MhdState, delta_target: float,
-                       part: DyadicPartition | None = None):
+def split_initial_data(initial: MhdState, delta_target: float):
     """Split Gamma0 = S_Q Gamma0 + (I - S_Q) Gamma0 with Q the smallest
     shell making the tail smaller than delta_target in
     H^{d/2-1} x H^{d/2-1}_a x H^{d/2-1}_a.
@@ -550,12 +539,10 @@ def split_initial_data(initial: MhdState, delta_target: float,
     """
     if delta_target <= 0:
         raise ValueError("delta_target must be positive")
-    grid = initial.grid
-    if part is None:
-        part = build_partition(grid)
+    part = build_partition(initial.grid)
 
     def split_at(Q: int):
-        regular = MhdState(*(low_pass(f, part, Q) for f in (initial.v, initial.E, initial.B)),
+        regular = MhdState(*(low_pass(f, Q) for f in (initial.v, initial.E, initial.B)),
                            time=initial.time)
         tail = MhdState(initial.v - regular.v, initial.E - regular.E,
                         initial.B - regular.B, time=initial.time)
@@ -564,7 +551,7 @@ def split_initial_data(initial: MhdState, delta_target: float,
     best_q, best_norm = None, np.inf
     for Q in range(part.q_min, part.q_max + 2):
         regular, tail = split_at(Q)
-        norm = initial_data_norm(tail, part)
+        norm = initial_data_norm(tail)
         if norm < best_norm:
             best_q, best_norm = Q, norm
         if norm < delta_target:

@@ -20,11 +20,6 @@ def grid3():
     return Grid(3, 16)
 
 
-@pytest.fixture(scope="session")
-def part3(grid3):
-    return build_partition(grid3)
-
-
 def random_field(grid, seed=0, slope=0.0):
     """Random real spectral field with optional power-law shaping."""
     rng = np.random.default_rng(seed)

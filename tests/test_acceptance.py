@@ -152,11 +152,10 @@ def test_criterion_02_multiplier_bounds():
 
 def test_criterion_03_energy_identity():
     grid = Grid(2, 64)
-    part = build_partition(grid)
     rng = np.random.default_rng(3)
     v = taylor_green_velocity(grid, 1.0)
-    E = 0.5 * gen_field(grid, rng, 0.0, 2, False, part)
-    B = 0.5 * gen_field(grid, rng, 0.0, 2, True, part)
+    E = 0.5 * gen_field(grid, rng, 0.0, 2, False)
+    B = 0.5 * gen_field(grid, rng, 0.0, 2, True)
     initial = MhdState(v, E, B).prepared()
     res = {}
     for dt in (4e-3, 2e-3, 1e-3):
@@ -192,7 +191,7 @@ def test_criterion_04_bony_and_partition():
     for i in range(0, 20, 2):
         u, v = fields[i], fields[i + 1]
         for combiner in ("scalar", "cross"):
-            t_uv, t_vu, r = bony_decompose(u, v, part, combiner)
+            t_uv, t_vu, r = bony_decompose(u, v, combiner)
             total = t_uv + t_vu + r
             direct = pointwise_product(u, v, combiner)
             scale = np.max(np.abs(direct.coeffs)) + 1e-300
@@ -210,20 +209,19 @@ def test_criterion_04_bony_and_partition():
 
 def test_criterion_05_picard_contraction():
     grid = Grid(2, 64)
-    part = build_partition(grid)
     rng = np.random.default_rng(7)
-    v = gen_field(grid, rng, 2.0, None, True, part)
-    E = gen_field(grid, rng, 2.0, None, False, part)
-    B = gen_field(grid, rng, 2.0, None, True, part)
+    v = gen_field(grid, rng, 2.0, None, True)
+    E = gen_field(grid, rng, 2.0, None, False)
+    B = gen_field(grid, rng, 2.0, None, True)
     base = MhdState(v, E, B, 0.0).prepared()
 
     T, dt = 1.0, 0.01
     free = simulate(base, T, dt, nonlinear=False)
-    eps = 0.9e-2 / z_norm(free, part).total
+    eps = 0.9e-2 / z_norm(free).total
     small = base.scaled(eps)
     free_s = simulate(small, T, dt, nonlinear=False)
-    z_small = z_norm(free_s, part).total
-    last, ratios, _ = picard_iterate(small, T, dt, 6, part=part)
+    z_small = z_norm(free_s).total
+    last, ratios, _ = picard_iterate(small, T, dt, 6)
     assert ratios, "no contraction ratio above the roundoff floor"
     contracting = all(r < 1 for r in ratios)
 
@@ -237,7 +235,7 @@ def test_criterion_05_picard_contraction():
         )
         for sa, sb in zip(fixed.states, ref.states)
     )
-    tol = 10.0 * dt**2 * initial_data_norm(small, part)
+    tol = 10.0 * dt**2 * initial_data_norm(small)
     first_half = z_small <= 1e-2 and contracting and err <= tol
 
     # Second half: where contraction is lost.  The paper proves contraction
@@ -250,10 +248,10 @@ def test_criterion_05_picard_contraction():
     # reaches 1 must leave the contraction regime: some ratio >= 1, or the
     # iteration stops on a non-finite difference.
     big = small.scaled(100.0)
-    _, big_ratios, _ = picard_iterate(big, T, dt, 6, part=part)
+    _, big_ratios, _ = picard_iterate(big, T, dt, 6)
     linear = bool(big_ratios) and 0.5 <= big_ratios[0] / (100.0 * ratios[0]) <= 2.0
     s_star = 1.0 / ratios[0]
-    _, lost_ratios, lost_diffs = picard_iterate(small.scaled(s_star), T, dt, 6, part=part)
+    _, lost_ratios, lost_diffs = picard_iterate(small.scaled(s_star), T, dt, 6)
     lost = any(r >= 1.0 for r in lost_ratios) or len(lost_diffs) < 6
 
     def first(rs):
@@ -320,7 +318,6 @@ def test_criterion_08_maxwell_decay_T_stability():
     ok = True
     for d, alpha, n in ((2, 1.0, 32), (3, 0.0, 16)):
         grid = Grid(d, n, 16.0 * np.pi)
-        part = build_partition(grid)
         de, dd = [], []
         for s in range(20):
             rng = np.random.default_rng(100 + s)
@@ -328,7 +325,7 @@ def test_criterion_08_maxwell_decay_T_stability():
             ve, vd = [], []
             for T in (1.0, 10.0, 100.0):
                 er, dr = check_maxwell_energy_decay(
-                    E0, B0, None, T, dt=dt_for(T), alpha=alpha, part=part
+                    E0, B0, None, T, dt=dt_for(T), alpha=alpha
                 )
                 ve.append(er.max_ratio)
                 vd.append(dr.max_ratio)
@@ -355,17 +352,16 @@ def test_criterion_09_l2linfty_shell_sweep():
         for q in range(0, 7):
             s = max(0, 4 - q)
             grid = Grid(2, 8 * 2 ** (q + s), 2.0 * np.pi * 2.0**s)
-            part = build_partition(grid)
             f = concentrated_packet(grid, q)
             T = 6.0 * 4.0 ** (-q)
             dt = T / 400
             zero = SpectralField.zeros(grid)
             if variant == "u0":
-                rep = check_l2linfty(f, None, None, T, dt, part)
+                rep = check_l2linfty(f, None, None, T, dt)
             elif variant == "f1":
-                rep = check_l2linfty(zero, (f, 4.0**q), None, T, dt, part)
+                rep = check_l2linfty(zero, (f, 4.0**q), None, T, dt)
             else:
-                rep = check_l2linfty(zero, None, (f, 4.0**q), T, dt, part)
+                rep = check_l2linfty(zero, None, (f, 4.0**q), T, dt)
             ratios.append(rep.max_ratio)
         spreads[variant] = max(ratios) / min(ratios)
     ok = all(s < 2.0 for s in spreads.values())

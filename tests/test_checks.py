@@ -96,17 +96,17 @@ def test_envelope_time_norm_vs_quadrature():
         envelope_time_norm(1.0, 1.0, 4)
 
 
-def test_separable_trajectory_matches_sampled_norm(grid2, part2):
+def test_separable_trajectory_matches_sampled_norm(grid2):
     f = random_field(grid2, seed=50, slope=1.0)
     traj = SeparableTrajectory(f, rate=1.3)
     T = 2.0
     times = np.linspace(0.0, T, 801)
     fields = [SpectralField(grid2, f.coeffs * math.exp(-1.3 * t)) for t in times]
-    series = shell_series(fields, times, part2)
+    series = shell_series(fields, times, grid2)
     for p in (2, np.inf):
         spec = NormSpec.sobolev(0.5, time_exponent=p, tilde=True)
         sampled = spacetime_norm_from_series(series, spec)
-        closed = traj.spacetime(part2, spec, T)
+        closed = traj.spacetime(spec, T)
         assert abs(sampled - closed) < 2e-5 * closed
 
 
@@ -127,14 +127,13 @@ def test_bernstein_single_mode_ratio_is_exact():
     # ratio |k| / 2^q = 1
     spec = FieldEnsembleSpec(seed=0, count=1, d=2, n=64)
     grid = spec.grid()
-    part = build_partition(grid)
-    rep = check_bernstein(spec, q=2, part=part)
+    rep = check_bernstein(spec, q=2)
     assert rep.ratios  # ensemble route ran
     f = single_mode_field(grid, (4, 0), 1.0)
     from nsmaxwell.grid import gradient_component
     from nsmaxwell.dyadic import block
 
-    bq = block(f, part, 2)
+    bq = block(f, 2)
     g = gradient_component(bq, 0)
     ratio = lp_norm_physical(g, 2) / (4.0 * lp_norm_physical(bq, 2))
     assert abs(ratio - 1.0) < 1e-12
@@ -195,22 +194,22 @@ def test_heat_forced_resonant_mode():
     assert abs(got.coeffs[2][(1, 0)] - expect) < 1e-12
 
 
-def test_parabolic_smoothing_zero_data(grid2, part2):
+def test_parabolic_smoothing_zero_data(grid2):
     rep = check_parabolic_smoothing(
-        SpectralField.zeros(grid2), None, T=1.0, p=2, s=0.5, r=2, part=part2
+        SpectralField.zeros(grid2), None, T=1.0, p=2, s=0.5, r=2
     )
     assert rep.lhs == [0.0] and rep.rhs == [0.0]
     assert rep.ratios == []
 
 
-def test_parabolic_smoothing_ratio_dt_stable(grid2, part2):
+def test_parabolic_smoothing_ratio_dt_stable(grid2):
     # the measured ratio converges as dt -> 0 (time quadrature converges)
     u0 = random_field(grid2, seed=56, slope=1.5)
     F = random_field(grid2, seed=57, slope=1.0)
     vals = []
     for dt in (0.02, 0.01, 0.005):
         rep = check_parabolic_smoothing(u0, (F, 1.0), T=2.0, p=1, s=0.0, r=1,
-                                        dt=dt, part=part2)
+                                        dt=dt)
         vals.append(rep.max_ratio)
     assert abs(vals[1] - vals[2]) < abs(vals[0] - vals[1]) + 1e-12
     assert abs(vals[0] - vals[2]) < 0.02 * vals[2]
@@ -228,7 +227,7 @@ def test_parabolic_smoothing_matches_per_time_reference(grid2, part2):
         times = np.arange(0.0, T + dt / 2, dt)
         forcings = [] if forcing is None else [forcing]
         rows = np.array(
-            [_block_l2(heat_forced_coeffs(u0, forcings, t), part2) for t in times]
+            [_block_l2(heat_forced_coeffs(u0, forcings, t)) for t in times]
         )
         sup = max(
             sum(2.0 ** (q * s) * rows[i, j] for j, q in enumerate(q_values))
@@ -237,13 +236,12 @@ def test_parabolic_smoothing_matches_per_time_reference(grid2, part2):
         col_norm = np.trapezoid(rows**p, times, axis=0) ** (1.0 / p)
         ref = sup + sum(2.0 ** (q * (s + 2.0 / p)) * col_norm[j]
                         for j, q in enumerate(q_values))
-        rep = check_parabolic_smoothing(u0, forcing, T=T, p=p, s=s, r=1, dt=dt,
-                                        part=part2)
+        rep = check_parabolic_smoothing(u0, forcing, T=T, p=p, s=s, r=1, dt=dt)
         assert abs(rep.lhs[0] - ref) <= 1e-12 * ref
 
 
 @pytest.mark.parametrize("data", ["three-component", "single-component"])
-def test_l2linfty_matches_per_time_reference(grid2, part2, data):
+def test_l2linfty_matches_per_time_reference(grid2, data):
     # the chunked half-spectrum transforms against one full inverse
     # transform per sample time
     if data == "three-component":
@@ -259,18 +257,18 @@ def test_l2linfty_matches_per_time_reference(grid2, part2, data):
     sup = [lp_norm_physical(heat_forced_coeffs(u0, [f1, f2], t), np.inf)
            for t in times]
     ref = math.sqrt(np.trapezoid(np.square(sup), times))
-    rep = check_l2linfty(u0, f1, f2, T=T, dt=dt, part=part2)
+    rep = check_l2linfty(u0, f1, f2, T=T, dt=dt)
     assert abs(rep.lhs[0] - ref) <= 1e-13 * ref
 
 
-def test_l2linfty_bounded(grid2, part2):
+def test_l2linfty_bounded(grid2):
     u0 = gen_field(grid2, np.random.default_rng(1), slope=1.5)
     F1 = gen_field(grid2, np.random.default_rng(2), slope=1.0)
     F2 = gen_field(grid2, np.random.default_rng(3), slope=1.0)
-    rep = check_l2linfty(u0, (F1, 1.0), (F2, 2.0), T=3.0, part=part2)
+    rep = check_l2linfty(u0, (F1, 1.0), (F2, 2.0), T=3.0)
     assert 0.0 < rep.max_ratio < 1.0
     # dropping a forcing can only shrink the solution's LHS contribution path
-    rep0 = check_l2linfty(u0, None, None, T=3.0, part=part2)
+    rep0 = check_l2linfty(u0, None, None, T=3.0)
     assert rep0.max_ratio > 0.0
 
 
@@ -278,14 +276,13 @@ def test_concentrated_packet_saturates_bernstein():
     # L^inf / (2^{qd/2} L^2) for the packet stays within a modest factor
     # across shells, and beats a box-filling random shell field
     grid = Grid(2, 256, 16.0 * np.pi)
-    part = build_partition(grid)
     sats = []
     for q in (3, 4):
         f = concentrated_packet(grid, q)
         sats.append(lp_norm_physical(f, np.inf) / (2.0**q * lp_norm_physical(f, 2)))
     assert 0.3 < sats[1] / sats[0] < 1.2
     rng = np.random.default_rng(4)
-    rand = gen_field(grid, rng, shell=4, part=part)
+    rand = gen_field(grid, rng, shell=4)
     sat_rand = lp_norm_physical(rand, np.inf) / (2.0**4 * lp_norm_physical(rand, 2))
     assert sats[1] > 3.0 * sat_rand
 
@@ -325,22 +322,21 @@ def test_maxwell_energy_decay_vs_quadrature_oracle():
     from nsmaxwell.propagators import maxwell_apply
 
     grid = Grid(2, 16, 16.0 * np.pi)
-    part = build_partition(grid)
     E0 = single_mode_field(grid, (1, 0), 0.5)  # k = 0.125, transverse pol
     B0 = single_mode_field(grid, (1, 0), 0.25j)
     from nsmaxwell.grid import leray_project
 
     B0 = leray_project(B0)
     T, dt, alpha = 6.0, 0.002, 1.0
-    energy, decay = check_maxwell_energy_decay(E0, B0, None, T, dt, alpha, part)
+    energy, decay = check_maxwell_energy_decay(E0, B0, None, T, dt, alpha)
 
-    q_values = list(part.shells())
+    q_values = list(build_partition(grid).shells())
     spec_data = NormSpec(0.0, 0.0, alpha)
     spec_decay = NormSpec(1.0, 0.0, alpha)
 
     def rows_at(t):
         E, B = maxwell_apply(E0, B0, t)
-        return _block_l2(E, part), _block_l2(B, part)
+        return _block_l2(E), _block_l2(B)
 
     # tilde-Linf per shell via dense sampling, tilde-L2 via quad
     tgrid = np.linspace(0.0, T, 2401)
@@ -371,7 +367,7 @@ def test_maxwell_energy_decay_vs_quadrature_oracle():
     assert abs(decay.lhs[0] - lhs_decay_oracle) < 1e-6 * lhs_decay_oracle
     # RHS: pure data norm
     rhs_direct = math.sqrt(
-        norm_hst(E0, part, spec_data) ** 2 + norm_hst(B0, part, spec_data) ** 2
+        norm_hst(E0, spec_data) ** 2 + norm_hst(B0, spec_data) ** 2
     )
     assert abs(energy.rhs[0] - rhs_direct) < 1e-12 * rhs_direct
 
@@ -398,11 +394,11 @@ def test_free_maxwell_rows_match_closed_form(data):
     modes = np.count_nonzero(np.sum(np.abs(E0.coeffs) + np.abs(B0.coeffs), axis=0)
                              * sum(part.weight(q) for q in part.shells()))
     assert (len(times) - 1) % (_CHUNK_ELEMENTS // (3 * modes)) != 0
-    rows_E, rows_B = _free_maxwell_rows(E0, B0, part, times)
-    assert np.array_equal(rows_E[0], _block_l2(E0, part))
-    assert np.array_equal(rows_B[0], _block_l2(B0, part))
+    rows_E, rows_B = _free_maxwell_rows(E0, B0, times)
+    assert np.array_equal(rows_E[0], _block_l2(E0))
+    assert np.array_equal(rows_B[0], _block_l2(B0))
     for rows, which in ((rows_E, 0), (rows_B, 1)):
-        ref = np.array([_block_l2(maxwell_apply(E0, B0, t)[which], part)
+        ref = np.array([_block_l2(maxwell_apply(E0, B0, t)[which])
                         for t in times[1:]])
         scale = np.max(rows, axis=0)
         assert np.all(np.abs(rows[1:] - ref) <= 1e-12 * scale)
@@ -410,21 +406,35 @@ def test_free_maxwell_rows_match_closed_form(data):
 
 def test_maxwell_energy_decay_validates_time_grid():
     grid = Grid(2, 16, 16.0 * np.pi)
-    part = build_partition(grid)
     E0 = single_mode_field(grid, (1, 0), 0.5)
     with pytest.raises(ValueError, match="integer multiple"):
         check_maxwell_energy_decay(E0, SpectralField.zeros(grid), None, 0.105,
-                                   0.01, 1.0, part)
+                                   0.01, 1.0)
+
+
+def test_checkers_reject_a_partition_of_another_grid():
+    # The partition a caller passes must be one of the data's grid: that of
+    # the default box would weigh the 16 pi box's modes on the wrong shells.
+    grid, other = Grid(2, 32, 16.0 * np.pi), Grid(2, 32)
+    wrong = build_partition(other)
+    E0, B0 = fast_eigenmode_state(grid, np.random.default_rng(5), k_max=0.2)
+    packet = concentrated_packet(grid, 0)
+    with pytest.raises(ValueError, match="partition"):
+        check_maxwell_energy_decay(E0, B0, None, 1.0, 0.01, 1.0, wrong)
+    with pytest.raises(ValueError, match="partition"):
+        check_l2linfty(packet, None, None, 1.0, 0.01, wrong)
+    right = build_partition(Grid(2, 32, 16.0 * np.pi))
+    assert (check_l2linfty(packet, None, None, 1.0, 0.01, right).rhs
+            == check_l2linfty(packet, None, None, 1.0, 0.01).rhs)
 
 
 def test_maxwell_energy_decay_with_forcing_bounded():
     grid = Grid(2, 64, 16.0 * np.pi)
-    part = build_partition(grid)
     rng = np.random.default_rng(2)
     E0, B0 = fast_eigenmode_state(grid, rng, k_max=0.2)
     G0 = gen_field(grid, rng, slope=1.0)
     energy, decay = check_maxwell_energy_decay(
-        E0, B0, (G0, 1.0), T=8.0, dt=0.02, alpha=1.0, part=part
+        E0, B0, (G0, 1.0), T=8.0, dt=0.02, alpha=1.0
     )
     assert 0.0 < energy.max_ratio < 3.0
     assert 0.0 < decay.max_ratio < 1.0
@@ -434,13 +444,12 @@ def test_maxwell_energy_decay_with_forcing_second_order():
     # The stepped group with the exponential trapezoid for the forcing:
     # the decay LHS converges at second order in dt.
     grid = Grid(2, 32, 16.0 * np.pi)
-    part = build_partition(grid)
     rng = np.random.default_rng(7)
     E0, B0 = fast_eigenmode_state(grid, rng)
     G0 = gen_field(grid, rng, slope=1.0)
 
     def lhs(dt):
-        _, decay = check_maxwell_energy_decay(E0, B0, (G0, 1.0), 4.0, dt, 1.0, part)
+        _, decay = check_maxwell_energy_decay(E0, B0, (G0, 1.0), 4.0, dt, 1.0)
         return decay.lhs[0]
 
     ref = lhs(0.0025)
@@ -459,7 +468,7 @@ def test_product_law_unknown_id():
 
 
 @pytest.mark.parametrize("estimate_id", ["est1-2D", "est4-2D", "est3-uB-2D"])
-def test_product_law_zero_factor_gives_zero_lhs(grid2, part2, estimate_id):
+def test_product_law_zero_factor_gives_zero_lhs(grid2, estimate_id):
     zero = SeparableTrajectory(SpectralField.zeros(grid2), 2.0)
     live = SeparableTrajectory(random_field(grid2, seed=60, slope=1.0), 2.0)
     kwargs = (
@@ -469,7 +478,7 @@ def test_product_law_zero_factor_gives_zero_lhs(grid2, part2, estimate_id):
         if estimate_id.startswith("est4")
         else {"u": zero, "B": live}
     )
-    rep = check_product_law(estimate_id, 10.0, part=part2, **kwargs)
+    rep = check_product_law(estimate_id, 10.0, **kwargs)
     assert rep.lhs == [0.0]
 
 
@@ -482,10 +491,10 @@ def test_product_law_report_smoke_2d():
         assert rep.passed
 
 
-def test_product_law_report_smoke_3d(grid3, part3):
+def test_product_law_report_smoke_3d():
     spec = FieldEnsembleSpec(seed=1, count=2, d=3, n=16, slope=2.0)
     for estimate_id in ("est1-3D", "est4-3D", "est3-uB-3D"):
-        rep = product_law_report(estimate_id, spec, T=10.0, part=part3)
+        rep = product_law_report(estimate_id, spec, T=10.0)
         assert len(rep.ratios) == 2
         assert rep.max_ratio > 0.0
 

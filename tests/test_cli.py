@@ -43,20 +43,54 @@ def test_bad_stride_flag(tmp_path, capsys):
     assert "--stride" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flag, value, message", [
-    ("--seed", "-1", "--seed: must be nonnegative, got -1"),
-    ("--out-dir", "", "--out-dir: must not be empty"),
-    ("--out-dir", "blocker/out", "--out-dir: cannot create "),
-], ids=["negative_seed", "empty_out_dir", "out_dir_under_file"])
-def test_bad_flag_exits_2_with_one_line(tmp_path, capsys, monkeypatch, flag, value, message):
+@pytest.mark.parametrize("args, message", [
+    (["simulate", "run.cfg", "--seed", "-1"], "--seed: must be nonnegative, got -1"),
+    (["simulate", "run.cfg", "--out-dir", ""], "--out-dir: must not be empty"),
+    (["simulate", "run.cfg", "--out-dir", "blocker/out"], "--out-dir: cannot create "),
+    (["simulate", "run.cfg", "--seed", "abc"], "argument --seed: invalid int value: 'abc'"),
+    (["simulate", "run.cfg", "--stride", "x"], "argument --stride: invalid int value: 'x'"),
+    (["frobnicate", "run.cfg"], "argument command: invalid choice: 'frobnicate'"),
+    (["simulate"], "the following arguments are required: config"),
+    (["simulate", "run.cfg", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
+], ids=["negative_seed", "empty_out_dir", "out_dir_under_file", "non_integer_seed",
+        "non_integer_stride", "unknown_command", "missing_config_path", "unknown_flag"])
+def test_bad_flag_exits_2_with_one_line(tmp_path, capsys, monkeypatch, args, message):
     # The flags obey the rules of the file's keys; an out-dir below a
-    # regular file cannot be created.
+    # regular file cannot be created; a command line that argparse rejects
+    # is one line, not a usage block.
     monkeypatch.chdir(tmp_path)
     (tmp_path / "blocker").write_text("a regular file\n")
-    cfg = _write_cfg(tmp_path, BASE + "init = random\n")
-    assert main(["simulate", cfg, flag, value]) == 2
+    _write_cfg(tmp_path, BASE + "init = random\n")
+    assert main(args) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error: " + message), err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: nsmw")
+
+
+@pytest.mark.parametrize("flags, code, stderr", [
+    ([], 0, []),
+    (["--seed", "abc"], 2, ["config error: argument --seed: invalid int value: 'abc'"]),
+], ids=["clean_run", "bad_flag"])
+def test_module_entry_point_stderr(tmp_path, flags, code, stderr):
+    # ``python -m nsmaxwell.cli`` in a fresh interpreter with default warning
+    # filters: no runpy warning, nothing on stderr for a clean run.
+    cfg = _write_cfg(tmp_path, BASE)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(nsmaxwell.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("PYTHONWARNINGS", None)
+    run = subprocess.run(
+        [sys.executable, "-m", "nsmaxwell.cli", "simulate", cfg,
+         "--out-dir", str(tmp_path / "out")] + flags,
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert run.returncode == code
+    assert run.stderr.splitlines() == stderr
 
 
 def test_simulate_taylor_green_monotone_energy(tmp_path):

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -57,6 +59,35 @@ def test_smooth_step_bitwise_closed_form():
     assert np.array_equal(smooth_step(t.reshape(2, -1)), smooth_step(t).reshape(2, -1))
 
 
+def test_partition_is_built_once_per_grid():
+    # A grid keeps its partition's weights as it keeps its geometry: one
+    # read-only stack per instance, and nothing of it in the grid's value.
+    grid, twin = Grid(2, 32), Grid(2, 32)
+    part = build_partition(grid)
+    assert build_partition(grid).stack is part.stack and part.grid is grid
+    assert build_partition(twin).stack is not part.stack
+    assert np.array_equal(build_partition(twin).stack, part.stack)
+    assert not part.stack.flags.writeable
+    with pytest.raises(ValueError):
+        part.stack[0] = 0.0
+    assert grid == twin and hash(grid) == hash(twin) == hash(Grid(2, 32))
+    assert repr(grid) == repr(Grid(2, 32)) == f"Grid(d=2, n=32, box_length={2.0 * np.pi!r})"
+
+
+def test_dropped_grid_is_freed_without_the_cycle_collector():
+    # The grid keeps its weights and the partition refers to the grid, with
+    # no cycle between them: reference counting alone frees a dropped grid.
+    gc.disable()
+    try:
+        grid = Grid(3, 16)
+        norm_hst(random_field(grid), NormSpec.sobolev(0.5))
+        held = weakref.ref(grid)
+        del grid
+        assert held() is None
+    finally:
+        gc.enable()
+
+
 def test_partition_of_unity(grid2, part2):
     total = part2.partition_sum()
     resolved = ~grid2.nyquist_mask()
@@ -76,13 +107,13 @@ def test_shell_disjointness(part2):
 def test_block_out_of_range(grid2, part2):
     f = random_field(grid2)
     with pytest.raises(ValueError):
-        block(f, part2, part2.q_max + 1)
+        block(f, part2.q_max + 1)
 
 
-def test_blocks_reconstruct(grid2, part2):
+def test_blocks_reconstruct(grid2):
     f = random_field(grid2, seed=11)
     f.set_mean((0.3, -0.1, 0.2))
-    blocks = DyadicBlocks.decompose(f, part2)
+    blocks = DyadicBlocks.decompose(f)
     rec = blocks.reconstruct()
     mean_removed = f.copy()
     mean_removed.set_mean((0.0, 0.0, 0.0))
@@ -93,12 +124,12 @@ def test_blocks_reconstruct(grid2, part2):
 def test_low_pass_limits(grid2, part2):
     f = random_field(grid2, seed=12)
     f.set_mean((1.0, 0.0, 0.0))
-    lo = low_pass(f, part2, part2.q_min)
+    lo = low_pass(f, part2.q_min)
     assert np.allclose(lo.mean(), f.mean())
     nonmean = lo.copy()
     nonmean.set_mean((0.0, 0.0, 0.0))
     assert np.max(np.abs(nonmean.coeffs)) == 0.0
-    full = low_pass(f, part2, part2.q_max + 1)
+    full = low_pass(f, part2.q_max + 1)
     assert np.max(np.abs(full.coeffs - f.coeffs)) < 1e-12 * np.max(np.abs(f.coeffs))
 
 
@@ -107,21 +138,20 @@ def test_norm_hst_pinned_single_shell():
     # unit block norm: Definition weight sqrt(q^alpha 2^{2qt}) with
     # (t=1/2, alpha=1) gives sqrt(3 * 2^3) = sqrt(24).
     grid = Grid(2, 64)
-    part = build_partition(grid)
     vol = grid.box_length**2
     amp = 1.0 / math.sqrt(2.0 * vol)
     f = single_mode_field(grid, (11, 0), amp)
     assert abs(lp_norm_physical(f, 2) - 1.0) < 1e-12
-    b3 = block(f, part, 3)
+    b3 = block(f, 3)
     assert abs(lp_norm_physical(b3, 2) - 1.0) < 1e-12
-    val = norm_hst(f, part, NormSpec(s=0.0, t=0.5, alpha=1.0))
+    val = norm_hst(f, NormSpec(s=0.0, t=0.5, alpha=1.0))
     assert abs(val - math.sqrt(24.0)) < 1e-12
 
 
-def test_norm_hst_vs_direct_sobolev_sum(grid2, part2):
+def test_norm_hst_vs_direct_sobolev_sum(grid2):
     f = random_field(grid2, seed=13, slope=1.0)
     s = 0.7
-    val = norm_hst(f, part2, NormSpec.sobolev(s))
+    val = norm_hst(f, NormSpec.sobolev(s))
     kmag = grid2.k_magnitude()
     power = np.sum(np.abs(f.coeffs) ** 2, axis=0)
     vol = grid2.box_length**2
@@ -130,52 +160,52 @@ def test_norm_hst_vs_direct_sobolev_sum(grid2, part2):
     assert 0.5 <= ratio <= 2.0
 
 
-def test_besov_22_equals_hst(grid2, part2):
+def test_besov_22_equals_hst(grid2):
     f = random_field(grid2, seed=14)
     s = -0.5
     assert abs(
-        norm_besov(f, part2, s, 2, 2) - norm_hst(f, part2, NormSpec.sobolev(s))
-    ) < 1e-12 * norm_hst(f, part2, NormSpec.sobolev(s))
+        norm_besov(f, s, 2) - norm_hst(f, NormSpec.sobolev(s))
+    ) < 1e-12 * norm_hst(f, NormSpec.sobolev(s))
 
 
-def test_besov_zero_and_exponent_validation(grid2, part2):
-    assert norm_besov(SpectralField.zeros(grid2), part2, 1.0, 2, 1) == 0.0
+def test_besov_zero_and_exponent_validation(grid2):
+    assert norm_besov(SpectralField.zeros(grid2), 1.0, 1) == 0.0
     with pytest.raises(ValueError):
-        norm_besov(random_field(grid2), part2, 1.0, 3, 1)
+        norm_besov(random_field(grid2), 1.0, 3)
     with pytest.raises(ValueError):
         NormSpec(0.0, 0.0, alpha=-1.0)
 
 
-def test_besov_d2_embedding_dominates_linf(grid2, part2):
+def test_besov_d2_embedding_dominates_linf(grid2):
     # || . ||_{B^{d/2}_{2,1}} controls L^inf: measure the min ratio.
     ratios = []
     for seed in range(5):
         f = random_field(grid2, seed=100 + seed, slope=1.5)
         f.set_mean((0.0, 0.0, 0.0))
         ratios.append(
-            norm_besov(f, part2, 1.0, 2, 1) / lp_norm_physical(f, np.inf)
+            norm_besov(f, 1.0, 1) / lp_norm_physical(f, np.inf)
         )
     assert min(ratios) > 0.05
 
 
-def test_bony_reconstruction(grid2, part2):
+def test_bony_reconstruction(grid2):
     u = random_field(grid2, seed=15)
     v = random_field(grid2, seed=16)
     u.set_mean((0.2, 0.0, 0.0))
     v.set_mean((0.0, 0.1, 0.0))
     for combiner in ("scalar", "cross"):
-        t_uv, t_vu, r = bony_decompose(u, v, part2, combiner)
+        t_uv, t_vu, r = bony_decompose(u, v, combiner)
         total = t_uv + t_vu + r
         direct = pointwise_product(u, v, combiner)
         scale = np.max(np.abs(direct.coeffs)) + 1e-300
         assert np.max(np.abs(total.coeffs - direct.coeffs)) < 1e-12 * scale
 
 
-def test_bony_separated_shells_land_in_one_paraproduct(part2):
-    grid = part2.grid
+def test_bony_separated_shells_land_in_one_paraproduct(grid2):
+    grid = grid2
     u = single_mode_field(grid, (1, 0), 1.0, component=0)   # shell ~0
     v = single_mode_field(grid, (8, 0), 1.0, component=0)   # shell ~3
-    t_uv, t_vu, r = bony_decompose(u, v, part2, "scalar")
+    t_uv, t_vu, r = bony_decompose(u, v, "scalar")
     direct = pointwise_product(u, v, "scalar")
     scale = np.max(np.abs(direct.coeffs))
     assert np.max(np.abs(t_uv.coeffs - direct.coeffs)) < 1e-12 * scale
@@ -183,26 +213,26 @@ def test_bony_separated_shells_land_in_one_paraproduct(part2):
     assert np.max(np.abs(r.coeffs)) < 1e-12 * scale
 
 
-def _static_series(f, part, T=1.0, samples=11):
+def _static_series(f, T=1.0, samples=11):
     times = np.linspace(0.0, T, samples)
-    return shell_series([f] * samples, times, part)
+    return shell_series([f] * samples, times, f.grid)
 
 
-def test_spacetime_constant_in_time(grid2, part2):
+def test_spacetime_constant_in_time(grid2):
     f = random_field(grid2, seed=17)
-    series = _static_series(f, part2)
-    static = norm_hst(f, part2, NormSpec.sobolev(0.5))
+    series = _static_series(f)
+    static = norm_hst(f, NormSpec.sobolev(0.5))
     for tilde in (True, False):
         spec = NormSpec.sobolev(0.5, time_exponent=np.inf, tilde=tilde)
         assert abs(spacetime_norm_from_series(series, spec) - static) < 1e-12 * static
 
 
-def test_spacetime_single_shell_tilde_equals_plain(part2):
-    grid = part2.grid
+def test_spacetime_single_shell_tilde_equals_plain(grid2):
+    grid = grid2
     fields = [
         single_mode_field(grid, (4, 4), 0.5 * math.exp(-0.3 * i)) for i in range(9)
     ]
-    series = shell_series(fields, np.linspace(0, 1, 9), part2)
+    series = shell_series(fields, np.linspace(0, 1, 9), grid)
     for r in (1, 2, np.inf):
         a = spacetime_norm_from_series(series, NormSpec.sobolev(0.3, time_exponent=r, tilde=True))
         b = spacetime_norm_from_series(series, NormSpec.sobolev(0.3, time_exponent=r, tilde=False))
@@ -213,7 +243,6 @@ def test_spacetime_single_shell_tilde_equals_plain(part2):
 @given(seed=st.integers(min_value=0, max_value=10_000))
 def test_tilde_linf_dominates_plain_linf(seed):
     grid = Grid(2, 16)
-    part = build_partition(grid)
     rng = np.random.default_rng(seed)
     fields = []
     for i in range(6):
@@ -221,7 +250,7 @@ def test_tilde_linf_dominates_plain_linf(seed):
         f.dealias()
         f.zero_nyquist()
         fields.append(f)
-    series = shell_series(fields, np.linspace(0, 1, 6), part)
+    series = shell_series(fields, np.linspace(0, 1, 6), grid)
     spec = NormSpec.sobolev(0.5, time_exponent=np.inf, tilde=True)
     tilde = spacetime_norm_from_series(series, spec)
     plain = spacetime_norm_from_series(
@@ -230,12 +259,12 @@ def test_tilde_linf_dominates_plain_linf(seed):
     assert plain <= tilde * (1.0 + 1e-12)
 
 
-def test_shell_series_validation(grid2, part2):
+def test_shell_series_validation(grid2):
     f = random_field(grid2)
     with pytest.raises(ValueError):
-        shell_series([f], [0.0], part2)
+        shell_series([f], [0.0], grid2)
     with pytest.raises(ValueError):
-        shell_series([f, f, f], [0.0, 0.1, 0.3], part2)
+        shell_series([f, f, f], [0.0, 0.1, 0.3], grid2)
 
 
 def test_partition_weights_bitwise_profile_formulas():
@@ -277,7 +306,7 @@ def test_shell_series_matches_per_shell_and_sup_references(d, n, monkeypatch):
     grid = Grid(d, n)
     part = build_partition(grid)
     rng = np.random.default_rng(7)
-    initial = MhdState(*(5.0 * gen_field(grid, rng, 2.0, None, div_free, part)
+    initial = MhdState(*(5.0 * gen_field(grid, rng, 2.0, None, div_free)
                          for div_free in (True, False, True)))
     traj = simulate(initial, 0.1, 0.01)
     per_state = 3 * grid.n**d
@@ -287,9 +316,9 @@ def test_shell_series_matches_per_shell_and_sup_references(d, n, monkeypatch):
     vol = grid.box_length**d
     for name in ("v", "E", "B"):
         fields = [getattr(state, name) for state in traj.states]
-        series = shell_series(fields, traj.times, part, with_linf=True)
+        series = shell_series(fields, traj.times, grid, with_linf=True)
         rows = np.array([
-            [math.sqrt(vol / grid.n**d * float(np.sum(block(f, part, q).to_physical() ** 2)))
+            [math.sqrt(vol / grid.n**d * float(np.sum(block(f, q).to_physical() ** 2)))
              for q in part.shells()]
             for f in fields
         ])
@@ -329,11 +358,11 @@ def test_half_spectrum_shell_weights_match_full_layout(d, n):
         full += grid.box_length**d * np.sum(np.where(resolved, w, 0.0) ** 2)
     assert np.isclose(np.sum(weights), full, rtol=1e-14, atol=0)
     times = np.linspace(0.0, 1.0, len(fields))
-    series = shell_series(fields, times, part, with_linf=True)
-    stacked = shell_series(np.stack([f.coeffs for f in fields]), times, part,
+    series = shell_series(fields, times, grid, with_linf=True)
+    stacked = shell_series(np.stack([f.coeffs for f in fields]), times, grid,
                            with_linf=True)
     assert np.array_equal(series.block_l2, stacked.block_l2)
     assert np.array_equal(series.linf, stacked.linf)
-    rows = np.array([_block_l2(f, part) for f in fields])
+    rows = np.array([_block_l2(f) for f in fields])
     assert np.count_nonzero(rows) > rows.size // 2
     assert np.all(np.abs(series.block_l2 - rows) <= 1e-14 * rows)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 
-from nsmaxwell.dyadic import DyadicBlocks, build_partition
+from nsmaxwell.dyadic import DyadicBlocks
 from nsmaxwell.ensembles import FieldEnsembleSpec, gen_ensemble, gen_field
 from nsmaxwell.grid import Grid, divergence
 
@@ -28,10 +28,9 @@ def test_divergence_free_option():
 
 def test_shell_restriction():
     grid = Grid(2, 64)
-    part = build_partition(grid)
     rng = np.random.default_rng(8)
-    f = gen_field(grid, rng, shell=3, part=part)
-    blocks = DyadicBlocks.decompose(f, part)
+    f = gen_field(grid, rng, shell=3)
+    blocks = DyadicBlocks.decompose(f)
     for q, blk in blocks.blocks.items():
         if abs(q - 3) >= 2:
             assert np.max(np.abs(blk.coeffs)) < 1e-12
@@ -40,7 +39,6 @@ def test_shell_restriction():
 def test_power_law_slope_recovered():
     # shell-averaged amplitudes of a slope-s ensemble fit |k|^{-s} within 0.2
     grid = Grid(2, 64)
-    part = build_partition(grid)
     slope = 1.5
     rng = np.random.default_rng(9)
     fields = [gen_field(grid, rng, slope=slope) for _ in range(24)]

@@ -92,7 +92,7 @@ def test_lattice_norms_match_grid_route():
         f_nomean, 2
     )
     # per-shell L^2
-    grid_blocks = DyadicBlocks.decompose(f, part)
+    grid_blocks = DyadicBlocks.decompose(f)
     lattice_shells = shell_norms(blocks)
     for s_q, val in lattice_shells.items():
         if part.q_min <= s_q <= part.q_max and val > 1e-10:
@@ -100,10 +100,10 @@ def test_lattice_norms_match_grid_route():
             assert abs(val - gval) < 1e-8 * max(gval, 1e-300), s_q
     # Besov and heat-Sobolev style norms
     b_lat = besov_norm(blocks, 0.5)
-    b_grid = norm_besov(f, part, 0.5, 2, 1)
+    b_grid = norm_besov(f, 0.5, 1)
     assert abs(b_lat - b_grid) < 1e-7 * b_grid
     h_lat = hst_norm(blocks, 0.0, 0.5, alpha=1.0)
-    h_grid = norm_hst(f, part, NormSpec(s=0.0, t=0.5, alpha=1.0))
+    h_grid = norm_hst(f, NormSpec(s=0.0, t=0.5, alpha=1.0))
     assert abs(h_lat - h_grid) < 1e-7 * h_grid
 
 

@@ -8,12 +8,13 @@ import pytest
 from nsmaxwell.grid import (
     Grid,
     SpectralField,
+    divergence,
     gradient_component,
     leray_project,
     lp_norm_physical,
     pointwise_product,
 )
-from nsmaxwell.dyadic import build_partition, low_pass
+from nsmaxwell.dyadic import low_pass
 from nsmaxwell.ensembles import gen_field
 from nsmaxwell.propagators import PropagatorTable, heat_apply, maxwell_apply
 from nsmaxwell.system import (
@@ -402,6 +403,16 @@ def test_taylor_green_is_exact_2d_solution():
     assert np.max(np.abs(final.v.coeffs - expect)) < 1e-6 * np.max(np.abs(expect))
 
 
+def test_taylor_green_3d_is_divergence_free():
+    # 3D Taylor-Green: sin x cos y cos z, -cos x sin y cos z, 0.
+    for grid in (Grid(3, 16), Grid(3, 16, 4.0 * np.pi)):
+        v = taylor_green_velocity(grid, 0.7)
+        scale = grid.k0 * np.max(np.abs(v.coeffs))
+        assert scale > 0.0
+        assert np.max(np.abs(divergence(v).coeffs)) <= 1e-12 * scale
+        assert not np.any(v.coeffs[2])
+
+
 def test_simulate_preserves_reality_and_divergence(grid2):
     initial = _random_state(grid2, seed=47, amp=0.1)
     traj = simulate(initial, 0.2, 0.02)
@@ -423,10 +434,10 @@ def test_diagnostics_schema(grid2):
 # Z-norm.
 
 
-def test_z_norm_zero_and_single_component(grid2, part2):
+def test_z_norm_zero_and_single_component(grid2):
     initial = MhdState.zeros(grid2)
     traj = simulate(initial, 0.2, 0.1, nonlinear=False)
-    z = z_norm(traj, part2)
+    z = z_norm(traj)
     assert z.total == 0.0
     v_only = MhdState(
         leray_project(random_field(grid2, seed=49)),
@@ -435,12 +446,12 @@ def test_z_norm_zero_and_single_component(grid2, part2):
     ).prepared()
     states = [MhdState(v_only.v, v_only.E, v_only.B, t) for t in (0.0, 0.1, 0.2)]
     traj = Trajectory.from_states(grid2, states, 3)
-    z = z_norm(traj, part2)
+    z = z_norm(traj)
     assert z.u > 0 and z.E == 0.0 and z.B == 0.0
     assert z.total == z.u + z.E + z.B
 
 
-def test_z_norm_pinned_static_single_shell(grid2, part2):
+def test_z_norm_pinned_static_single_shell(grid2):
     # d=2 static single-shell (q=2) B of unit L2 block norm over T=1:
     # tilde-Linf piece sqrt(q^alpha * 4^{q(d/2-1)}) = sqrt(2); the
     # L2-in-time H^{d/2,d/2-1}_alpha piece has high-shell weight
@@ -455,7 +466,7 @@ def test_z_norm_pinned_static_single_shell(grid2, part2):
     states = [MhdState(SpectralField.zeros(grid2), SpectralField.zeros(grid2), B, t)
               for t in times]
     traj = Trajectory.from_states(grid2, states, 21)
-    z = z_norm(traj, part2)
+    z = z_norm(traj)
     assert abs(z.B - 2.0 * math.sqrt(2.0)) < 1e-10
     assert z.u == 0.0 and z.E == 0.0
 
@@ -466,8 +477,8 @@ def test_z_norm_pinned_static_single_shell(grid2, part2):
 
 def test_split_large_target(grid2, part2):
     initial = _random_state(grid2, seed=50)
-    full = initial_data_norm(initial, part2)
-    regular, tail, Q, achieved = split_initial_data(initial, 10.0 * full, part2)
+    full = initial_data_norm(initial)
+    regular, tail, Q, achieved = split_initial_data(initial, 10.0 * full)
     assert Q == part2.q_min
     assert achieved < 10.0 * full
     # regular part at Q=q_min is the mean mode only (v mean is zero)
@@ -478,11 +489,11 @@ def test_split_large_target(grid2, part2):
 
 def test_split_band_limited(grid2, part2):
     rng = np.random.default_rng(51)
-    v = gen_field(grid2, rng, 0.0, 3, True, part2)
-    E = gen_field(grid2, rng, 0.0, 3, False, part2)
-    B = gen_field(grid2, rng, 0.0, 3, True, part2)
+    v = gen_field(grid2, rng, 0.0, 3, True)
+    E = gen_field(grid2, rng, 0.0, 3, False)
+    B = gen_field(grid2, rng, 0.0, 3, True)
     initial = MhdState(v, E, B).prepared()
-    regular, tail, Q, achieved = split_initial_data(initial, 1e-10, part2)
+    regular, tail, Q, achieved = split_initial_data(initial, 1e-10)
     assert achieved < 1e-10
     assert Q <= part2.q_max + 1
     # reconstruction is exact
@@ -497,11 +508,11 @@ def test_split_tail_monotone(grid2, part2):
     norms = []
     for Q in range(part2.q_min, part2.q_max + 2):
         tail = MhdState(
-            initial.v - low_pass(initial.v, part2, Q),
-            initial.E - low_pass(initial.E, part2, Q),
-            initial.B - low_pass(initial.B, part2, Q),
+            initial.v - low_pass(initial.v, Q),
+            initial.E - low_pass(initial.E, Q),
+            initial.B - low_pass(initial.B, Q),
         )
-        norms.append(initial_data_norm(tail, part2))
+        norms.append(initial_data_norm(tail))
     assert all(norms[i + 1] <= norms[i] + 1e-12 for i in range(len(norms) - 1))
 
 
@@ -514,27 +525,27 @@ def test_split_rejects_bad_target(grid2):
 # Picard iteration.
 
 
-def test_picard_zero_data(grid2, part2):
-    last, ratios, diffs = picard_iterate(MhdState.zeros(grid2), 0.2, 0.05, 3, part=part2)
+def test_picard_zero_data(grid2):
+    last, ratios, diffs = picard_iterate(MhdState.zeros(grid2), 0.2, 0.05, 3)
     assert ratios == []
     assert diffs == [0.0, 0.0, 0.0]
     for s in last.states:
         assert np.max(np.abs(s.v.coeffs)) == 0.0
 
 
-def test_picard_drops_ratios_of_roundoff_noise(grid2, part2):
+def test_picard_drops_ratios_of_roundoff_noise(grid2):
     # Five iterates take these small data to a last difference below the
     # roundoff floor; the ratio with that difference as numerator is noise.
     # The iterate chain is rebuilt here from the map and the norm.
     initial = _random_state(grid2, seed=55, amp=1e-2)
-    last, ratios, got = picard_iterate(initial, 0.2, 0.05, 5, part=part2)
+    last, ratios, got = picard_iterate(initial, 0.2, 0.05, 5)
     free = simulate(initial, 0.2, 0.05, nonlinear=False)
     table = PropagatorTable.build(grid2, 0.05)
     chain = [Trajectory(grid2, free.times, tuple(np.zeros_like(a) for a in free.half))]
     for m in range(5):
         chain.append(_apply_phi(free, chain[-1] if m else None, table))
-    diffs = [z_norm(Trajectory(grid2, b.times, tuple(x - y for x, y in zip(b.half, a.half))),
-                    part2).total
+    diffs = [z_norm(Trajectory(grid2, b.times,
+                           tuple(x - y for x, y in zip(b.half, a.half)))).total
              for a, b in zip(chain, chain[1:])]
     assert got == diffs
     assert all(np.array_equal(a, b) for a, b in zip(last.half, chain[-1].half))
@@ -575,7 +586,7 @@ def test_apply_phi_matches_composite_trapezoid(monkeypatch):
             assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b)), (n, name)
 
 
-def test_picard_applies_one_propagator_per_step(grid2, part2, monkeypatch):
+def test_picard_applies_one_propagator_per_step(grid2, monkeypatch):
     # S steps of the free evolution, then S per iteration of the map.
     calls = []
     apply = PropagatorTable.apply
@@ -586,12 +597,11 @@ def test_picard_applies_one_propagator_per_step(grid2, part2, monkeypatch):
 
     monkeypatch.setattr(PropagatorTable, "apply", counted)
     iters, steps, dt = 3, 4, 0.05
-    picard_iterate(_random_state(grid2, seed=56, amp=1e-2), steps * dt, dt, iters,
-                   part=part2)
+    picard_iterate(_random_state(grid2, seed=56, amp=1e-2), steps * dt, dt, iters)
     assert len(calls) == (iters + 1) * steps
 
 
-def test_picard_builds_one_propagator_table(grid2, part2, monkeypatch):
+def test_picard_builds_one_propagator_table(grid2, monkeypatch):
     # The free evolution and every map share the table of one build.
     calls = []
     build = PropagatorTable.build
@@ -601,13 +611,12 @@ def test_picard_builds_one_propagator_table(grid2, part2, monkeypatch):
         return build(grid, dt)
 
     monkeypatch.setattr(PropagatorTable, "build", counted)
-    _, _, diffs = picard_iterate(_random_state(grid2, seed=56, amp=1e-2), 0.2, 0.05,
-                                 3, part=part2)
+    _, _, diffs = picard_iterate(_random_state(grid2, seed=56, amp=1e-2), 0.2, 0.05, 3)
     assert calls == [0.05]
     assert len(diffs) == 3
 
 
-def test_picard_holds_two_iterates(grid2, part2, monkeypatch):
+def test_picard_holds_two_iterates(grid2, monkeypatch):
     # When map m runs, the outputs of maps <= m - 2 are dead: Picard holds
     # the free evolution and two iterates however many maps it applies.
     from nsmaxwell import system
@@ -626,8 +635,7 @@ def test_picard_holds_two_iterates(grid2, part2, monkeypatch):
         return out
 
     monkeypatch.setattr(system, "_apply_phi", watched)
-    result = picard_iterate(_random_state(grid2, seed=59, amp=1e-2), 0.2, 0.05, 6,
-                            part=part2)
+    result = picard_iterate(_random_state(grid2, seed=59, amp=1e-2), 0.2, 0.05, 6)
     assert len(alive_at_map) == 6
     for m, held in enumerate(alive_at_map):
         assert all(i >= m - 1 for i in held), (m, held)
@@ -639,11 +647,10 @@ def test_picard_holds_two_iterates(grid2, part2, monkeypatch):
     assert alive() == []
 
 
-def test_picard_iterates_are_lazy_half_stacks(grid2, part2):
+def test_picard_iterates_are_lazy_half_stacks(grid2):
     # Each iterate holds (times, 3, n, n/2+1) stacks; its states are views
     # of those stacks, built when first read.
-    last, _, _ = picard_iterate(_random_state(grid2, seed=58, amp=1e-2), 0.2, 0.05,
-                                3, part=part2)
+    last, _, _ = picard_iterate(_random_state(grid2, seed=58, amp=1e-2), 0.2, 0.05, 3)
     h = grid2.n // 2 + 1
     for a in last.half:
         assert a.shape == (5, 3, grid2.n, h)
@@ -660,15 +667,15 @@ def test_picard_requires_two_iterations(grid2):
         picard_iterate(MhdState.zeros(grid2), 0.1, 0.05, 1)
 
 
-def test_picard_matches_simulate_small_data(grid2, part2):
+def test_picard_matches_simulate_small_data(grid2):
     initial = _random_state(grid2, seed=53, amp=1e-3)
     T, dt = 0.3, 0.01
-    last, ratios, _ = picard_iterate(initial, T, dt, 4, part=part2)
+    last, ratios, _ = picard_iterate(initial, T, dt, 4)
     assert all(r < 1.0 for r in ratios)
     free = simulate(initial, T, dt, nonlinear=False)
     fixed = picard_solution(free, last)
     ref = simulate(initial, T, dt)
-    scale = initial_data_norm(initial, part2)
+    scale = initial_data_norm(initial)
     worst = max(
         max(
             lp_norm_physical(a.v - b.v, 2),
@@ -680,12 +687,12 @@ def test_picard_matches_simulate_small_data(grid2, part2):
     assert worst <= 10.0 * dt**2 * scale
 
 
-def test_picard_ratio_scales_with_epsilon(grid2, part2):
+def test_picard_ratio_scales_with_epsilon(grid2):
     base = _random_state(grid2, seed=54)
     eps = [1e-3, 1e-2, 1e-1]
     worst = []
     for e in eps:
-        _, ratios, _ = picard_iterate(base.scaled(e), 0.2, 0.02, 3, part=part2)
+        _, ratios, _ = picard_iterate(base.scaled(e), 0.2, 0.02, 3)
         worst.append(max(ratios))
     # approximately linear scaling of the first contraction ratio in eps
     slopes = np.diff(np.log(worst)) / np.diff(np.log(eps))

@@ -1,8 +1,9 @@
 """The benchmark's span tracer (perfbench/tracing.py) wraps functions of the
 package by name, and the scripts in scripts/ call the package's public API;
 a rename must fail here, not only in a benchmark or script run.  Every run
-pays the package's import, so its import graph is checked here too, and
-every defaulted parameter of the package must have a caller that sets it."""
+pays the package's import, so its import graph is checked here too, every
+defaulted parameter of the package must have a caller that sets it, and no
+function but two takes the dyadic partition that its data's grid holds."""
 
 import ast
 import csv
@@ -108,6 +109,25 @@ def test_every_defaulted_parameter_is_set_by_a_caller():
                       if not any(_sets(c, names, shift, param, index, default)
                                  for c in calls)]
     assert sorted(set(unset) - UNSET_PARAMETER_ALLOWLIST) == []
+
+
+# The benchmark's checks-linear workload (perfbench/workloads.py) passes
+# these two a partition; they check it against the data's grid.
+PART_PARAMETER_ALLOWLIST = {"checks.check_l2linfty", "checks.check_maxwell_energy_decay"}
+
+
+def test_partition_comes_from_the_grid():
+    # Each grid builds its partition once (dyadic.build_partition), so a
+    # function reads it from its data's grid and takes no ``part``.
+    taking = []
+    for path, tree in _python_files(os.path.join("src", "nsmaxwell")):
+        module = os.path.basename(path)[:-3]
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = fn.args
+                if "part" in {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}:
+                    taking.append(f"{module}.{fn.name}")
+    assert sorted(set(taking) - PART_PARAMETER_ALLOWLIST) == []
 
 
 def test_import_loads_no_heavy_scipy_subpackage():
