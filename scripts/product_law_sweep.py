@@ -12,6 +12,7 @@ import sys
 
 from nsmaxwell.checks import PRODUCT_LAW_IDS, product_law_report
 from nsmaxwell.ensembles import FieldEnsembleSpec
+from nsmaxwell.grid import Grid
 
 
 def main(argv=None) -> int:
@@ -30,9 +31,9 @@ def main(argv=None) -> int:
         w = csv.writer(fh)
         w.writerow(["estimate_id", "T", "max_ratio", "median_ratio"])
         for est in args.estimates:
-            d = 2 if est.endswith("2D") else 3
-            spec = FieldEnsembleSpec(seed=args.seed, count=args.count, d=d,
-                                     n=args.n, slope=args.slope)
+            grid = Grid(2 if est.endswith("2D") else 3, args.n)
+            spec = FieldEnsembleSpec(seed=args.seed, count=args.count, grid=grid,
+                                     slope=args.slope)
             vals = []
             for T in args.windows:
                 rep = product_law_report(est, spec, T=T)

@@ -148,11 +148,12 @@ def _cmd_picard(cfg: RunConfig) -> int:
 
 
 def _cmd_verify(cfg: RunConfig) -> int:
-    reports = []
+    reports, grids = [], {}
     for est in cfg.estimates:
         d = 2 if est.endswith("2D") else 3
-        n = cfg.n if d == cfg.d else (128 if d == 2 else 64)
-        spec = FieldEnsembleSpec(seed=cfg.seed, count=cfg.count, d=d, n=n,
+        if d not in grids:  # one grid, geometry and partition, per dimension
+            grids[d] = Grid(d, cfg.n if d == cfg.d else (128 if d == 2 else 64))
+        spec = FieldEnsembleSpec(seed=cfg.seed, count=cfg.count, grid=grids[d],
                                  slope=cfg.slope)
         reports.append(
             product_law_report(est, spec, T=cfg.T, bound=PINNED_BOUNDS[est])
@@ -170,16 +171,8 @@ def _cmd_split(cfg: RunConfig) -> int:
         "delta_target": cfg.delta_target,
         "achieved_tail_norm": achieved,
         "reached_target": achieved < cfg.delta_target,
-        "regular_energy": float(
-            lp_norm_physical(regular.v, 2) ** 2
-            + lp_norm_physical(regular.E, 2) ** 2
-            + lp_norm_physical(regular.B, 2) ** 2
-        ),
-        "tail_energy": float(
-            lp_norm_physical(tail.v, 2) ** 2
-            + lp_norm_physical(tail.E, 2) ** 2
-            + lp_norm_physical(tail.B, 2) ** 2
-        ),
+        "regular_energy": regular.l2_squared(),
+        "tail_energy": tail.l2_squared(),
     }
     with open(os.path.join(cfg.out_dir, "split.json"), "w") as fh:
         json.dump(payload, fh, sort_keys=True, indent=2)

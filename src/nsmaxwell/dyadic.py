@@ -31,7 +31,6 @@ from .grid import (
 
 __all__ = [
     "DyadicPartition",
-    "DyadicBlocks",
     "NormSpec",
     "smooth_step",
     "chi_profile",
@@ -44,6 +43,7 @@ __all__ = [
     "norm_besov",
     "ShellSeries",
     "shell_series",
+    "time_lebesgue",
     "spacetime_norm_from_series",
 ]
 
@@ -171,23 +171,6 @@ def block(u: SpectralField, q: int) -> SpectralField:
 def low_pass(u: SpectralField, q: int) -> SpectralField:
     """S_q u: sum of blocks below q plus the mean mode."""
     return SpectralField(u.grid, u.coeffs * build_partition(u.grid).lowpass_weight(q))
-
-
-@dataclass
-class DyadicBlocks:
-    partition: DyadicPartition
-    blocks: dict
-
-    @classmethod
-    def decompose(cls, u: SpectralField) -> "DyadicBlocks":
-        part = build_partition(u.grid)
-        return cls(part, {q: block(u, q) for q in part.shells()})
-
-    def reconstruct(self) -> SpectralField:
-        out = SpectralField.zeros(self.partition.grid)
-        for f in self.blocks.values():
-            out = out + f
-        return out
 
 
 def bony_decompose(u: SpectralField, v: SpectralField, combiner: str = "scalar"):

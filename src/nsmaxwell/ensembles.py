@@ -16,22 +16,17 @@ __all__ = ["FieldEnsembleSpec", "gen_field", "gen_ensemble"]
 class FieldEnsembleSpec:
     """Gaussian spectral fields with power-law amplitude |k|^{-beta}.
 
-    ``shell`` optionally concentrates the field on one dyadic shell;
-    ``divergence_free`` applies the Leray projection after sampling.
-    Identical seeds produce bit-identical ensembles.
+    The fields lie on ``grid``; ``shell`` optionally concentrates them on
+    one dyadic shell; ``divergence_free`` applies the Leray projection
+    after sampling.  Identical seeds produce bit-identical ensembles.
     """
 
     seed: int
     count: int
-    d: int = 2
-    n: int = 64
-    box_length: float = 2.0 * np.pi
+    grid: Grid
     slope: float = 0.0
     shell: int | None = None
     divergence_free: bool = False
-
-    def grid(self) -> Grid:
-        return Grid(self.d, self.n, self.box_length)
 
 
 def gen_field(grid: Grid, rng: np.random.Generator, slope: float = 0.0,
@@ -53,9 +48,8 @@ def gen_field(grid: Grid, rng: np.random.Generator, slope: float = 0.0,
 
 
 def gen_ensemble(spec: FieldEnsembleSpec) -> list:
-    grid = spec.grid()
     rng = np.random.default_rng(spec.seed)
     return [
-        gen_field(grid, rng, spec.slope, spec.shell, spec.divergence_free)
+        gen_field(spec.grid, rng, spec.slope, spec.shell, spec.divergence_free)
         for _ in range(spec.count)
     ]

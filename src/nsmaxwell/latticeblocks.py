@@ -54,13 +54,12 @@ __all__ = [
     "radial_multiply",
     "real_product_blocks",
     "bony_paraproducts",
-    "paraproduct_pieces",
     "shell_norms",
     "l2_norm",
     "hst_norm",
     "hst_from_shells",
     "besov_norm",
-    "lowpass_l2",
+    "lowpass_blocks",
     "remainder_cluster_stats",
     "gaussian_packet",
     "packet_pair",
@@ -263,22 +262,6 @@ def bony_paraproducts(p, q) -> tuple:
     return t_ab, t_ba
 
 
-def paraproduct_pieces(p, q):
-    """Bony split of the real product into (T_a b, T_b a, R).
-
-    ``p``, ``q`` are positive-half blocks of two real fields.  Each piece
-    is a list of blocks; R is the full product minus the two
-    paraproducts, so reconstruction is exact by linearity.  Polarization
-    order is a x b in every piece.
-    """
-    full = real_product_blocks(p, q)
-    t_ab, t_ba = bony_paraproducts(p, q)
-    remainder = list(full)
-    remainder += [b.scaled(-1.0) for b in t_ab]
-    remainder += [b.scaled(-1.0) for b in t_ba]
-    return t_ab, t_ba, remainder
-
-
 # ---------------------------------------------------------------------------
 # Norms over block collections (canvas merge handles overlaps exactly).
 
@@ -463,20 +446,11 @@ def besov_norm(blocks: list, s: float) -> float:
     return sum(2.0 ** (q * s) * bq for q, bq in shell_norms(blocks).items())
 
 
-def lowpass_l2(blocks: list, q: int) -> float:
-    """||S_q (sum of blocks)||_{L^2}."""
-    return l2_norm(lowpass_blocks(blocks, q))
-
-
 def lowpass_blocks(blocks: list, q: int, complement: bool = False) -> list:
+    """S_q of each block, or (I - S_q) with ``complement``."""
     fn = _lowpass_fn(q)
-    out = []
-    for b in blocks:
-        w = fn(b.radius())
-        if complement:
-            w = 1.0 - w
-        out.append(BlockField(b.origin, b.values * w, b.pol))
-    return out
+    weight = (lambda r: 1.0 - fn(r)) if complement else fn
+    return [radial_multiply(b, weight) for b in blocks]
 
 
 # ---------------------------------------------------------------------------

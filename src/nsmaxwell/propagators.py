@@ -40,7 +40,6 @@ __all__ = [
     "PropagatorTable",
     "duhamel_step",
     "BlowupError",
-    "SCHEMES",
 ]
 
 # The Duhamel steppers of ``duhamel_step``.

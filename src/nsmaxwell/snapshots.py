@@ -25,7 +25,7 @@ import numpy as np
 
 from .grid import Grid, SpectralField, _reflection
 
-__all__ = ["write_snapshot", "read_snapshot", "SnapshotError", "FORMAT_VERSION"]
+__all__ = ["write_snapshot", "read_snapshot", "SnapshotError"]
 
 MAGIC = b"NSMW"
 FORMAT_VERSION = 1

@@ -57,6 +57,7 @@ from .dyadic import (
 from .propagators import PropagatorTable, duhamel_step
 
 __all__ = [
+    "InconsistentStateError",
     "MhdState",
     "Trajectory",
     "ZNorm",
@@ -67,13 +68,16 @@ __all__ = [
     "simulate",
     "step_count",
     "picard_iterate",
+    "picard_solution",
     "z_norm",
+    "initial_data_norm",
     "split_initial_data",
     "taylor_green_velocity",
 ]
 
+# Ohm's law j = SIGMA (E + v x B); the linear propagators hard-code sigma = 1
+# (``propagators._maxwell_coefficients`` and ``PropagatorTable.e_damp``).
 SIGMA = 1.0
-NU = 1.0
 # Largest divergence defect a state may carry into the nonlinearity.
 DIV_TOL = 1e-8
 
@@ -121,6 +125,11 @@ class MhdState:
         """max(||div v||, ||div B||) / max(||v||, ||B||) from the coefficients."""
         return float(_divergence_defects(self.grid, self.v.coeffs[None],
                                          self.B.coeffs[None])[0])
+
+    def l2_squared(self) -> float:
+        """||v||^2 + ||E||^2 + ||B||^2, twice the energy."""
+        return (lp_norm_physical(self.v, 2) ** 2 + lp_norm_physical(self.E, 2) ** 2
+                + lp_norm_physical(self.B, 2) ** 2)
 
     def scaled(self, factor: float) -> "MhdState":
         return MhdState(factor * self.v, factor * self.E, factor * self.B, self.time)
@@ -278,11 +287,7 @@ def energy_report(state: MhdState, j: SpectralField | None = None):
     ``j`` is the Ohm current of ``state`` when the caller already holds it
     (``march`` yields it with each state); None forms it by
     ``ohm_current``, three more real transforms."""
-    e = 0.5 * (
-        lp_norm_physical(state.v, 2) ** 2
-        + lp_norm_physical(state.E, 2) ** 2
-        + lp_norm_physical(state.B, 2) ** 2
-    )
+    e = 0.5 * state.l2_squared()
     grid = state.grid
     v = state.v.coeffs
     grad_sq = float(np.sum(grid._parseval_weight * grid.k_squared()

@@ -276,7 +276,7 @@ def test_criterion_05_picard_contraction():
 def test_criterion_06_product_law_T_stability():
     drifts = {}
     for est in ("est4-2D", "est3-uB-2D"):
-        spec = FieldEnsembleSpec(seed=0, count=20, d=2, n=64, slope=2.0)
+        spec = FieldEnsembleSpec(seed=0, count=20, grid=Grid(2, 64), slope=2.0)
         vals = [
             product_law_report(est, spec, T=T).max_ratio for T in (1.0, 10.0, 100.0)
         ]

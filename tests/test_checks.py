@@ -125,8 +125,8 @@ def test_separable_product_rates_add(grid2):
 def test_bernstein_single_mode_ratio_is_exact():
     # one mode at |k| = 2^q exactly: derivative along its axis gives
     # ratio |k| / 2^q = 1
-    spec = FieldEnsembleSpec(seed=0, count=1, d=2, n=64)
-    grid = spec.grid()
+    grid = Grid(2, 64)
+    spec = FieldEnsembleSpec(seed=0, count=1, grid=grid)
     rep = check_bernstein(spec, q=2)
     assert rep.ratios  # ensemble route ran
     f = single_mode_field(grid, (4, 0), 1.0)
@@ -141,7 +141,7 @@ def test_bernstein_single_mode_ratio_is_exact():
 
 def test_bernstein_random_shells_bounded():
     # measured two-sided constants on random shell data (regression range)
-    spec = FieldEnsembleSpec(seed=3, count=8, d=2, n=64)
+    spec = FieldEnsembleSpec(seed=3, count=8, grid=Grid(2, 64))
     for q in (1, 2, 3):
         rep = check_bernstein(spec, q)
         vals = rep.ratios[0::2]
@@ -149,7 +149,7 @@ def test_bernstein_random_shells_bounded():
 
 
 def test_bernstein_empty_shell_raises():
-    spec = FieldEnsembleSpec(seed=0, count=1, d=2, n=64, shell=2)
+    spec = FieldEnsembleSpec(seed=0, count=1, grid=Grid(2, 64), shell=2)
     with pytest.raises(ValueError):
         check_bernstein(spec, q=4)
 
@@ -462,28 +462,22 @@ def test_maxwell_energy_decay_with_forcing_second_order():
 # Product laws.
 
 
-def test_product_law_unknown_id():
+def test_product_law_unknown_id(grid2):
+    live = SeparableTrajectory(random_field(grid2, seed=60, slope=1.0), 2.0)
     with pytest.raises(ValueError):
-        check_product_law("nope", 1.0)
+        check_product_law("nope", 1.0, live, live)
 
 
 @pytest.mark.parametrize("estimate_id", ["est1-2D", "est4-2D", "est3-uB-2D"])
 def test_product_law_zero_factor_gives_zero_lhs(grid2, estimate_id):
     zero = SeparableTrajectory(SpectralField.zeros(grid2), 2.0)
     live = SeparableTrajectory(random_field(grid2, seed=60, slope=1.0), 2.0)
-    kwargs = (
-        {"u": zero, "v": live}
-        if estimate_id.startswith("est1")
-        else {"E": zero, "B": live}
-        if estimate_id.startswith("est4")
-        else {"u": zero, "B": live}
-    )
-    rep = check_product_law(estimate_id, 10.0, **kwargs)
+    rep = check_product_law(estimate_id, 10.0, zero, live)
     assert rep.lhs == [0.0]
 
 
 def test_product_law_report_smoke_2d():
-    spec = FieldEnsembleSpec(seed=1, count=3, d=2, n=32, slope=2.0)
+    spec = FieldEnsembleSpec(seed=1, count=3, grid=Grid(2, 32), slope=2.0)
     for estimate_id in ("est1-2D", "est4-2D", "est3-uB-2D"):
         rep = product_law_report(estimate_id, spec, T=10.0, bound=10.0)
         assert len(rep.ratios) == 3
@@ -492,7 +486,7 @@ def test_product_law_report_smoke_2d():
 
 
 def test_product_law_report_smoke_3d():
-    spec = FieldEnsembleSpec(seed=1, count=2, d=3, n=16, slope=2.0)
+    spec = FieldEnsembleSpec(seed=1, count=2, grid=Grid(3, 16), slope=2.0)
     for estimate_id in ("est1-3D", "est4-3D", "est3-uB-3D"):
         rep = product_law_report(estimate_id, spec, T=10.0)
         assert len(rep.ratios) == 2

@@ -2,25 +2,25 @@ import math
 
 import numpy as np
 
-from nsmaxwell.dyadic import DyadicBlocks
+from nsmaxwell.dyadic import block, build_partition
 from nsmaxwell.ensembles import FieldEnsembleSpec, gen_ensemble, gen_field
 from nsmaxwell.grid import Grid, divergence
 
 
 def test_seed_repeatability():
-    spec = FieldEnsembleSpec(seed=5, count=3, n=32, slope=1.0)
+    spec = FieldEnsembleSpec(seed=5, count=3, grid=Grid(2, 32), slope=1.0)
     a = gen_ensemble(spec)
     b = gen_ensemble(spec)
     assert len(a) == len(b) == 3
     for fa, fb in zip(a, b):
         assert np.array_equal(fa.coeffs, fb.coeffs)
     # different seeds differ
-    c = gen_ensemble(FieldEnsembleSpec(seed=6, count=3, n=32, slope=1.0))
+    c = gen_ensemble(FieldEnsembleSpec(seed=6, count=3, grid=Grid(2, 32), slope=1.0))
     assert not np.array_equal(a[0].coeffs, c[0].coeffs)
 
 
 def test_divergence_free_option():
-    spec = FieldEnsembleSpec(seed=7, count=2, n=32, divergence_free=True)
+    spec = FieldEnsembleSpec(seed=7, count=2, grid=Grid(2, 32), divergence_free=True)
     for f in gen_ensemble(spec):
         d = divergence(f)
         assert np.max(np.abs(d.coeffs)) < 1e-12 * np.max(np.abs(f.coeffs))
@@ -30,10 +30,9 @@ def test_shell_restriction():
     grid = Grid(2, 64)
     rng = np.random.default_rng(8)
     f = gen_field(grid, rng, shell=3)
-    blocks = DyadicBlocks.decompose(f)
-    for q, blk in blocks.blocks.items():
+    for q in build_partition(grid).shells():
         if abs(q - 3) >= 2:
-            assert np.max(np.abs(blk.coeffs)) < 1e-12
+            assert np.max(np.abs(block(f, q).coeffs)) < 1e-12
 
 
 def test_power_law_slope_recovered():

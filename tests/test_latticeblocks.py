@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from nsmaxwell.dyadic import (
-    DyadicBlocks,
     NormSpec,
+    block,
     build_partition,
     chi_profile,
     norm_besov,
@@ -26,9 +26,7 @@ from nsmaxwell.latticeblocks import (
     hst_norm,
     l2_norm,
     lowpass_blocks,
-    lowpass_l2,
     packet_pair,
-    paraproduct_pieces,
     radial_multiply,
     real_pair,
     real_product_blocks,
@@ -92,11 +90,10 @@ def test_lattice_norms_match_grid_route():
         f_nomean, 2
     )
     # per-shell L^2
-    grid_blocks = DyadicBlocks.decompose(f)
     lattice_shells = shell_norms(blocks)
     for s_q, val in lattice_shells.items():
         if part.q_min <= s_q <= part.q_max and val > 1e-10:
-            gval = lp_norm_physical(grid_blocks.blocks[s_q], 2)
+            gval = lp_norm_physical(block(f, s_q), 2)
             assert abs(val - gval) < 1e-8 * max(gval, 1e-300), s_q
     # Besov and heat-Sobolev style norms
     b_lat = besov_norm(blocks, 0.5)
@@ -154,20 +151,6 @@ def test_zero_polarization_block_does_not_hide_overlapping_blocks():
     assert l2_norm([zero, b]) == l2_norm([b])
 
 
-def test_paraproduct_reconstruction():
-    rng = np.random.default_rng(3)
-    p, q = packet_pair(3, rng)
-    t_ab, t_ba, rem = paraproduct_pieces(p, q)
-    full = real_product_blocks(p, q)
-    grid = Grid(2, 128)
-    total = blocks_to_grid_field(
-        t_ab + t_ba + rem, grid
-    )
-    direct = blocks_to_grid_field(full, grid)
-    scale = np.max(np.abs(direct.coeffs)) + 1e-300
-    assert np.max(np.abs(total.coeffs - direct.coeffs)) < 1e-6 * scale
-
-
 def test_remainder_cluster_stats_matches_exact_route():
     rng = np.random.default_rng(4)
     p_list, b_list = criticality_packets(4, rng)
@@ -176,7 +159,7 @@ def test_remainder_cluster_stats_matches_exact_route():
     # exact route: full product minus paraproducts, measured block-wise
     full = real_product_blocks(p_list, b_list)
     rem = full + [b.scaled(-1.0) for b in t_ab + t_ba]
-    s_low_exact = lowpass_l2(rem, 2)
+    s_low_exact = l2_norm(lowpass_blocks(rem, 2))
     assert abs(s_low - s_low_exact) < 5e-5 * max(s_low_exact, 1e-300)
     comp_exact = shell_norms(lowpass_blocks(rem, 2, complement=True))
     for s_q, val in comp.items():
@@ -260,7 +243,7 @@ def test_remainder_cluster_stats_matches_one_canvas_reference(q, seed):
     t_ab, t_ba = bony_paraproducts(p_list, b_list)
     s_low, comp = remainder_cluster_stats(p_list, b_list, t_blocks=t_ab + t_ba)
     rem = real_product_blocks(p_list, b_list) + [b.scaled(-1.0) for b in t_ab + t_ba]
-    s_low_ref = lowpass_l2(rem, 2)
+    s_low_ref = l2_norm(lowpass_blocks(rem, 2))
     comp_ref = shell_norms(lowpass_blocks(rem, 2, complement=True))
     scale = max(comp_ref.values())
     assert abs(s_low - s_low_ref) <= 1e-12 * scale

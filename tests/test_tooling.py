@@ -3,12 +3,15 @@ package by name, and the scripts in scripts/ call the package's public API;
 a rename must fail here, not only in a benchmark or script run.  Every run
 pays the package's import, so its import graph is checked here too, every
 defaulted parameter of the package must have a caller that sets it, and no
-function but two takes the dyadic partition that its data's grid holds."""
+function but two takes the dyadic partition that its data's grid holds.
+Each module's ``__all__`` names exactly its public functions and classes,
+and the package root re-exports none of them: it only loads the modules."""
 
 import ast
 import csv
 import importlib
 import importlib.util
+import inspect
 import os
 import subprocess
 import sys
@@ -46,6 +49,39 @@ def test_trace_targets_resolve(monkeypatch):
         if owner is None or attr not in vars(owner):
             missing.append(f"nsmaxwell.{module}.{path}")
     assert tracing.TARGETS and not missing
+
+
+def test_import_alone_loads_every_traced_module(monkeypatch):
+    # The benchmark's worker installs its tracer right after ``import
+    # nsmaxwell``; a traced module that the root does not load is missed.
+    monkeypatch.syspath_prepend(PERFBENCH)
+    tracing = importlib.import_module("tracing")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(nsmaxwell.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("PYTHONWARNINGS", None)
+    run = subprocess.run(
+        [sys.executable, "-c", "import sys, nsmaxwell; print(' '.join(sorted(sys.modules)))"],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    traced = {f"nsmaxwell.{module}" for _, module, _ in tracing.TARGETS}
+    assert sorted(traced - set(run.stdout.split())) == []
+
+
+def test_all_lists_exactly_the_public_functions_and_classes():
+    mismatched = {}
+    for path, tree in _python_files(os.path.join("src", "nsmaxwell")):
+        module = os.path.basename(path)[:-3]
+        public = sorted(node.name for node in tree.body
+                        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                        and not node.name.startswith("_"))
+        name = "nsmaxwell" if module == "__init__" else f"nsmaxwell.{module}"
+        listed = sorted(getattr(importlib.import_module(name), "__all__", []))
+        if listed != public:
+            mismatched[module] = (listed, public)
+    assert mismatched == {}
+    # The root defines no public name of its own.
+    assert [name for name, value in vars(nsmaxwell).items()
+            if not name.startswith("_") and not inspect.ismodule(value)] == []
 
 
 # Signatures fixed by a protocol, not by this package's callers.
