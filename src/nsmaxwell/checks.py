@@ -282,18 +282,23 @@ def _selected_modes(grid: Grid, *coeffs):
 def _heat_forced(ksq, u0, forcings, t):
     """Per-mode solution at time t of u_t + ksq u = sum_i e^{-rate_i t} F_i
     with u(0) = u0; ``forcings`` holds (amplitudes, rate) pairs.  All
-    arguments broadcast, so ``t`` may carry a time axis."""
-    out = u0 * np.exp(-t * ksq)
+    arguments broadcast, so ``t`` may carry a time axis.
+
+    e^{-t ksq} is exponentiated once, in place, and serves the decay of u0
+    and the factor of every forcing,
+    (e^{-rate t} - e^{-t ksq}) / (ksq - rate), or t e^{-t ksq} where
+    ksq = rate; the forcing terms are added into the result in place."""
+    decay = np.multiply(-t, ksq)
+    np.exp(decay, out=decay)
+    out = u0 * decay
     for F, lam in forcings:
         denom = ksq - lam
         near = np.abs(denom) < 1e-12
-        safe = np.where(near, 1.0, denom)
-        factor = np.where(
-            near,
-            t * np.exp(-ksq * t),
-            (np.exp(-lam * t) - np.exp(-ksq * t)) / safe,
-        )
-        out = out + F * factor
+        factor = np.exp(-lam * t) - decay
+        factor /= np.where(near, 1.0, denom)
+        if near.any():
+            np.copyto(factor, t * decay, where=near)
+        out += F * factor
     return out
 
 
@@ -315,11 +320,12 @@ def check_parabolic_smoothing(u0: SpectralField, forcing, T: float, p,
     LHS = sup_t ||u(t)||_{B^s_{2,1}} + tilde-L^p_T B^{s+2/p}_{2,1};
     RHS = ||u0||_{B^s_{2,1}} + tilde-L^r_T B^{s-2+2/r}_{2,1} of the forcing.
     ``forcing`` is None or (SpectralField, rate).  The shell norms at all
-    sample times come from the closed-form solution, a chunk of times at once.
+    sample times t_n = n dt come from the closed-form solution, a chunk of
+    times at once; T must be a multiple of dt.
     """
     grid = u0.grid
     forcings = [] if forcing is None else [forcing]
-    times = np.arange(0.0, T + dt / 2, dt)
+    times = np.arange(step_count(T, dt) + 1) * dt
     sel, ksq, w2 = _selected_modes(grid, u0.coeffs, *(F.coeffs for F, _ in forcings))
     amps = [(sel(F.coeffs), lam) for F, lam in forcings]
     rows = np.vstack([
@@ -383,17 +389,18 @@ def check_l2linfty(u0: SpectralField, f1, f2, T: float, dt: float = 0.01,
     L^1_T H^{d/2-1} and tilde-L^2_T B^{d/2-2}_{2,1} respectively; the heat
     solve sees their sum.
 
-    The sup series comes from the closed-form solution, a chunk of times
-    per ``_sup_series``.  Only the components that are nonzero in u0 or in
-    some forcing are transformed: the heat flow acts componentwise, so the
-    others stay zero.  ``part``, if given, must be a partition of u0's grid.
+    The sup series at t_n = n dt (T must be a multiple of dt) comes from
+    the closed-form solution, a chunk of times per ``_sup_series``.  Only
+    the components that are nonzero in u0 or in some forcing are
+    transformed: the heat flow acts componentwise, so the others stay
+    zero.  ``part``, if given, must be a partition of u0's grid.
     """
     grid = u0.grid
     d = grid.d
     if part is not None and part.grid != grid:
         raise ValueError(f"the partition lies on {part.grid}, the data on {grid}")
     forcings = [f for f in (f1, f2) if f is not None]
-    times = np.arange(0.0, T + dt / 2, dt)
+    times = np.arange(step_count(T, dt) + 1) * dt
     data = [u0] + [F for F, _ in forcings]
     comps = [c for c in range(3) if any(np.any(f.coeffs[c]) for f in data)] or [0]
     ksq = grid.k_squared()

@@ -151,8 +151,11 @@ def _cmd_verify(cfg: RunConfig) -> int:
     reports, grids = [], {}
     for est in cfg.estimates:
         d = 2 if est.endswith("2D") else 3
-        if d not in grids:  # one grid, geometry and partition, per dimension
-            grids[d] = Grid(d, cfg.n if d == cfg.d else (128 if d == 2 else 64))
+        # One grid, geometry and partition, per dimension; n and box_length
+        # apply to the config's own dimension only.
+        if d not in grids:
+            grids[d] = (Grid(d, cfg.n, cfg.box_length) if d == cfg.d
+                        else Grid(d, 128 if d == 2 else 64))
         spec = FieldEnsembleSpec(seed=cfg.seed, count=cfg.count, grid=grids[d],
                                  slope=cfg.slope)
         reports.append(

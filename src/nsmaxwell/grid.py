@@ -360,9 +360,18 @@ def _dealiased_physical(f: SpectralField, axis: int | None = None) -> np.ndarray
 
 def _sup_series(half: np.ndarray, grid: Grid) -> np.ndarray:
     """sup_x |u(t, x)| per time, one ``irfftn`` of amplitudes
-    (times, components, *spectral_shape)."""
+    (times, components, *spectral_shape).
+
+    The reduction runs in the transform's output, so no full-size
+    temporary is allocated: the values are squared in place and the
+    components added into the first one, (u_1^2 + u_2^2) + u_3^2, before
+    the max over space."""
     u = _half_physical(grid, half)
-    return np.sqrt(np.max(np.sum(u**2, axis=1), axis=tuple(range(1, grid.d + 1))))
+    np.multiply(u, u, out=u)
+    total = u[:, 0]
+    for c in range(1, u.shape[1]):
+        total += u[:, c]
+    return np.sqrt(np.max(total, axis=tuple(range(1, grid.d + 1))))
 
 
 # A chunk of time samples, stacked for one array operation, holds about this

@@ -49,3 +49,22 @@ def apply_state(table, state):
     slots = table.apply(state.v.coeffs, state.E.coeffs, state.B.coeffs)
     return type(state)(*(SpectralField(table.grid, a) for a in slots),
                        time=state.time + table.dt)
+
+
+def count_transforms(monkeypatch):
+    """Wrap every n-D FFT entry point of numpy.fft and scipy.fft; the
+    returned list collects the names of the calls."""
+    import numpy.fft
+    import scipy.fft
+
+    calls = []
+    for lib in (numpy.fft, scipy.fft):
+        for name in ("fftn", "ifftn", "rfftn", "irfftn", "fft2", "ifft2", "rfft2", "irfft2"):
+            fn = getattr(lib, name)
+
+            def counted(*args, _fn=fn, _name=name, **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(lib, name, counted)
+    return calls

@@ -9,7 +9,6 @@ import math
 import os
 
 import numpy as np
-import pytest
 from scipy.integrate import quad, simpson
 
 from nsmaxwell.checks import (
@@ -22,7 +21,7 @@ from nsmaxwell.checks import (
     product_law_report,
 )
 from nsmaxwell.cli import main as cli_main
-from nsmaxwell.dyadic import bony_decompose, build_partition, phi_profile
+from nsmaxwell.dyadic import bony_decompose, build_partition
 from nsmaxwell.ensembles import FieldEnsembleSpec, gen_field
 from nsmaxwell.grid import Grid, SpectralField, lp_norm_physical, pointwise_product
 from nsmaxwell.propagators import maxwell_apply, maxwell_wave_route, phi_multipliers, phi_shell

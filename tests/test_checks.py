@@ -29,9 +29,9 @@ from nsmaxwell.checks import (
 )
 from nsmaxwell.dyadic import NormSpec, build_partition, norm_hst, shell_series, spacetime_norm_from_series
 from nsmaxwell.ensembles import FieldEnsembleSpec, gen_field
-from nsmaxwell.grid import Grid, SpectralField, lp_norm_physical
+from nsmaxwell.grid import _CHUNK_ELEMENTS, Grid, SpectralField, lp_norm_physical
 
-from conftest import random_field, single_mode_field
+from conftest import count_transforms, random_field, single_mode_field
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +259,38 @@ def test_l2linfty_matches_per_time_reference(grid2, data):
     ref = math.sqrt(np.trapezoid(np.square(sup), times))
     rep = check_l2linfty(u0, f1, f2, T=T, dt=dt)
     assert abs(rep.lhs[0] - ref) <= 1e-13 * ref
+
+
+@pytest.mark.parametrize("checker", ["l2linfty", "parabolic"])
+@pytest.mark.parametrize("T, dt, message", [(1.0, 0.3, "integer multiple"),
+                                            (1.0, 0.0, "not positive"),
+                                            (1.0, -0.1, "not positive")])
+def test_heat_checkers_validate_time_grid(grid2, checker, T, dt, message):
+    # T = 1, dt = 0.3 would sample up to t = 0.9 while the forcing norms
+    # run to T; dt <= 0 would sample nothing.
+    u0 = single_mode_field(grid2, (2, 1), 0.3 + 0.4j)
+    with pytest.raises(ValueError, match=message):
+        if checker == "l2linfty":
+            check_l2linfty(u0, None, None, T, dt)
+        else:
+            check_parabolic_smoothing(u0, None, T, 2, 0.0, 1, dt)
+
+
+@pytest.mark.parametrize("data, comps", [("three-component", 3), ("single-component", 1)])
+def test_l2linfty_transforms_once_per_time_chunk(grid2, data, comps, monkeypatch):
+    # One inverse transform of the sampled components per chunk of times,
+    # and no forward transform: the right-hand side is spectral.
+    if data == "three-component":
+        u0 = gen_field(grid2, np.random.default_rng(1), slope=1.5)
+        f1 = (gen_field(grid2, np.random.default_rng(2), slope=1.0), 1.0)
+    else:
+        u0 = single_mode_field(grid2, (2, 1), 0.3 + 0.4j, component=1)
+        f1 = (single_mode_field(grid2, (1, 3), 0.5, component=1), 1.0)
+    T, dt = 3.0, 0.01
+    per_chunk = _CHUNK_ELEMENTS // (comps * math.prod(grid2.spectral_shape))
+    calls = count_transforms(monkeypatch)
+    check_l2linfty(u0, f1, None, T, dt)
+    assert calls == ["irfftn"] * math.ceil((round(T / dt) + 1) / per_chunk)
 
 
 def test_l2linfty_bounded(grid2):

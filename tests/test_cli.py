@@ -396,6 +396,22 @@ def test_verify_subcommand_small_ensemble(tmp_path):
     assert summary[1].startswith("est1-2D,")
 
 
+def test_verify_uses_the_box_length_of_the_config(tmp_path):
+    # box_length, like n, sets the grid of the config's own dimension: the
+    # ensembles on a 4 pi box are measured on other wavevectors than those
+    # of the default 2 pi box, which an explicit 2 pi reproduces.
+    base = "n = 32\nT = 10\ndt = 0.01\nslope = 2.0\ncount = 2\nestimates = est4-2D\n"
+    reports = {}
+    for name, extra in (("default", ""), ("two_pi", f"box_length = {2 * np.pi!r}\n"),
+                        ("four_pi", f"box_length = {4 * np.pi!r}\n")):
+        out = tmp_path / name
+        cfg = _write_cfg(tmp_path, base + extra, name=f"{name}.cfg")
+        assert main(["verify", cfg, "--out-dir", str(out)]) == 0
+        reports[name] = (out / "reports.jsonl").read_text()
+    assert reports["two_pi"] == reports["default"]
+    assert reports["four_pi"] != reports["default"]
+
+
 def test_file_preset_roundtrip(tmp_path):
     # build a state, snapshot it, reload through init = file
     src_cfg = parse_config("n = 16\ninit = random\nseed = 9\nslope = 1.0\n")

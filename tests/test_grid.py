@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from nsmaxwell.grid import (
     Grid,
     SpectralField,
+    _sup_series,
     curl,
     divergence,
     gradient_component,
@@ -177,6 +178,21 @@ def test_lp_norms(grid2):
     assert abs(lp_norm_physical(f, np.inf) - 1.0) < 1e-12
     with pytest.raises(ValueError):
         lp_norm_physical(f, 4)
+
+
+@pytest.mark.parametrize("d, n", [(2, 32), (3, 16)])
+@pytest.mark.parametrize("comps", [1, 3])
+def test_sup_series_against_numpy_transform(d, n, comps):
+    # An oracle outside the module: numpy's inverse transform and the
+    # Euclidean norm over the components, for a batch of four times.
+    grid = Grid(d, n)
+    half = np.stack([random_field(grid, seed=seed).coeffs[:comps] for seed in range(4)])
+    axes = tuple(range(-d, 0))
+    u = np.fft.irfftn(half, s=grid.shape, axes=axes, norm="forward")
+    ref = np.max(np.linalg.norm(u, axis=1), axis=axes)
+    sup = _sup_series(half, grid)
+    assert sup.shape == (4,)
+    assert np.all(np.abs(sup - ref) <= 1e-14 * ref)
 
 
 def test_advection_combiner(grid2):

@@ -40,7 +40,7 @@ from nsmaxwell.system import (
     _nonlinearity_half,
 )
 
-from conftest import apply_state, random_field, single_mode_field
+from conftest import apply_state, count_transforms, random_field, single_mode_field
 
 
 def _constant_state(grid, v=None, E=None, B=None):
@@ -147,32 +147,13 @@ def test_fused_nonlinearity_matches_four_products(grid_name, velocity_form, requ
     assert np.max(np.abs(out.B.coeffs)) == 0.0
 
 
-def _count_transforms(monkeypatch):
-    """Wrap every n-D FFT entry point of numpy.fft and scipy.fft; the
-    returned list collects the names of the calls."""
-    import numpy.fft
-    import scipy.fft
-
-    calls = []
-    for lib in (numpy.fft, scipy.fft):
-        for name in ("fftn", "ifftn", "rfftn", "irfftn", "fft2", "ifft2", "rfft2", "irfft2"):
-            fn = getattr(lib, name)
-
-            def counted(*args, _fn=fn, _name=name, **kwargs):
-                calls.append(_name)
-                return _fn(*args, **kwargs)
-
-            monkeypatch.setattr(lib, name, counted)
-    return calls
-
-
 @pytest.mark.parametrize("grid_name", ["grid2", "grid3"])
 def test_nonlinearity_transform_count(grid_name, request, monkeypatch):
     # v, B, j / sigma = E + v x B and the vorticity w back; v x B and the
     # momentum forcing forward: six real transforms in 2D and 3D alike.
     grid = request.getfixturevalue(grid_name)
     state = _random_state(grid, seed=48)
-    calls = _count_transforms(monkeypatch)
+    calls = count_transforms(monkeypatch)
     nonlinearity(state)
     assert len(calls) == 6
     assert set(calls) == {"rfftn", "irfftn"}
@@ -355,7 +336,7 @@ def test_march_transform_count(scheme, per_step, grid2, monkeypatch):
     # ohm_current three.
     initial = _random_state(grid2, seed=64, amp=0.1)
     n_steps = 5
-    calls = _count_transforms(monkeypatch)
+    calls = count_transforms(monkeypatch)
     for state, j in march(initial, 0.1, 0.1 / n_steps, scheme):
         energy_report(state, j)
     assert len(calls) == per_step * n_steps + 4
