@@ -4,11 +4,14 @@
 For each amplitude scale eps and window T, runs the iteration around the
 free evolution and records the worst contraction ratio and the weighted
 data norm of the free trajectory.  Output: one CSV row per (eps, T).
+The wall time and the process's peak RSS of the map go to stderr.
 """
 
 import argparse
 import csv
+import resource
 import sys
+import time
 
 import numpy as np
 
@@ -37,6 +40,7 @@ def main(argv=None) -> int:
     B = gen_field(grid, rng, args.slope, None, True)
     base = MhdState(v, E, B).prepared()
 
+    start = time.perf_counter()
     with open(args.out, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["eps", "T", "z_free", "max_ratio", "contracting"])
@@ -54,6 +58,9 @@ def main(argv=None) -> int:
                             int(bool(ratios) and worst < 1.0)])
                 print(f"eps={eps:g} T={T:g}  Z={z:.3e}  max ratio {worst:.3e}",
                       file=sys.stderr)
+    wall = time.perf_counter() - start
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0  # KiB on Linux
+    print(f"contraction map: {wall:.2f} s, peak RSS {peak_mb:.1f} MB", file=sys.stderr)
     print(f"wrote {args.out}", file=sys.stderr)
     return 0
 

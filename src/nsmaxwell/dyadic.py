@@ -323,19 +323,33 @@ def shell_series(fields, times, grid: Grid, with_linf: bool = False) -> ShellSer
     if not np.allclose(steps, steps[0], rtol=1e-10, atol=1e-14):
         raise ValueError("time grid must be uniform")
     part = build_partition(grid)
-    rows, linf = [], []
+    rows = []
     weights = part.shell_matrix()
     for chunk in _time_chunks(fields, 3 * grid.n**grid.d):
         if not isinstance(chunk, np.ndarray):
             chunk = np.stack([f.coeffs for f in chunk])
-        rows.append(_shell_l2(_mode_power(chunk.reshape(len(chunk), 3, -1)), weights))
-        if with_linf:
-            linf.append(_sup_series(chunk, grid))
+        rows.append(_shell_rows(chunk, grid, weights, with_linf))
+    return _series_of_rows(times, part.shells(), rows)
+
+
+def _shell_rows(amps: np.ndarray, grid: Grid, weights: np.ndarray, with_linf: bool):
+    """(block_l2, linf) rows of one chunk of stacked amplitudes
+    (times, 3, *spectral_shape): one product with ``weights``, the grid's
+    ``shell_matrix``, and with ``with_linf`` one ``grid._sup_series``
+    (else None)."""
+    rows = _shell_l2(_mode_power(amps.reshape(len(amps), 3, -1)), weights)
+    return rows, (_sup_series(amps, grid) if with_linf else None)
+
+
+def _series_of_rows(times: np.ndarray, shells: range, rows: list) -> ShellSeries:
+    """The ``ShellSeries`` of consecutive chunks' ``_shell_rows`` over
+    ``shells``, a partition's shell range."""
+    block_l2, linf = zip(*rows)
     return ShellSeries(
         times=times,
-        q_values=np.array(part.shells()),
-        block_l2=np.vstack(rows),
-        linf=np.concatenate(linf) if with_linf else None,
+        q_values=np.array(shells),
+        block_l2=np.vstack(block_l2),
+        linf=None if linf[0] is None else np.concatenate(linf),
     )
 
 

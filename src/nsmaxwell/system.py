@@ -22,8 +22,9 @@ projection act on them mode for mode, so the free evolution and the Picard
 map run on the stacks, slot into slot, with no state built per step.  The
 kernel runs on chunks of times (``grid._time_chunks``), and ``z_norm``
 reduces the stacks directly.  The states of a trajectory are views of its
-stacks.  Picard holds the free evolution and two iterates, and forms their
-difference in the older one.
+stacks.  Picard holds the free evolution and one iterate: each map
+overwrites G^m with G^{m+1} chunk by chunk and reduces G^{m+1} - G^m to
+the shell rows that ``z_norm`` combines, chunk by chunk as it goes.
 """
 
 from __future__ import annotations
@@ -47,6 +48,9 @@ from .grid import (
 )
 from .dyadic import (
     NormSpec,
+    ShellSeries,
+    _series_of_rows,
+    _shell_rows,
     build_partition,
     low_pass,
     norm_hst,
@@ -399,13 +403,16 @@ def z_norm(traj: Trajectory) -> ZNorm:
 
     Each field's stack goes through ``shell_series``.
     """
-    alpha, half = _z_specs(traj.grid.d)
-
     v, E, B = traj.half
-    sv = shell_series(v, traj.times, traj.grid, with_linf=True)
-    se = shell_series(E, traj.times, traj.grid)
-    sb = shell_series(B, traj.times, traj.grid)
+    return _z_from_series(traj.grid.d,
+                          shell_series(v, traj.times, traj.grid, with_linf=True),
+                          shell_series(E, traj.times, traj.grid),
+                          shell_series(B, traj.times, traj.grid))
 
+
+def _z_from_series(d: int, sv: ShellSeries, se: ShellSeries, sb: ShellSeries) -> ZNorm:
+    """``z_norm`` from the shell series of v (with its sup series), E and B."""
+    alpha, half = _z_specs(d)
     zu = (
         spacetime_norm_from_series(sv, NormSpec.sobolev(half, time_exponent=2, tilde=False))
         + time_lebesgue(sv.linf, sv.times, 2)
@@ -435,44 +442,63 @@ def initial_data_norm(state: MhdState) -> float:
 # Picard iteration around the free evolution.
 
 
-def _apply_phi(free: Trajectory, pert: Trajectory | None, table: PropagatorTable) -> Trajectory:
+def _apply_phi(free: Trajectory, pert: Trajectory | None, table: PropagatorTable):
     """One application of the fixed-point map on trajectory stacks:
     quadrature of the Duhamel integral of N(free + pert) with exact
     propagator factors.  ``pert`` None is the zero perturbation: N is then
     evaluated on the free states themselves.
 
+    Returns (iterate, series): the new iterate, written into the stacks of
+    ``pert`` (new stacks when ``pert`` is None), and the three
+    ``ShellSeries`` of v, E and B of the difference iterate - pert, v's with
+    its sup series, which ``_z_from_series`` turns into its Z-norm.
+
     Uses the recursion Phi_n = e^{dt A} (Phi_{n-1} + dt/2 N_{n-1})
     + dt/2 N_n, one propagator apply per step, equivalent to the composite
     trapezoid sum_j w_j e^{(t_n - t_j) A} N_j because the propagators form
-    a group.  N is evaluated by one ``_nonlinearity_half`` call per chunk of
-    times (``grid._time_chunks``) as the recursion reaches it, so one chunk
-    of N is held at a time.  The sum Phi_{n-1} + dt/2 N_{n-1} is formed in
-    the slot of Phi_n, where the apply (B from slot n - 1) and the sum with
-    dt/2 N_n run in place.  N_B = 0, so B is only propagated.
+    a group.  The map runs per chunk of times (``grid._time_chunks``, the
+    chunks of ``shell_series``), so one chunk of N is held at a time.  Per
+    chunk: N on free + pert by one ``_nonlinearity_half`` call, a copy of
+    pert's slots, the recursion over the slots, and the difference formed
+    in the copy and reduced to its shell rows (``dyadic._shell_rows``).
+    The sum Phi_{n-1} + dt/2 N_{n-1} is formed in the slot of Phi_n, where
+    the apply (B from slot n - 1) and the sum with dt/2 N_n run in place.
+    N_B = 0, so B is only propagated.
     """
     grid = free.grid
     h = 0.5 * table.dt
-    out = tuple(np.empty_like(a) for a in free.half)
-    for a in out:
-        a[0] = 0.0
+    out = tuple(np.empty_like(a) for a in free.half) if pert is None else pert.half
+    part = build_partition(grid)
+    weights = part.shell_matrix()
+    rows = ([], [], [])
     prev = None
     for chunk in _time_chunks(range(len(free)), 3 * grid.n**grid.d):
         at = slice(chunk.start, chunk.stop)
         if pert is None:
             fields = (a[at] for a in free.half)
         else:
-            fields = (a[at] + b[at] for a, b in zip(free.half, pert.half))
+            fields = (a[at] + b[at] for a, b in zip(free.half, out))
         n_v, n_E = (h * n for n in _nonlinearity_half(grid, *fields))
+        # Copied after N, so the copy and the kernel's temporaries never meet.
+        old = None if pert is None else tuple(a[at].copy() for a in out)
         for j, i in enumerate(chunk):
-            if prev is not None:
-                v, E, B = (a[i] for a in out)
+            v, E, B = (a[i] for a in out)
+            if prev is None:
+                for a in (v, E, B):
+                    a[...] = 0.0
+            else:
                 np.add(out[0][i - 1], prev[0], out=v)
                 np.add(out[1][i - 1], prev[1], out=E)
                 table.apply(v, E, out[2][i - 1], out=(v, E, B))
                 v += n_v[j]
                 E += n_E[j]
             prev = n_v[j], n_E[j]
-    return Trajectory(grid, free.times, out)
+        diff = (tuple(a[at] for a in out) if old is None
+                else tuple(np.subtract(a[at], b, out=b) for a, b in zip(out, old)))
+        for c, (r, d) in enumerate(zip(rows, diff)):
+            r.append(_shell_rows(d, grid, weights, c == 0))
+    series = tuple(_series_of_rows(free.times, part.shells(), r) for r in rows)
+    return Trajectory(grid, free.times, out), series
 
 
 def picard_iterate(initial: MhdState, T: float, dt: float, n_iters: int):
@@ -484,10 +510,11 @@ def picard_iterate(initial: MhdState, T: float, dt: float, n_iters: int):
     per map applied, with G^0 = 0; ratios r_m = differences[m] /
     differences[m-1]; a ratio >= 1 is reported, not raised.
 
-    The free evolution and the iterates are ``Trajectory`` stacks; one
+    The free evolution and the iterate are ``Trajectory`` stacks; one
     ``PropagatorTable`` serves the free evolution and every map.  Only the
-    free evolution and two iterates are alive: G^{m+1} - G^m is formed in
-    the buffers of G^m, which the map no longer needs.
+    free evolution and one iterate are alive: each map after the first
+    writes G^{m+1} over G^m chunk by chunk, and streams the shell rows of
+    G^{m+1} - G^m, which ``_z_from_series`` combines into the Z-norm.
 
     Once successive differences fall below machine roundoff relative to
     the first iterate, further ratios are quotients of floating-point
@@ -503,13 +530,10 @@ def picard_iterate(initial: MhdState, T: float, dt: float, n_iters: int):
     grid = initial.grid
     table = PropagatorTable.build(grid, dt)
     free = _free_evolution(initial, T, table)
-    prev, diffs = None, []  # None: the zero perturbation
+    it, diffs = None, []  # None: the zero perturbation
     for _ in range(n_iters):
-        nxt = _apply_phi(free, prev, table)
-        # G^m is dead once the map has run: its buffers take G^{m+1} - G^m.
-        diff = z_norm(nxt if prev is None else Trajectory(grid, free.times, tuple(
-            np.subtract(a, b, out=b) for a, b in zip(nxt.half, prev.half)))).total
-        prev = nxt
+        it, series = _apply_phi(free, it, table)
+        diff = _z_from_series(grid.d, *series).total
         diffs.append(diff if math.isfinite(diff) else math.inf)
         if not math.isfinite(diff):
             # Genuine divergence: stop iterating, report the infinite ratio.
@@ -520,7 +544,7 @@ def picard_iterate(initial: MhdState, T: float, dt: float, n_iters: int):
         if diffs[m] <= floor or diffs[m - 1] <= floor:
             break
         ratios.append(diffs[m] / diffs[m - 1])
-    return nxt, ratios, diffs
+    return it, ratios, diffs
 
 
 def picard_solution(free: Trajectory, perturbation: Trajectory) -> Trajectory:

@@ -1,5 +1,6 @@
 import gc
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from nsmaxwell.grid import (
     Grid,
     SpectralField,
+    _time_chunks,
     divergence,
     gradient_component,
     leray_project,
@@ -38,6 +40,7 @@ from nsmaxwell.system import (
     Trajectory,
     _apply_phi,
     _nonlinearity_half,
+    _z_from_series,
 )
 
 from conftest import apply_state, count_transforms, random_field, single_mode_field
@@ -514,6 +517,10 @@ def test_picard_zero_data(grid2):
         assert np.max(np.abs(s.v.coeffs)) == 0.0
 
 
+def _copied(traj):
+    return Trajectory(traj.grid, traj.times, tuple(a.copy() for a in traj.half))
+
+
 def test_picard_drops_ratios_of_roundoff_noise(grid2):
     # Five iterates take these small data to a last difference below the
     # roundoff floor; the ratio with that difference as numerator is noise.
@@ -524,7 +531,7 @@ def test_picard_drops_ratios_of_roundoff_noise(grid2):
     table = PropagatorTable.build(grid2, 0.05)
     chain = [Trajectory(grid2, free.times, tuple(np.zeros_like(a) for a in free.half))]
     for m in range(5):
-        chain.append(_apply_phi(free, chain[-1] if m else None, table))
+        chain.append(_apply_phi(free, _copied(chain[-1]) if m else None, table)[0])
     diffs = [z_norm(Trajectory(grid2, b.times,
                            tuple(x - y for x, y in zip(b.half, a.half)))).total
              for a, b in zip(chain, chain[1:])]
@@ -550,7 +557,7 @@ def test_apply_phi_matches_composite_trapezoid(monkeypatch):
     free = simulate(_random_state(grid, seed=57), steps * dt, dt, nonlinear=False)
     pert = Trajectory.from_states(grid, [_random_state(grid, seed=60 + i, amp=0.3)
                                          for i in range(steps + 1)], steps + 1)
-    got = _apply_phi(free, pert, PropagatorTable.build(grid, dt))
+    got, _ = _apply_phi(free, _copied(pert), PropagatorTable.build(grid, dt))
     ns = [nonlinearity(MhdState(f.v + p.v, f.E + p.E, f.B + p.B))
           for f, p in zip(free.states, pert.states)]
     for n in range(1, steps + 1):
@@ -597,35 +604,103 @@ def test_picard_builds_one_propagator_table(grid2, monkeypatch):
     assert len(diffs) == 3
 
 
-def test_picard_holds_two_iterates(grid2, monkeypatch):
-    # When map m runs, the outputs of maps <= m - 2 are dead: Picard holds
-    # the free evolution and two iterates however many maps it applies.
+def _out_of_place_phi(free, pert, table):
+    # The map into new stacks, pert left untouched: per chunk N on
+    # free + pert, then the recursion of ``_apply_phi``.
+    grid, h = free.grid, 0.5 * table.dt
+    out = tuple(np.zeros_like(a) for a in free.half)
+    prev = None
+    for chunk in _time_chunks(range(len(free)), 3 * grid.n**grid.d):
+        at = slice(chunk.start, chunk.stop)
+        n_v, n_E = (h * n for n in _nonlinearity_half(
+            grid, *(a[at] + b[at] for a, b in zip(free.half, pert.half))))
+        for j, i in enumerate(chunk):
+            if prev is not None:
+                v, E, B = (a[i] for a in out)
+                np.add(out[0][i - 1], prev[0], out=v)
+                np.add(out[1][i - 1], prev[1], out=E)
+                table.apply(v, E, out[2][i - 1], out=(v, E, B))
+                v += n_v[j]
+                E += n_E[j]
+            prev = n_v[j], n_E[j]
+    return out
+
+
+@pytest.mark.parametrize("grid_name", ["grid2", "grid3"])
+def test_streamed_difference_norm_matches_z_norm(grid_name, request, monkeypatch):
+    # The map writes into pert's stacks and streams the shell rows of
+    # new - old.  Against a map into new stacks and z_norm of the
+    # difference formed explicitly, both bit for bit, on chunks of three
+    # times that leave a one-slot last chunk.
+    from nsmaxwell import grid as grid_module
+
+    grid = request.getfixturevalue(grid_name)
+    dt, steps = 0.02, 6
+    monkeypatch.setattr(grid_module, "_CHUNK_ELEMENTS", 3 * 3 * grid.n**grid.d)
+    assert [len(c) for c in _time_chunks(range(steps + 1),
+                                         3 * grid.n**grid.d)] == [3, 3, 1]
+    table = PropagatorTable.build(grid, dt)
+    free = simulate(_random_state(grid, seed=61), steps * dt, dt, nonlinear=False)
+    pert = Trajectory.from_states(grid, [_random_state(grid, seed=70 + i, amp=0.3)
+                                         for i in range(steps + 1)], steps + 1)
+    old = _copied(pert)
+    want = _out_of_place_phi(free, old, table)
+    got, series = _apply_phi(free, pert, table)
+    assert all(got_a is a for got_a, a in zip(got.half, pert.half))
+    assert all(np.array_equal(a, b) for a, b in zip(got.half, want))
+    diff = Trajectory(grid, free.times,
+                      tuple(np.subtract(a, b) for a, b in zip(got.half, old.half)))
+    assert _z_from_series(grid.d, *series) == z_norm(diff)
+
+
+def test_picard_holds_one_iterate(grid2, monkeypatch):
+    # Every map after the first writes into the first map's stacks, and no
+    # earlier output stays alive: Picard holds the free evolution and one
+    # iterate however many maps it applies.
     from nsmaxwell import system
 
-    outputs, alive_at_map = [], []
+    outputs, alive_at_map, first = [], [], []
     apply_phi = system._apply_phi
 
     def alive():
         gc.collect()
-        return [i for i, refs in enumerate(outputs) if any(r() is not None for r in refs)]
+        return [i for i, ref in enumerate(outputs) if ref() is not None]
 
     def watched(*args, **kwargs):
         alive_at_map.append(alive())
-        out = apply_phi(*args, **kwargs)
-        outputs.append([weakref.ref(a) for a in out.half])
-        return out
+        out, series = apply_phi(*args, **kwargs)
+        if not first:
+            first.extend(weakref.ref(a) for a in out.half)
+        assert all(np.shares_memory(a, ref()) for a, ref in zip(out.half, first))
+        outputs.append(weakref.ref(out))
+        return out, series
 
     monkeypatch.setattr(system, "_apply_phi", watched)
     result = picard_iterate(_random_state(grid2, seed=59, amp=1e-2), 0.2, 0.05, 6)
-    assert len(alive_at_map) == 6
-    for m, held in enumerate(alive_at_map):
-        assert all(i >= m - 1 for i in held), (m, held)
+    assert alive_at_map == [[]] + [[m - 1] for m in range(1, 6)]
     last, _, diffs = result
     del result
     assert len(diffs) == 6
     assert alive() == [5]
     del last
-    assert alive() == []
+    assert alive() == [] and all(ref() is None for ref in first)
+
+
+def test_picard_peak_memory_below_three_trajectories():
+    # The free evolution, one iterate and a chunk's temporaries: the
+    # traced peak stays below three trajectories' stacks (a free
+    # evolution and two iterates alone would fill them).
+    grid = Grid(2, 32)
+    T, dt = 2.0, 0.01
+    initial = _random_state(grid, seed=62, amp=1e-2)
+    stacks = 3 * (step_count(T, dt) + 1) * 3 * math.prod(grid.spectral_shape) * 16
+    tracemalloc.start()
+    try:
+        picard_iterate(initial, T, dt, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * stacks, peak / stacks
 
 
 def test_picard_iterates_are_lazy_half_stacks(grid2):

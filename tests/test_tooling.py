@@ -13,6 +13,7 @@ import importlib
 import importlib.util
 import inspect
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -216,6 +217,14 @@ def test_criticality_sweep_of_one_shell_fits_no_exponent(tmp_path, capsys):
         header, *rows = list(csv.reader(fh))
     assert len(rows) == 1 and rows[0][0] == "3" and len(rows[0]) == len(header)
     assert "unweighted growth exponent: not fitted (one shell)" in capsys.readouterr().err
+
+
+def test_contraction_map_reports_its_cost(tmp_path, capsys):
+    script = _load_script("contraction_map.py")
+    out = tmp_path / "map.csv"
+    assert script.main(SCRIPT_ARGS["contraction_map.py"] + ["--out", str(out)]) == 0
+    assert re.search(r"contraction map: [0-9.]+ s, peak RSS [0-9.]+ MB",
+                     capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("seed", [0, 5])
