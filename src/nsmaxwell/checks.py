@@ -50,7 +50,7 @@ from .dyadic import (
     spacetime_norm_from_series,
     time_lebesgue,
 )
-from .propagators import PropagatorTable, _maxwell_coefficients, _maxwell_modes
+from .propagators import PropagatorTable, _maxwell_coefficients, _maxwell_modes, _trapezoid
 from .system import step_count
 from .ensembles import FieldEnsembleSpec, gen_ensemble, gen_field
 from .latticeblocks import (
@@ -506,8 +506,8 @@ def check_maxwell_energy_decay(E0: SpectralField, B0: SpectralField, G,
     The shell norms are sampled at t_n = n dt; T must be a multiple of dt.
     Without forcing they come from the exact group at every t_n at once;
     with forcing the group is stepped and the Duhamel integral of G taken
-    by the exponential trapezoid rule.  ``part``, if given, must be a
-    partition of E0's grid.
+    by the exponential trapezoid rule, one ``_trapezoid`` per step.
+    ``part``, if given, must be a partition of E0's grid.
     """
     grid = E0.grid
     d = grid.d
@@ -522,16 +522,15 @@ def check_maxwell_energy_decay(E0: SpectralField, B0: SpectralField, G,
         G0, rate = G
         table = PropagatorTable.build(grid, dt)
         E, B, g = E0.coeffs.copy(), B0.coeffs.copy(), G0.coeffs
-        zero = np.zeros_like(E)
+        weights = build_partition(grid).shell_matrix()
         rows = [(_block_l2(E0), _block_l2(B0))]
         for n in range(n_steps):
-            table.apply_maxwell(E, B, out=(E, B))
-            # Exponential trapezoid for the forcing Duhamel integral.
-            gE, gB = table.apply_maxwell(g * math.exp(-rate * times[n]), zero)
-            gE += g * math.exp(-rate * times[n + 1])
-            E += gE * (dt / 2.0)
-            B += gB * (dt / 2.0)
-            rows.append(tuple(_block_l2(SpectralField(grid, a)) for a in (E, B)))
+            # The exponential trapezoid for the forcing Duhamel integral.
+            _trapezoid(table.apply_maxwell, (E, B),
+                       (g * (0.5 * dt * math.exp(-rate * times[n])),),
+                       (g * (0.5 * dt * math.exp(-rate * times[n + 1])),), (E, B))
+            rows.append(tuple(_shell_l2(_mode_power(a.reshape(3, -1)), weights)
+                              for a in (E, B)))
         rows_E, rows_B = np.array(rows).transpose(1, 0, 2)
     q_values = np.array(build_partition(grid).shells())
     series_E, series_B = (ShellSeries(times, q_values, r) for r in (rows_E, rows_B))

@@ -4,17 +4,19 @@ iteration with Z-norm bookkeeping, and the frequency splitting of initial
 data.
 
 Every field is held as the half spectrum of the real field (see ``grid``).
-The nonlinearity is one kernel, ``_nonlinearity_half``, on amplitudes with
-a leading batch axis; ``nonlinearity`` runs it on one state.  In the
-advection form it makes six real transforms: the Lorentz force is one j x B
-with the Ohm current j, and the advection term is the Leray-projected
-w x v, w = curl v.
+The nonlinearity is one kernel, ``nonlinearity``, on amplitudes with a
+leading batch axis; ``march`` runs it on batches of one state, the Picard
+map on chunks of times.  In the advection form it makes six real
+transforms: the Lorentz force is one j x B with the Ohm current j, and the
+advection term is the Leray-projected w x v, w = curl v.
 
-``march`` is the one time loop.  It yields each state with its Ohm
-current, read off the N(G_n) that the next step takes (j = sigma E - N_E),
-so a diagnostics row costs no transform of its own: an exp-trapezoid step
-and its row make 12 real transforms.  ``simulate`` records each row of
-``Trajectory.diagnostics`` from these pairs as it stacks the states.
+``march`` is the one time loop.  It holds the amplitudes of the current
+state, steps them by ``duhamel_step`` and yields each state, as views of
+them, with its Ohm current, read off the N(G_n) that the next step takes
+(j = sigma E - N_E), so a diagnostics row costs no transform of its own:
+an exp-trapezoid step and its row make 12 real transforms.  ``simulate``
+records each row of ``Trajectory.diagnostics`` from these pairs as it
+stacks the states.
 
 A ``Trajectory`` is held as time stacks: three arrays
 (times, 3, *spectral_shape) for v, E and B.  The propagators and the Leray
@@ -58,7 +60,7 @@ from .dyadic import (
     spacetime_norm_from_series,
     time_lebesgue,
 )
-from .propagators import PropagatorTable, duhamel_step
+from .propagators import PropagatorTable, _trapezoid, duhamel_step
 
 __all__ = [
     "InconsistentStateError",
@@ -104,12 +106,11 @@ class MhdState:
         return self.v.grid
 
     @classmethod
-    def zeros(cls, grid: Grid, time: float = 0.0) -> "MhdState":
+    def zeros(cls, grid: Grid) -> "MhdState":
         return cls(
             v=SpectralField.zeros(grid),
             E=SpectralField.zeros(grid),
             B=SpectralField.zeros(grid),
-            time=time,
         )
 
     def prepared(self) -> "MhdState":
@@ -214,18 +215,21 @@ def _divergence_form_advection(grid: Grid, vp: np.ndarray) -> np.ndarray:
                for j in range(grid.d))
 
 
-def _nonlinearity_half(grid: Grid, v: np.ndarray, E: np.ndarray, B: np.ndarray,
-                       velocity_form: str = "advection"):
-    """(N_v, N_E) of ``nonlinearity`` on the amplitudes
+def nonlinearity(grid: Grid, v: np.ndarray, E: np.ndarray, B: np.ndarray,
+                 velocity_form: str = "advection"):
+    """(N_v, N_E) of N(Gamma) = (P[-(v.grad)v + j x B], -sigma v x B, 0),
+    with the Ohm current j = sigma (E + v x B), on the amplitudes
     (states, 3, *spectral_shape) of a batch of states; N_B = 0.
 
-    Raises InconsistentStateError when the divergence defect of any state
-    of the batch exceeds ``DIV_TOL``.  One pass in physical space; the
-    advection form makes six real transforms in 2D and 3D.  Back, each
-    2/3-truncated: v, B, j / sigma = E + v x B and the vorticity
-    w = i k x v, formed on the half spectrum.  Forward: v x B, and the
-    momentum forcing sigma (j / sigma) x B + v x w, which is then
-    Leray-projected.
+    ``velocity_form`` selects the advection form, computed as
+    P[(v.grad)v] = P[w x v] with w = curl v, or the divergence form
+    div(v (x) v); the two agree for divergence-free v.  Raises
+    InconsistentStateError when the divergence defect of any state of the
+    batch exceeds ``DIV_TOL``.  One pass in physical space; the advection
+    form makes six real transforms in 2D and 3D.  Back, each 2/3-truncated:
+    v, B, j / sigma = E + v x B and the vorticity w = i k x v, formed on the
+    half spectrum.  Forward: v x B, and the momentum forcing
+    sigma (j / sigma) x B + v x w, which is then Leray-projected.
 
     Both shortcuts are exact in exact arithmetic.  E and v x B are merged
     before their transform back by linearity.  (v.grad)v = w x v
@@ -259,29 +263,6 @@ def _nonlinearity_half(grid: Grid, v: np.ndarray, E: np.ndarray, B: np.ndarray,
         mom = _half_spectral(grid, force) - _divergence_form_advection(grid, vp)
     vxB *= -SIGMA
     return leray_project(SpectralField(grid, mom)).coeffs, vxB
-
-
-def nonlinearity(state: MhdState, velocity_form: str = "advection") -> MhdState:
-    """N(Gamma) = (P[-(v.grad)v + j x B], -sigma v x B, 0), with the Ohm
-    current j = sigma (E + v x B).
-
-    ``velocity_form`` selects the advection form, computed as
-    P[(v.grad)v] = P[w x v] with w = curl v, or the divergence form
-    div(v (x) v); the two agree for divergence-free v.  This is
-    ``_nonlinearity_half`` on the state as a batch of one; the advection
-    form makes six real transforms.
-    """
-    grid = state.grid
-    n_v, n_E = _nonlinearity_half(
-        grid, *(f.coeffs[None] for f in (state.v, state.E, state.B)),
-        velocity_form=velocity_form,
-    )
-    return MhdState(
-        v=SpectralField(grid, n_v[0]),
-        E=SpectralField(grid, n_E[0]),
-        B=SpectralField.zeros(grid),
-        time=state.time,
-    )
 
 
 def energy_report(state: MhdState, j: SpectralField | None = None):
@@ -341,12 +322,18 @@ def march(initial: MhdState, T: float, dt: float, scheme: str = "exp-trapezoid")
         warnings.warn(f"dt * max|v| = {vmax * dt:.3e} exceeds grid spacing {h:.3e}")
 
     table = PropagatorTable.build(grid, dt)
+
+    def kernel(v, E, B):  # one state as a batch of one
+        return [n[0] for n in nonlinearity(grid, v[None], E[None], B[None])]
+
+    amps = (state.v.coeffs, state.E.coeffs, state.B.coeffs)
     for step in range(n_steps):
-        n0 = nonlinearity(state)
-        current = np.multiply(state.E.coeffs, SIGMA)
-        current -= n0.E.coeffs  # N_E = -sigma v x B
+        n0 = kernel(*amps)
+        current = np.multiply(amps[1], SIGMA)
+        current -= n0[1]  # N_E = -sigma v x B
         yield state, SpectralField(grid, current)
-        state = duhamel_step(state, nonlinearity, table, scheme, step_index=step, n0=n0)
+        amps = duhamel_step(amps, kernel, table, scheme, step_index=step, n0=n0)
+        state = MhdState(*(SpectralField(grid, a) for a in amps), time=state.time + dt)
     yield state, ohm_current(state)
 
 
@@ -454,16 +441,15 @@ def _apply_phi(free: Trajectory, pert: Trajectory | None, table: PropagatorTable
     its sup series, which ``_z_from_series`` turns into its Z-norm.
 
     Uses the recursion Phi_n = e^{dt A} (Phi_{n-1} + dt/2 N_{n-1})
-    + dt/2 N_n, one propagator apply per step, equivalent to the composite
-    trapezoid sum_j w_j e^{(t_n - t_j) A} N_j because the propagators form
-    a group.  The map runs per chunk of times (``grid._time_chunks``, the
-    chunks of ``shell_series``), so one chunk of N is held at a time.  Per
-    chunk: N on free + pert by one ``_nonlinearity_half`` call, a copy of
-    pert's slots, the recursion over the slots, and the difference formed
-    in the copy and reduced to its shell rows (``dyadic._shell_rows``).
-    The sum Phi_{n-1} + dt/2 N_{n-1} is formed in the slot of Phi_n, where
-    the apply (B from slot n - 1) and the sum with dt/2 N_n run in place.
-    N_B = 0, so B is only propagated.
+    + dt/2 N_n, one ``_trapezoid`` update per step, equivalent to the
+    composite trapezoid sum_j w_j e^{(t_n - t_j) A} N_j because the
+    propagators form a group.  The map runs per chunk of times
+    (``grid._time_chunks``, the chunks of ``shell_series``), so one chunk
+    of N is held at a time.  Per chunk: N on free + pert by one
+    ``nonlinearity`` call, a copy of pert's slots, the recursion over the
+    slots, and the difference formed in the copy and reduced to its shell
+    rows (``dyadic._shell_rows``).  Each update writes into the slot of
+    Phi_n; N_B = 0, so B is only propagated from slot n - 1.
     """
     grid = free.grid
     h = 0.5 * table.dt
@@ -478,20 +464,17 @@ def _apply_phi(free: Trajectory, pert: Trajectory | None, table: PropagatorTable
             fields = (a[at] for a in free.half)
         else:
             fields = (a[at] + b[at] for a, b in zip(free.half, out))
-        n_v, n_E = (h * n for n in _nonlinearity_half(grid, *fields))
+        n_v, n_E = (h * n for n in nonlinearity(grid, *fields))
         # Copied after N, so the copy and the kernel's temporaries never meet.
         old = None if pert is None else tuple(a[at].copy() for a in out)
         for j, i in enumerate(chunk):
-            v, E, B = (a[i] for a in out)
+            slots = tuple(a[i] for a in out)
             if prev is None:
-                for a in (v, E, B):
+                for a in slots:
                     a[...] = 0.0
             else:
-                np.add(out[0][i - 1], prev[0], out=v)
-                np.add(out[1][i - 1], prev[1], out=E)
-                table.apply(v, E, out[2][i - 1], out=(v, E, B))
-                v += n_v[j]
-                E += n_E[j]
+                _trapezoid(table.apply, tuple(a[i - 1] for a in out), prev,
+                           (n_v[j], n_E[j]), slots)
             prev = n_v[j], n_E[j]
         diff = (tuple(a[at] for a in out) if old is None
                 else tuple(np.subtract(a[at], b, out=b) for a, b in zip(out, old)))

@@ -68,3 +68,21 @@ def count_transforms(monkeypatch):
 
             monkeypatch.setattr(lib, name, counted)
     return calls
+
+
+def count_trapezoids(monkeypatch):
+    """Wrap ``propagators._trapezoid`` under each module name bound to it;
+    the returned list collects one entry per exponential-trapezoid
+    update."""
+    from nsmaxwell import checks, propagators, system
+
+    calls = []
+    update = propagators._trapezoid
+
+    def counted(*args):
+        calls.append(len(args[1]))
+        return update(*args)
+
+    for module in (propagators, system, checks):
+        monkeypatch.setattr(module, "_trapezoid", counted)
+    return calls

@@ -31,7 +31,7 @@ from nsmaxwell.dyadic import NormSpec, build_partition, norm_hst, shell_series, 
 from nsmaxwell.ensembles import FieldEnsembleSpec, gen_field
 from nsmaxwell.grid import _CHUNK_ELEMENTS, Grid, SpectralField, lp_norm_physical
 
-from conftest import count_transforms, random_field, single_mode_field
+from conftest import count_transforms, count_trapezoids, random_field, single_mode_field
 
 
 # ---------------------------------------------------------------------------
@@ -488,6 +488,29 @@ def test_maxwell_energy_decay_with_forcing_second_order():
     errs = [abs(lhs(dt) - ref) for dt in (0.08, 0.04, 0.02)]
     orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
     assert all(1.9 <= o <= 2.1 for o in orders), orders
+
+
+def test_maxwell_energy_decay_with_forcing_applies_group_once_per_step(monkeypatch):
+    # One exponential-trapezoid update per step propagates the state and
+    # the forcing term together: one group apply per step.
+    from nsmaxwell.propagators import PropagatorTable
+
+    calls = []
+    apply_maxwell = PropagatorTable.apply_maxwell
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return apply_maxwell(self, *args, **kwargs)
+
+    monkeypatch.setattr(PropagatorTable, "apply_maxwell", counted)
+    updates = count_trapezoids(monkeypatch)
+    grid = Grid(2, 32, 16.0 * np.pi)
+    rng = np.random.default_rng(7)
+    E0, B0 = fast_eigenmode_state(grid, rng)
+    G0 = gen_field(grid, rng, slope=1.0)
+    check_maxwell_energy_decay(E0, B0, (G0, 1.0), 1.0, 0.1, 1.0)
+    assert len(calls) == 10
+    assert updates == [2] * 10  # (E, B) slots
 
 
 # ---------------------------------------------------------------------------

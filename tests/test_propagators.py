@@ -19,7 +19,7 @@ from nsmaxwell.propagators import (
 )
 from nsmaxwell.system import MhdState
 
-from conftest import apply_state, random_field
+from conftest import apply_state, count_trapezoids, random_field
 
 
 def _random_state(grid, seed=0):
@@ -268,18 +268,22 @@ def test_damped_energy_law():
 # Duhamel stepping.
 
 
+def _amps(state):
+    return state.v.coeffs, state.E.coeffs, state.B.coeffs
+
+
+def _constant_forcing(forcing):
+    """The nonlinearity of ``duhamel_step`` that returns the (v, E) slots
+    of ``forcing`` whatever the state."""
+    return lambda v, E, B: (forcing.v.coeffs, forcing.E.coeffs)
+
+
 def test_duhamel_linear_is_exact(grid2):
     state = _random_state(grid2, seed=30)
-
-    def zero_nl(s):
-        return MhdState.zeros(grid2, s.time)
-
     table = PropagatorTable.build(grid2, 0.25)
-    stepped = duhamel_step(state, zero_nl, table)
+    stepped = duhamel_step(_amps(state), _constant_forcing(MhdState.zeros(grid2)), table)
     exact = apply_state(table, state)
-    for name in ("v", "E", "B"):
-        a = getattr(stepped, name).coeffs
-        b = getattr(exact, name).coeffs
+    for a, b in zip(stepped, _amps(exact)):
         assert np.max(np.abs(a - b)) < 1e-13 * (np.max(np.abs(b)) + 1e-300)
 
 
@@ -287,26 +291,19 @@ def test_duhamel_trapezoid_order():
     # constant forcing: fitted convergence order in [1.9, 2.1]
     grid = Grid(2, 16)
     state0 = _random_state(grid, seed=31)
-    forcing = _random_state(grid, seed=32)
-
-    def nl(s):
-        return MhdState(forcing.v, forcing.E, forcing.B, s.time)
+    nl = _constant_forcing(_random_state(grid, seed=32))
 
     def solve(dt, T=0.5):
-        state, table = state0, PropagatorTable.build(grid, dt)
+        amps, table = _amps(state0), PropagatorTable.build(grid, dt)
         for i in range(round(T / dt)):
-            state = duhamel_step(state, nl, table, scheme="exp-trapezoid")
-        return state
+            amps = duhamel_step(amps, nl, table, scheme="exp-trapezoid")
+        return amps
 
     ref = solve(0.5 / 256)
     errs = []
     for dt in (0.05, 0.025, 0.0125):
         got = solve(dt)
-        err = max(
-            np.max(np.abs(getattr(got, n).coeffs - getattr(ref, n).coeffs))
-            for n in ("v", "E", "B")
-        )
-        errs.append(err)
+        errs.append(max(np.max(np.abs(a - b)) for a, b in zip(got, ref)))
     orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
     assert all(1.9 <= o <= 2.1 for o in orders), orders
 
@@ -322,14 +319,12 @@ def test_duhamel_applies_one_propagator_per_evaluation(grid2, monkeypatch, schem
         return apply(self, *args, **kwargs)
 
     monkeypatch.setattr(PropagatorTable, "apply", counted)
-    forcing = _random_state(grid2, seed=35)
-
-    def nl(s):
-        return MhdState(forcing.v, forcing.E, forcing.B, s.time)
-
-    duhamel_step(_random_state(grid2, seed=36), nl, PropagatorTable.build(grid2, 0.1),
-                 scheme=scheme)
+    updates = count_trapezoids(monkeypatch)
+    duhamel_step(_amps(_random_state(grid2, seed=36)),
+                 _constant_forcing(_random_state(grid2, seed=35)),
+                 PropagatorTable.build(grid2, 0.1), scheme=scheme)
     assert len(calls) == applies
+    assert len(updates) == applies  # one _trapezoid update per apply
 
 
 def test_duhamel_commutes_with_leray(grid2):
@@ -342,14 +337,12 @@ def test_duhamel_commutes_with_leray(grid2):
 
 def test_blowup_detection(grid2):
     state = _random_state(grid2, seed=34)
-
-    def bad_nl(s):
-        out = MhdState.zeros(grid2, s.time)
-        out.v.coeffs[0][(1, 1)] = np.nan
-        return out
+    bad = MhdState.zeros(grid2)
+    bad.v.coeffs[0][(1, 1)] = np.nan
 
     with pytest.raises(BlowupError) as exc:
-        duhamel_step(state, bad_nl, PropagatorTable.build(grid2, 0.1), step_index=7)
+        duhamel_step(_amps(state), _constant_forcing(bad), PropagatorTable.build(grid2, 0.1),
+                     step_index=7)
     assert exc.value.step == 7
 
 

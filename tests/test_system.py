@@ -39,11 +39,16 @@ from nsmaxwell.system import (
     InconsistentStateError,
     Trajectory,
     _apply_phi,
-    _nonlinearity_half,
     _z_from_series,
 )
 
-from conftest import apply_state, count_transforms, random_field, single_mode_field
+from conftest import (
+    apply_state,
+    count_transforms,
+    count_trapezoids,
+    random_field,
+    single_mode_field,
+)
 
 
 def _constant_state(grid, v=None, E=None, B=None):
@@ -68,6 +73,14 @@ def _random_state(grid, seed=0, amp=1.0):
 # Ohm's law and nonlinearity.
 
 
+def _state_nonlinearity(state, velocity_form="advection"):
+    """``nonlinearity`` on one state as a batch of one: N_v and N_E as
+    fields (N_B = 0)."""
+    grid = state.grid
+    return [SpectralField(grid, n[0]) for n in nonlinearity(
+        grid, *(f.coeffs[None] for f in (state.v, state.E, state.B)),
+        velocity_form=velocity_form)]
+
 def test_ohm_constant_fields(grid2):
     state = _constant_state(grid2, v=(1, 0, 0), B=(0, 0, 1))
     j = ohm_current(state).to_physical()
@@ -85,8 +98,7 @@ def test_ohm_degenerate_cases(grid2):
 
 
 def test_nonlinearity_zero_state(grid2):
-    out = nonlinearity(MhdState.zeros(grid2))
-    for f in (out.v, out.E, out.B):
+    for f in _state_nonlinearity(MhdState.zeros(grid2)):
         assert np.max(np.abs(f.coeffs)) == 0.0
 
 
@@ -96,20 +108,19 @@ def test_nonlinearity_zero_velocity(grid2):
     E = random_field(grid2, seed=41)
     B = leray_project(random_field(grid2, seed=42))
     state = MhdState(SpectralField.zeros(grid2), E, B)
-    out = nonlinearity(state)
+    n_v, n_E = _state_nonlinearity(state)
     expect = leray_project(pointwise_product(E, B, "cross"))
     scale = np.max(np.abs(expect.coeffs)) + 1e-300
-    assert np.max(np.abs(out.v.coeffs - expect.coeffs)) < 1e-13 * scale
-    assert np.max(np.abs(out.E.coeffs)) == 0.0
-    assert np.max(np.abs(out.B.coeffs)) == 0.0
+    assert np.max(np.abs(n_v.coeffs - expect.coeffs)) < 1e-13 * scale
+    assert np.max(np.abs(n_E.coeffs)) == 0.0
 
 
 def test_advection_vs_divergence_form(grid2):
     state = _random_state(grid2, seed=43)
-    a = nonlinearity(state, velocity_form="advection")
-    b = nonlinearity(state, velocity_form="divergence")
-    scale = np.max(np.abs(a.v.coeffs)) + 1e-300
-    assert np.max(np.abs(a.v.coeffs - b.v.coeffs)) < 1e-11 * scale
+    a = _state_nonlinearity(state, velocity_form="advection")[0]
+    b = _state_nonlinearity(state, velocity_form="divergence")[0]
+    scale = np.max(np.abs(a.coeffs)) + 1e-300
+    assert np.max(np.abs(a.coeffs - b.coeffs)) < 1e-11 * scale
 
 
 def _divergence_form_reference(v):
@@ -140,14 +151,12 @@ def _four_product_nonlinearity(state, velocity_form):
 def test_fused_nonlinearity_matches_four_products(grid_name, velocity_form, request):
     grid = request.getfixturevalue(grid_name)
     state = _random_state(grid, seed=47)
-    out = nonlinearity(state, velocity_form=velocity_form)
-    ref_v, ref_E = _four_product_nonlinearity(state, velocity_form)
-    for got, ref in ((out.v, ref_v), (out.E, ref_E)):
+    out = _state_nonlinearity(state, velocity_form=velocity_form)
+    for got, ref in zip(out, _four_product_nonlinearity(state, velocity_form)):
         scale = np.max(np.abs(ref.coeffs))
         assert scale > 0
         assert np.max(np.abs(got.coeffs - ref.coeffs)) <= 1e-12 * scale
         assert got.hermitian_defect() <= 1e-14 * np.max(np.abs(got.coeffs))
-    assert np.max(np.abs(out.B.coeffs)) == 0.0
 
 
 @pytest.mark.parametrize("grid_name", ["grid2", "grid3"])
@@ -157,7 +166,7 @@ def test_nonlinearity_transform_count(grid_name, request, monkeypatch):
     grid = request.getfixturevalue(grid_name)
     state = _random_state(grid, seed=48)
     calls = count_transforms(monkeypatch)
-    nonlinearity(state)
+    _state_nonlinearity(state)
     assert len(calls) == 6
     assert set(calls) == {"rfftn", "irfftn"}
 
@@ -176,10 +185,10 @@ def _coordinates(grid):
 
 def _assert_steady(state):
     # A steady Euler flow: P[(v.grad)v] = 0 although w x v need not be 0.
-    out = nonlinearity(state)
+    n_v = _state_nonlinearity(state)[0]
     scale = np.max(np.abs(state.v.coeffs)) ** 2
     assert scale > 0
-    assert np.max(np.abs(out.v.coeffs)) <= 1e-14 * scale
+    assert np.max(np.abs(n_v.coeffs)) <= 1e-14 * scale
 
 
 @pytest.mark.parametrize("grid_name", ["grid2", "grid3"])
@@ -215,7 +224,7 @@ def test_lorentz_slot_is_ohm_current(grid_name, request):
     grid = request.getfixturevalue(grid_name)
     state = _random_state(grid, seed=49)
     j = ohm_current(state).coeffs
-    got = SIGMA * state.E.coeffs - nonlinearity(state).E.coeffs
+    got = SIGMA * state.E.coeffs - _state_nonlinearity(state)[1].coeffs
     assert np.max(np.abs(got - j)) <= 1e-14 * np.max(np.abs(j))
 
 
@@ -231,13 +240,12 @@ def test_batched_kernel_matches_per_state_nonlinearity(grid_name, velocity_form,
     grid = request.getfixturevalue(grid_name)
     h = grid.n // 2 + 1
     states = [_random_state(grid, seed=70 + 3 * i, amp=0.5 + i) for i in range(4)]
-    n_v, n_E = _nonlinearity_half(grid, *_stacks(states),
-                                  velocity_form=velocity_form)
+    n_v, n_E = nonlinearity(grid, *_stacks(states), velocity_form=velocity_form)
     assert n_v.shape == n_E.shape == (4, 3) + grid.shape[:-1] + (h,)
     for i, state in enumerate(states):
-        out = nonlinearity(state, velocity_form=velocity_form)
-        assert np.array_equal(n_v[i], out.v.coeffs), i
-        assert np.array_equal(n_E[i], out.E.coeffs), i
+        one_v, one_E = _state_nonlinearity(state, velocity_form=velocity_form)
+        assert np.array_equal(n_v[i], one_v.coeffs), i
+        assert np.array_equal(n_E[i], one_E.coeffs), i
 
 
 @pytest.mark.parametrize("field", ["v", "B"])
@@ -245,18 +253,18 @@ def test_batched_kernel_matches_per_state_nonlinearity(grid_name, velocity_form,
 def test_batched_kernel_rejects_one_divergent_state(grid_name, field, request):
     grid = request.getfixturevalue(grid_name)
     states = [_random_state(grid, seed=80 + 3 * i) for i in range(4)]
-    _nonlinearity_half(grid, *_stacks(states))  # all four consistent
+    nonlinearity(grid, *_stacks(states))  # all four consistent
     setattr(states[2], field, random_field(grid, seed=90))  # not projected
     assert states[2].divergence_defect() > 1e-3
     with pytest.raises(InconsistentStateError):
-        _nonlinearity_half(grid, *_stacks(states))
+        nonlinearity(grid, *_stacks(states))
 
 
 def test_nonlinearity_rejects_divergent_velocity(grid2):
     v = random_field(grid2, seed=44)  # not projected
     state = MhdState(v, SpectralField.zeros(grid2), SpectralField.zeros(grid2))
     with pytest.raises(InconsistentStateError):
-        nonlinearity(state)
+        _state_nonlinearity(state)
 
 
 # ---------------------------------------------------------------------------
@@ -558,15 +566,16 @@ def test_apply_phi_matches_composite_trapezoid(monkeypatch):
     pert = Trajectory.from_states(grid, [_random_state(grid, seed=60 + i, amp=0.3)
                                          for i in range(steps + 1)], steps + 1)
     got, _ = _apply_phi(free, _copied(pert), PropagatorTable.build(grid, dt))
-    ns = [nonlinearity(MhdState(f.v + p.v, f.E + p.E, f.B + p.B))
+    ns = [_state_nonlinearity(MhdState(f.v + p.v, f.E + p.E, f.B + p.B))
           for f, p in zip(free.states, pert.states)]
     for n in range(1, steps + 1):
         want = MhdState.zeros(grid)
         for j in range(n + 1):
             w = dt / 2 if j in (0, n) else dt
             t = free.times[n] - free.times[j]
-            E, B = maxwell_apply(ns[j].E, ns[j].B, t)
-            want = MhdState(want.v + w * heat_apply(ns[j].v, t), want.E + w * E,
+            n_v, n_E = ns[j]
+            E, B = maxwell_apply(n_E, SpectralField.zeros(grid), t)
+            want = MhdState(want.v + w * heat_apply(n_v, t), want.E + w * E,
                             want.B + w * B)
         for name in ("v", "E", "B"):
             a = getattr(got.states[n], name).coeffs
@@ -584,9 +593,37 @@ def test_picard_applies_one_propagator_per_step(grid2, monkeypatch):
         return apply(self, *args, **kwargs)
 
     monkeypatch.setattr(PropagatorTable, "apply", counted)
+    updates = count_trapezoids(monkeypatch)
     iters, steps, dt = 3, 4, 0.05
     picard_iterate(_random_state(grid2, seed=56, amp=1e-2), steps * dt, dt, iters)
     assert len(calls) == (iters + 1) * steps
+    # Each map's steps are exponential-trapezoid updates; the free
+    # evolution's are plain applies.
+    assert updates == [3] * (iters * steps)
+
+
+def test_picard_calls_the_public_kernel_per_chunk(grid2, monkeypatch):
+    # Each map evaluates N by one call of ``nonlinearity`` per chunk of
+    # times, so wrapping the public name sees every kernel call.
+    from nsmaxwell import grid as grid_module
+    from nsmaxwell import system
+
+    calls = []
+    kernel = system.nonlinearity
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[1]))
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(system, "nonlinearity", counted)
+    monkeypatch.setattr(grid_module, "_CHUNK_ELEMENTS", 3 * 3 * grid2.n**2)
+    iters, steps, dt = 3, 6, 0.05
+    chunks = [len(c) for c in _time_chunks(range(steps + 1), 3 * grid2.n**2)]
+    assert chunks == [3, 3, 1]
+    initial = _random_state(grid2, seed=56, amp=1e-2)
+    _, _, diffs = picard_iterate(initial, steps * dt, dt, iters)
+    assert len(diffs) == iters
+    assert calls == chunks * iters
 
 
 def test_picard_builds_one_propagator_table(grid2, monkeypatch):
@@ -612,7 +649,7 @@ def _out_of_place_phi(free, pert, table):
     prev = None
     for chunk in _time_chunks(range(len(free)), 3 * grid.n**grid.d):
         at = slice(chunk.start, chunk.stop)
-        n_v, n_E = (h * n for n in _nonlinearity_half(
+        n_v, n_E = (h * n for n in nonlinearity(
             grid, *(a[at] + b[at] for a, b in zip(free.half, pert.half))))
         for j, i in enumerate(chunk):
             if prev is not None:
