@@ -4,7 +4,9 @@
 For each amplitude scale eps and window T, runs the iteration around the
 free evolution and records the worst contraction ratio and the weighted
 data norm of the free trajectory.  Output: one CSV row per (eps, T).
-The wall time and the process's peak RSS of the map go to stderr.
+The iteration holds one iterate and rebuilds the free evolution chunk by
+chunk in each map; the free trajectory of the norm is dropped before it
+starts.  The wall time and the process's peak RSS of the map go to stderr.
 """
 
 import argparse

@@ -131,7 +131,7 @@ def _cmd_picard(cfg: RunConfig) -> int:
     for eps in cfg.epsilons:
         initial = base.scaled(eps)
         # Only the ratios: holding the last iterate would keep it alive
-        # beside the next epsilon's free evolution and iterate.
+        # beside the next epsilon's iterate.
         ratios = picard_iterate(initial, cfg.T, cfg.dt, cfg.picard_iters)[1]
         worst = max(ratios) if ratios else 0.0
         rows.append((eps, worst))

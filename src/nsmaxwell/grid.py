@@ -127,9 +127,9 @@ class Grid:
 
     @cached_property
     def _unit_wavevectors(self) -> np.ndarray:
-        """k / |k| stacked over the d axes (k3 = 0 in 2D is left out); 0 at k = 0."""
+        """k / |k| over the d axes (no k3 in 2D), 0 at k = 0, as complex128."""
         kmag = np.where(self._k_magnitude == 0, 1.0, self._k_magnitude)
-        return _read_only(np.stack(self._wavevectors[: self.d]) / kmag)
+        return _read_only((np.stack(self._wavevectors[: self.d]) / kmag).astype(np.complex128))
 
     def _axis_mask(self, bad) -> np.ndarray:
         """True where the per-axis mode predicate ``bad`` holds on any axis."""
@@ -150,8 +150,8 @@ class Grid:
 
     @cached_property
     def _half_keep(self) -> np.ndarray:
-        """1.0 on the modes the 2/3 rule keeps, else 0.0."""
-        return _read_only((~self._dealias_mask).astype(np.float64))
+        """1 on the modes the 2/3 rule keeps, else 0, as complex128."""
+        return _read_only((~self._dealias_mask).astype(np.complex128))
 
     @cached_property
     def _half_ik(self) -> np.ndarray:

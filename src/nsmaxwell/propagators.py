@@ -16,7 +16,8 @@ It takes the imaginary coupling i a12, which ``PropagatorTable`` builds once
 and ``maxwell_apply``, ``maxwell_apply_undamped`` and the closed-form decay
 checker (whose factors carry a time axis) form per call.  The table applies
 it, with the k = 0 fix of ``_maxwell_group``, to amplitudes, not states,
-writing into output slots that may be its inputs.
+writing into output slots that may be its inputs.  The table's a11, a22 and
+the grid's khat are real, held as complex128: numpy casts them so anyway.
 
 Every factor lives on the grid's stored modes, the half spectrum (see
 ``grid``), so it multiplies the amplitudes column for column.
@@ -257,15 +258,8 @@ class PropagatorTable:
             raise ValueError("dt must be nonnegative")
         ksq = grid.k_squared()
         a11, a12, a22 = _maxwell_coefficients(ksq, dt)
-        return cls(
-            grid=grid,
-            dt=dt,
-            heat=np.exp(-dt * ksq),
-            a11=a11,
-            i_a12=1j * a12,
-            a22=a22,
-            e_damp=float(np.exp(-dt)),
-        )
+        return cls(grid=grid, dt=dt, heat=np.exp(-dt * ksq), a11=a11.astype(np.complex128),
+                   i_a12=1j * a12, a22=a22.astype(np.complex128), e_damp=float(np.exp(-dt)))
 
     def apply_heat(self, v, out=None):
         return np.multiply(v, self.heat, out=out)

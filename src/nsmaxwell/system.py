@@ -24,9 +24,9 @@ projection act on them mode for mode, so the free evolution and the Picard
 map run on the stacks, slot into slot, with no state built per step.  The
 kernel runs on chunks of times (``grid._time_chunks``), and ``z_norm``
 reduces the stacks directly.  The states of a trajectory are views of its
-stacks.  Picard holds the free evolution and one iterate: each map
-overwrites G^m with G^{m+1} chunk by chunk and reduces G^{m+1} - G^m to
-the shell rows that ``z_norm`` combines, chunk by chunk as it goes.
+stacks.  Picard holds one iterate: each map rebuilds the free evolution
+chunk by chunk (``_free_chunks``), overwrites G^m with G^{m+1} and reduces
+G^{m+1} - G^m to the shell rows that ``z_norm`` combines, as it goes.
 """
 
 from __future__ import annotations
@@ -337,17 +337,24 @@ def march(initial: MhdState, T: float, dt: float, scheme: str = "exp-trapezoid")
     yield state, ohm_current(state)
 
 
-def _free_evolution(initial: MhdState, T: float, table: PropagatorTable) -> Trajectory:
-    """e^{t A} Gamma0 at the T/dt + 1 sample times, dt = ``table.dt``: the
-    prepared initial state, then one ``table.apply`` per step from slot
-    i - 1 of the stacks into slot i."""
-    n_steps = step_count(T, table.dt)
-    traj = Trajectory.from_states(table.grid, [initial.prepared()], n_steps + 1)
-    half, times = traj.half, traj.times
-    for i in range(1, n_steps + 1):
-        table.apply(*(a[i - 1] for a in half), out=tuple(a[i] for a in half))
-        times[i] = times[i - 1] + table.dt
-    return traj
+def _sample_times(t0: float, T: float, dt: float) -> np.ndarray:
+    return np.cumsum(np.r_[t0, np.full(step_count(T, dt), dt)])  # t_i = t_{i-1} + dt
+
+
+def _free_chunks(state: MhdState, table: PropagatorTable, count: int):
+    """Yield (chunk, stacks) per chunk (``grid._time_chunks``) of ``count``
+    times: e^{t A} Gamma0 of the prepared ``state``, one ``table.apply`` per
+    step, as stacks (v, E, B) in one buffer that the caller may overwrite."""
+    chunks = _time_chunks(range(count), 3 * table.grid.n**table.grid.d)
+    buf = tuple(np.repeat(f.coeffs[None], len(chunks[0]), axis=0)
+                for f in (state.v, state.E, state.B))
+    prev = tuple(a[0] for a in buf)
+    for chunk in chunks:
+        stacks = tuple(a[:len(chunk)] for a in buf)
+        for j in range(chunk.start == 0, len(chunk)):  # the first slot is ``state``
+            prev = table.apply(*prev, out=tuple(a[j] for a in stacks))
+        prev = tuple(a.copy() for a in prev)  # the next chunk steps from here
+        yield chunk, stacks
 
 
 def simulate(initial: MhdState, T: float, dt: float,
@@ -355,9 +362,16 @@ def simulate(initial: MhdState, T: float, dt: float,
     """Every state of the exp-trapezoid ``march`` as one trajectory, with
     one diagnostics row per state from ``energy_report`` on the state and
     the current ``march`` yields with it; or with ``nonlinear`` False the
-    free evolution e^{t A} Gamma0, which has no rows."""
+    free evolution e^{t A} Gamma0 (``_free_chunks``), which has no rows."""
     if not nonlinear:
-        return _free_evolution(initial, T, PropagatorTable.build(initial.grid, dt))
+        table, state = PropagatorTable.build(initial.grid, dt), initial.prepared()
+        times = _sample_times(state.time, T, dt)
+        half = tuple(np.empty((len(times), 3) + state.grid.spectral_shape, np.complex128)
+                     for _ in range(3))
+        for chunk, stacks in _free_chunks(state, table, len(times)):
+            for a, b in zip(half, stacks):
+                a[chunk.start:chunk.stop] = b
+        return Trajectory(state.grid, times, half)
     rows = []
 
     def recorded():
@@ -429,10 +443,12 @@ def initial_data_norm(state: MhdState) -> float:
 # Picard iteration around the free evolution.
 
 
-def _apply_phi(free: Trajectory, pert: Trajectory | None, table: PropagatorTable):
+def _apply_phi(state: MhdState, times: np.ndarray, pert: Trajectory | None,
+               table: PropagatorTable):
     """One application of the fixed-point map on trajectory stacks:
     quadrature of the Duhamel integral of N(free + pert) with exact
-    propagator factors.  ``pert`` None is the zero perturbation: N is then
+    propagator factors, around the free evolution of the prepared ``state``
+    at ``times``.  ``pert`` None is the zero perturbation: N is then
     evaluated on the free states themselves.
 
     Returns (iterate, series): the new iterate, written into the stacks of
@@ -443,27 +459,26 @@ def _apply_phi(free: Trajectory, pert: Trajectory | None, table: PropagatorTable
     Uses the recursion Phi_n = e^{dt A} (Phi_{n-1} + dt/2 N_{n-1})
     + dt/2 N_n, one ``_trapezoid`` update per step, equivalent to the
     composite trapezoid sum_j w_j e^{(t_n - t_j) A} N_j because the
-    propagators form a group.  The map runs per chunk of times
-    (``grid._time_chunks``, the chunks of ``shell_series``), so one chunk
-    of N is held at a time.  Per chunk: N on free + pert by one
-    ``nonlinearity`` call, a copy of pert's slots, the recursion over the
-    slots, and the difference formed in the copy and reduced to its shell
-    rows (``dyadic._shell_rows``).  Each update writes into the slot of
-    Phi_n; N_B = 0, so B is only propagated from slot n - 1.
+    propagators form a group.  The map runs per chunk of ``_free_chunks``
+    (the chunks of ``shell_series``), so one chunk of N is held at a time.
+    Per chunk: pert's slots added to the free states in place, N on them by
+    one ``nonlinearity`` call, a copy of pert's slots, the recursion over
+    the slots, and the difference formed in the copy and reduced to its
+    shell rows (``dyadic._shell_rows``).  Each update writes into the slot
+    of Phi_n; N_B = 0, so B is only propagated from slot n - 1.
     """
-    grid = free.grid
-    h = 0.5 * table.dt
-    out = tuple(np.empty_like(a) for a in free.half) if pert is None else pert.half
+    grid, h = table.grid, 0.5 * table.dt
+    out = (tuple(np.empty((len(times), 3) + grid.spectral_shape, np.complex128)
+                 for _ in range(3)) if pert is None else pert.half)
     part = build_partition(grid)
     weights = part.shell_matrix()
     rows = ([], [], [])
     prev = None
-    for chunk in _time_chunks(range(len(free)), 3 * grid.n**grid.d):
+    for chunk, fields in _free_chunks(state, table, len(times)):
         at = slice(chunk.start, chunk.stop)
-        if pert is None:
-            fields = (a[at] for a in free.half)
-        else:
-            fields = (a[at] + b[at] for a, b in zip(free.half, out))
+        if pert is not None:
+            for a, b in zip(fields, out):
+                a += b[at]
         n_v, n_E = (h * n for n in nonlinearity(grid, *fields))
         # Copied after N, so the copy and the kernel's temporaries never meet.
         old = None if pert is None else tuple(a[at].copy() for a in out)
@@ -480,8 +495,8 @@ def _apply_phi(free: Trajectory, pert: Trajectory | None, table: PropagatorTable
                 else tuple(np.subtract(a[at], b, out=b) for a, b in zip(out, old)))
         for c, (r, d) in enumerate(zip(rows, diff)):
             r.append(_shell_rows(d, grid, weights, c == 0))
-    series = tuple(_series_of_rows(free.times, part.shells(), r) for r in rows)
-    return Trajectory(grid, free.times, out), series
+    series = tuple(_series_of_rows(times, part.shells(), r) for r in rows)
+    return Trajectory(grid, times, out), series
 
 
 def picard_iterate(initial: MhdState, T: float, dt: float, n_iters: int):
@@ -493,11 +508,10 @@ def picard_iterate(initial: MhdState, T: float, dt: float, n_iters: int):
     per map applied, with G^0 = 0; ratios r_m = differences[m] /
     differences[m-1]; a ratio >= 1 is reported, not raised.
 
-    The free evolution and the iterate are ``Trajectory`` stacks; one
-    ``PropagatorTable`` serves the free evolution and every map.  Only the
-    free evolution and one iterate are alive: each map after the first
-    writes G^{m+1} over G^m chunk by chunk, and streams the shell rows of
-    G^{m+1} - G^m, which ``_z_from_series`` combines into the Z-norm.
+    One ``PropagatorTable`` serves every map and the free evolution each
+    map rebuilds per chunk.  Only one iterate is alive: each map after the
+    first writes G^{m+1} over G^m chunk by chunk, and streams the shell rows
+    of G^{m+1} - G^m, which ``_z_from_series`` combines into the Z-norm.
 
     Once successive differences fall below machine roundoff relative to
     the first iterate, further ratios are quotients of floating-point
@@ -510,13 +524,12 @@ def picard_iterate(initial: MhdState, T: float, dt: float, n_iters: int):
     """
     if n_iters < 2:
         raise ValueError("need at least two iterations")
-    grid = initial.grid
-    table = PropagatorTable.build(grid, dt)
-    free = _free_evolution(initial, T, table)
+    table, state = PropagatorTable.build(initial.grid, dt), initial.prepared()
+    times = _sample_times(state.time, T, dt)
     it, diffs = None, []  # None: the zero perturbation
     for _ in range(n_iters):
-        it, series = _apply_phi(free, it, table)
-        diff = _z_from_series(grid.d, *series).total
+        it, series = _apply_phi(state, times, it, table)
+        diff = _z_from_series(state.grid.d, *series).total
         diffs.append(diff if math.isfinite(diff) else math.inf)
         if not math.isfinite(diff):
             # Genuine divergence: stop iterating, report the infinite ratio.

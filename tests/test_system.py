@@ -366,6 +366,16 @@ def test_simulate_linear_is_table_recursion(grid_name, request):
     _assert_same_states(simulate(initial, 0.2, 0.05, nonlinear=False).states, want)
 
 
+def test_free_times_are_running_sums(grid2):
+    # t_i = t_{i-1} + dt, the sums of march's loop, not t0 + i dt.
+    traj = simulate(_random_state(grid2, seed=66), 1.0, 0.01, nonlinear=False)
+    want = [0.0]
+    for _ in range(100):
+        want.append(want[-1] + 0.01)
+    assert traj.times.tolist() == want
+    assert want != (np.arange(101) * 0.01).tolist()
+
+
 def test_simulate_validates_time_grid(grid2):
     initial = _random_state(grid2, seed=46)
     with pytest.raises(ValueError):
@@ -539,7 +549,8 @@ def test_picard_drops_ratios_of_roundoff_noise(grid2):
     table = PropagatorTable.build(grid2, 0.05)
     chain = [Trajectory(grid2, free.times, tuple(np.zeros_like(a) for a in free.half))]
     for m in range(5):
-        chain.append(_apply_phi(free, _copied(chain[-1]) if m else None, table)[0])
+        chain.append(_apply_phi(initial.prepared(), free.times,
+                                _copied(chain[-1]) if m else None, table)[0])
     diffs = [z_norm(Trajectory(grid2, b.times,
                            tuple(x - y for x, y in zip(b.half, a.half)))).total
              for a, b in zip(chain, chain[1:])]
@@ -562,10 +573,12 @@ def test_apply_phi_matches_composite_trapezoid(monkeypatch):
     monkeypatch.setattr(grid_module, "_CHUNK_ELEMENTS", 3 * 3 * grid.n**2)
     assert [len(c) for c in grid_module._time_chunks(range(steps + 1),
                                                      3 * grid.n**2)] == [3, 3, 1]
-    free = simulate(_random_state(grid, seed=57), steps * dt, dt, nonlinear=False)
+    initial = _random_state(grid, seed=57)
+    free = simulate(initial, steps * dt, dt, nonlinear=False)
     pert = Trajectory.from_states(grid, [_random_state(grid, seed=60 + i, amp=0.3)
                                          for i in range(steps + 1)], steps + 1)
-    got, _ = _apply_phi(free, _copied(pert), PropagatorTable.build(grid, dt))
+    got, _ = _apply_phi(initial.prepared(), free.times, _copied(pert),
+                        PropagatorTable.build(grid, dt))
     ns = [_state_nonlinearity(MhdState(f.v + p.v, f.E + p.E, f.B + p.B))
           for f, p in zip(free.states, pert.states)]
     for n in range(1, steps + 1):
@@ -584,7 +597,8 @@ def test_apply_phi_matches_composite_trapezoid(monkeypatch):
 
 
 def test_picard_applies_one_propagator_per_step(grid2, monkeypatch):
-    # S steps of the free evolution, then S per iteration of the map.
+    # Each map rebuilds the S steps of the free evolution and makes S
+    # steps of its own: 2 S applies per map, and no free stack is held.
     calls = []
     apply = PropagatorTable.apply
 
@@ -596,8 +610,8 @@ def test_picard_applies_one_propagator_per_step(grid2, monkeypatch):
     updates = count_trapezoids(monkeypatch)
     iters, steps, dt = 3, 4, 0.05
     picard_iterate(_random_state(grid2, seed=56, amp=1e-2), steps * dt, dt, iters)
-    assert len(calls) == (iters + 1) * steps
-    # Each map's steps are exponential-trapezoid updates; the free
+    assert len(calls) == 2 * iters * steps
+    # Each map's own steps are exponential-trapezoid updates; the free
     # evolution's are plain applies.
     assert updates == [3] * (iters * steps)
 
@@ -627,7 +641,8 @@ def test_picard_calls_the_public_kernel_per_chunk(grid2, monkeypatch):
 
 
 def test_picard_builds_one_propagator_table(grid2, monkeypatch):
-    # The free evolution and every map share the table of one build.
+    # Every map, and the free evolution it rebuilds, share the table of one
+    # build.
     calls = []
     build = PropagatorTable.build
 
@@ -677,12 +692,13 @@ def test_streamed_difference_norm_matches_z_norm(grid_name, request, monkeypatch
     assert [len(c) for c in _time_chunks(range(steps + 1),
                                          3 * grid.n**grid.d)] == [3, 3, 1]
     table = PropagatorTable.build(grid, dt)
-    free = simulate(_random_state(grid, seed=61), steps * dt, dt, nonlinear=False)
+    initial = _random_state(grid, seed=61)
+    free = simulate(initial, steps * dt, dt, nonlinear=False)
     pert = Trajectory.from_states(grid, [_random_state(grid, seed=70 + i, amp=0.3)
                                          for i in range(steps + 1)], steps + 1)
     old = _copied(pert)
     want = _out_of_place_phi(free, old, table)
-    got, series = _apply_phi(free, pert, table)
+    got, series = _apply_phi(initial.prepared(), free.times, pert, table)
     assert all(got_a is a for got_a, a in zip(got.half, pert.half))
     assert all(np.array_equal(a, b) for a, b in zip(got.half, want))
     diff = Trajectory(grid, free.times,
@@ -692,8 +708,8 @@ def test_streamed_difference_norm_matches_z_norm(grid_name, request, monkeypatch
 
 def test_picard_holds_one_iterate(grid2, monkeypatch):
     # Every map after the first writes into the first map's stacks, and no
-    # earlier output stays alive: Picard holds the free evolution and one
-    # iterate however many maps it applies.
+    # earlier output stays alive: Picard holds one iterate however many
+    # maps it applies.
     from nsmaxwell import system
 
     outputs, alive_at_map, first = [], [], []
@@ -723,10 +739,9 @@ def test_picard_holds_one_iterate(grid2, monkeypatch):
     assert alive() == [] and all(ref() is None for ref in first)
 
 
-def test_picard_peak_memory_below_three_trajectories():
-    # The free evolution, one iterate and a chunk's temporaries: the
-    # traced peak stays below three trajectories' stacks (a free
-    # evolution and two iterates alone would fill them).
+def _picard_peak_in_trajectories():
+    # The traced peak of three maps at 2D n = 32, T = 2, dt = 0.01, in
+    # units of one trajectory's stacks.
     grid = Grid(2, 32)
     T, dt = 2.0, 0.01
     initial = _random_state(grid, seed=62, amp=1e-2)
@@ -737,7 +752,59 @@ def test_picard_peak_memory_below_three_trajectories():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3 * stacks, peak / stacks
+    return peak / stacks
+
+
+def test_picard_peak_memory_below_three_trajectories():
+    # A free evolution and two iterates alone would fill three
+    # trajectories' stacks.
+    peak = _picard_peak_in_trajectories()
+    assert peak < 3, peak
+
+
+def test_picard_peak_memory_below_two_trajectories():
+    # One iterate and a chunk's temporaries: each map rebuilds the free
+    # evolution chunk by chunk, so a free stack beside the iterate would
+    # fill two trajectories' stacks.
+    peak = _picard_peak_in_trajectories()
+    assert peak < 2, peak
+
+
+@pytest.mark.parametrize("grid_name", ["grid2", "grid3"])
+def test_map_streams_the_free_evolution(grid_name, request, monkeypatch):
+    # The states each map hands to the kernel are the free evolution of
+    # simulate(nonlinear=False), then free + pert, bit for bit, on chunks
+    # of three times that leave a one-slot last chunk: the streamed
+    # recursion crosses each chunk boundary from the free state, not from
+    # the sum written into the chunk buffer.
+    from nsmaxwell import grid as grid_module
+    from nsmaxwell import system
+
+    grid = request.getfixturevalue(grid_name)
+    dt, steps = 0.02, 6
+    monkeypatch.setattr(grid_module, "_CHUNK_ELEMENTS", 3 * 3 * grid.n**grid.d)
+    assert [len(c) for c in _time_chunks(range(steps + 1),
+                                         3 * grid.n**grid.d)] == [3, 3, 1]
+    initial = _random_state(grid, seed=65)
+    free = simulate(initial, steps * dt, dt, nonlinear=False)
+    seen = []
+    kernel = system.nonlinearity
+
+    def watched(grid, v, E, B):
+        seen.append(tuple(a.copy() for a in (v, E, B)))
+        return kernel(grid, v, E, B)
+
+    monkeypatch.setattr(system, "nonlinearity", watched)
+    table = PropagatorTable.build(grid, dt)
+    first, _ = _apply_phi(initial.prepared(), free.times, None, table)
+    old = _copied(first)
+    _apply_phi(initial.prepared(), free.times, first, table)
+    assert len(seen) == 6
+    for m, plus in enumerate((None, old)):
+        got = [np.concatenate([s[c] for s in seen[3 * m:3 * m + 3]]) for c in range(3)]
+        want = free.half if plus is None else [a + b for a, b in zip(free.half, plus.half)]
+        for a, b in zip(got, want):
+            assert np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 def test_picard_iterates_are_lazy_half_stacks(grid2):
