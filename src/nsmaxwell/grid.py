@@ -9,6 +9,7 @@ Parseval counts each column ``Grid._half_count`` times
 (``Grid._parseval_weight``); only the columns m_d = 0 and n/2 (the Nyquist
 mode, stored as -n/2 like the other axes' Nyquist rows) hold both a mode
 and its mirror.  Only the snapshot file keeps the full n-column layout.
+Time stacks (``system``) keep only the 2/3 rule's K modes (``_pack``).
 
 All fields are R^3-valued regardless of the spatial dimension; in d=2 the
 derivative convention is ``grad = (d1, d2, 0)`` and
@@ -152,6 +153,11 @@ class Grid:
     def _half_keep(self) -> np.ndarray:
         """1 on the modes the 2/3 rule keeps, else 0, as complex128."""
         return _read_only((~self._dealias_mask).astype(np.complex128))
+
+    @cached_property
+    def _kept(self) -> np.ndarray:
+        """Flat indices of the K modes ``~dealias_mask()``, k = 0 first."""
+        return _read_only(np.flatnonzero(~self._dealias_mask))
 
     @cached_property
     def _half_ik(self) -> np.ndarray:
@@ -341,6 +347,18 @@ def _half_physical(grid: Grid, half: np.ndarray) -> np.ndarray:
     field the transform makes of them."""
     return scipy.fft.irfftn(half, s=grid.shape, axes=tuple(range(-grid.d, 0)),
                             norm="forward")
+
+
+def _pack(grid: Grid, half: np.ndarray) -> np.ndarray:
+    """Amplitudes (..., *spectral_shape) on the kept modes only, (..., K)."""
+    return np.take(half.reshape(half.shape[:half.ndim - grid.d] + (-1,)), grid._kept, axis=-1)
+
+
+def _unpack(grid: Grid, kept: np.ndarray) -> np.ndarray:
+    """``_pack`` undone: (..., K) to (..., *spectral_shape), 0 on killed modes."""
+    half = np.zeros(kept.shape[:-1] + grid.spectral_shape, np.complex128)
+    half.reshape(kept.shape[:-1] + (-1,))[..., grid._kept] = kept
+    return half
 
 
 def _half_spectral(grid: Grid, values: np.ndarray) -> np.ndarray:

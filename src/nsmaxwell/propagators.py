@@ -19,8 +19,10 @@ it, with the k = 0 fix of ``_maxwell_group``, to amplitudes, not states,
 writing into output slots that may be its inputs.  The table's a11, a22 and
 the grid's khat are real, held as complex128: numpy casts them so anyway.
 
-Every factor lives on the grid's stored modes, the half spectrum (see
-``grid``), so it multiplies the amplitudes column for column.
+A table's factors and khat live on the grid's stored modes, the half
+spectrum (see ``grid``), so they multiply the amplitudes column for
+column; ``PropagatorTable.kept`` gathers them onto the kept modes of the
+time stacks (``system``).
 
 One exponential-trapezoid update, ``_trapezoid``, discretises every Duhamel
 integral: ``duhamel_step``, the Picard map and the forced Maxwell checker.
@@ -28,11 +30,11 @@ integral: ``duhamel_step``, the Picard map and the forced Maxwell checker.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grid import Grid, SpectralField, curl, leray_project
+from .grid import Grid, SpectralField, _pack, curl, leray_project
 
 __all__ = [
     "phi_multipliers",
@@ -186,13 +188,13 @@ def _maxwell_modes(khat: np.ndarray, E: np.ndarray, B: np.ndarray,
     return E_t, B_t
 
 
-def _maxwell_group(grid: Grid, E, B, a11, i_a12, a22, e_par, out=None):
-    """``_maxwell_modes`` on amplitudes (3, *grid.spectral_shape); at k = 0
+def _maxwell_group(khat: np.ndarray, E, B, a11, i_a12, a22, e_par, out=None):
+    """``_maxwell_modes`` on amplitudes (3, *modes), k = 0 first: at k = 0
     the decoupled ODEs E0' = -E0, B0' = 0 scale E by ``e_par`` and leave B
     unchanged, read before the pass, so ``out`` may be (E, B)."""
-    origin = (slice(None),) + (0,) * grid.d
+    origin = (slice(None),) + (0,) * (E.ndim - 1)
     E0, B0 = E[origin].copy(), B[origin].copy()
-    E_t, B_t = _maxwell_modes(grid._unit_wavevectors, E, B, a11, i_a12, a22, e_par, out)
+    E_t, B_t = _maxwell_modes(khat, E, B, a11, i_a12, a22, e_par, out)
     E_t[origin] = e_par * E0
     B_t[origin] = B0
     return E_t, B_t
@@ -209,7 +211,8 @@ def maxwell_apply(E: SpectralField, B: SpectralField, t: float):
         raise ValueError("time must be nonnegative")
     a11, a12, a22 = _maxwell_coefficients(E.grid.k_squared(), t)
     return tuple(SpectralField(E.grid, a) for a in _maxwell_group(
-        E.grid, E.coeffs, leray_project(B).coeffs, a11, 1j * a12, a22, np.exp(-t)))
+        E.grid._unit_wavevectors, E.coeffs, leray_project(B).coeffs, a11, 1j * a12, a22,
+        np.exp(-t)))
 
 
 def maxwell_wave_route(E0: SpectralField, B0: SpectralField, t: float) -> SpectralField:
@@ -235,14 +238,15 @@ def maxwell_apply_undamped(E: SpectralField, B: SpectralField, t: float):
     kmag = E.grid.k_magnitude()
     c, s = np.cos(kmag * t), np.sin(kmag * t)
     return tuple(SpectralField(E.grid, a) for a in _maxwell_group(
-        E.grid, E.coeffs, leray_project(B).coeffs, c, 1j * s, c, 1.0))
+        E.grid._unit_wavevectors, E.coeffs, leray_project(B).coeffs, c, 1j * s, c, 1.0))
 
 
 @dataclass
 class PropagatorTable:
     """Per-mode propagator factors at a fixed step dt, immutable once built;
-    ``i_a12`` is the imaginary coupling 1j * a12 of ``_maxwell_modes``.  Its
-    applies act on amplitudes (3, *spectral_shape), into ``out`` if given."""
+    ``i_a12`` is the imaginary coupling 1j * a12 of ``_maxwell_modes``, and
+    ``khat`` the grid's unit wavevectors.  Its applies act on amplitudes
+    (3, *spectral_shape), those of ``kept()`` on (3, K), into ``out`` if given."""
 
     grid: Grid
     dt: float
@@ -250,6 +254,7 @@ class PropagatorTable:
     a11: np.ndarray
     i_a12: np.ndarray
     a22: np.ndarray
+    khat: np.ndarray
     e_damp: float
 
     @classmethod
@@ -259,14 +264,20 @@ class PropagatorTable:
         ksq = grid.k_squared()
         a11, a12, a22 = _maxwell_coefficients(ksq, dt)
         return cls(grid=grid, dt=dt, heat=np.exp(-dt * ksq), a11=a11.astype(np.complex128),
-                   i_a12=1j * a12, a22=a22.astype(np.complex128), e_damp=float(np.exp(-dt)))
+                   i_a12=1j * a12, a22=a22.astype(np.complex128),
+                   khat=grid._unit_wavevectors, e_damp=float(np.exp(-dt)))
+
+    def kept(self) -> "PropagatorTable":
+        """This table gathered onto the kept modes (``grid._pack``), not rebuilt."""
+        return replace(self, **{name: _pack(self.grid, getattr(self, name))
+                                for name in ("heat", "a11", "i_a12", "a22", "khat")})
 
     def apply_heat(self, v, out=None):
         return np.multiply(v, self.heat, out=out)
 
     def apply_maxwell(self, E, B, out=None):
         """No projection: B is taken as divergence-free."""
-        return _maxwell_group(self.grid, E, B, self.a11, self.i_a12, self.a22, self.e_damp, out)
+        return _maxwell_group(self.khat, E, B, self.a11, self.i_a12, self.a22, self.e_damp, out)
 
     def apply(self, v, E, B, out=None):
         """e^{dt A} on the amplitudes (v, E, B), written into the slots

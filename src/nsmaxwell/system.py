@@ -18,15 +18,17 @@ an exp-trapezoid step and its row make 12 real transforms.  ``simulate``
 records each row of ``Trajectory.diagnostics`` from these pairs as it
 stacks the states.
 
-A ``Trajectory`` is held as time stacks: three arrays
-(times, 3, *spectral_shape) for v, E and B.  The propagators and the Leray
-projection act on them mode for mode, so the free evolution and the Picard
-map run on the stacks, slot into slot, with no state built per step.  The
-kernel runs on chunks of times (``grid._time_chunks``), and ``z_norm``
-reduces the stacks directly.  The states of a trajectory are views of its
-stacks.  Picard holds one iterate: each map rebuilds the free evolution
-chunk by chunk (``_free_chunks``), overwrites G^m with G^{m+1} and reduces
-G^{m+1} - G^m to the shell rows that ``z_norm`` combines, as it goes.
+A ``Trajectory`` holds time stacks (times, 3, K) of v, E and B on the K
+modes the 2/3 rule keeps (``grid._pack``), where the free evolution and
+every Picard iterate live: the data are dealiased and N is truncated.
+The free evolution and the Picard map step them slot into slot with
+``PropagatorTable.kept`` and unpack (``grid._unpack``) a chunk of times
+only for the kernel and the shell rows.  States, snapshots and ``march``
+keep the half spectrum; a trajectory's states are views of its stacks
+unpacked on first read.  Picard holds one iterate: each map rebuilds the
+free evolution chunk by chunk (``_free_chunks``), overwrites G^m with
+G^{m+1} and reduces G^{m+1} - G^m to the shell rows that ``z_norm``
+combines, as it goes.
 """
 
 from __future__ import annotations
@@ -43,6 +45,8 @@ from .grid import (
     _half_physical,
     _half_spectral,
     _cross,
+    _pack,
+    _unpack,
     _time_chunks,
     leray_project,
     lp_norm_physical,
@@ -142,28 +146,39 @@ class MhdState:
 
 @dataclass
 class Trajectory:
-    """Uniformly sampled states held as time stacks ``half`` = (v, E, B),
-    each (times, 3, *spectral_shape); ``states`` are views of the stacks.
-    ``diagnostics`` holds one ``energy_report`` row per state of a
-    nonlinear ``simulate`` run, and is empty for the free evolution and
-    the Picard iterates."""
+    """Uniformly sampled states held as time stacks ``kept`` = (v, E, B),
+    each (times, 3, K) on the kept modes (``grid._pack``); ``half`` unpacks
+    them on first read, and ``states`` are views of it.  ``diagnostics``
+    holds one ``energy_report`` row per state of a nonlinear ``simulate``
+    run, and is empty for the free evolution and the Picard iterates."""
 
     grid: Grid
     times: np.ndarray
-    half: tuple
+    kept: tuple
     diagnostics: list = field(default_factory=list)
 
     @classmethod
     def from_states(cls, grid: Grid, states, count: int) -> "Trajectory":
-        """Stack ``count`` states (any iterable)."""
-        half = tuple(np.empty((count, 3) + grid.spectral_shape, dtype=np.complex128)
-                     for _ in range(3))
-        times = np.empty(count)
-        for i, state in enumerate(states):
-            times[i] = state.time
-            for a, f in zip(half, (state.v, state.E, state.B)):
-                a[i] = f.coeffs
-        return cls(grid, times, half)
+        """Pack exactly ``count`` states (any iterable) onto the kept modes;
+        ValueError for any other number, or for an amplitude on a killed mode."""
+        kept = tuple(np.empty((count, 3, grid._kept.size), np.complex128) for _ in range(3))
+        times, n = np.empty(count), 0
+        for n, state in enumerate(states, 1):
+            if n > count:
+                break
+            times[n - 1] = state.time
+            for a, f in zip(kept, (state.v.coeffs, state.E.coeffs, state.B.coeffs)):
+                a[n - 1] = _pack(grid, f)
+                if np.count_nonzero(a[n - 1]) != np.count_nonzero(f):
+                    raise ValueError(f"the state at t = {state.time!r} has an amplitude "
+                                     "on a mode the 2/3 rule kills")
+        if n != count:
+            raise ValueError(f"{'more than' if n > count else n} states, {count} expected")
+        return cls(grid, times, kept)
+
+    @cached_property
+    def half(self) -> tuple:
+        return tuple(_unpack(self.grid, a) for a in self.kept)
 
     @cached_property
     def states(self) -> list:
@@ -344,9 +359,10 @@ def _sample_times(t0: float, T: float, dt: float) -> np.ndarray:
 def _free_chunks(state: MhdState, table: PropagatorTable, count: int):
     """Yield (chunk, stacks) per chunk (``grid._time_chunks``) of ``count``
     times: e^{t A} Gamma0 of the prepared ``state``, one ``table.apply`` per
-    step, as stacks (v, E, B) in one buffer that the caller may overwrite."""
+    step of the ``PropagatorTable.kept`` ``table``, as kept stacks (v, E, B)
+    in one buffer that the caller may overwrite."""
     chunks = _time_chunks(range(count), 3 * table.grid.n**table.grid.d)
-    buf = tuple(np.repeat(f.coeffs[None], len(chunks[0]), axis=0)
+    buf = tuple(np.repeat(_pack(table.grid, f.coeffs)[None], len(chunks[0]), axis=0)
                 for f in (state.v, state.E, state.B))
     prev = tuple(a[0] for a in buf)
     for chunk in chunks:
@@ -362,16 +378,17 @@ def simulate(initial: MhdState, T: float, dt: float,
     """Every state of the exp-trapezoid ``march`` as one trajectory, with
     one diagnostics row per state from ``energy_report`` on the state and
     the current ``march`` yields with it; or with ``nonlinear`` False the
-    free evolution e^{t A} Gamma0 (``_free_chunks``), which has no rows."""
+    free evolution e^{t A} Gamma0 (``_free_chunks``), which has no rows.
+    Both are stacked on the kept modes."""
     if not nonlinear:
-        table, state = PropagatorTable.build(initial.grid, dt), initial.prepared()
+        table, state = PropagatorTable.build(initial.grid, dt).kept(), initial.prepared()
         times = _sample_times(state.time, T, dt)
-        half = tuple(np.empty((len(times), 3) + state.grid.spectral_shape, np.complex128)
+        kept = tuple(np.empty((len(times), 3, state.grid._kept.size), np.complex128)
                      for _ in range(3))
         for chunk, stacks in _free_chunks(state, table, len(times)):
-            for a, b in zip(half, stacks):
+            for a, b in zip(kept, stacks):
                 a[chunk.start:chunk.stop] = b
-        return Trajectory(state.grid, times, half)
+        return Trajectory(state.grid, times, kept)
     rows = []
 
     def recorded():
@@ -402,13 +419,12 @@ def z_norm(traj: Trajectory) -> ZNorm:
     Z^E = ||E||_{tilde-Linf_T H^{d/2-1}_a} + ||E||_{L2_T H^{d/2-1}_a}
     Z^B = ||B||_{tilde-Linf_T H^{d/2-1}_a} + ||B||_{L2_T H^{d/2, d/2-1}_a}
 
-    Each field's stack goes through ``shell_series``.
+    Each field's stack goes through ``shell_series``, unpacked one at a time.
     """
-    v, E, B = traj.half
-    return _z_from_series(traj.grid.d,
-                          shell_series(v, traj.times, traj.grid, with_linf=True),
-                          shell_series(E, traj.times, traj.grid),
-                          shell_series(B, traj.times, traj.grid))
+    grid = traj.grid
+    return _z_from_series(grid.d, *(
+        shell_series(_unpack(grid, a), traj.times, grid, with_linf=c == 0)
+        for c, a in enumerate(traj.kept)))
 
 
 def _z_from_series(d: int, sv: ShellSeries, se: ShellSeries, sb: ShellSeries) -> ZNorm:
@@ -449,7 +465,8 @@ def _apply_phi(state: MhdState, times: np.ndarray, pert: Trajectory | None,
     quadrature of the Duhamel integral of N(free + pert) with exact
     propagator factors, around the free evolution of the prepared ``state``
     at ``times``.  ``pert`` None is the zero perturbation: N is then
-    evaluated on the free states themselves.
+    evaluated on the free states themselves.  ``table`` is a
+    ``PropagatorTable.kept``, and the stacks hold the kept modes.
 
     Returns (iterate, series): the new iterate, written into the stacks of
     ``pert`` (new stacks when ``pert`` is None), and the three
@@ -461,15 +478,16 @@ def _apply_phi(state: MhdState, times: np.ndarray, pert: Trajectory | None,
     composite trapezoid sum_j w_j e^{(t_n - t_j) A} N_j because the
     propagators form a group.  The map runs per chunk of ``_free_chunks``
     (the chunks of ``shell_series``), so one chunk of N is held at a time.
-    Per chunk: pert's slots added to the free states in place, N on them by
-    one ``nonlinearity`` call, a copy of pert's slots, the recursion over
-    the slots, and the difference formed in the copy and reduced to its
-    shell rows (``dyadic._shell_rows``).  Each update writes into the slot
-    of Phi_n; N_B = 0, so B is only propagated from slot n - 1.
+    Per chunk: pert's slots added to the free states in place, N on them
+    unpacked by one ``nonlinearity`` call, a copy of pert's slots, the
+    recursion over the slots, and the difference formed in the copy and
+    reduced, unpacked, to its shell rows (``dyadic._shell_rows``).  Each
+    update writes into the slot of Phi_n; N_B = 0, so B is only propagated
+    from slot n - 1.
     """
     grid, h = table.grid, 0.5 * table.dt
-    out = (tuple(np.empty((len(times), 3) + grid.spectral_shape, np.complex128)
-                 for _ in range(3)) if pert is None else pert.half)
+    out = (tuple(np.empty((len(times), 3, grid._kept.size), np.complex128)
+                 for _ in range(3)) if pert is None else pert.kept)
     part = build_partition(grid)
     weights = part.shell_matrix()
     rows = ([], [], [])
@@ -479,7 +497,8 @@ def _apply_phi(state: MhdState, times: np.ndarray, pert: Trajectory | None,
         if pert is not None:
             for a, b in zip(fields, out):
                 a += b[at]
-        n_v, n_E = (h * n for n in nonlinearity(grid, *fields))
+        n_v, n_E = (h * _pack(grid, n)
+                    for n in nonlinearity(grid, *(_unpack(grid, a) for a in fields)))
         # Copied after N, so the copy and the kernel's temporaries never meet.
         old = None if pert is None else tuple(a[at].copy() for a in out)
         for j, i in enumerate(chunk):
@@ -494,7 +513,7 @@ def _apply_phi(state: MhdState, times: np.ndarray, pert: Trajectory | None,
         diff = (tuple(a[at] for a in out) if old is None
                 else tuple(np.subtract(a[at], b, out=b) for a, b in zip(out, old)))
         for c, (r, d) in enumerate(zip(rows, diff)):
-            r.append(_shell_rows(d, grid, weights, c == 0))
+            r.append(_shell_rows(_unpack(grid, d), grid, weights, c == 0))
     series = tuple(_series_of_rows(times, part.shells(), r) for r in rows)
     return Trajectory(grid, times, out), series
 
@@ -508,10 +527,11 @@ def picard_iterate(initial: MhdState, T: float, dt: float, n_iters: int):
     per map applied, with G^0 = 0; ratios r_m = differences[m] /
     differences[m-1]; a ratio >= 1 is reported, not raised.
 
-    One ``PropagatorTable`` serves every map and the free evolution each
-    map rebuilds per chunk.  Only one iterate is alive: each map after the
-    first writes G^{m+1} over G^m chunk by chunk, and streams the shell rows
-    of G^{m+1} - G^m, which ``_z_from_series`` combines into the Z-norm.
+    One ``PropagatorTable.kept`` serves every map and the free evolution
+    each map rebuilds per chunk.  Only one iterate, on kept stacks, is
+    alive: each map after the first writes G^{m+1} over G^m chunk by chunk,
+    and streams the shell rows of G^{m+1} - G^m, which ``_z_from_series``
+    combines into the Z-norm.  The last iterate is returned packed.
 
     Once successive differences fall below machine roundoff relative to
     the first iterate, further ratios are quotients of floating-point
@@ -524,7 +544,7 @@ def picard_iterate(initial: MhdState, T: float, dt: float, n_iters: int):
     """
     if n_iters < 2:
         raise ValueError("need at least two iterations")
-    table, state = PropagatorTable.build(initial.grid, dt), initial.prepared()
+    table, state = PropagatorTable.build(initial.grid, dt).kept(), initial.prepared()
     times = _sample_times(state.time, T, dt)
     it, diffs = None, []  # None: the zero perturbation
     for _ in range(n_iters):
@@ -544,10 +564,10 @@ def picard_iterate(initial: MhdState, T: float, dt: float, n_iters: int):
 
 
 def picard_solution(free: Trajectory, perturbation: Trajectory) -> Trajectory:
-    """The physical solution e^{t A} Gamma0 + perturbation: one stack sum
-    per field."""
+    """The physical solution e^{t A} Gamma0 + perturbation: one sum of kept
+    stacks per field."""
     return Trajectory(free.grid, free.times,
-                      tuple(f + p for f, p in zip(free.half, perturbation.half)))
+                      tuple(f + p for f, p in zip(free.kept, perturbation.kept)))
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.linalg import expm
 
-from nsmaxwell.grid import Grid, SpectralField, leray_project, lp_norm_physical
+from nsmaxwell.grid import Grid, SpectralField, _pack, leray_project, lp_norm_physical
 from nsmaxwell.propagators import (
     BlowupError,
     PropagatorTable,
@@ -245,6 +245,25 @@ def test_complex_factors_match_real_factor_route(grid_name, request):
     assert np.any(got[1])
     for a, b in zip(got, want):
         assert np.array_equal(a.view(np.int64), b.coeffs.view(np.int64))
+
+
+@pytest.mark.parametrize("grid_name", ["grid2", "grid3"])
+def test_kept_table_is_the_full_table_on_the_kept_modes(grid_name, request):
+    # The gathered table's apply, in place on packed amplitudes, makes the
+    # bits of the full table's apply on the same modes, k = 0 included.
+    grid = request.getfixturevalue(grid_name)
+    state = _random_state(grid, seed=43)
+    table = PropagatorTable.build(grid, 0.05)
+    kept = table.kept()
+    assert kept.khat.shape == (grid.d, grid._kept.size) and kept.e_damp == table.e_damp
+    amps = tuple(f.coeffs.copy() for f in (state.v, state.E, state.B))
+    want = table.apply(*amps, out=amps)
+    slots = tuple(_pack(grid, f.coeffs) for f in (state.v, state.E, state.B))
+    got = kept.apply(*slots, out=slots)
+    assert all(a is b for a, b in zip(got, slots))
+    assert np.any(got[1][:, 0]) and np.any(got[2][:, 0])  # the k = 0 fix ran
+    for a, b in zip(got, want):
+        assert np.array_equal(a.view(np.int64), _pack(grid, b).view(np.int64))
 
 
 def test_undamped_variant_conserves_energy(grid2):

@@ -473,6 +473,23 @@ def test_z_norm_pinned_static_single_shell(grid2):
     assert z.u == 0.0 and z.E == 0.0
 
 
+@pytest.mark.parametrize("given", [2, 5])
+def test_from_states_takes_exactly_count_states(grid2, given):
+    states = [MhdState.zeros(grid2) for _ in range(given)]
+    with pytest.raises(ValueError, match="4 expected"):
+        Trajectory.from_states(grid2, states, 4)
+
+
+def test_from_states_rejects_amplitudes_on_killed_modes(grid2):
+    # Packing keeps only the modes of the 2/3 rule; an amplitude on any other
+    # mode would be dropped silently.
+    state = _random_state(grid2, seed=67)
+    Trajectory.from_states(grid2, [state], 1)
+    state.E.coeffs[2][grid2.dealias_mask()] = 1e-3
+    with pytest.raises(ValueError, match="2/3 rule kills"):
+        Trajectory.from_states(grid2, [state], 1)
+
+
 # ---------------------------------------------------------------------------
 # Initial-data splitting.
 
@@ -536,7 +553,7 @@ def test_picard_zero_data(grid2):
 
 
 def _copied(traj):
-    return Trajectory(traj.grid, traj.times, tuple(a.copy() for a in traj.half))
+    return Trajectory(traj.grid, traj.times, tuple(a.copy() for a in traj.kept))
 
 
 def test_picard_drops_ratios_of_roundoff_noise(grid2):
@@ -546,16 +563,16 @@ def test_picard_drops_ratios_of_roundoff_noise(grid2):
     initial = _random_state(grid2, seed=55, amp=1e-2)
     last, ratios, got = picard_iterate(initial, 0.2, 0.05, 5)
     free = simulate(initial, 0.2, 0.05, nonlinear=False)
-    table = PropagatorTable.build(grid2, 0.05)
-    chain = [Trajectory(grid2, free.times, tuple(np.zeros_like(a) for a in free.half))]
+    table = PropagatorTable.build(grid2, 0.05).kept()
+    chain = [Trajectory(grid2, free.times, tuple(np.zeros_like(a) for a in free.kept))]
     for m in range(5):
         chain.append(_apply_phi(initial.prepared(), free.times,
                                 _copied(chain[-1]) if m else None, table)[0])
     diffs = [z_norm(Trajectory(grid2, b.times,
-                           tuple(x - y for x, y in zip(b.half, a.half)))).total
+                           tuple(x - y for x, y in zip(b.kept, a.kept)))).total
              for a, b in zip(chain, chain[1:])]
     assert got == diffs
-    assert all(np.array_equal(a, b) for a, b in zip(last.half, chain[-1].half))
+    assert all(np.array_equal(a, b) for a, b in zip(last.kept, chain[-1].kept))
     floor = 1e3 * np.finfo(np.float64).eps * diffs[0]
     assert diffs[-1] <= floor < diffs[-2]
     assert ratios == pytest.approx([diffs[m] / diffs[m - 1] for m in range(1, len(diffs) - 1)])
@@ -578,7 +595,7 @@ def test_apply_phi_matches_composite_trapezoid(monkeypatch):
     pert = Trajectory.from_states(grid, [_random_state(grid, seed=60 + i, amp=0.3)
                                          for i in range(steps + 1)], steps + 1)
     got, _ = _apply_phi(initial.prepared(), free.times, _copied(pert),
-                        PropagatorTable.build(grid, dt))
+                        PropagatorTable.build(grid, dt).kept())
     ns = [_state_nonlinearity(MhdState(f.v + p.v, f.E + p.E, f.B + p.B))
           for f, p in zip(free.states, pert.states)]
     for n in range(1, steps + 1):
@@ -680,10 +697,10 @@ def _out_of_place_phi(free, pert, table):
 
 @pytest.mark.parametrize("grid_name", ["grid2", "grid3"])
 def test_streamed_difference_norm_matches_z_norm(grid_name, request, monkeypatch):
-    # The map writes into pert's stacks and streams the shell rows of
-    # new - old.  Against a map into new stacks and z_norm of the
-    # difference formed explicitly, both bit for bit, on chunks of three
-    # times that leave a one-slot last chunk.
+    # The map writes into pert's kept stacks and streams the shell rows of
+    # new - old.  Against a map on the half spectrum into new stacks and
+    # z_norm of the difference formed explicitly, both bit for bit, on
+    # chunks of three times that leave a one-slot last chunk.
     from nsmaxwell import grid as grid_module
 
     grid = request.getfixturevalue(grid_name)
@@ -698,11 +715,11 @@ def test_streamed_difference_norm_matches_z_norm(grid_name, request, monkeypatch
                                          for i in range(steps + 1)], steps + 1)
     old = _copied(pert)
     want = _out_of_place_phi(free, old, table)
-    got, series = _apply_phi(initial.prepared(), free.times, pert, table)
-    assert all(got_a is a for got_a, a in zip(got.half, pert.half))
+    got, series = _apply_phi(initial.prepared(), free.times, pert, table.kept())
+    assert all(got_a is a for got_a, a in zip(got.kept, pert.kept))
     assert all(np.array_equal(a, b) for a, b in zip(got.half, want))
     diff = Trajectory(grid, free.times,
-                      tuple(np.subtract(a, b) for a, b in zip(got.half, old.half)))
+                      tuple(np.subtract(a, b) for a, b in zip(got.kept, old.kept)))
     assert _z_from_series(grid.d, *series) == z_norm(diff)
 
 
@@ -723,8 +740,8 @@ def test_picard_holds_one_iterate(grid2, monkeypatch):
         alive_at_map.append(alive())
         out, series = apply_phi(*args, **kwargs)
         if not first:
-            first.extend(weakref.ref(a) for a in out.half)
-        assert all(np.shares_memory(a, ref()) for a, ref in zip(out.half, first))
+            first.extend(weakref.ref(a) for a in out.kept)
+        assert all(np.shares_memory(a, ref()) for a, ref in zip(out.kept, first))
         outputs.append(weakref.ref(out))
         return out, series
 
@@ -741,24 +758,25 @@ def test_picard_holds_one_iterate(grid2, monkeypatch):
 
 def _picard_peak_in_trajectories():
     # The traced peak of three maps at 2D n = 32, T = 2, dt = 0.01, in
-    # units of one trajectory's stacks.
+    # units of one trajectory's stacks on the half spectrum; and the last
+    # iterate.
     grid = Grid(2, 32)
     T, dt = 2.0, 0.01
     initial = _random_state(grid, seed=62, amp=1e-2)
     stacks = 3 * (step_count(T, dt) + 1) * 3 * math.prod(grid.spectral_shape) * 16
     tracemalloc.start()
     try:
-        picard_iterate(initial, T, dt, 3)
+        last = picard_iterate(initial, T, dt, 3)[0]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return peak / stacks
+    return peak / stacks, last
 
 
 def test_picard_peak_memory_below_three_trajectories():
     # A free evolution and two iterates alone would fill three
     # trajectories' stacks.
-    peak = _picard_peak_in_trajectories()
+    peak, _ = _picard_peak_in_trajectories()
     assert peak < 3, peak
 
 
@@ -766,8 +784,18 @@ def test_picard_peak_memory_below_two_trajectories():
     # One iterate and a chunk's temporaries: each map rebuilds the free
     # evolution chunk by chunk, so a free stack beside the iterate would
     # fill two trajectories' stacks.
-    peak = _picard_peak_in_trajectories()
+    peak, _ = _picard_peak_in_trajectories()
     assert peak < 2, peak
+
+
+def test_picard_peak_memory_below_one_trajectory():
+    # The iterate lives on the modes the 2/3 rule keeps (42% of the half
+    # spectrum at n = 32), and so do the free chunks; an iterate on the
+    # half spectrum alone would fill one trajectory's stacks.  The last
+    # iterate comes back on kept stacks, not unpacked.
+    peak, last = _picard_peak_in_trajectories()
+    assert peak < 1, peak
+    assert "half" not in vars(last)
 
 
 @pytest.mark.parametrize("grid_name", ["grid2", "grid3"])
@@ -795,7 +823,7 @@ def test_map_streams_the_free_evolution(grid_name, request, monkeypatch):
         return kernel(grid, v, E, B)
 
     monkeypatch.setattr(system, "nonlinearity", watched)
-    table = PropagatorTable.build(grid, dt)
+    table = PropagatorTable.build(grid, dt).kept()
     first, _ = _apply_phi(initial.prepared(), free.times, None, table)
     old = _copied(first)
     _apply_phi(initial.prepared(), free.times, first, table)
@@ -808,10 +836,13 @@ def test_map_streams_the_free_evolution(grid_name, request, monkeypatch):
 
 
 def test_picard_iterates_are_lazy_half_stacks(grid2):
-    # Each iterate holds (times, 3, n, n/2+1) stacks; its states are views
-    # of those stacks, built when first read.
+    # Each iterate holds (times, 3, K) stacks on the kept modes, unpacked to
+    # (times, 3, n, n/2+1) stacks on first read; its states are views of
+    # those, built when first read.
     last, _, _ = picard_iterate(_random_state(grid2, seed=58, amp=1e-2), 0.2, 0.05, 3)
     h = grid2.n // 2 + 1
+    for a in last.kept:
+        assert a.shape == (5, 3, grid2._kept.size)
     for a in last.half:
         assert a.shape == (5, 3, grid2.n, h)
     assert "states" not in vars(last)
