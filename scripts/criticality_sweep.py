@@ -5,7 +5,8 @@ Measures the unweighted and log-weighted ratio curves over dyadic shells
 (wave-packet extremal data; exact block convolutions, no grid), fits the
 growth exponent of the unweighted curve (over two or more shells), and
 writes one CSV row per shell.
-The wall time and the process's peak RSS of the sweep go to stderr.
+The sweep's wall time and minor page faults (``ru_minflt``) and the
+process's peak RSS go to stderr.
 """
 
 import argparse
@@ -29,11 +30,14 @@ def main(argv=None) -> int:
     q_values = range(args.q_min, args.q_max + 1)
     # one call: the q values share one rng stream, so timing each q apart
     # would change the data
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     start = time.perf_counter()
     rows = log_criticality_experiment(q_values, seed=args.seed, T=args.T)
     wall = time.perf_counter() - start
-    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0  # KiB on Linux
-    print(f"log_criticality_experiment: {wall:.2f} s, peak RSS {peak_mb:.1f} MB",
+    usage = resource.getrusage(resource.RUSAGE_SELF)
+    peak_mb = usage.ru_maxrss / 1024.0  # KiB on Linux
+    print(f"log_criticality_experiment: {wall:.2f} s, "
+          f"{usage.ru_minflt - faults} minor page faults, peak RSS {peak_mb:.1f} MB",
           file=sys.stderr)
     with open(args.out, "w", newline="") as fh:
         w = csv.writer(fh)

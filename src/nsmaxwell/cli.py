@@ -95,12 +95,12 @@ def _march_to_csv(cfg: RunConfig, csv_name: str, norms: tuple,
     ohmic term takes the Ohm current that ``march`` yields with the state.
     On blowup the CSV ends with a truncation record and the exit code is
     1."""
-    initial = build_initial_state(cfg)
+    # No name holds the initial state: ``march`` keeps only its prepared copy.
+    states = march(build_initial_state(cfg), cfg.T, cfg.dt, scheme=cfg.scheme)
     with open(os.path.join(cfg.out_dir, csv_name), "w") as fh:
         fh.write(",".join(DIAG_COLUMNS + norms) + "\n")
         try:
-            for idx, (state, current) in enumerate(march(initial, cfg.T, cfg.dt,
-                                                         scheme=cfg.scheme)):
+            for idx, (state, current) in enumerate(states):
                 row = (state.time, *energy_report(state, current),
                        *(_norm_column(state, name) for name in norms))
                 fh.write(",".join(map(repr, row)) + "\n")

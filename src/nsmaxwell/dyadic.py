@@ -58,24 +58,33 @@ def smooth_step(t):
     """C-infinity step: 0 for t<=0, 1 for t>=1, exp(-1/t) transition.
 
     The exponentials are evaluated only inside the band 0 < t < 1 (NaN
-    stays NaN); outside it the result is an exact 0 or 1.
+    stays NaN); outside it the result is an exact 0 or 1.  The band's
+    temporaries are overwritten in place (``out=``), with the same
+    operations in the same order as f / (f + g).
     """
     t = np.asarray(t, dtype=np.float64)
     high = t >= 1.0
     out = np.where(high, 1.0, 0.0)
     band = ~(high | (t <= 0.0))
-    tb = t[band]
+    tb = t[band]  # a copy, which g overwrites
     with np.errstate(over="ignore"):  # -1/t for subnormal t; exp gives 0
-        f = np.exp(-1.0 / tb)
-        g = np.exp(-1.0 / (1.0 - tb))
-    out[band] = f / (f + g)
+        f = np.divide(-1.0, tb)
+        np.exp(f, out=f)
+        g = np.subtract(1.0, tb, out=tb)
+        np.divide(-1.0, g, out=g)
+        np.exp(g, out=g)
+    g += f  # f + g, which is g + f bit for bit
+    out[band] = np.divide(f, g, out=f)
     return out[()]
 
 
 def chi_profile(r):
     """Smooth cutoff: 1 for r <= 3/4, 0 for r >= 4/3."""
     r = np.asarray(r, dtype=np.float64)
-    return 1.0 - smooth_step((r - CHI_LO) / (CHI_HI - CHI_LO))
+    t = np.subtract(r, CHI_LO)
+    t /= CHI_HI - CHI_LO
+    s = np.asarray(smooth_step(t))
+    return np.subtract(1.0, s, out=s)[()]
 
 
 def phi_profile(r):

@@ -18,14 +18,17 @@ a complex polarization scale makes a complex canvas.
 Real fields are represented as a block plus its conjugate mirror; shell
 norms merge overlapping blocks on a canvas before summing power, so the
 results are exact for arbitrary block overlap.  A canvas is measured in
-chunks of 2^18 points, and only its covered points count: the points of
-zero power, which no block reaches, and k = 0 are dropped before any
-radius is formed.  Each covered point is assigned its shells once:
-phi_q = chi(./2^{q+1}) - chi(./2^q) and the chi transition bands
-(3/4, 4/3) * 2^j are disjoint, so a point at radius r meets only shells
-J - 1 and J (J = round(log2 r)), with weights c and 1 - c from the single
-value c = chi(r / 2^J).  The per-shell sums are two bincounts over the
-covered points, not one profile sweep per shell.
+row chunks of about 2^15 points, so each float64 temporary of a chunk is
+256 KB (written with ``out=`` where a buffer can be reused) and comes back
+from the allocator's heap instead of being mapped and faulted in afresh.
+Only the covered points count: the points of zero power, which no block
+reaches, and k = 0 are dropped before any radius is formed.  Each covered
+point is assigned its shells once: phi_q = chi(./2^{q+1}) - chi(./2^q)
+and the chi transition bands (3/4, 4/3) * 2^j are disjoint, so a point at
+radius r meets only shells J - 1 and J (J = round(log2 r)), with weights
+c and 1 - c from the single value c = chi(r / 2^J).  The per-shell sums
+are two bincounts over the covered points, not one profile sweep per
+shell.
 
 A real field's coefficients satisfy f(-m) = conj(f(m)), so its power is
 mirror-symmetric and the remainder route measures only the Hermitian
@@ -71,8 +74,14 @@ BOX_VOLUME_2D = (2.0 * math.pi) ** 2
 # Relative slack on the profile cuts: corner radii and per-point radii may
 # round differently, and a term is skipped only where its profile is 0.
 _CUT_SLACK = 1e-12
-# Canvas points per measured chunk: bounds the shell-sum temporaries.
-_CHUNK_POINTS = 2**18
+# Canvas points per measured chunk: bounds the shell-sum temporaries.  At
+# 2^15 points each float64 temporary is 256 KB, and the allocator reuses
+# them from chunk to chunk; at 2^18 (2 MB each) every chunk mapped and
+# faulted them in afresh.  Measured over 2^13..2^18 (2-core Xeon, one
+# thread, q = 2..9 sweeps of ``log_criticality_experiment``): 2^15 made the
+# fewest page faults (2.4 K per sweep against 23 K at 2^18) and ran as fast
+# as 2^13 and 2^14, whose extra chunks add Python overhead and no savings.
+_CHUNK_POINTS = 2**15
 # Packet centres of ``packet_pair`` and ``criticality_packets`` sit at
 # m0 = round(PACKET_CENTER_SCALE * 2^q) on both axes, radius ~1.75 * 2^q.
 PACKET_CENTER_SCALE = 1.2375
@@ -377,27 +386,38 @@ def _shell_sums(r: np.ndarray, power: np.ndarray, lowpass_shell=None) -> tuple:
     increasing shell order, and the low-pass sum (0 without L)."""
     if r.size == 0:
         return {}, 0.0
-    scale = np.rint(np.log2(r))
-    c = chi_profile(r / np.exp2(scale))
+    scale = np.log2(r)
+    np.rint(scale, out=scale)
+    x = np.exp2(scale)
+    c = chi_profile(np.divide(r, x, out=x))
     J = scale.astype(np.int64)
     low = 0.0
     if lowpass_shell is not None:
-        w_low = np.where(J < lowpass_shell, 1.0,
-                         np.where(J == lowpass_shell, c, 0.0))
-        low = float(np.sum(w_low**2 * power))
-        power = (1.0 - w_low) ** 2 * power
+        w_low = np.where(J == lowpass_shell, c, 0.0)
+        np.copyto(w_low, 1.0, where=J < lowpass_shell)
+        w = np.square(w_low)
+        low = float(np.sum(np.multiply(w, power, out=w)))
+        np.subtract(1.0, w_low, out=w_low)
+        power = np.multiply(np.square(w_low, out=w_low), power, out=w_low)
     q0, size = int(J.min()) - 1, int(J.max() - J.min()) + 2
-    sums = (np.bincount(J - 1 - q0, c**2 * power, minlength=size)
-            + np.bincount(J - q0, (1.0 - c) ** 2 * power, minlength=size))
+    J -= q0 + 1  # the index of shell J - 1
+    w = np.square(c)
+    sums = np.bincount(J, np.multiply(w, power, out=w), minlength=size)
+    J += 1
+    np.subtract(1.0, c, out=c)
+    sums += np.bincount(J, np.multiply(np.square(c, out=c), power, out=c), minlength=size)
     return {q0 + i: float(s) for i, s in enumerate(sums) if s > 0.0}, low
 
 
 def _covered_points(block: BlockField, half: bool = False):
     """``(r, power)`` of the block's points with nonzero power, in row
-    chunks of about ``_CHUNK_POINTS`` points.  Points no box covers carry
-    no power; k = 0 is given none, and with ``half`` so is the row m1 = 0
-    at m2 < 0, which leaves the Hermitian half-plane.  r is the sqrt of
-    the exact integer m1^2 + m2^2, formed at the kept points only."""
+    chunks of about ``_CHUNK_POINTS`` points (at least one row), so the
+    measurement's temporaries scale with the chunk and not the canvas; the
+    constant's comment gives the measurement behind its size.  Points no
+    box covers carry no power; k = 0 is given none, and with ``half`` so is
+    the row m1 = 0 at m2 < 0, which leaves the Hermitian half-plane.  r is
+    the sqrt of the exact integer m1^2 + m2^2, formed at the kept points
+    only."""
     pol_sq = float(np.sum(np.abs(block.pol) ** 2))
     (r0, c0), (n_rows, n_cols) = block.origin, block.shape
     cols_sq = np.arange(c0, c0 + n_cols, dtype=float) ** 2
@@ -411,7 +431,8 @@ def _covered_points(block: BlockField, half: bool = False):
             power[row, 0 if half else max(0, -c0) : max(0, 1 - c0)] = 0.0
         keep = power > 0.0
         rows_sq = np.arange(r0 + row0, r0 + row0 + len(power), dtype=float) ** 2
-        yield np.sqrt((rows_sq[:, None] + cols_sq[None, :])[keep]), power[keep]
+        r = (rows_sq[:, None] + cols_sq[None, :])[keep]
+        yield np.sqrt(r, out=r), power[keep]
 
 
 def shell_norms(blocks: list) -> dict:

@@ -326,6 +326,7 @@ def march(initial: MhdState, T: float, dt: float, scheme: str = "exp-trapezoid")
     """
     n_steps = step_count(T, dt)
     state = initial.prepared()
+    del initial  # freed here unless the caller keeps it
     grid = state.grid
     # Advisory CFL check only: the exponential integrator is
     # unconditionally linearly stable.

@@ -56,6 +56,10 @@ def test_smooth_step_bitwise_closed_form():
         assert np.ndim(y) == 0
         assert np.float64(y).tobytes() == _smooth_step_closed_form([x])[0].tobytes()
     assert np.array_equal(smooth_step(t.reshape(2, -1)), smooth_step(t).reshape(2, -1))
+    r = np.linspace(0.0, 2.0, 100001)
+    assert np.array_equal(chi_profile(r).view(np.int64),
+                          (1.0 - _smooth_step_closed_form((r - 0.75) / (4.0 / 3.0 - 0.75)))
+                          .view(np.int64))
 
 
 def test_partition_is_built_once_per_grid():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -119,6 +120,23 @@ def _shell_sums_reference(r, power, lowpass_shell):
     return sums, low
 
 
+def _shell_sums_plain(r, power, lowpass_shell):
+    # _shell_sums without out= buffers: the same operations in the same order
+    scale = np.rint(np.log2(r))
+    c = chi_profile(r / np.exp2(scale))
+    J = scale.astype(np.int64)
+    low = 0.0
+    if lowpass_shell is not None:
+        w_low = np.where(J < lowpass_shell, 1.0,
+                         np.where(J == lowpass_shell, c, 0.0))
+        low = float(np.sum(w_low**2 * power))
+        power = (1.0 - w_low) ** 2 * power
+    q0, size = int(J.min()) - 1, int(J.max() - J.min()) + 2
+    sums = (np.bincount(J - 1 - q0, c**2 * power, minlength=size)
+            + np.bincount(J - q0, (1.0 - c) ** 2 * power, minlength=size))
+    return {q0 + i: float(s) for i, s in enumerate(sums) if s > 0.0}, low
+
+
 @pytest.mark.parametrize("q", [2, 5, 9])
 @pytest.mark.parametrize("lowpass_shell", [None, 2, 4])
 def test_shell_sums_match_per_shell_profiles(q, lowpass_shell):
@@ -137,6 +155,7 @@ def test_shell_sums_match_per_shell_profiles(q, lowpass_shell):
     r = r[r > 0.0]
     power = rng.random(r.size)
     sums, low = _shell_sums(r, power, lowpass_shell)
+    assert repr((sums, low)) == repr(_shell_sums_plain(r, power, lowpass_shell))
     ref_sums, ref_low = _shell_sums_reference(r, power, lowpass_shell)
     assert list(sums) == list(ref_sums)
     for s_q, val in ref_sums.items():
@@ -412,3 +431,51 @@ def test_remainder_cluster_stats_measures_only_covered_points(q, monkeypatch):
     covered[-rows[0], -cols[0]] = False  # k = 0
     assert 2 * n_received == int(np.sum(covered))
     assert n_received < sum(canvas_sizes)  # the measured canvases had gaps
+
+
+def _chunked_measurements(p_list, b_list):
+    t_blocks = [b for piece in bony_paraproducts(p_list, b_list) for b in piece]
+    product = real_product_blocks(p_list, b_list)
+    s_low, comp = remainder_cluster_stats(p_list, b_list, t_blocks=t_blocks)
+    return [s_low, l2_norm(product)], [comp, shell_norms(product)]
+
+
+@pytest.mark.parametrize("chunk_points", [1, 40, 97])
+def test_chunk_edges_do_not_change_results(chunk_points, monkeypatch):
+    # chunks of one to a few rows of the 17-wide product blocks: the row
+    # m1 = 0, where k = 0 and (on a half-plane canvas) m2 < 0 are zeroed,
+    # starts a chunk or sits inside one
+    p_list, b_list = criticality_packets(4, np.random.default_rng(2))
+    calls = _counting(monkeypatch, "_shell_sums")
+    monkeypatch.setattr(latticeblocks, "_CHUNK_POINTS", 2**40)  # one chunk per canvas
+    want_norms, want_shells = _chunked_measurements(p_list, b_list)
+    n_canvases = len(calls)
+    monkeypatch.setattr(latticeblocks, "_CHUNK_POINTS", chunk_points)
+    norms, shells = _chunked_measurements(p_list, b_list)
+    assert len(calls) - n_canvases > 4 * n_canvases
+    assert norms == pytest.approx(want_norms, rel=1e-13, abs=0.0)
+    for got, want in zip(shells, want_shells):
+        assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+def test_measurement_memory_follows_the_chunk():
+    # two blocks on the opposite corners of a 16-chunk box, overlapping in a
+    # 2 x 2 patch, are pasted on one canvas and measured: the peak is the
+    # canvas plus temporaries bounded by the chunk, not by the canvas
+    chunk = latticeblocks._CHUNK_POINTS
+    n_cols = 512
+    n_rows = 16 * chunk // n_cols
+    rng = np.random.default_rng(5)
+    pol = np.array([0.0, 0.0, 1.0])
+    h_rows, h_cols = n_rows // 2 + 1, n_cols // 2 + 1
+    a = BlockField((-n_rows // 2, -7), rng.random((h_rows, h_cols)), pol)
+    b = BlockField((-1, h_cols - 9), rng.random((h_rows, h_cols)), pol)
+    canvas_bytes = n_rows * n_cols * 8
+    tracemalloc.start()
+    try:
+        shells = shell_norms([a, b])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(shells) > 5
+    assert peak < canvas_bytes + 16 * chunk * 8
