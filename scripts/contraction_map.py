@@ -19,7 +19,7 @@ import numpy as np
 
 from nsmaxwell.ensembles import gen_field
 from nsmaxwell.grid import Grid
-from nsmaxwell.system import MhdState, picard_iterate, simulate, z_norm
+from nsmaxwell.system import MhdState, free_evolution, picard_iterate, z_norm
 
 
 def main(argv=None) -> int:
@@ -49,7 +49,7 @@ def main(argv=None) -> int:
         for eps in args.epsilons:
             state = base.scaled(eps)
             for T in args.windows:
-                free = simulate(state, T, args.dt, nonlinear=False)
+                free = free_evolution(state, T, args.dt)
                 z = z_norm(free).total
                 del free
                 # Only the ratios: the last iterate would stay alive while

@@ -107,9 +107,10 @@ def _march_to_csv(cfg: RunConfig, csv_name: str, norms: tuple,
                 if snapshots and idx % cfg.stride == 0:
                     _write_snapshot(cfg, idx, state)
         except BlowupError as exc:
+            # The failed step starts from the last state written, whose time
+            # counts from the initial state's (a snapshot's t0).
             print(f"blowup at step {exc.step}", file=sys.stderr)
-            fh.write(f"# truncated: blowup at step {exc.step} "
-                     f"(t = {exc.step * cfg.dt!r})\n")
+            fh.write(f"# truncated: blowup at step {exc.step} (t = {state.time!r})\n")
             return 1
     return 0
 

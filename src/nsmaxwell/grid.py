@@ -31,7 +31,6 @@ __all__ = [
     "gradient_component",
     "divergence",
     "curl",
-    "laplacian",
     "leray_project",
     "pointwise_product",
     "lp_norm_physical",
@@ -305,10 +304,6 @@ def curl(f: SpectralField) -> SpectralField:
     out[1] = 1j * (k3 * c1 - k1 * c3)
     out[2] = 1j * (k1 * c2 - k2 * c1)
     return SpectralField(f.grid, out)
-
-
-def laplacian(f: SpectralField) -> SpectralField:
-    return SpectralField(f.grid, -f.grid.k_squared() * f.coeffs)
 
 
 def leray_project(f: SpectralField) -> SpectralField:

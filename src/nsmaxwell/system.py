@@ -10,32 +10,29 @@ map on chunks of times.  In the advection form it makes six real
 transforms: the Lorentz force is one j x B with the Ohm current j, and the
 advection term is the Leray-projected w x v, w = curl v.
 
-``march`` is the one time loop.  It holds the amplitudes of the current
-state, steps them by ``duhamel_step`` and yields each state, as views of
-them, with its Ohm current, read off the N(G_n) that the next step takes
-(j = sigma E - N_E), so a diagnostics row costs no transform of its own:
-an exp-trapezoid step and its row make 12 real transforms.  ``simulate``
-records each row of ``Trajectory.diagnostics`` from these pairs as it
-stacks the states.
+``march`` is the one time loop and the one nonlinear run.  It holds the
+amplitudes of the current state, steps them by ``duhamel_step`` and yields
+each state, as views of them, with its Ohm current, read off the N(G_n)
+that the next step takes (j = sigma E - N_E), so a diagnostics row
+(``energy_report``) costs no transform of its own: an exp-trapezoid step
+and its row make 12 real transforms.
 
 A ``Trajectory`` holds time stacks (times, 3, K) of v, E and B on the K
-modes the 2/3 rule keeps (``grid._pack``), where the free evolution and
-every Picard iterate live: the data are dealiased and N is truncated.
-The free evolution and the Picard map step them slot into slot with
-``PropagatorTable.kept`` and unpack (``grid._unpack``) a chunk of times
-only for the kernel and the shell rows.  States, snapshots and ``march``
-keep the half spectrum; a trajectory's states are views of its stacks
-unpacked on first read.  Picard holds one iterate: each map rebuilds the
-free evolution chunk by chunk (``_free_chunks``), overwrites G^m with
-G^{m+1} and reduces G^{m+1} - G^m to the shell rows that ``z_norm``
-combines, as it goes.
+modes the 2/3 rule keeps (``grid._pack``): the free evolution
+(``free_evolution``) and every Picard iterate, whose data are dealiased
+and whose N is truncated.  The free evolution and the Picard map step them
+slot into slot with ``PropagatorTable.kept`` and unpack (``grid._unpack``)
+a chunk of times only for the kernel and the shell rows.  States,
+snapshots and ``march`` keep the half spectrum.  Picard holds one iterate:
+each map rebuilds the free evolution chunk by chunk (``_free_chunks``),
+overwrites G^m with G^{m+1} and reduces G^{m+1} - G^m to the shell rows
+that ``z_norm`` combines, as it goes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,7 +72,7 @@ __all__ = [
     "nonlinearity",
     "energy_report",
     "march",
-    "simulate",
+    "free_evolution",
     "step_count",
     "picard_iterate",
     "picard_solution",
@@ -147,43 +144,12 @@ class MhdState:
 @dataclass
 class Trajectory:
     """Uniformly sampled states held as time stacks ``kept`` = (v, E, B),
-    each (times, 3, K) on the kept modes (``grid._pack``); ``half`` unpacks
-    them on first read, and ``states`` are views of it.  ``diagnostics``
-    holds one ``energy_report`` row per state of a nonlinear ``simulate``
-    run, and is empty for the free evolution and the Picard iterates."""
+    each (times, 3, K) on the kept modes (``grid._pack``): the free
+    evolution and the Picard iterates."""
 
     grid: Grid
     times: np.ndarray
     kept: tuple
-    diagnostics: list = field(default_factory=list)
-
-    @classmethod
-    def from_states(cls, grid: Grid, states, count: int) -> "Trajectory":
-        """Pack exactly ``count`` states (any iterable) onto the kept modes;
-        ValueError for any other number, or for an amplitude on a killed mode."""
-        kept = tuple(np.empty((count, 3, grid._kept.size), np.complex128) for _ in range(3))
-        times, n = np.empty(count), 0
-        for n, state in enumerate(states, 1):
-            if n > count:
-                break
-            times[n - 1] = state.time
-            for a, f in zip(kept, (state.v.coeffs, state.E.coeffs, state.B.coeffs)):
-                a[n - 1] = _pack(grid, f)
-                if np.count_nonzero(a[n - 1]) != np.count_nonzero(f):
-                    raise ValueError(f"the state at t = {state.time!r} has an amplitude "
-                                     "on a mode the 2/3 rule kills")
-        if n != count:
-            raise ValueError(f"{'more than' if n > count else n} states, {count} expected")
-        return cls(grid, times, kept)
-
-    @cached_property
-    def half(self) -> tuple:
-        return tuple(_unpack(self.grid, a) for a in self.kept)
-
-    @cached_property
-    def states(self) -> list:
-        return [MhdState(*(SpectralField(self.grid, a[i]) for a in self.half), time=t)
-                for i, t in enumerate(self.times)]
 
     def __len__(self) -> int:
         return len(self.times)
@@ -280,20 +246,15 @@ def nonlinearity(grid: Grid, v: np.ndarray, E: np.ndarray, B: np.ndarray,
     return leray_project(SpectralField(grid, mom)).coeffs, vxB
 
 
-def energy_report(state: MhdState, j: SpectralField | None = None):
+def energy_report(state: MhdState, j: SpectralField):
     """(energy, enstrophy dissipation, ohmic dissipation):
-    1/2 (||v||^2 + ||E||^2 + ||B||^2), ||grad v||^2, ||j||^2.
-
-    ``j`` is the Ohm current of ``state`` when the caller already holds it
-    (``march`` yields it with each state); None forms it by
-    ``ohm_current``, three more real transforms."""
+    1/2 (||v||^2 + ||E||^2 + ||B||^2), ||grad v||^2, ||j||^2, with ``j``
+    the Ohm current of ``state`` that ``march`` yields with it."""
     e = 0.5 * state.l2_squared()
     grid = state.grid
     v = state.v.coeffs
     grad_sq = float(np.sum(grid._parseval_weight * grid.k_squared()
                            * (v.real**2 + v.imag**2)))
-    if j is None:
-        j = ohm_current(state)
     j_sq = lp_norm_physical(j, 2) ** 2
     return e, grad_sq, j_sq
 
@@ -374,33 +335,18 @@ def _free_chunks(state: MhdState, table: PropagatorTable, count: int):
         yield chunk, stacks
 
 
-def simulate(initial: MhdState, T: float, dt: float,
-             nonlinear: bool = True) -> Trajectory:
-    """Every state of the exp-trapezoid ``march`` as one trajectory, with
-    one diagnostics row per state from ``energy_report`` on the state and
-    the current ``march`` yields with it; or with ``nonlinear`` False the
-    free evolution e^{t A} Gamma0 (``_free_chunks``), which has no rows.
-    Both are stacked on the kept modes."""
-    if not nonlinear:
-        table, state = PropagatorTable.build(initial.grid, dt).kept(), initial.prepared()
-        times = _sample_times(state.time, T, dt)
-        kept = tuple(np.empty((len(times), 3, state.grid._kept.size), np.complex128)
-                     for _ in range(3))
-        for chunk, stacks in _free_chunks(state, table, len(times)):
-            for a, b in zip(kept, stacks):
-                a[chunk.start:chunk.stop] = b
-        return Trajectory(state.grid, times, kept)
-    rows = []
-
-    def recorded():
-        for state, current in march(initial, T, dt):
-            e, grad_sq, j_sq = energy_report(state, current)
-            rows.append({"time": state.time, "energy": e, "grad_v_sq": grad_sq, "j_sq": j_sq})
-            yield state
-
-    traj = Trajectory.from_states(initial.grid, recorded(), step_count(T, dt) + 1)
-    traj.diagnostics = rows
-    return traj
+def free_evolution(initial: MhdState, T: float, dt: float) -> Trajectory:
+    """The free evolution e^{t A} Gamma0 of the prepared ``initial`` at
+    the T/dt + 1 sample times, as one trajectory: the propagator recursion
+    of ``_free_chunks``, stacked on the kept modes."""
+    table, state = PropagatorTable.build(initial.grid, dt).kept(), initial.prepared()
+    times = _sample_times(state.time, T, dt)
+    kept = tuple(np.empty((len(times), 3, state.grid._kept.size), np.complex128)
+                 for _ in range(3))
+    for chunk, stacks in _free_chunks(state, table, len(times)):
+        for a, b in zip(kept, stacks):
+            a[chunk.start:chunk.stop] = b
+    return Trajectory(state.grid, times, kept)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from nsmaxwell.grid import Grid, SpectralField
+from nsmaxwell.grid import Grid, SpectralField, _pack, _unpack
 from nsmaxwell.dyadic import build_partition
+from nsmaxwell.system import MhdState, Trajectory
 
 
 @pytest.fixture(scope="session")
@@ -49,6 +50,22 @@ def apply_state(table, state):
     slots = table.apply(state.v.coeffs, state.E.coeffs, state.B.coeffs)
     return type(state)(*(SpectralField(table.grid, a) for a in slots),
                        time=state.time + table.dt)
+
+
+def states_of(traj):
+    """The states of a free or Picard ``Trajectory``, each unpacked from
+    the kept stacks to the half spectrum (``grid._unpack``) when reached."""
+    for i, t in enumerate(traj.times):
+        yield MhdState(*(SpectralField(traj.grid, _unpack(traj.grid, a[i])) for a in traj.kept),
+                       time=t)
+
+
+def trajectory_of(grid, states):
+    """The states, each on the modes the 2/3 rule keeps, packed into a
+    ``Trajectory``; an amplitude on a killed mode would be dropped."""
+    return Trajectory(grid, np.array([s.time for s in states]),
+                      tuple(np.stack([_pack(grid, getattr(s, name).coeffs) for s in states])
+                            for name in ("v", "E", "B")))
 
 
 def count_transforms(monkeypatch):

@@ -149,6 +149,39 @@ def test_simulate_blowup_streams_partial_outputs(tmp_path, capsys, monkeypatch):
     assert calls == [0, 1, 2]
 
 
+def test_restarted_blowup_records_the_time_of_its_last_row(tmp_path, capsys):
+    # A run from snapshots at t0 = 3 counts its times from t0; the
+    # truncation record carries the time of the last row, from which the
+    # failed step starts, not the step count times dt.
+    blowup = "d = 2\nn = 16\nT = 0.1\ndt = 0.01\nslope = 1\nseed = 3\namplitude = 1e8\n"
+    state = build_initial_state(parse_config(blowup + "init = random\n"))
+    stem = str(tmp_path / "restart")
+    for name, fld in (("v", state.v), ("E", state.E), ("B", state.B)):
+        write_snapshot(f"{stem}_{name}.nsmw", fld, time=3.0)
+    out = tmp_path / "out"
+    cfg = _write_cfg(tmp_path, blowup + f"init = file\ninit_file = {stem}\n")
+    with np.errstate(all="ignore"), pytest.warns(UserWarning, match="grid spacing"):
+        assert main(["simulate", cfg, "--out-dir", str(out)]) == 1
+    assert "blowup at step 2" in capsys.readouterr().err
+    lines = (out / "diagnostics.csv").read_text().splitlines()
+    times = [3.0, 3.0 + 0.01, 3.0 + 0.01 + 0.01]
+    assert [l.split(",")[0] for l in lines[1:-1]] == [repr(t) for t in times]
+    assert lines[-1] == f"# truncated: blowup at step 2 (t = {times[-1]!r})"
+
+
+def test_simulate_rows_are_energy_reports_of_march(tmp_path):
+    # One diagnostics route: each row of diagnostics.csv is the state's time
+    # and energy_report on the (state, current) pair that march yields.
+    text = "d = 2\nn = 16\nT = 0.05\ndt = 0.01\ninit = random\nslope = 1\nseed = 6\n"
+    out = tmp_path / "out"
+    assert main(["simulate", _write_cfg(tmp_path, text), "--out-dir", str(out)]) == 0
+    cfg = parse_config(text)
+    want = [",".join(map(repr, (state.time, *system.energy_report(state, current))))
+            for state, current in system.march(build_initial_state(cfg), cfg.T, cfg.dt)]
+    lines = (out / "diagnostics.csv").read_text().splitlines()
+    assert len(want) == 6 and lines[1:] == want
+
+
 def test_norms_blowup_writes_truncated_csv(tmp_path, capsys):
     out = tmp_path / "out"
     cfg = _write_cfg(

@@ -305,22 +305,23 @@ def test_shell_series_matches_per_shell_and_sup_references(d, n, monkeypatch):
     # trajectory cut into chunks of three states with a partial last chunk
     from nsmaxwell import grid as grid_module
     from nsmaxwell.ensembles import gen_field
-    from nsmaxwell.system import MhdState, simulate
+    from nsmaxwell.system import MhdState, march
 
     grid = Grid(d, n)
     part = build_partition(grid)
     rng = np.random.default_rng(7)
     initial = MhdState(*(5.0 * gen_field(grid, rng, 2.0, None, div_free)
                          for div_free in (True, False, True)))
-    traj = simulate(initial, 0.1, 0.01)
+    states = [state for state, _ in march(initial, 0.1, 0.01)]
+    times = np.array([state.time for state in states])
     per_state = 3 * grid.n**d
     monkeypatch.setattr(grid_module, "_CHUNK_ELEMENTS", 3 * per_state)
-    chunks = grid_module._time_chunks(traj.states, per_state)
+    chunks = grid_module._time_chunks(states, per_state)
     assert [len(c) for c in chunks] == [3, 3, 3, 2]
     vol = grid.box_length**d
     for name in ("v", "E", "B"):
-        fields = [getattr(state, name) for state in traj.states]
-        series = shell_series(fields, traj.times, grid, with_linf=True)
+        fields = [getattr(state, name) for state in states]
+        series = shell_series(fields, times, grid, with_linf=True)
         rows = np.array([
             [math.sqrt(vol / grid.n**d * float(np.sum(block(f, q).to_physical() ** 2)))
              for q in part.shells()]

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import math
 import tracemalloc
@@ -10,6 +11,7 @@ from nsmaxwell.grid import (
     Grid,
     SpectralField,
     _time_chunks,
+    _unpack,
     divergence,
     gradient_component,
     leray_project,
@@ -22,13 +24,13 @@ from nsmaxwell.propagators import PropagatorTable, heat_apply, maxwell_apply
 from nsmaxwell.system import (
     MhdState,
     energy_report,
+    free_evolution,
     initial_data_norm,
     march,
     nonlinearity,
     ohm_current,
     picard_iterate,
     picard_solution,
-    simulate,
     split_initial_data,
     step_count,
     taylor_green_velocity,
@@ -48,6 +50,8 @@ from conftest import (
     count_trapezoids,
     random_field,
     single_mode_field,
+    states_of,
+    trajectory_of,
 )
 
 
@@ -272,13 +276,14 @@ def test_nonlinearity_rejects_divergent_velocity(grid2):
 
 
 def test_energy_report_zero(grid2):
-    assert energy_report(MhdState.zeros(grid2)) == (0.0, 0.0, 0.0)
+    zero = MhdState.zeros(grid2)
+    assert energy_report(zero, ohm_current(zero)) == (0.0, 0.0, 0.0)
 
 
 def test_energy_report_single_mode(grid2):
     v = leray_project(single_mode_field(grid2, (1, 0), 0.5))
     state = MhdState(v, SpectralField.zeros(grid2), SpectralField.zeros(grid2))
-    e, grad_sq, j_sq = energy_report(state)
+    e, grad_sq, j_sq = energy_report(state, ohm_current(state))
     nv = lp_norm_physical(v, 2)
     assert abs(e - 0.5 * nv**2) < 1e-12 * nv**2
     assert abs(grad_sq - nv**2) < 1e-12 * nv**2  # |k|^2 = 1
@@ -286,17 +291,18 @@ def test_energy_report_single_mode(grid2):
 
 
 # ---------------------------------------------------------------------------
-# simulate.
+# march and the free evolution.
 
 
 def test_simulate_linear_matches_propagators(grid2):
     # The stepped free evolution against the closed form at each t_n.
     initial = _random_state(grid2, seed=45)
     T, dt = 0.5, 0.05
-    traj = simulate(initial, T, dt, nonlinear=False)
+    traj = free_evolution(initial, T, dt)
     assert len(traj) == 11
-    start = traj.states[0]
-    for step, a in enumerate(traj.states):
+    states = list(states_of(traj))
+    start = states[0]
+    for step, a in enumerate(states):
         t = step * dt
         assert abs(traj.times[step] - t) < 1e-12
         E, B = maxwell_apply(start.E, start.B, t)
@@ -311,16 +317,6 @@ def _assert_same_states(got, want):
         assert a.time == b.time
         for name in ("v", "E", "B"):
             assert np.array_equal(getattr(a, name).coeffs, getattr(b, name).coeffs)
-
-
-@pytest.mark.parametrize("grid_name", ["grid2", "grid3"])
-def test_simulate_states_are_march_states(grid_name, request):
-    # The trajectory's stacks give back every state of the nonlinear loop
-    # bit for bit.
-    grid = request.getfixturevalue(grid_name)
-    initial = _random_state(grid, seed=61, amp=0.1)
-    _assert_same_states(simulate(initial, 0.1, 0.02).states,
-                        [state for state, _ in march(initial, 0.1, 0.02)])
 
 
 @pytest.mark.parametrize("scheme", ["exp-euler", "exp-trapezoid"])
@@ -363,12 +359,12 @@ def test_simulate_linear_is_table_recursion(grid_name, request):
     want = [initial.prepared()]
     for _ in range(4):
         want.append(apply_state(table, want[-1]))
-    _assert_same_states(simulate(initial, 0.2, 0.05, nonlinear=False).states, want)
+    _assert_same_states(list(states_of(free_evolution(initial, 0.2, 0.05))), want)
 
 
 def test_free_times_are_running_sums(grid2):
     # t_i = t_{i-1} + dt, the sums of march's loop, not t0 + i dt.
-    traj = simulate(_random_state(grid2, seed=66), 1.0, 0.01, nonlinear=False)
+    traj = free_evolution(_random_state(grid2, seed=66), 1.0, 0.01)
     want = [0.0]
     for _ in range(100):
         want.append(want[-1] + 0.01)
@@ -379,16 +375,16 @@ def test_free_times_are_running_sums(grid2):
 def test_simulate_validates_time_grid(grid2):
     initial = _random_state(grid2, seed=46)
     with pytest.raises(ValueError):
-        simulate(initial, 1.0, 0.3)
+        next(march(initial, 1.0, 0.3))
     with pytest.raises(ValueError):
-        simulate(initial, 1.0, -0.1)
+        next(march(initial, 1.0, -0.1))
 
 
 def test_free_trajectory_validates_time_grid(grid2):
     # 0.105 is not a multiple of 0.01; rounding would end the run at t = 0.1
     initial = _random_state(grid2, seed=46)
     with pytest.raises(ValueError, match="integer multiple"):
-        simulate(initial, 0.105, 0.01, nonlinear=False)
+        free_evolution(initial, 0.105, 0.01)
 
 
 def test_taylor_green_is_exact_2d_solution():
@@ -397,11 +393,11 @@ def test_taylor_green_is_exact_2d_solution():
     grid = Grid(2, 32)
     v0 = taylor_green_velocity(grid, 1.0)
     initial = MhdState(v0, SpectralField.zeros(grid), SpectralField.zeros(grid))
-    traj = simulate(initial, 0.5, 0.01)
-    final = traj.states[-1]
+    states = [state for state, _ in march(initial, 0.5, 0.01)]
+    final = states[-1]
     assert np.max(np.abs(final.E.coeffs)) < 1e-14
     assert np.max(np.abs(final.B.coeffs)) < 1e-14
-    expect = math.exp(-2.0 * 0.5) * traj.states[0].v.coeffs
+    expect = math.exp(-2.0 * 0.5) * states[0].v.coeffs
     assert np.max(np.abs(final.v.coeffs - expect)) < 1e-6 * np.max(np.abs(expect))
 
 
@@ -417,19 +413,10 @@ def test_taylor_green_3d_is_divergence_free():
 
 def test_simulate_preserves_reality_and_divergence(grid2):
     initial = _random_state(grid2, seed=47, amp=0.1)
-    traj = simulate(initial, 0.2, 0.02)
-    for state in traj.states:
+    for state, _ in march(initial, 0.2, 0.02):
         assert state.divergence_defect() < 1e-10
         for f in (state.v, state.E, state.B):
             assert f.hermitian_defect() < 1e-12 * (np.max(np.abs(f.coeffs)) + 1e-300)
-
-
-def test_diagnostics_schema(grid2):
-    initial = _random_state(grid2, seed=48, amp=0.1)
-    traj = simulate(initial, 0.1, 0.05)
-    assert len(traj.diagnostics) == len(traj.states) == 3
-    for d in traj.diagnostics:
-        assert set(d) == {"time", "energy", "grad_v_sq", "j_sq"}
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +425,7 @@ def test_diagnostics_schema(grid2):
 
 def test_z_norm_zero_and_single_component(grid2):
     initial = MhdState.zeros(grid2)
-    traj = simulate(initial, 0.2, 0.1, nonlinear=False)
+    traj = free_evolution(initial, 0.2, 0.1)
     z = z_norm(traj)
     assert z.total == 0.0
     v_only = MhdState(
@@ -447,7 +434,7 @@ def test_z_norm_zero_and_single_component(grid2):
         SpectralField.zeros(grid2),
     ).prepared()
     states = [MhdState(v_only.v, v_only.E, v_only.B, t) for t in (0.0, 0.1, 0.2)]
-    traj = Trajectory.from_states(grid2, states, 3)
+    traj = trajectory_of(grid2, states)
     z = z_norm(traj)
     assert z.u > 0 and z.E == 0.0 and z.B == 0.0
     assert z.total == z.u + z.E + z.B
@@ -467,27 +454,10 @@ def test_z_norm_pinned_static_single_shell(grid2):
     times = np.linspace(0.0, 1.0, 21)
     states = [MhdState(SpectralField.zeros(grid2), SpectralField.zeros(grid2), B, t)
               for t in times]
-    traj = Trajectory.from_states(grid2, states, 21)
+    traj = trajectory_of(grid2, states)
     z = z_norm(traj)
     assert abs(z.B - 2.0 * math.sqrt(2.0)) < 1e-10
     assert z.u == 0.0 and z.E == 0.0
-
-
-@pytest.mark.parametrize("given", [2, 5])
-def test_from_states_takes_exactly_count_states(grid2, given):
-    states = [MhdState.zeros(grid2) for _ in range(given)]
-    with pytest.raises(ValueError, match="4 expected"):
-        Trajectory.from_states(grid2, states, 4)
-
-
-def test_from_states_rejects_amplitudes_on_killed_modes(grid2):
-    # Packing keeps only the modes of the 2/3 rule; an amplitude on any other
-    # mode would be dropped silently.
-    state = _random_state(grid2, seed=67)
-    Trajectory.from_states(grid2, [state], 1)
-    state.E.coeffs[2][grid2.dealias_mask()] = 1e-3
-    with pytest.raises(ValueError, match="2/3 rule kills"):
-        Trajectory.from_states(grid2, [state], 1)
 
 
 # ---------------------------------------------------------------------------
@@ -548,7 +518,7 @@ def test_picard_zero_data(grid2):
     last, ratios, diffs = picard_iterate(MhdState.zeros(grid2), 0.2, 0.05, 3)
     assert ratios == []
     assert diffs == [0.0, 0.0, 0.0]
-    for s in last.states:
+    for s in states_of(last):
         assert np.max(np.abs(s.v.coeffs)) == 0.0
 
 
@@ -562,7 +532,7 @@ def test_picard_drops_ratios_of_roundoff_noise(grid2):
     # The iterate chain is rebuilt here from the map and the norm.
     initial = _random_state(grid2, seed=55, amp=1e-2)
     last, ratios, got = picard_iterate(initial, 0.2, 0.05, 5)
-    free = simulate(initial, 0.2, 0.05, nonlinear=False)
+    free = free_evolution(initial, 0.2, 0.05)
     table = PropagatorTable.build(grid2, 0.05).kept()
     chain = [Trajectory(grid2, free.times, tuple(np.zeros_like(a) for a in free.kept))]
     for m in range(5):
@@ -591,13 +561,14 @@ def test_apply_phi_matches_composite_trapezoid(monkeypatch):
     assert [len(c) for c in grid_module._time_chunks(range(steps + 1),
                                                      3 * grid.n**2)] == [3, 3, 1]
     initial = _random_state(grid, seed=57)
-    free = simulate(initial, steps * dt, dt, nonlinear=False)
-    pert = Trajectory.from_states(grid, [_random_state(grid, seed=60 + i, amp=0.3)
-                                         for i in range(steps + 1)], steps + 1)
+    free = free_evolution(initial, steps * dt, dt)
+    pert = trajectory_of(grid, [_random_state(grid, seed=60 + i, amp=0.3)
+                                for i in range(steps + 1)])
     got, _ = _apply_phi(initial.prepared(), free.times, _copied(pert),
                         PropagatorTable.build(grid, dt).kept())
+    got = list(states_of(got))
     ns = [_state_nonlinearity(MhdState(f.v + p.v, f.E + p.E, f.B + p.B))
-          for f, p in zip(free.states, pert.states)]
+          for f, p in zip(states_of(free), states_of(pert))]
     for n in range(1, steps + 1):
         want = MhdState.zeros(grid)
         for j in range(n + 1):
@@ -608,7 +579,7 @@ def test_apply_phi_matches_composite_trapezoid(monkeypatch):
             want = MhdState(want.v + w * heat_apply(n_v, t), want.E + w * E,
                             want.B + w * B)
         for name in ("v", "E", "B"):
-            a = getattr(got.states[n], name).coeffs
+            a = getattr(got[n], name).coeffs
             b = getattr(want, name).coeffs
             assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b)), (n, name)
 
@@ -677,12 +648,13 @@ def _out_of_place_phi(free, pert, table):
     # The map into new stacks, pert left untouched: per chunk N on
     # free + pert, then the recursion of ``_apply_phi``.
     grid, h = free.grid, 0.5 * table.dt
-    out = tuple(np.zeros_like(a) for a in free.half)
+    free_half, pert_half = ([_unpack(grid, a) for a in t.kept] for t in (free, pert))
+    out = tuple(np.zeros_like(a) for a in free_half)
     prev = None
     for chunk in _time_chunks(range(len(free)), 3 * grid.n**grid.d):
         at = slice(chunk.start, chunk.stop)
         n_v, n_E = (h * n for n in nonlinearity(
-            grid, *(a[at] + b[at] for a, b in zip(free.half, pert.half))))
+            grid, *(a[at] + b[at] for a, b in zip(free_half, pert_half))))
         for j, i in enumerate(chunk):
             if prev is not None:
                 v, E, B = (a[i] for a in out)
@@ -710,14 +682,14 @@ def test_streamed_difference_norm_matches_z_norm(grid_name, request, monkeypatch
                                          3 * grid.n**grid.d)] == [3, 3, 1]
     table = PropagatorTable.build(grid, dt)
     initial = _random_state(grid, seed=61)
-    free = simulate(initial, steps * dt, dt, nonlinear=False)
-    pert = Trajectory.from_states(grid, [_random_state(grid, seed=70 + i, amp=0.3)
-                                         for i in range(steps + 1)], steps + 1)
+    free = free_evolution(initial, steps * dt, dt)
+    pert = trajectory_of(grid, [_random_state(grid, seed=70 + i, amp=0.3)
+                                for i in range(steps + 1)])
     old = _copied(pert)
     want = _out_of_place_phi(free, old, table)
     got, series = _apply_phi(initial.prepared(), free.times, pert, table.kept())
     assert all(got_a is a for got_a, a in zip(got.kept, pert.kept))
-    assert all(np.array_equal(a, b) for a, b in zip(got.half, want))
+    assert all(np.array_equal(_unpack(grid, a), b) for a, b in zip(got.kept, want))
     diff = Trajectory(grid, free.times,
                       tuple(np.subtract(a, b) for a, b in zip(got.kept, old.kept)))
     assert _z_from_series(grid.d, *series) == z_norm(diff)
@@ -795,13 +767,13 @@ def test_picard_peak_memory_below_one_trajectory():
     # iterate comes back on kept stacks, not unpacked.
     peak, last = _picard_peak_in_trajectories()
     assert peak < 1, peak
-    assert "half" not in vars(last)
+    assert all(a.shape == (len(last), 3, last.grid._kept.size) for a in last.kept)
 
 
 @pytest.mark.parametrize("grid_name", ["grid2", "grid3"])
 def test_map_streams_the_free_evolution(grid_name, request, monkeypatch):
     # The states each map hands to the kernel are the free evolution of
-    # simulate(nonlinear=False), then free + pert, bit for bit, on chunks
+    # free_evolution, then free + pert, bit for bit, on chunks
     # of three times that leave a one-slot last chunk: the streamed
     # recursion crosses each chunk boundary from the free state, not from
     # the sum written into the chunk buffer.
@@ -814,7 +786,7 @@ def test_map_streams_the_free_evolution(grid_name, request, monkeypatch):
     assert [len(c) for c in _time_chunks(range(steps + 1),
                                          3 * grid.n**grid.d)] == [3, 3, 1]
     initial = _random_state(grid, seed=65)
-    free = simulate(initial, steps * dt, dt, nonlinear=False)
+    free = free_evolution(initial, steps * dt, dt)
     seen = []
     kernel = system.nonlinearity
 
@@ -830,26 +802,27 @@ def test_map_streams_the_free_evolution(grid_name, request, monkeypatch):
     assert len(seen) == 6
     for m, plus in enumerate((None, old)):
         got = [np.concatenate([s[c] for s in seen[3 * m:3 * m + 3]]) for c in range(3)]
-        want = free.half if plus is None else [a + b for a, b in zip(free.half, plus.half)]
+        want = [_unpack(grid, a) for a in free.kept]
+        if plus is not None:
+            want = [a + _unpack(grid, b) for a, b in zip(want, plus.kept)]
         for a, b in zip(got, want):
             assert np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 def test_picard_iterates_are_lazy_half_stacks(grid2):
-    # Each iterate holds (times, 3, K) stacks on the kept modes, unpacked to
-    # (times, 3, n, n/2+1) stacks on first read; its states are views of
-    # those, built when first read.
+    # Each iterate holds only (times, 3, K) stacks on the kept modes; a
+    # state is unpacked to the half spectrum (3, n, n/2+1) when it is read,
+    # one at a time, and is a real field.
     last, _, _ = picard_iterate(_random_state(grid2, seed=58, amp=1e-2), 0.2, 0.05, 3)
     h = grid2.n // 2 + 1
+    assert [f.name for f in dataclasses.fields(last)] == ["grid", "times", "kept"]
     for a in last.kept:
         assert a.shape == (5, 3, grid2._kept.size)
-    for a in last.half:
-        assert a.shape == (5, 3, grid2.n, h)
-    assert "states" not in vars(last)
     assert len(last) == 5
-    for i, state in enumerate(last.states):
-        for a, f in zip(last.half, (state.v, state.E, state.B)):
-            assert np.array_equal(f.coeffs, a[i]) and np.shares_memory(f.coeffs, a)
+    for i, state in enumerate(states_of(last)):
+        for a, f in zip(last.kept, (state.v, state.E, state.B)):
+            assert f.coeffs.shape == (3, grid2.n, h)
+            assert np.array_equal(f.coeffs, _unpack(grid2, a)[i])
             assert f.hermitian_defect() <= 1e-14 * np.max(np.abs(a[i]))
 
 
@@ -863,9 +836,9 @@ def test_picard_matches_simulate_small_data(grid2):
     T, dt = 0.3, 0.01
     last, ratios, _ = picard_iterate(initial, T, dt, 4)
     assert all(r < 1.0 for r in ratios)
-    free = simulate(initial, T, dt, nonlinear=False)
+    free = free_evolution(initial, T, dt)
     fixed = picard_solution(free, last)
-    ref = simulate(initial, T, dt)
+    ref = [state for state, _ in march(initial, T, dt)]
     scale = initial_data_norm(initial)
     worst = max(
         max(
@@ -873,7 +846,7 @@ def test_picard_matches_simulate_small_data(grid2):
             lp_norm_physical(a.E - b.E, 2),
             lp_norm_physical(a.B - b.B, 2),
         )
-        for a, b in zip(fixed.states, ref.states)
+        for a, b in zip(states_of(fixed), ref)
     )
     assert worst <= 10.0 * dt**2 * scale
 

@@ -2,8 +2,9 @@
 package by name, and the scripts in scripts/ call the package's public API;
 a rename must fail here, not only in a benchmark or script run.  Every run
 pays the package's import, so its import graph is checked here too, every
-defaulted parameter of the package must have a caller that sets it, and no
-function but two takes the dyadic partition that its data's grid holds.
+defaulted parameter of the package must have a caller that sets it, every
+public function that only tests call is registered with what it checks, and
+no function but two takes the dyadic partition that its data's grid holds.
 Each module's ``__all__`` names exactly its public functions and classes,
 and the package root re-exports none of them: it only loads the modules."""
 
@@ -165,6 +166,83 @@ def test_partition_comes_from_the_grid():
                 if "part" in {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}:
                     taking.append(f"{module}.{fn.name}")
     assert sorted(set(taking) - PART_PARAMETER_ALLOWLIST) == []
+
+
+# Public functions and methods of the package that nothing in src/,
+# scripts/ or perfbench/ calls, each with the production route it checks or
+# the acceptance criterion it serves.  The benchmark's tracer names two of
+# them (perfbench/tracing.py), which wraps but does not call them.
+TEST_ONLY_REGISTRY = {
+    "checks.check_bernstein": "dyadic.block, the shells of every grid-route shell norm "
+                              "(Bernstein's two-sided bound)",
+    "checks.check_parabolic_smoothing": "checks._heat_forced, the closed-form heat flow "
+                                        "of check_l2linfty (criterion 9)",
+    "checks.heat_forced_coeffs": "checks._heat_forced against the ODE oracle "
+                                 "(criterion 9's route); a benchmark trace target",
+    "grid.divergence": "leray_project and ensembles.gen_field: divergence-free output",
+    "grid.SpectralField.to_physical": "grid._half_physical, the kernel's inverse transform",
+    "grid.SpectralField.hermitian_defect": "the half-spectrum layout: nonlinearity, "
+                                           "PropagatorTable.apply and march keep fields real",
+    "latticeblocks.real_product_blocks": "remainder_cluster_stats",
+    "latticeblocks.lowpass_blocks": "remainder_cluster_stats",
+    "latticeblocks.packet_pair": "the lattice route checked against the grid route",
+    "latticeblocks.blocks_to_grid_field": "the lattice route checked against the grid route",
+    "propagators.phi_shell": "criterion 2",
+    "propagators.heat_apply": "PropagatorTable.apply and the Picard map's trapezoid "
+                              "(the heat factor in closed form)",
+    "propagators.maxwell_apply": "criterion 1",
+    "propagators.maxwell_wave_route": "criterion 1",
+    "propagators.maxwell_apply_undamped": "propagators._maxwell_modes, the transverse "
+                                          "rotation of PropagatorTable",
+    "system.picard_solution": "criterion 5",
+    "system.MhdState.divergence_defect": "system._divergence_defects, the gate of "
+                                         "nonlinearity; a benchmark trace target",
+}
+
+
+def _referenced_names(tree):
+    """(name, enclosing function nodes) for every name and attribute in
+    ``tree``; a name imported under another (``import a as b``) also counts
+    as its own."""
+    aliases = {a.asname: a.name for node in ast.walk(tree)
+               if isinstance(node, (ast.Import, ast.ImportFrom))
+               for a in node.names if a.asname}
+    out = []
+
+    def visit(node, enclosing):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            enclosing = enclosing + (node,)
+        name = getattr(node, "id", None) or getattr(node, "attr", None)
+        if isinstance(node, (ast.Name, ast.Attribute)):
+            out.append((aliases.get(name, name), enclosing))
+        for child in ast.iter_child_nodes(node):
+            visit(child, enclosing)
+
+    visit(tree, ())
+    return out
+
+
+def test_every_test_only_public_function_is_registered():
+    # Matched by name alone, as in the defaulted-parameter test: a method
+    # call or attribute read counts for every function of that name.  A use
+    # inside the function's own body is no caller.
+    refs = [r for _, tree in _python_files("src", "scripts", "perfbench")
+            for r in _referenced_names(tree)]
+    found = []
+    for path, tree in _python_files(os.path.join("src", "nsmaxwell")):
+        module = os.path.basename(path)[:-3]
+        owners = {id(f): c for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+                  for f in c.body}
+        for fn in ast.walk(tree):
+            if (isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not fn.name.startswith("_")
+                    and not any(name == fn.name and fn not in enclosing
+                                for name, enclosing in refs)):
+                cls = owners.get(id(fn))
+                found.append(f"{module}.{cls.name + '.' if cls else ''}{fn.name}")
+    unlisted = sorted(set(found) - set(TEST_ONLY_REGISTRY))
+    stale = sorted(set(TEST_ONLY_REGISTRY) - set(found))
+    assert (unlisted, stale) == ([], [])
 
 
 def test_import_loads_no_heavy_scipy_subpackage():
