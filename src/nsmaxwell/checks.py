@@ -28,7 +28,6 @@ from .grid import (
     _half_spectral,
     _sup_series,
     _time_chunks,
-    gradient_component,
     leray_project,
     lp_norm_physical,
     pointwise_product,
@@ -41,7 +40,6 @@ from .dyadic import (
     _mode_power,
     _shell_l2,
     _weighted_l2,
-    block,
     bony_decompose,
     build_partition,
     low_pass,
@@ -52,7 +50,7 @@ from .dyadic import (
 )
 from .propagators import PropagatorTable, _maxwell_coefficients, _maxwell_modes, _trapezoid
 from .system import step_count
-from .ensembles import FieldEnsembleSpec, gen_ensemble, gen_field
+from .ensembles import FieldEnsembleSpec, gen_field
 from .latticeblocks import (
     besov_norm as lattice_besov,
     hst_from_shells,
@@ -70,8 +68,6 @@ __all__ = [
     "SeparableTrajectory",
     "envelope_time_norm",
     "separable_product",
-    "check_bernstein",
-    "check_parabolic_smoothing",
     "check_l2linfty",
     "concentrated_packet",
     "check_maxwell_energy_decay",
@@ -180,10 +176,10 @@ SEPARABLE_RATE = 2.0
 
 
 def envelope_time_norm(rate: float, T: float, p) -> float:
-    """L^p(0, T) norm of e^{-rate t} in closed form."""
+    """L^p(0, T) norm of e^{-rate t} in closed form, for any real rate."""
     if p == np.inf:
-        return 1.0
-    if rate <= 0:
+        return max(1.0, math.exp(-rate * T))
+    if rate == 0:
         if p == 1:
             return T
         if p == 2:
@@ -214,7 +210,7 @@ class SeparableTrajectory:
         )
 
     def besov_spacetime(self, s: float, time_p, T: float) -> float:
-        return norm_besov(self.field, s, 1) * envelope_time_norm(
+        return norm_besov(self.field, s) * envelope_time_norm(
             self.rate, T, time_p
         )
 
@@ -234,49 +230,9 @@ def separable_product(a: SeparableTrajectory, b: SeparableTrajectory,
 
 
 # ---------------------------------------------------------------------------
-# Bernstein.
-
-
-def check_bernstein(spec: FieldEnsembleSpec, q: int) -> EstimateReport:
-    """Both-sided first-derivative bound on shell-q blocks.
-
-    Per sample: max_axis ||d_axis Delta_q f|| / (2^q ||Delta_q f||).  The
-    report's LHS/RHS carry the ratio and 1 so the empirical two-sided
-    constant is max(max_ratio, 1/min nonzero ratio); we store both
-    orientations as separate samples.
-    """
-    report = EstimateReport("bernstein", {"q": q, "seed": spec.seed})
-    for f in gen_ensemble(spec):
-        bq = block(f, q)
-        base = lp_norm_physical(bq, 2)
-        if base == 0.0:
-            raise ValueError(f"shell {q} empty for this ensemble")
-        best = max(lp_norm_physical(gradient_component(bq, axis), 2)
-                   for axis in range(spec.grid.d))
-        ratio = best / (2.0**q * base)
-        report.add_sample(ratio, 1.0)
-        report.add_sample(1.0, ratio)
-    return report
-
-
-# ---------------------------------------------------------------------------
+# Forced heat flow (closed-form per mode, no quadrature error in the solve).
 # Closed-form time axes: a linear flow that is exact per mode is evaluated at
 # a chunk of sample times per array operation (``grid._time_chunks``).
-
-
-def _selected_modes(grid: Grid, *coeffs):
-    """The modes with power in some of ``coeffs`` and weight in some shell:
-    a picker for them on (components, *spectral_shape) arrays, their |k|^2,
-    and their ``shell_matrix`` rows (modes x shells)."""
-    part = build_partition(grid)
-    power = sum(_mode_power(c.reshape(3, -1)) for c in coeffs)
-    idx = np.flatnonzero((power > 0) & (part.partition_sum().ravel() > 0))
-    return (lambda c: c.reshape(len(c), -1)[:, idx], grid.k_squared().ravel()[idx],
-            part.shell_matrix(idx))
-
-
-# ---------------------------------------------------------------------------
-# Forced heat flow (closed-form per mode, no quadrature error in the solve).
 
 
 def _heat_forced(ksq, u0, forcings, t):
@@ -313,46 +269,6 @@ def heat_forced_coeffs(u0: SpectralField, forcings, t: float) -> SpectralField:
     return SpectralField(u0.grid, _heat_forced(u0.grid.k_squared(), u0.coeffs, amps, t))
 
 
-def check_parabolic_smoothing(u0: SpectralField, forcing, T: float, p,
-                              s: float, r, dt: float = 0.01) -> EstimateReport:
-    """Heat regularization in Besov-(2,1) scale.
-
-    LHS = sup_t ||u(t)||_{B^s_{2,1}} + tilde-L^p_T B^{s+2/p}_{2,1};
-    RHS = ||u0||_{B^s_{2,1}} + tilde-L^r_T B^{s-2+2/r}_{2,1} of the forcing.
-    ``forcing`` is None or (SpectralField, rate).  The shell norms at all
-    sample times t_n = n dt come from the closed-form solution, a chunk of
-    times at once; T must be a multiple of dt.
-    """
-    grid = u0.grid
-    forcings = [] if forcing is None else [forcing]
-    times = np.arange(step_count(T, dt) + 1) * dt
-    sel, ksq, w2 = _selected_modes(grid, u0.coeffs, *(F.coeffs for F, _ in forcings))
-    amps = [(sel(F.coeffs), lam) for F, lam in forcings]
-    rows = np.vstack([
-        _shell_l2(_mode_power(_heat_forced(ksq, sel(u0.coeffs), amps, t[:, None, None])),
-                  w2)
-        for t in _time_chunks(times, 3 * ksq.size)
-    ])
-    q_values = np.array(build_partition(grid).shells(), dtype=float)
-
-    sup_besov = time_lebesgue(rows @ 2.0 ** (s * q_values), times, np.inf)
-    # tilde-L^p_T B^{s+2/p}_{2,1}: time norm per shell, then the l^1 sum.
-    smoothed = float(2.0 ** (q_values * (s + 2.0 / p)) @ time_lebesgue(rows, times, p))
-    lhs = sup_besov + smoothed
-
-    rhs = norm_besov(u0, s, 1)
-    if forcing is not None:
-        F, lam = forcing
-        rhs += norm_besov(F, s - 2.0 + 2.0 / r, 1) * envelope_time_norm(
-            lam, T, r
-        )
-    report = EstimateReport(
-        "parabolic-smoothing", {"s": s, "p": p, "r": r, "T": T, "dt": dt}
-    )
-    report.add_sample(lhs, rhs)
-    return report
-
-
 def concentrated_packet(grid: Grid, q: int) -> SpectralField:
     """Real modulated Gaussian wave packet at shell ~q in the third
     component: one spatial bump per box, spectrum centered at
@@ -376,7 +292,6 @@ def concentrated_packet(grid: Grid, q: int) -> SpectralField:
     coeffs = np.zeros((3,) + grid.spectral_shape, dtype=np.complex128)
     coeffs[2] = 0.5 * (bump(1.0) + bump(-1.0))  # the real part of g
     f = SpectralField(grid, coeffs)
-    f.zero_nyquist()
     f.dealias()
     return f
 
@@ -419,7 +334,7 @@ def check_l2linfty(u0: SpectralField, f1, f2, T: float, dt: float = 0.01,
         rhs += norm_hst(F, spec) * envelope_time_norm(lam, T, 1)
     if f2 is not None:
         F, lam = f2
-        rhs += norm_besov(F, d / 2.0 - 2.0, 1) * envelope_time_norm(lam, T, 2)
+        rhs += norm_besov(F, d / 2.0 - 2.0) * envelope_time_norm(lam, T, 2)
     report = EstimateReport("l2-linfty", {"T": T, "dt": dt, "d": d})
     report.add_sample(lhs, rhs)
     return report
@@ -468,7 +383,6 @@ def fast_eigenmode_state(grid: Grid, rng: np.random.Generator,
     Ef = SpectralField(grid, E)
     Bf = SpectralField(grid, Bc)
     for f in (Ef, Bf):
-        f.zero_nyquist()
         f.dealias()
     return Ef, leray_project(Bf)
 
@@ -482,8 +396,13 @@ def _free_maxwell_rows(E0: SpectralField, B0: SpectralField, times: np.ndarray):
     drops that part from later rows.  No selected mode is k = 0, which no
     shell weighs.
     """
-    sel, ksq, w2 = _selected_modes(E0.grid, E0.coeffs, B0.coeffs)
-    khat, E, B = map(sel, (E0.grid._unit_wavevectors, E0.coeffs, B0.coeffs))
+    grid, part = E0.grid, build_partition(E0.grid)
+    # The modes with power in E0 or B0 and weight in some shell.
+    power = _mode_power(E0.coeffs.reshape(3, -1)) + _mode_power(B0.coeffs.reshape(3, -1))
+    idx = np.flatnonzero((power > 0) & (part.partition_sum().ravel() > 0))
+    khat, E, B = (c.reshape(len(c), -1)[:, idx]
+                  for c in (grid._unit_wavevectors, E0.coeffs, B0.coeffs))
+    ksq, w2 = grid.k_squared().ravel()[idx], part.shell_matrix(idx)
     rows_E, rows_B = [_block_l2(E0)[None]], [_block_l2(B0)[None]]
     for t in _time_chunks(times[1:], 3 * ksq.size):
         a11, a12, a22 = _maxwell_coefficients(ksq, t[:, None])
@@ -636,9 +555,9 @@ def check_product_law(estimate_id: str, T: float, a: SeparableTrajectory,
             env2 = envelope_time_norm(rate, T, 2)
             env1 = envelope_time_norm(rate, T, 1)
             lhs = (
-                norm_besov(t_eb + t_be, -1.0, 1) * env2
+                norm_besov(t_eb + t_be, -1.0) * env2
                 + lp_norm_physical(low_pass(r, 2), 2) * env1
-                + norm_besov(r - low_pass(r, 2), -1.0, 1) * env2
+                + norm_besov(r - low_pass(r, 2), -1.0) * env2
             )
             rhs = a.spacetime(NormSpec.sobolev_log(0.0, time_exponent=2), T) * (
                 b.spacetime(NormSpec.sobolev_log(0.0), T)
@@ -680,9 +599,8 @@ def product_law_report(estimate_id: str, spec: FieldEnsembleSpec, T: float,
         bound=bound,
     )
     for _ in range(spec.count):
-        a = SeparableTrajectory(gen_field(spec.grid, rng, spec.slope, spec.shell, True))
-        b = SeparableTrajectory(gen_field(spec.grid, rng, spec.slope, spec.shell,
-                                          spec.divergence_free))
+        a = SeparableTrajectory(gen_field(spec.grid, rng, spec.slope, None, True))
+        b = SeparableTrajectory(gen_field(spec.grid, rng, spec.slope, None, False))
         sample = check_product_law(estimate_id, T, a, b)
         merged.add_sample(sample.lhs[0], sample.rhs[0])
     return merged

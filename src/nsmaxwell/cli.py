@@ -23,7 +23,7 @@ from .checks import (
     write_reports_csv,
     write_reports_jsonl,
 )
-from .config import ConfigError, RunConfig, apply_flags, parse_config
+from .config import NORM_COLUMNS, ConfigError, RunConfig, apply_flags, parse_config
 from .dyadic import NormSpec, build_partition, norm_hst
 from .ensembles import FieldEnsembleSpec, gen_field
 from .grid import Grid, SpectralField, lp_norm_physical
@@ -185,7 +185,7 @@ def _cmd_split(cfg: RunConfig) -> int:
 
 
 def _cmd_norms(cfg: RunConfig) -> int:
-    norms = cfg.norms or ("v_l2", "E_l2", "B_l2", "v_h1", "E_l2log", "B_l2log")
+    norms = cfg.norms or NORM_COLUMNS
     return _march_to_csv(cfg, "norms.csv", norms, snapshots=False)
 
 

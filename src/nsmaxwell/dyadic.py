@@ -290,14 +290,11 @@ def norm_hst(u: SpectralField, spec: NormSpec) -> float:
     return float(_weighted_l2(_block_l2(u), build_partition(u.grid).shells(), spec))
 
 
-def norm_besov(u: SpectralField, s: float, r) -> float:
-    """Homogeneous Besov norm B^s_{2,r}, r in {1, 2}: l^r over shells of
+def norm_besov(u: SpectralField, s: float) -> float:
+    """Homogeneous Besov norm B^s_{2,1}: the sum over shells of
     2^{qs} ||Delta_q u||_{L^2}."""
-    if r not in (1, 2):
-        raise ValueError(f"unsupported summability exponent {r!r}")
     qs = np.array(build_partition(u.grid).shells(), dtype=float)
-    terms = 2.0 ** (qs * s) * _block_l2(u)
-    return float(np.sum(terms) if r == 1 else np.sqrt(np.sum(terms**2)))
+    return float(np.sum(2.0 ** (qs * s) * _block_l2(u)))
 
 
 # ---------------------------------------------------------------------------

@@ -54,8 +54,8 @@ class Grid:
             raise ValueError(f"dimension must be 2 or 3, got {self.d}")
         if self.n < 8 or not _is_power_of_two(self.n):
             raise ValueError(f"n must be a power of two >= 8, got {self.n}")
-        if self.box_length <= 0:
-            raise ValueError("box_length must be positive")
+        if not (np.isfinite(self.box_length) and self.box_length > 0):
+            raise ValueError(f"box_length must be finite and positive, got {self.box_length}")
 
     @property
     def shape(self) -> tuple:

@@ -13,11 +13,11 @@ factor e_par of the longitudinal part of E; no field is split into parts:
     E_t = a11 E + (e_par - a11) khat (khat.E) + a12 i khat x B,
     B_t = a22 (B - khat (khat.B)) - a12 i khat x E.
 It takes the imaginary coupling i a12, which ``PropagatorTable`` builds once
-and ``maxwell_apply``, ``maxwell_apply_undamped`` and the closed-form decay
-checker (whose factors carry a time axis) form per call.  The table applies
-it, with the k = 0 fix of ``_maxwell_group``, to amplitudes, not states,
-writing into output slots that may be its inputs.  The table's a11, a22 and
-the grid's khat are real, held as complex128: numpy casts them so anyway.
+(also for ``maxwell_apply``) and ``maxwell_apply_undamped`` and the
+closed-form decay checker (whose factors carry a time axis) form per call.
+The table applies it to amplitudes, not states, writing into output slots
+that may be its inputs.  The table's a11, a22 and the grid's khat are real,
+held as complex128: numpy casts them so anyway.
 
 A table's factors and khat live on the grid's stored modes, the half
 spectrum (see ``grid``), so they multiply the amplitudes column for
@@ -148,6 +148,12 @@ def _maxwell_coefficients(ksq: np.ndarray, t):
         a11 = np.where(degenerate, e * (1.0 - 0.5 * t), a11)
         a12 = np.where(degenerate, e * k * t, a12)
         a22 = np.where(degenerate, e * (1.0 + 0.5 * t), a22)
+    origin = ksq == 0
+    if np.any(origin):
+        # Exact at k = 0 (E0' = -E0, B0' = 0), where the forms above round.
+        a11 = np.where(origin, np.exp(-t), a11)
+        a12 = np.where(origin, 0.0, a12)
+        a22 = np.where(origin, 1.0, a22)
     return a11.real, a12.real, a22.real
 
 
@@ -188,31 +194,17 @@ def _maxwell_modes(khat: np.ndarray, E: np.ndarray, B: np.ndarray,
     return E_t, B_t
 
 
-def _maxwell_group(khat: np.ndarray, E, B, a11, i_a12, a22, e_par, out=None):
-    """``_maxwell_modes`` on amplitudes (3, *modes), k = 0 first: at k = 0
-    the decoupled ODEs E0' = -E0, B0' = 0 scale E by ``e_par`` and leave B
-    unchanged, read before the pass, so ``out`` may be (E, B)."""
-    origin = (slice(None),) + (0,) * (E.ndim - 1)
-    E0, B0 = E[origin].copy(), B[origin].copy()
-    E_t, B_t = _maxwell_modes(khat, E, B, a11, i_a12, a22, e_par, out)
-    E_t[origin] = e_par * E0
-    B_t[origin] = B0
-    return E_t, B_t
-
-
 def maxwell_apply(E: SpectralField, B: SpectralField, t: float):
     """Exact damped-Maxwell group E' = -E + curl B, B' = -curl E.
 
-    B is projected onto its divergence-free part first.  The longitudinal
-    part of E decays as e^{-t} (at k=0: E scaled by e^{-t}, B unchanged);
-    the transverse sector uses the closed-form 2x2 matrix exponential.
+    B is projected onto its divergence-free part first, then the table of
+    step t, the solver's route, applies the group: the longitudinal part of
+    E decays as e^{-t} (at k=0: E scaled by e^{-t}, B unchanged), the
+    transverse sector by the closed-form 2x2 matrix exponential.
     """
-    if t < 0:
-        raise ValueError("time must be nonnegative")
-    a11, a12, a22 = _maxwell_coefficients(E.grid.k_squared(), t)
-    return tuple(SpectralField(E.grid, a) for a in _maxwell_group(
-        E.grid._unit_wavevectors, E.coeffs, leray_project(B).coeffs, a11, 1j * a12, a22,
-        np.exp(-t)))
+    table = PropagatorTable.build(E.grid, t)
+    return tuple(SpectralField(E.grid, a)
+                 for a in table.apply_maxwell(E.coeffs, leray_project(B).coeffs))
 
 
 def maxwell_wave_route(E0: SpectralField, B0: SpectralField, t: float) -> SpectralField:
@@ -237,7 +229,7 @@ def maxwell_apply_undamped(E: SpectralField, B: SpectralField, t: float):
         raise ValueError("time must be nonnegative")
     kmag = E.grid.k_magnitude()
     c, s = np.cos(kmag * t), np.sin(kmag * t)
-    return tuple(SpectralField(E.grid, a) for a in _maxwell_group(
+    return tuple(SpectralField(E.grid, a) for a in _maxwell_modes(
         E.grid._unit_wavevectors, E.coeffs, leray_project(B).coeffs, c, 1j * s, c, 1.0))
 
 
@@ -277,7 +269,7 @@ class PropagatorTable:
 
     def apply_maxwell(self, E, B, out=None):
         """No projection: B is taken as divergence-free."""
-        return _maxwell_group(self.khat, E, B, self.a11, self.i_a12, self.a22, self.e_damp, out)
+        return _maxwell_modes(self.khat, E, B, self.a11, self.i_a12, self.a22, self.e_damp, out)
 
     def apply(self, v, E, B, out=None):
         """e^{dt A} on the amplitudes (v, E, B), written into the slots

@@ -66,6 +66,8 @@ def read_snapshot(path):
             grid = Grid(d, n, L)
         except ValueError as exc:
             raise SnapshotError(f"bad snapshot header: {exc}") from None
+        if not np.isfinite(time):
+            raise SnapshotError(f"bad snapshot header: time must be finite, got {time}")
         size = 3 * n**d * 16
         if os.fstat(fh.fileno()).st_size - fh.tell() < size:
             raise SnapshotError("truncated snapshot payload")

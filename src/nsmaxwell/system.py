@@ -116,11 +116,10 @@ class MhdState:
 
     def prepared(self) -> "MhdState":
         """Sanitized copy for use as initial data: Hermitian symmetry and
-        Nyquist zeroing enforced, v and B projected, mean of v removed."""
+        the 2/3 truncation enforced, v and B projected, mean of v removed."""
         out = MhdState(self.v.copy(), self.E.copy(), self.B.copy(), self.time)
         for f in (out.v, out.E, out.B):
             f.enforce_hermitian()
-            f.zero_nyquist()
             f.dealias()
         out.v = leray_project(out.v)
         out.v.set_mean((0.0, 0.0, 0.0))

@@ -11,10 +11,9 @@ from nsmaxwell.checks import (
     PRODUCT_LAW_IDS,
     EstimateReport,
     SeparableTrajectory,
-    check_bernstein,
+    _heat_forced,
     check_l2linfty,
     check_maxwell_energy_decay,
-    check_parabolic_smoothing,
     check_product_law,
     concentrated_packet,
     envelope_time_norm,
@@ -27,9 +26,28 @@ from nsmaxwell.checks import (
     write_reports_csv,
     write_reports_jsonl,
 )
-from nsmaxwell.dyadic import NormSpec, build_partition, norm_hst, shell_series, spacetime_norm_from_series
+from nsmaxwell.dyadic import (
+    NormSpec,
+    _mode_power,
+    _shell_l2,
+    block,
+    build_partition,
+    norm_besov,
+    norm_hst,
+    shell_series,
+    spacetime_norm_from_series,
+    time_lebesgue,
+)
 from nsmaxwell.ensembles import FieldEnsembleSpec, gen_field
-from nsmaxwell.grid import _CHUNK_ELEMENTS, Grid, SpectralField, lp_norm_physical
+from nsmaxwell.grid import (
+    _CHUNK_ELEMENTS,
+    Grid,
+    SpectralField,
+    _time_chunks,
+    gradient_component,
+    lp_norm_physical,
+)
+from nsmaxwell.system import step_count
 
 from conftest import count_transforms, count_trapezoids, random_field, single_mode_field
 
@@ -96,6 +114,26 @@ def test_envelope_time_norm_vs_quadrature():
         envelope_time_norm(1.0, 1.0, 4)
 
 
+def test_envelope_time_norm_of_a_growing_envelope(grid2):
+    # A negative rate is an envelope that grows: at rate -1, T = 1 the norms
+    # are e - 1, sqrt((e^2 - 1) / 2) and e, not the 1 of a constant.
+    for rate in (-1.0, -0.3):
+        for T in (1.0, 5.0):
+            for p in (1, 2):
+                direct = quad(lambda t: math.exp(-rate * t) ** p, 0.0, T)[0] ** (1.0 / p)
+                assert abs(envelope_time_norm(rate, T, p) - direct) < 1e-12 * direct
+            assert envelope_time_norm(rate, T, np.inf) == math.exp(-rate * T)
+    assert abs(envelope_time_norm(-1.0, 1.0, 1) - (math.e - 1.0)) < 1e-15
+    assert abs(envelope_time_norm(-1.0, 1.0, 2) - math.sqrt((math.e**2 - 1.0) / 2.0)) < 1e-15
+    # The L^1_T H^{d/2-1} forcing term of check_l2linfty takes that norm.
+    u0 = random_field(grid2, seed=58, slope=1.5)
+    F = random_field(grid2, seed=59, slope=1.0)
+    spec = NormSpec.sobolev(0.0)
+    rep = check_l2linfty(u0, (F, -1.0), None, T=1.0, dt=0.05)
+    expect = norm_hst(u0, spec) + norm_hst(F, spec) * (math.e - 1.0)
+    assert abs(rep.rhs[0] - expect) < 1e-13 * expect
+
+
 def test_separable_trajectory_matches_sampled_norm(grid2):
     f = random_field(grid2, seed=50, slope=1.0)
     traj = SeparableTrajectory(f, rate=1.3)
@@ -122,17 +160,38 @@ def test_separable_product_rates_add(grid2):
 # Bernstein.
 
 
+def _bernstein_report(grid, seed, count, q, shell=None):
+    """Both-sided first-derivative bound on the shell-q blocks of ``count``
+    random fields drawn from ``seed`` (``gen_field``, restricted to
+    ``shell`` if given).
+
+    Per sample: max_axis ||d_axis Delta_q f|| / (2^q ||Delta_q f||).  The
+    report's LHS/RHS carry the ratio and 1 so the empirical two-sided
+    constant is max(max_ratio, 1/min nonzero ratio); we store both
+    orientations as separate samples.
+    """
+    report = EstimateReport("bernstein", {"q": q, "seed": seed})
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        bq = block(gen_field(grid, rng, shell=shell), q)
+        base = lp_norm_physical(bq, 2)
+        if base == 0.0:
+            raise ValueError(f"shell {q} empty for this ensemble")
+        best = max(lp_norm_physical(gradient_component(bq, axis), 2)
+                   for axis in range(grid.d))
+        ratio = best / (2.0**q * base)
+        report.add_sample(ratio, 1.0)
+        report.add_sample(1.0, ratio)
+    return report
+
+
 def test_bernstein_single_mode_ratio_is_exact():
     # one mode at |k| = 2^q exactly: derivative along its axis gives
     # ratio |k| / 2^q = 1
     grid = Grid(2, 64)
-    spec = FieldEnsembleSpec(seed=0, count=1, grid=grid)
-    rep = check_bernstein(spec, q=2)
+    rep = _bernstein_report(grid, seed=0, count=1, q=2)
     assert rep.ratios  # ensemble route ran
     f = single_mode_field(grid, (4, 0), 1.0)
-    from nsmaxwell.grid import gradient_component
-    from nsmaxwell.dyadic import block
-
     bq = block(f, 2)
     g = gradient_component(bq, 0)
     ratio = lp_norm_physical(g, 2) / (4.0 * lp_norm_physical(bq, 2))
@@ -141,17 +200,15 @@ def test_bernstein_single_mode_ratio_is_exact():
 
 def test_bernstein_random_shells_bounded():
     # measured two-sided constants on random shell data (regression range)
-    spec = FieldEnsembleSpec(seed=3, count=8, grid=Grid(2, 64))
     for q in (1, 2, 3):
-        rep = check_bernstein(spec, q)
+        rep = _bernstein_report(Grid(2, 64), seed=3, count=8, q=q)
         vals = rep.ratios[0::2]
         assert 0.7 < min(vals) and max(vals) < 2.7, (q, vals)
 
 
 def test_bernstein_empty_shell_raises():
-    spec = FieldEnsembleSpec(seed=0, count=1, grid=Grid(2, 64), shell=2)
     with pytest.raises(ValueError):
-        check_bernstein(spec, q=4)
+        _bernstein_report(Grid(2, 64), seed=0, count=1, q=4, shell=2)
 
 
 # ---------------------------------------------------------------------------
@@ -194,8 +251,53 @@ def test_heat_forced_resonant_mode():
     assert abs(got.coeffs[2][(1, 0)] - expect) < 1e-12
 
 
+def _parabolic_smoothing_report(u0, forcing, T, p, s, r, dt=0.01):
+    """Heat regularization in Besov-(2,1) scale.
+
+    LHS = sup_t ||u(t)||_{B^s_{2,1}} + tilde-L^p_T B^{s+2/p}_{2,1};
+    RHS = ||u0||_{B^s_{2,1}} + tilde-L^r_T B^{s-2+2/r}_{2,1} of the forcing.
+    ``forcing`` is None or (SpectralField, rate).  The shell norms at all
+    sample times t_n = n dt come from the closed-form solution of
+    ``checks._heat_forced`` on the modes with power and shell weight, a
+    chunk of times at once; T must be a multiple of dt.
+    """
+    grid = u0.grid
+    part = build_partition(grid)
+    forcings = [] if forcing is None else [forcing]
+    times = np.arange(step_count(T, dt) + 1) * dt
+    power = sum(_mode_power(f.coeffs.reshape(3, -1)) for f in [u0] + [F for F, _ in forcings])
+    idx = np.flatnonzero((power > 0) & (part.partition_sum().ravel() > 0))
+    ksq, w2 = grid.k_squared().ravel()[idx], part.shell_matrix(idx)
+
+    def sel(c):
+        return c.reshape(3, -1)[:, idx]
+
+    amps = [(sel(F.coeffs), lam) for F, lam in forcings]
+    rows = np.vstack([
+        _shell_l2(_mode_power(_heat_forced(ksq, sel(u0.coeffs), amps, t[:, None, None])),
+                  w2)
+        for t in _time_chunks(times, 3 * ksq.size)
+    ])
+    q_values = np.array(part.shells(), dtype=float)
+
+    sup_besov = time_lebesgue(rows @ 2.0 ** (s * q_values), times, np.inf)
+    # tilde-L^p_T B^{s+2/p}_{2,1}: time norm per shell, then the l^1 sum.
+    smoothed = float(2.0 ** (q_values * (s + 2.0 / p)) @ time_lebesgue(rows, times, p))
+    lhs = sup_besov + smoothed
+
+    rhs = norm_besov(u0, s)
+    if forcing is not None:
+        F, lam = forcing
+        rhs += norm_besov(F, s - 2.0 + 2.0 / r) * envelope_time_norm(lam, T, r)
+    report = EstimateReport(
+        "parabolic-smoothing", {"s": s, "p": p, "r": r, "T": T, "dt": dt}
+    )
+    report.add_sample(lhs, rhs)
+    return report
+
+
 def test_parabolic_smoothing_zero_data(grid2):
-    rep = check_parabolic_smoothing(
+    rep = _parabolic_smoothing_report(
         SpectralField.zeros(grid2), None, T=1.0, p=2, s=0.5, r=2
     )
     assert rep.lhs == [0.0] and rep.rhs == [0.0]
@@ -208,7 +310,7 @@ def test_parabolic_smoothing_ratio_dt_stable(grid2):
     F = random_field(grid2, seed=57, slope=1.0)
     vals = []
     for dt in (0.02, 0.01, 0.005):
-        rep = check_parabolic_smoothing(u0, (F, 1.0), T=2.0, p=1, s=0.0, r=1,
+        rep = _parabolic_smoothing_report(u0, (F, 1.0), T=2.0, p=1, s=0.0, r=1,
                                         dt=dt)
         vals.append(rep.max_ratio)
     assert abs(vals[1] - vals[2]) < abs(vals[0] - vals[1]) + 1e-12
@@ -236,7 +338,7 @@ def test_parabolic_smoothing_matches_per_time_reference(grid2, part2):
         col_norm = np.trapezoid(rows**p, times, axis=0) ** (1.0 / p)
         ref = sup + sum(2.0 ** (q * (s + 2.0 / p)) * col_norm[j]
                         for j, q in enumerate(q_values))
-        rep = check_parabolic_smoothing(u0, forcing, T=T, p=p, s=s, r=1, dt=dt)
+        rep = _parabolic_smoothing_report(u0, forcing, T=T, p=p, s=s, r=1, dt=dt)
         assert abs(rep.lhs[0] - ref) <= 1e-12 * ref
 
 
@@ -273,7 +375,7 @@ def test_heat_checkers_validate_time_grid(grid2, checker, T, dt, message):
         if checker == "l2linfty":
             check_l2linfty(u0, None, None, T, dt)
         else:
-            check_parabolic_smoothing(u0, None, T, 2, 0.0, 1, dt)
+            _parabolic_smoothing_report(u0, None, T, 2, 0.0, 1, dt)
 
 
 @pytest.mark.parametrize("data, comps", [("three-component", 3), ("single-component", 1)])

@@ -2,6 +2,7 @@ import filecmp
 import json
 import os
 import re
+import struct
 import subprocess
 import sys
 
@@ -10,8 +11,8 @@ import pytest
 
 import nsmaxwell
 from nsmaxwell import system
-from nsmaxwell.cli import build_initial_state, main
-from nsmaxwell.config import parse_config
+from nsmaxwell.cli import DIAG_COLUMNS, build_initial_state, main
+from nsmaxwell.config import NORM_COLUMNS, parse_config
 from nsmaxwell.grid import Grid, SpectralField, lp_norm_physical
 from nsmaxwell.snapshots import read_snapshot, write_snapshot
 
@@ -307,7 +308,8 @@ def test_non_finite_config_value_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("defect", ["missing", "truncated", "cut_payload", "bad_dimension",
-                                    "mixed_grids", "config_grid_mismatch"])
+                                    "mixed_grids", "config_grid_mismatch", "nan_box_length",
+                                    "nan_time"])
 def test_unreadable_init_file_exits_2(tmp_path, capsys, defect):
     stem = str(tmp_path / "ic")
     for name in ("v", "E", "B"):
@@ -323,6 +325,10 @@ def test_unreadable_init_file_exits_2(tmp_path, capsys, defect):
             raw = path.read_bytes()
             if defect == "cut_payload":  # ends in the middle of an element
                 path.write_bytes(raw[:-5])
+            elif defect == "nan_box_length":  # the header's L, then its time
+                path.write_bytes(raw[:16] + struct.pack("<d", np.nan) + raw[24:])
+            elif defect == "nan_time":
+                path.write_bytes(raw[:24] + struct.pack("<d", np.nan) + raw[32:])
             else:  # the header's d = 5 names no grid
                 path.write_bytes(raw[:8] + (5).to_bytes(4, "little") + raw[12:])
     d = 3 if defect == "config_grid_mismatch" else 2
@@ -333,6 +339,8 @@ def test_unreadable_init_file_exits_2(tmp_path, capsys, defect):
     assert err[0].startswith("config error: init_file:")
     if defect == "config_grid_mismatch":
         assert "Grid(d=2, n=32" in err[0] and "Grid(d=3, n=16" in err[0]
+    if defect.startswith("nan_"):
+        assert err[0].startswith("config error: init_file: bad snapshot header:")
 
 
 def test_picard_zero_data_reads_zero(tmp_path):
@@ -404,6 +412,8 @@ def test_norms_csv_default_columns(tmp_path):
     assert lines[0] == (
         "time,energy,grad_v_sq,j_sq,v_l2,E_l2,B_l2,v_h1,E_l2log,B_l2log"
     )
+    # The default columns are the config's one list of norm columns.
+    assert lines[0] == ",".join(DIAG_COLUMNS + NORM_COLUMNS)
     # Taylor-Green start: E and B stay at zero, v decays
     first = lines[1].split(",")
     last = lines[-1].split(",")

@@ -3,25 +3,30 @@ import math
 import numpy as np
 
 from nsmaxwell.dyadic import block, build_partition
-from nsmaxwell.ensembles import FieldEnsembleSpec, gen_ensemble, gen_field
+from nsmaxwell.ensembles import gen_field
 from nsmaxwell.grid import Grid, divergence
 
 
+def _ensemble(seed, count, grid, slope=0.0, divergence_free=False):
+    """``count`` fields drawn in turn from one generator seeded with ``seed``,
+    as ``checks.product_law_report`` draws its pairs."""
+    rng = np.random.default_rng(seed)
+    return [gen_field(grid, rng, slope, None, divergence_free) for _ in range(count)]
+
+
 def test_seed_repeatability():
-    spec = FieldEnsembleSpec(seed=5, count=3, grid=Grid(2, 32), slope=1.0)
-    a = gen_ensemble(spec)
-    b = gen_ensemble(spec)
+    a = _ensemble(5, 3, Grid(2, 32), slope=1.0)
+    b = _ensemble(5, 3, Grid(2, 32), slope=1.0)
     assert len(a) == len(b) == 3
     for fa, fb in zip(a, b):
         assert np.array_equal(fa.coeffs, fb.coeffs)
     # different seeds differ
-    c = gen_ensemble(FieldEnsembleSpec(seed=6, count=3, grid=Grid(2, 32), slope=1.0))
+    c = _ensemble(6, 3, Grid(2, 32), slope=1.0)
     assert not np.array_equal(a[0].coeffs, c[0].coeffs)
 
 
 def test_divergence_free_option():
-    spec = FieldEnsembleSpec(seed=7, count=2, grid=Grid(2, 32), divergence_free=True)
-    for f in gen_ensemble(spec):
+    for f in _ensemble(7, 2, Grid(2, 32), divergence_free=True):
         d = divergence(f)
         assert np.max(np.abs(d.coeffs)) < 1e-12 * np.max(np.abs(f.coeffs))
 

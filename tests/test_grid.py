@@ -31,6 +31,23 @@ def test_grid_validation():
         Grid(2, 32, -1.0)
 
 
+@pytest.mark.parametrize("box_length", [np.nan, np.inf, -np.inf])
+def test_grid_rejects_non_finite_box(box_length):
+    # NaN passes every comparison, box_length <= 0 included.
+    with pytest.raises(ValueError, match="finite and positive"):
+        Grid(2, 16, box_length)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_dealias_mask_covers_nyquist_mask(d):
+    # The Nyquist mode m = -n/2 has |m| = n/2 > n/3, so the 2/3 rule kills
+    # it on every grid: dealias() needs no zero_nyquist() beside it.
+    for n in (8, 16, 32, 64, 128, 256, 512) if d == 2 else (8, 16, 32, 64, 128, 256):
+        grid = Grid(d, n)
+        nyquist = grid.nyquist_mask()
+        assert nyquist.any() and not np.any(nyquist & ~grid.dealias_mask()), n
+
+
 @pytest.mark.parametrize("d", [2, 3])
 def test_geometry_built_once_and_read_only(d):
     grid = Grid(d, 16)

@@ -98,7 +98,7 @@ def test_lattice_norms_match_grid_route():
             assert abs(val - gval) < 1e-8 * max(gval, 1e-300), s_q
     # Besov and heat-Sobolev style norms
     b_lat = besov_norm(blocks, 0.5)
-    b_grid = norm_besov(f, 0.5, 1)
+    b_grid = norm_besov(f, 0.5)
     assert abs(b_lat - b_grid) < 1e-7 * b_grid
     h_lat = hst_norm(blocks, 0.0, 0.5, alpha=1.0)
     h_grid = norm_hst(f, NormSpec(s=0.0, t=0.5, alpha=1.0))

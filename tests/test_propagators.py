@@ -9,6 +9,8 @@ from nsmaxwell.grid import Grid, SpectralField, _pack, leray_project, lp_norm_ph
 from nsmaxwell.propagators import (
     BlowupError,
     PropagatorTable,
+    _maxwell_coefficients,
+    _maxwell_modes,
     duhamel_step,
     heat_apply,
     maxwell_apply,
@@ -206,10 +208,60 @@ def test_maxwell_group_matches_matrix_exponential(d):
     assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
 
 
+# Step sizes of the k = 0 guards: dt = 0 and 1e-9 take the Taylor branch
+# of _maxwell_coefficients at k = 0, 0.01 leaves its a11 an ulp off e^{-dt}.
+K0_STEPS = (0.0, 1e-9, 0.0025, 0.01, 0.05, 0.1)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_table_is_exact_at_k0(d):
+    # The mean decouples, E0' = -E0 and B0' = 0, and the table holds that
+    # group to the bit at k = 0, on the half spectrum and on the kept modes
+    # (k = 0 first): the fused pass needs no k = 0 patch.
+    grid = Grid(d, 16)
+    for dt in K0_STEPS:
+        table = PropagatorTable.build(grid, dt)
+        for t, origin in ((table, (0,) * d), (table.kept(), 0)):
+            got = (t.a11[origin], t.i_a12[origin], t.a22[origin])
+            want = (np.exp(-dt), 0.0, 1.0)
+            assert [np.complex128(a).tobytes() for a in got] == \
+                [np.complex128(a).tobytes() for a in want], dt
+
+
+def _patched_maxwell(table, E, B):
+    """The fused pass with k = 0 (index 0 of the modes) overwritten by the
+    mean's own group: E scaled by ``e_damp``, B kept."""
+    origin = (slice(None),) + (0,) * (E.ndim - 1)
+    E_t, B_t = _maxwell_modes(table.khat, E, B, table.a11, table.i_a12, table.a22,
+                              table.e_damp)
+    E_t[origin] = table.e_damp * E[origin]
+    B_t[origin] = B[origin]
+    return E_t, B_t
+
+
+@pytest.mark.parametrize("d, n", [(2, 16), (2, 64), (3, 16), (3, 32)])
+def test_apply_matches_k0_patch_reference(d, n):
+    # Random amplitudes, k = 0 included: the table's apply, on the half
+    # spectrum and on the kept modes, makes the bits of the patched pass.
+    grid = Grid(d, n)
+    rng = np.random.default_rng(70 + 10 * d + n)
+    shape = (3,) + grid.spectral_shape
+    half = tuple(rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                 for _ in range(3))
+    kept = tuple(_pack(grid, a) for a in half)
+    for dt in K0_STEPS:
+        table = PropagatorTable.build(grid, dt)
+        for t, (v, E, B) in ((table, half), (table.kept(), kept)):
+            got = t.apply(v, E, B)
+            want = (t.apply_heat(v), *_patched_maxwell(t, E, B))
+            assert [a.tobytes() for a in got] == [b.tobytes() for b in want], dt
+
+
 @pytest.mark.parametrize("grid_name", ["grid2", "grid3"])
 def test_apply_in_place_matches_out_of_place(grid_name, request):
-    # The slots of an in-place apply are its inputs; k = 0 of E and B is
-    # read before the pass overwrites it, so the results are the same bits.
+    # The slots of an in-place apply are its inputs; the pass forms every
+    # product of E and B before its first write, so the results are the
+    # same bits.
     grid = request.getfixturevalue(grid_name)
     state = _random_state(grid, seed=41)
     origin = (slice(None),) + (0,) * grid.d
@@ -233,18 +285,21 @@ def test_apply_in_place_matches_out_of_place(grid_name, request):
 @pytest.mark.parametrize("grid_name", ["grid2", "grid3"])
 def test_complex_factors_match_real_factor_route(grid_name, request):
     # The table's a11, a22 and the grid's khat and 2/3 mask are held as
-    # complex128 with zero imaginary part, the values numpy casts the real
-    # factors of maxwell_apply to: both routes give the same bits.
+    # complex128 with zero imaginary part, the values numpy casts real
+    # factors to: the pass on the real factors gives the same bits.
     grid = request.getfixturevalue(grid_name)
     state = _random_state(grid, seed=42)
     table = PropagatorTable.build(grid, 0.05)
     for a in (table.a11, table.a22, grid._unit_wavevectors, grid._half_keep):
         assert a.dtype == np.complex128 and not np.any(a.imag)
-    got = table.apply_maxwell(state.E.coeffs, leray_project(state.B).coeffs)
-    want = maxwell_apply(state.E, state.B, table.dt)
-    assert np.any(got[1])
+    E, B = state.E.coeffs, leray_project(state.B).coeffs
+    got = table.apply_maxwell(E, B)
+    a11, a12, a22 = _maxwell_coefficients(grid.k_squared(), table.dt)
+    want = _maxwell_modes(grid._unit_wavevectors.real, E, B, a11, 1j * a12, a22,
+                          np.exp(-table.dt))
+    assert a11.dtype == np.float64 and np.any(got[1])
     for a, b in zip(got, want):
-        assert np.array_equal(a.view(np.int64), b.coeffs.view(np.int64))
+        assert np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 @pytest.mark.parametrize("grid_name", ["grid2", "grid3"])
@@ -261,7 +316,7 @@ def test_kept_table_is_the_full_table_on_the_kept_modes(grid_name, request):
     slots = tuple(_pack(grid, f.coeffs) for f in (state.v, state.E, state.B))
     got = kept.apply(*slots, out=slots)
     assert all(a is b for a, b in zip(got, slots))
-    assert np.any(got[1][:, 0]) and np.any(got[2][:, 0])  # the k = 0 fix ran
+    assert np.any(got[1][:, 0]) and np.any(got[2][:, 0])  # k = 0 is stepped too
     for a, b in zip(got, want):
         assert np.array_equal(a.view(np.int64), _pack(grid, b).view(np.int64))
 
@@ -394,8 +449,7 @@ def test_table_at_zero_dt(grid2):
 def test_per_mode_operators_on_half_spectrum(grid_name, request):
     # Every per-mode operator keeps a real field real: its result is a half
     # spectrum whose columns m_d = 0 and n/2, the ones that hold both k and
-    # -k, stay Hermitian; k = 0, which the Maxwell group writes back
-    # separately, carries a real mean.
+    # -k, stay Hermitian; k = 0 carries a real mean.
     grid = request.getfixturevalue(grid_name)
     state = _random_state(grid, seed=60)
     state.E.coeffs[(slice(None),) + (0,) * grid.d] = (0.3, -0.2, 0.1)

@@ -78,6 +78,21 @@ def test_truncated_payload(grid2, tmp_path):
             read_snapshot(path)
 
 
+@pytest.mark.parametrize("field, value", [("L", np.nan), ("L", np.inf),
+                                          ("time", np.nan), ("time", -np.inf)])
+def test_non_finite_header_value(grid2, tmp_path, field, value):
+    # A NaN box passes every comparison, and a NaN time would be the first
+    # time of a run started from the file.
+    path = tmp_path / "field.nsmw"
+    write_snapshot(path, random_field(grid2, seed=47))
+    raw = bytearray(path.read_bytes())
+    at = 16 if field == "L" else 24
+    raw[at:at + 8] = struct.pack("<d", value)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(SnapshotError, match="bad snapshot header: .*finite"):
+        read_snapshot(path)
+
+
 def _write_full_layout(path, grid, coeffs, time):
     """A version-1 file as written before the half-spectrum layout: the
     header, then the full FFT layout of every mode."""

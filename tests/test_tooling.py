@@ -173,13 +173,11 @@ def test_partition_comes_from_the_grid():
 # the acceptance criterion it serves.  The benchmark's tracer names two of
 # them (perfbench/tracing.py), which wraps but does not call them.
 TEST_ONLY_REGISTRY = {
-    "checks.check_bernstein": "dyadic.block, the shells of every grid-route shell norm "
-                              "(Bernstein's two-sided bound)",
-    "checks.check_parabolic_smoothing": "checks._heat_forced, the closed-form heat flow "
-                                        "of check_l2linfty (criterion 9)",
     "checks.heat_forced_coeffs": "checks._heat_forced against the ODE oracle "
                                  "(criterion 9's route); a benchmark trace target",
     "grid.divergence": "leray_project and ensembles.gen_field: divergence-free output",
+    "grid.gradient_component": "system.nonlinearity's advection: the divergence-form "
+                               "reference of test_system",
     "grid.SpectralField.to_physical": "grid._half_physical, the kernel's inverse transform",
     "grid.SpectralField.hermitian_defect": "the half-spectrum layout: nonlinearity, "
                                            "PropagatorTable.apply and march keep fields real",
