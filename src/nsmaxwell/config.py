@@ -116,8 +116,10 @@ def _validate(cfg: RunConfig, where) -> list:
         bad("scheme", f"unknown scheme {cfg.scheme!r}; choose from {SCHEMES}")
     if any(e <= 0 for e in cfg.epsilons):
         bad("epsilons", f"all entries must be positive, got {cfg.epsilons}")
-    if not cfg.epsilons:
-        bad("epsilons", "must not be empty")
+    # An empty norms list selects the default columns, so it stays allowed.
+    for key in ("epsilons", "estimates"):
+        if not getattr(cfg, key):
+            bad(key, "must not be empty")
     for est in cfg.estimates:
         if est not in PRODUCT_LAW_IDS:
             bad("estimates", f"unknown estimate id {est!r}")
@@ -125,6 +127,11 @@ def _validate(cfg: RunConfig, where) -> list:
         if norm not in NORM_COLUMNS:
             bad("norms", f"unknown norm column {norm!r}; "
                          f"choose from {NORM_COLUMNS}")
+    # A repeat would run an estimate twice or write two columns of one name.
+    for key in ("epsilons", "estimates", "norms"):
+        items = getattr(cfg, key)
+        for item in sorted({x for x in items if items.count(x) > 1}):
+            bad(key, f"repeated entry {item!r}")
     return errors
 
 

@@ -182,15 +182,15 @@ def low_pass(u: SpectralField, q: int) -> SpectralField:
     return SpectralField(u.grid, u.coeffs * build_partition(u.grid).lowpass_weight(q))
 
 
-def bony_decompose(u: SpectralField, v: SpectralField, combiner: str = "scalar"):
-    """Bony split of the (dealiased) product u v into (T_u v, T_v u, R).
+def bony_decompose(u: SpectralField, v: SpectralField):
+    """Bony split of the (dealiased) cross product u x v into (T_u v, T_v u, R).
 
     T_u v = sum_q S_{q-1} u Delta_q v and R = sum_q Delta_q u
     (Delta_{q-1} + Delta_q + Delta_{q+1}) v, with shell indices clipped to
     the resolved range.  Both paraproducts keep the argument order u-then-v
-    (the second is sum_q Delta_q u S_{q-1} v), so asymmetric combiners such
-    as the cross product reconstruct exactly.  The mean-mean product is folded into R's k=0 mode
-    so the three parts reconstruct the dealiased product exactly.
+    (the second is sum_q Delta_q u S_{q-1} v), so the antisymmetric cross
+    product reconstructs exactly.  The mean-mean product is folded into R's
+    k=0 mode so the three parts reconstruct the dealiased product exactly.
     """
     if u.grid != v.grid:
         raise ValueError("fields live on different grids")
@@ -202,23 +202,16 @@ def bony_decompose(u: SpectralField, v: SpectralField, combiner: str = "scalar")
     for q in part.shells():
         dq_v = block(v, q)
         dq_u = block(u, q)
-        t_uv = t_uv + pointwise_product(low_pass(u, q - 1), dq_v, combiner)
-        t_vu = t_vu + pointwise_product(dq_u, low_pass(v, q - 1), combiner)
+        t_uv = t_uv + pointwise_product(low_pass(u, q - 1), dq_v)
+        t_vu = t_vu + pointwise_product(dq_u, low_pass(v, q - 1))
         tilde = SpectralField.zeros(grid)
         for j in (q - 1, q, q + 1):
             if part.q_min <= j <= part.q_max:
                 tilde = tilde + block(v, j)
-        r_uv = r_uv + pointwise_product(dq_u, tilde, combiner)
+        r_uv = r_uv + pointwise_product(dq_u, tilde)
     # Mean-mean cross term is covered by none of the three sums.
-    mu, mv = u.mean(), v.mean()
-    if combiner == "scalar":
-        mm = mu * mv
-    elif combiner == "cross":
-        mm = np.cross(mu, mv)
-    else:
-        raise ValueError(f"combiner {combiner!r} not supported in bony_decompose")
     zero = (0,) * grid.d
-    r_uv.coeffs[(slice(None),) + zero] += mm
+    r_uv.coeffs[(slice(None),) + zero] += np.cross(u.mean(), v.mean())
     return t_uv, t_vu, r_uv
 
 
@@ -315,15 +308,13 @@ class ShellSeries:
     linf: np.ndarray | None = None
 
 
-def shell_series(fields, times, grid: Grid, with_linf: bool = False) -> ShellSeries:
-    """Reduce samples of a real field on ``grid`` to per-shell norm time series.
-
-    ``fields`` is a sequence of SpectralFields or an array of stacked
-    amplitudes (times, 3, *spectral_shape).  Per chunk of times the
-    reduction is one product with ``shell_matrix`` and, with ``with_linf``,
-    one ``grid._sup_series``."""
+def shell_series(amps: np.ndarray, times, grid: Grid, with_linf: bool = False) -> ShellSeries:
+    """Reduce samples of a real field on ``grid``, stacked amplitudes
+    (times, 3, *spectral_shape), to per-shell norm time series.  Per chunk
+    of times the reduction is one product with ``shell_matrix`` and, with
+    ``with_linf``, one ``grid._sup_series``."""
     times = np.asarray(times, dtype=float)
-    if len(fields) != len(times) or len(times) < 2:
+    if len(amps) != len(times) or len(times) < 2:
         raise ValueError("need >= 2 samples with matching times")
     steps = np.diff(times)
     if not np.allclose(steps, steps[0], rtol=1e-10, atol=1e-14):
@@ -331,9 +322,7 @@ def shell_series(fields, times, grid: Grid, with_linf: bool = False) -> ShellSer
     part = build_partition(grid)
     rows = []
     weights = part.shell_matrix()
-    for chunk in _time_chunks(fields, 3 * grid.n**grid.d):
-        if not isinstance(chunk, np.ndarray):
-            chunk = np.stack([f.coeffs for f in chunk])
+    for chunk in _time_chunks(amps, 3 * grid.n**grid.d):
         rows.append(_shell_rows(chunk, grid, weights, with_linf))
     return _series_of_rows(times, part.shells(), rows)
 

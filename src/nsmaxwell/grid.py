@@ -364,11 +364,10 @@ def _half_spectral(grid: Grid, values: np.ndarray) -> np.ndarray:
     return half
 
 
-def _dealiased_physical(f: SpectralField, axis: int | None = None) -> np.ndarray:
-    """The 2/3-truncated field, or its derivative d_axis, in physical space."""
+def _dealiased_physical(f: SpectralField) -> np.ndarray:
+    """The 2/3-truncated field in physical space."""
     grid = f.grid
-    factor = grid._half_keep if axis is None else grid._half_ik[axis]
-    return _half_physical(grid, f.coeffs * factor)
+    return _half_physical(grid, f.coeffs * grid._half_keep)
 
 
 def _sup_series(half: np.ndarray, grid: Grid) -> np.ndarray:
@@ -399,30 +398,16 @@ def _time_chunks(samples, per_time: int) -> list:
     return [samples[i:i + step] for i in range(0, len(samples), step)]
 
 
-def pointwise_product(a: SpectralField, b: SpectralField, combiner: str = "scalar") -> SpectralField:
-    """Dealiased pointwise product.
-
-    combiner:
-      * ``cross``: a x b
-      * ``advection``: (a . grad) b with the d-specific gradient convention
-      * ``scalar``: componentwise a_i b_i
+def pointwise_product(a: SpectralField, b: SpectralField) -> SpectralField:
+    """Dealiased cross product a x b, the one product the system forms
+    (v x B, E x B, (v x B) x B) and the product laws measure.
 
     Inputs are truncated by the 2/3 rule before transforming and the result
     is truncated again, so products of resolved fields are alias-free.
     """
     _check_same_grid(a, b)
     grid = a.grid
-    if combiner == "cross":
-        prod = _cross(_dealiased_physical(a), _dealiased_physical(b))
-    elif combiner == "scalar":
-        prod = _dealiased_physical(a) * _dealiased_physical(b)
-    elif combiner == "advection":
-        aphys = _dealiased_physical(a)
-        prod = np.zeros((3,) + grid.shape)
-        for i in range(grid.d):
-            prod += aphys[i] * _dealiased_physical(b, i)
-    else:
-        raise ValueError(f"unknown combiner {combiner!r}")
+    prod = _cross(_dealiased_physical(a), _dealiased_physical(b))
     return SpectralField(grid, _half_spectral(grid, prod))
 
 

@@ -298,11 +298,11 @@ def _trapezoid(propagate, g, hn0, hn1, out):
     return out
 
 
-def duhamel_step(amps, nonlinearity, table: PropagatorTable,
-                 scheme: str = "exp-trapezoid", step_index: int = 0, n0=None):
+def duhamel_step(amps, n0, nonlinearity, table: PropagatorTable,
+                 scheme: str = "exp-trapezoid", step_index: int = 0):
     """One step of size dt = ``table.dt`` of the Duhamel integral equation
-    on the amplitudes ``amps`` = (v, E, B) of G_n, which it leaves as they
-    are; returns the amplitudes of G_{n+1} as three new arrays.
+    from the amplitudes ``amps`` = (v, E, B) of G_n and ``n0`` = N(G_n),
+    which it leaves as they are; returns those of G_{n+1} as three new arrays.
 
     exp-euler:      G_{n+1} = G* = e^{dt A} (G_n + dt N(G_n))
     exp-trapezoid:  G_{n+1} = e^{dt A} (G_n + dt/2 N(G_n)) + dt/2 N(G*)
@@ -313,18 +313,15 @@ def duhamel_step(amps, nonlinearity, table: PropagatorTable,
     writing into G* measured slower at 3D n=32, and holding it raised the
     step's peak memory above the kernel's.
     ``nonlinearity`` maps amplitudes (v, E, B) to (N_v, N_E), N_B = 0, and
-    Leray-projects N_v itself.  A non-finite amplitude of G_{n+1} raises
-    ``BlowupError``.  ``n0`` is N(G_n) when the caller already holds it
-    (``march`` does); None evaluates it here.
+    Leray-projects N_v itself; exp-trapezoid evaluates it once, at G*.  The
+    caller holds N(G_n) already: ``march`` reads the Ohm current of G_n off
+    it.  A non-finite amplitude of G_{n+1} raises ``BlowupError``.
     """
     dt = table.dt
     if dt <= 0:
         raise ValueError("dt must be positive")
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
-
-    if n0 is None:
-        n0 = nonlinearity(*amps)
 
     def update(w, n1):  # e^{dt A} (G_n + w N(G_n)) + w n1
         hn0 = tuple(w * n for n in n0)

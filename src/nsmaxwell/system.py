@@ -6,9 +6,9 @@ data.
 Every field is held as the half spectrum of the real field (see ``grid``).
 The nonlinearity is one kernel, ``nonlinearity``, on amplitudes with a
 leading batch axis; ``march`` runs it on batches of one state, the Picard
-map on chunks of times.  In the advection form it makes six real
-transforms: the Lorentz force is one j x B with the Ohm current j, and the
-advection term is the Leray-projected w x v, w = curl v.
+map on chunks of times.  It makes six real transforms: the Lorentz force
+is one j x B with the Ohm current j, and the advection term (v.grad)v is
+the Leray-projected w x v, w = curl v, its one form.
 
 ``march`` is the one time loop and the one nonlinear run.  It holds the
 amplitudes of the current state, steps them by ``duhamel_step`` and yields
@@ -184,29 +184,19 @@ class ZNorm:
 
 def ohm_current(state: MhdState) -> SpectralField:
     """Ohm's law j = sigma (E + v x B), dealiased."""
-    vxB = pointwise_product(state.v, state.B, "cross")
+    vxB = pointwise_product(state.v, state.B)
     return SpectralField(state.grid, SIGMA * (state.E.coeffs + vxB.coeffs))
 
 
-def _divergence_form_advection(grid: Grid, vp: np.ndarray) -> np.ndarray:
-    """div(v (x) v) on the half spectrum from the dealiased physical v
-    (states, 3, *shape): component i is sum_j i k_j F[v_j v_i], dealiased."""
-    return sum(grid._half_ik[j] * _half_spectral(grid, vp[:, j, None] * vp)
-               for j in range(grid.d))
-
-
-def nonlinearity(grid: Grid, v: np.ndarray, E: np.ndarray, B: np.ndarray,
-                 velocity_form: str = "advection"):
+def nonlinearity(grid: Grid, v: np.ndarray, E: np.ndarray, B: np.ndarray):
     """(N_v, N_E) of N(Gamma) = (P[-(v.grad)v + j x B], -sigma v x B, 0),
     with the Ohm current j = sigma (E + v x B), on the amplitudes
     (states, 3, *spectral_shape) of a batch of states; N_B = 0.
 
-    ``velocity_form`` selects the advection form, computed as
-    P[(v.grad)v] = P[w x v] with w = curl v, or the divergence form
-    div(v (x) v); the two agree for divergence-free v.  Raises
-    InconsistentStateError when the divergence defect of any state of the
-    batch exceeds ``DIV_TOL``.  One pass in physical space; the advection
-    form makes six real transforms in 2D and 3D.  Back, each 2/3-truncated:
+    The advection term is computed as P[(v.grad)v] = P[w x v] with
+    w = curl v.  Raises InconsistentStateError when the divergence defect
+    of any state of the batch exceeds ``DIV_TOL``.  One pass in physical
+    space of six real transforms in 2D and 3D.  Back, each 2/3-truncated:
     v, B, j / sigma = E + v x B and the vorticity w = i k x v, formed on the
     half spectrum.  Forward: v x B, and the momentum forcing
     sigma (j / sigma) x B + v x w, which is then Leray-projected.
@@ -217,8 +207,8 @@ def nonlinearity(grid: Grid, v: np.ndarray, E: np.ndarray, B: np.ndarray,
     2/3 rule keeps each grid product alias-free, so it holds for the
     truncated amplitudes too; the Leray projection removes the gradient
     mode by mode.  In 2D (grad = (d1, d2, 0), v_3 allowed) the identity
-    and the projection hold alike.  The divergence form transforms its
-    own products v_j v, an independent check of the advection form.
+    and the projection hold alike.  The tests check this form against the
+    divergence form div(v (x) v), which transforms its own products v_j v.
     """
     defects = _divergence_defects(grid, v, B)
     bad = np.flatnonzero(defects > DIV_TOL)
@@ -226,8 +216,6 @@ def nonlinearity(grid: Grid, v: np.ndarray, E: np.ndarray, B: np.ndarray,
         raise InconsistentStateError(
             f"divergence defect {defects[bad[0]]:.3e} exceeds {DIV_TOL:.1e}"
         )
-    if velocity_form not in ("advection", "divergence"):
-        raise ValueError(f"unknown velocity form {velocity_form!r}")
     vp, Bp = (_half_physical(grid, f * grid._half_keep) for f in (v, B))
     vxB = _half_spectral(grid, _cross(vp, Bp, axis=1))
     # In-place sums and the early release of B keep few physical arrays
@@ -235,12 +223,9 @@ def nonlinearity(grid: Grid, v: np.ndarray, E: np.ndarray, B: np.ndarray,
     force = _cross(_half_physical(grid, E * grid._half_keep + vxB), Bp, axis=1)
     del Bp
     force *= SIGMA
-    if velocity_form == "advection":
-        force += _cross(vp, _half_physical(grid, _cross(grid._half_ik[None], v, axis=1)),
-                        axis=1)
-        mom = _half_spectral(grid, force)
-    else:
-        mom = _half_spectral(grid, force) - _divergence_form_advection(grid, vp)
+    force += _cross(vp, _half_physical(grid, _cross(grid._half_ik[None], v, axis=1)),
+                    axis=1)
+    mom = _half_spectral(grid, force)
     vxB *= -SIGMA
     return leray_project(SpectralField(grid, mom)).coeffs, vxB
 
@@ -308,7 +293,7 @@ def march(initial: MhdState, T: float, dt: float, scheme: str = "exp-trapezoid")
         current = np.multiply(amps[1], SIGMA)
         current -= n0[1]  # N_E = -sigma v x B
         yield state, SpectralField(grid, current)
-        amps = duhamel_step(amps, kernel, table, scheme, step_index=step, n0=n0)
+        amps = duhamel_step(amps, n0, kernel, table, scheme, step_index=step)
         state = MhdState(*(SpectralField(grid, a) for a in amps), time=state.time + dt)
     yield state, ohm_current(state)
 

@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from nsmaxwell.grid import Grid, SpectralField, _pack, _unpack
+from nsmaxwell.grid import (
+    Grid,
+    SpectralField,
+    _dealiased_physical,
+    _half_spectral,
+    _pack,
+    _unpack,
+    gradient_component,
+)
 from nsmaxwell.dyadic import build_partition
 from nsmaxwell.system import MhdState, Trajectory
 
@@ -43,6 +51,26 @@ def single_mode_field(grid, mode, amplitude, component=2):
         if m[-1] >= 0:
             c[component][tuple(x % grid.n for x in m)] = a
     return SpectralField(grid, c)
+
+
+def scalar_product(a, b):
+    """The dealiased componentwise product a_i b_i: both factors and the
+    result truncated by the 2/3 rule, as ``pointwise_product`` truncates
+    its cross product."""
+    grid = a.grid
+    prod = _dealiased_physical(a) * _dealiased_physical(b)
+    return SpectralField(grid, _half_spectral(grid, prod))
+
+
+def advection_product(a, b):
+    """(a . grad) b = sum_j a_j d_j b, each a_j d_j b one scalar product;
+    d_3 = 0 in 2D."""
+    grid = a.grid
+    out = SpectralField.zeros(grid)
+    for j in range(grid.d):
+        aj = SpectralField(grid, np.broadcast_to(a.coeffs[j], a.coeffs.shape))
+        out = out + scalar_product(aj, gradient_component(b, j))
+    return out
 
 
 def apply_state(table, state):

@@ -193,12 +193,11 @@ def test_criterion_04_bony_and_partition():
     worst = 0.0
     for i in range(0, 20, 2):
         u, v = fields[i], fields[i + 1]
-        for combiner in ("scalar", "cross"):
-            t_uv, t_vu, r = bony_decompose(u, v, combiner)
-            total = t_uv + t_vu + r
-            direct = pointwise_product(u, v, combiner)
-            scale = np.max(np.abs(direct.coeffs)) + 1e-300
-            worst = max(worst, float(np.max(np.abs(total.coeffs - direct.coeffs)) / scale))
+        t_uv, t_vu, r = bony_decompose(u, v)
+        total = t_uv + t_vu + r
+        direct = pointwise_product(u, v)
+        scale = np.max(np.abs(direct.coeffs)) + 1e-300
+        worst = max(worst, float(np.max(np.abs(total.coeffs - direct.coeffs)) / scale))
     ok = part_defect <= 1e-12 and worst <= 1e-12
     _report(4, "partition + paraproduct exactness", ok,
             f"partition defect {part_defect:.2e}, reconstruction defect "

@@ -84,6 +84,16 @@ def test_report_bound_gate():
     assert empty.passed and empty.max_ratio == 0.0
 
 
+@pytest.mark.parametrize("order", [1, -1], ids=["nan_last", "nan_first"])
+def test_report_nan_ratio_fails_its_bound(order):
+    # Python's max keeps whichever item comes first when NaN is compared.
+    rep = EstimateReport("demo", {}, bound=0.5)
+    for lhs in (0.1, math.nan)[::order]:
+        rep.add_sample(lhs, 1.0)
+    assert math.isnan(rep.max_ratio)
+    assert not rep.passed
+
+
 def test_report_serialization(tmp_path):
     rep = EstimateReport("demo", {"T": 1.0, "d": 2}, bound=1.0)
     rep.add_sample(0.25, 1.0)
@@ -139,8 +149,8 @@ def test_separable_trajectory_matches_sampled_norm(grid2):
     traj = SeparableTrajectory(f, rate=1.3)
     T = 2.0
     times = np.linspace(0.0, T, 801)
-    fields = [SpectralField(grid2, f.coeffs * math.exp(-1.3 * t)) for t in times]
-    series = shell_series(fields, times, grid2)
+    series = shell_series(np.stack([f.coeffs * math.exp(-1.3 * t) for t in times]),
+                          times, grid2)
     for p in (2, np.inf):
         spec = NormSpec.sobolev(0.5, time_exponent=p, tilde=True)
         sampled = spacetime_norm_from_series(series, spec)
@@ -151,7 +161,7 @@ def test_separable_trajectory_matches_sampled_norm(grid2):
 def test_separable_product_rates_add(grid2):
     a = SeparableTrajectory(random_field(grid2, seed=51), rate=1.0)
     b = SeparableTrajectory(random_field(grid2, seed=52), rate=2.5)
-    prod = separable_product(a, b, "cross")
+    prod = separable_product(a, b)
     assert prod.rate == 3.5
     assert prod.field.grid == grid2
 

@@ -307,6 +307,23 @@ def test_non_finite_config_value_exits_2(tmp_path, capsys):
     assert err == ["config error: line 4: amplitude: cannot parse 'nan' as a finite float"]
 
 
+@pytest.mark.parametrize("command, line, message", [
+    ("verify", "estimates =", "estimates: must not be empty"),
+    ("verify", "estimates = est4-2D, est4-2D", "estimates: repeated entry 'est4-2D'"),
+    ("picard", "epsilons = 0.1, 0.1", "epsilons: repeated entry 0.1"),
+    ("norms", "norms = v_l2, v_l2", "norms: repeated entry 'v_l2'"),
+], ids=["empty_estimates", "repeated_estimate", "repeated_epsilon", "repeated_norm"])
+def test_empty_or_repeated_list_exits_2(tmp_path, capsys, command, line, message):
+    # An empty estimates list wrote a summary of only its header line, and
+    # a repeated norm two CSV columns of one name; neither writes anything now.
+    out = tmp_path / "out"
+    cfg = _write_cfg(tmp_path, BASE + line + "\n")
+    assert main([command, cfg, "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"config error: line 5: {message}"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("defect", ["missing", "truncated", "cut_payload", "bad_dimension",
                                     "mixed_grids", "config_grid_mismatch", "nan_box_length",
                                     "nan_time"])

@@ -97,6 +97,23 @@ def test_non_finite_floats_rejected(text):
     assert "finite" in exc.value.errors[0]
 
 
+@pytest.mark.parametrize("text, messages", [
+    ("estimates =\n", ["line 1: estimates: must not be empty"]),
+    ("epsilons =\n", ["line 1: epsilons: must not be empty"]),
+    ("epsilons = 0.1, 0.5, 0.10\n", ["line 1: epsilons: repeated entry 0.1"]),
+    ("estimates = est4-2D, est1-2D, est4-2D\n", ["line 1: estimates: repeated entry 'est4-2D'"]),
+    ("norms = v_l2, B_l2, v_l2, v_l2\n", ["line 1: norms: repeated entry 'v_l2'"]),
+    ("norms = B_l2, v_l2, B_l2, v_l2\n", ["line 1: norms: repeated entry 'B_l2'",
+                                          "line 1: norms: repeated entry 'v_l2'"]),
+], ids=["empty_estimates", "empty_epsilons", "repeated_epsilon", "repeated_estimate",
+        "repeated_norm", "two_repeated_norms"])
+def test_empty_or_repeated_list_rejected(text, messages):
+    # One error per problem, however often an entry repeats.
+    with pytest.raises(ConfigError) as exc:
+        parse_config(text)
+    assert exc.value.errors == messages
+
+
 def test_file_preset_requires_path():
     with pytest.raises(ConfigError) as exc:
         parse_config("init = file\n")

@@ -17,7 +17,7 @@ from nsmaxwell.grid import (
     pointwise_product,
 )
 
-from conftest import random_field, single_mode_field
+from conftest import advection_product, random_field, single_mode_field
 
 
 def test_grid_validation():
@@ -147,14 +147,14 @@ def test_cross_product_constants(grid2):
     b = SpectralField.zeros(grid2)
     a.coeffs[0][(0, 0)] = 1.0
     b.coeffs[2][(0, 0)] = 1.0
-    p = pointwise_product(a, b, "cross").to_physical()
+    p = pointwise_product(a, b).to_physical()
     assert np.allclose(p[0], 0.0) and np.allclose(p[2], 0.0)
     assert np.allclose(p[1], -1.0)
 
 
 def test_cross_antisymmetry(grid2):
     a = random_field(grid2, seed=7)
-    p = pointwise_product(a, a, "cross")
+    p = pointwise_product(a, a)
     assert np.max(np.abs(p.coeffs)) < 1e-13 * lp_norm_physical(a, 2)
 
 
@@ -191,8 +191,8 @@ def test_dealiased_product_exact_vs_double_resolution(grid2):
         g.coeffs[ix] = f.coeffs
         return g
 
-    small = pointwise_product(fields[0], fields[1], "cross")
-    large = pointwise_product(lift(fields[0]), lift(fields[1]), "cross")
+    small = pointwise_product(fields[0], fields[1])
+    large = pointwise_product(lift(fields[0]), lift(fields[1]))
     sub = large.coeffs[ix].copy()
     sub[:, grid2.dealias_mask()] = 0.0
     scale = np.max(np.abs(sub)) + 1e-300
@@ -233,7 +233,7 @@ def test_advection_combiner(grid2):
     vals = np.zeros((3, n, n))
     vals[2] = np.sin(X)
     b = SpectralField.from_physical(grid2, vals)
-    p = pointwise_product(a, b, "advection").to_physical()
+    p = advection_product(a, b).to_physical()
     assert np.max(np.abs(p[2] - np.cos(X))) < 1e-12
 
 
@@ -241,7 +241,7 @@ def test_grid_mismatch_rejected(grid2, grid3):
     f = SpectralField.zeros(grid2)
     g = SpectralField.zeros(Grid(2, 64))
     with pytest.raises(ValueError):
-        pointwise_product(f, g, "cross")
+        pointwise_product(f, g)
 
 
 @settings(max_examples=20, deadline=None)

@@ -71,7 +71,7 @@ def test_block_convolve_matches_grid_product():
     prod_blocks = real_product_blocks(p, q)
     fp = blocks_to_grid_field(real_pair(p), grid)
     fq = blocks_to_grid_field(real_pair(q), grid)
-    direct = pointwise_product(fp, fq, "cross")
+    direct = pointwise_product(fp, fq)
     via_blocks = blocks_to_grid_field(prod_blocks, grid)
     scale = np.max(np.abs(direct.coeffs)) + 1e-300
     assert np.max(np.abs(via_blocks.coeffs - direct.coeffs)) < 1e-8 * scale

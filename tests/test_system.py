@@ -45,10 +45,12 @@ from nsmaxwell.system import (
 )
 
 from conftest import (
+    advection_product,
     apply_state,
     count_transforms,
     count_trapezoids,
     random_field,
+    scalar_product,
     single_mode_field,
     states_of,
     trajectory_of,
@@ -77,13 +79,12 @@ def _random_state(grid, seed=0, amp=1.0):
 # Ohm's law and nonlinearity.
 
 
-def _state_nonlinearity(state, velocity_form="advection"):
+def _state_nonlinearity(state):
     """``nonlinearity`` on one state as a batch of one: N_v and N_E as
     fields (N_B = 0)."""
     grid = state.grid
     return [SpectralField(grid, n[0]) for n in nonlinearity(
-        grid, *(f.coeffs[None] for f in (state.v, state.E, state.B)),
-        velocity_form=velocity_form)]
+        grid, *(f.coeffs[None] for f in (state.v, state.E, state.B)))]
 
 def test_ohm_constant_fields(grid2):
     state = _constant_state(grid2, v=(1, 0, 0), B=(0, 0, 1))
@@ -107,24 +108,14 @@ def test_nonlinearity_zero_state(grid2):
 
 
 def test_nonlinearity_zero_velocity(grid2):
-    from nsmaxwell.grid import pointwise_product
-
     E = random_field(grid2, seed=41)
     B = leray_project(random_field(grid2, seed=42))
     state = MhdState(SpectralField.zeros(grid2), E, B)
     n_v, n_E = _state_nonlinearity(state)
-    expect = leray_project(pointwise_product(E, B, "cross"))
+    expect = leray_project(pointwise_product(E, B))
     scale = np.max(np.abs(expect.coeffs)) + 1e-300
     assert np.max(np.abs(n_v.coeffs - expect.coeffs)) < 1e-13 * scale
     assert np.max(np.abs(n_E.coeffs)) == 0.0
-
-
-def test_advection_vs_divergence_form(grid2):
-    state = _random_state(grid2, seed=43)
-    a = _state_nonlinearity(state, velocity_form="advection")[0]
-    b = _state_nonlinearity(state, velocity_form="divergence")[0]
-    scale = np.max(np.abs(a.coeffs)) + 1e-300
-    assert np.max(np.abs(a.coeffs - b.coeffs)) < 1e-11 * scale
 
 
 def _divergence_form_reference(v):
@@ -133,17 +124,19 @@ def _divergence_form_reference(v):
     adv = SpectralField.zeros(grid)
     for j in range(grid.d):
         vj = SpectralField(grid, np.broadcast_to(v.coeffs[j], v.coeffs.shape))
-        adv = adv + gradient_component(pointwise_product(vj, v, "scalar"), j)
+        adv = adv + gradient_component(scalar_product(vj, v), j)
     return adv
 
 
 def _four_product_nonlinearity(state, velocity_form):
-    """N from one pointwise_product per bilinear term (no fused pass)."""
-    vxB = pointwise_product(state.v, state.B, "cross")
-    ExB = pointwise_product(state.E, state.B, "cross")
-    vxBxB = pointwise_product(SIGMA * vxB, state.B, "cross")
+    """N from one product per bilinear term (no fused pass), the advection
+    term in the advection form (v.grad)v or the divergence form
+    div(v (x) v); the two agree for divergence-free v."""
+    vxB = pointwise_product(state.v, state.B)
+    ExB = pointwise_product(state.E, state.B)
+    vxBxB = pointwise_product(SIGMA * vxB, state.B)
     if velocity_form == "advection":
-        adv = pointwise_product(state.v, state.v, "advection")
+        adv = advection_product(state.v, state.v)
     else:
         adv = _divergence_form_reference(state.v)
     mom = SpectralField(state.grid, -adv.coeffs + SIGMA * ExB.coeffs + vxBxB.coeffs)
@@ -155,7 +148,7 @@ def _four_product_nonlinearity(state, velocity_form):
 def test_fused_nonlinearity_matches_four_products(grid_name, velocity_form, request):
     grid = request.getfixturevalue(grid_name)
     state = _random_state(grid, seed=47)
-    out = _state_nonlinearity(state, velocity_form=velocity_form)
+    out = _state_nonlinearity(state)
     for got, ref in zip(out, _four_product_nonlinearity(state, velocity_form)):
         scale = np.max(np.abs(ref.coeffs))
         assert scale > 0
@@ -237,17 +230,15 @@ def _stacks(states):
             for name in ("v", "E", "B")]
 
 
-@pytest.mark.parametrize("velocity_form", ["advection", "divergence"])
 @pytest.mark.parametrize("grid_name", ["grid2", "grid3"])
-def test_batched_kernel_matches_per_state_nonlinearity(grid_name, velocity_form,
-                                                       request):
+def test_batched_kernel_matches_per_state_nonlinearity(grid_name, request):
     grid = request.getfixturevalue(grid_name)
     h = grid.n // 2 + 1
     states = [_random_state(grid, seed=70 + 3 * i, amp=0.5 + i) for i in range(4)]
-    n_v, n_E = nonlinearity(grid, *_stacks(states), velocity_form=velocity_form)
+    n_v, n_E = nonlinearity(grid, *_stacks(states))
     assert n_v.shape == n_E.shape == (4, 3) + grid.shape[:-1] + (h,)
     for i, state in enumerate(states):
-        one_v, one_E = _state_nonlinearity(state, velocity_form=velocity_form)
+        one_v, one_E = _state_nonlinearity(state)
         assert np.array_equal(n_v[i], one_v.coeffs), i
         assert np.array_equal(n_E[i], one_E.coeffs), i
 

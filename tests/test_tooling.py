@@ -176,8 +176,8 @@ TEST_ONLY_REGISTRY = {
     "checks.heat_forced_coeffs": "checks._heat_forced against the ODE oracle "
                                  "(criterion 9's route); a benchmark trace target",
     "grid.divergence": "leray_project and ensembles.gen_field: divergence-free output",
-    "grid.gradient_component": "system.nonlinearity's advection: the divergence-form "
-                               "reference of test_system",
+    "grid.gradient_component": "system.nonlinearity's advection: the advection-form "
+                               "and divergence-form references of test_system",
     "grid.SpectralField.to_physical": "grid._half_physical, the kernel's inverse transform",
     "grid.SpectralField.hermitian_defect": "the half-spectrum layout: nonlinearity, "
                                            "PropagatorTable.apply and march keep fields real",
