@@ -11,7 +11,6 @@ import csv
 import sys
 
 from nsmaxwell.checks import PRODUCT_LAW_IDS, product_law_report
-from nsmaxwell.ensembles import FieldEnsembleSpec
 from nsmaxwell.grid import Grid
 
 
@@ -32,11 +31,9 @@ def main(argv=None) -> int:
         w.writerow(["estimate_id", "T", "max_ratio", "median_ratio"])
         for est in args.estimates:
             grid = Grid(2 if est.endswith("2D") else 3, args.n)
-            spec = FieldEnsembleSpec(seed=args.seed, count=args.count, grid=grid,
-                                     slope=args.slope)
             vals = []
             for T in args.windows:
-                rep = product_law_report(est, spec, T=T)
+                rep = product_law_report(est, grid, args.seed, args.count, args.slope, T)
                 vals.append(rep.max_ratio)
                 w.writerow([est, repr(T), repr(rep.max_ratio),
                             repr(rep.median_ratio)])

@@ -16,7 +16,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import statistics
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,11 +49,10 @@ from .dyadic import (
 )
 from .propagators import PropagatorTable, _maxwell_coefficients, _maxwell_modes, _trapezoid
 from .system import step_count
-from .ensembles import FieldEnsembleSpec, gen_field
+from .ensembles import gen_field
 from .latticeblocks import (
     besov_norm as lattice_besov,
     hst_from_shells,
-    hst_norm as lattice_hst,
     l2_norm as lattice_l2,
     bony_paraproducts,
     criticality_packets,
@@ -121,8 +119,10 @@ class EstimateReport:
 
     @property
     def median_ratio(self) -> float:
+        # np.median, not statistics.median, which sorts with NaN: a NaN
+        # ratio makes the median NaN wherever it sits.
         rs = self.ratios
-        return statistics.median(rs) if rs else 0.0
+        return float(np.median(rs)) if rs else 0.0
 
     @property
     def passed(self) -> bool:
@@ -266,7 +266,7 @@ def heat_forced_coeffs(u0: SpectralField, forcings, t: float) -> SpectralField:
     solve is exact.
     """
     amps = [(F.coeffs, lam) for F, lam in forcings]
-    return SpectralField(u0.grid, _heat_forced(u0.grid.k_squared(), u0.coeffs, amps, t))
+    return SpectralField(u0.grid, _heat_forced(u0.grid.k_squared, u0.coeffs, amps, t))
 
 
 def concentrated_packet(grid: Grid, q: int) -> SpectralField:
@@ -280,7 +280,7 @@ def concentrated_packet(grid: Grid, q: int) -> SpectralField:
     (Bernstein saturated).  The box must resolve the packet: the lattice
     spacing 2*pi/L should be well below 0.25 * 2^q.
     """
-    ks = grid.wavevectors()
+    ks = grid.wavevectors
     c = np.zeros(grid.d)
     c[0] = 1.25 * 2.0**q
     sigma = 0.25 * 2.0**q
@@ -318,7 +318,7 @@ def check_l2linfty(u0: SpectralField, f1, f2, T: float, dt: float = 0.01,
     times = np.arange(step_count(T, dt) + 1) * dt
     data = [u0] + [F for F, _ in forcings]
     comps = [c for c in range(3) if any(np.any(f.coeffs[c]) for f in data)] or [0]
-    ksq = grid.k_squared()
+    ksq = grid.k_squared
     amps = [(F.coeffs[comps], lam) for F, lam in forcings]
     sup_series = np.concatenate([
         _sup_series(_heat_forced(ksq, u0.coeffs[comps], amps,
@@ -402,7 +402,7 @@ def _free_maxwell_rows(E0: SpectralField, B0: SpectralField, times: np.ndarray):
     idx = np.flatnonzero((power > 0) & (part.partition_sum().ravel() > 0))
     khat, E, B = (c.reshape(len(c), -1)[:, idx]
                   for c in (grid._unit_wavevectors, E0.coeffs, B0.coeffs))
-    ksq, w2 = grid.k_squared().ravel()[idx], part.shell_matrix(idx)
+    ksq, w2 = grid.k_squared.ravel()[idx], part.shell_matrix(idx)
     rows_E, rows_B = [_block_l2(E0)[None]], [_block_l2(B0)[None]]
     for t in _time_chunks(times[1:], 3 * ksq.size):
         a11, a12, a22 = _maxwell_coefficients(ksq, t[:, None])
@@ -509,7 +509,7 @@ def _tensor_gradient_power(u: SpectralField, v: SpectralField) -> np.ndarray:
     for i in range(3):
         c = _half_spectral(grid, up[i] * vp)
         power += np.sum(np.abs(c) ** 2, axis=0)
-    return grid.k_squared() * power
+    return grid.k_squared * power
 
 
 def _power_l2(power: np.ndarray, grid: Grid) -> float:
@@ -588,19 +588,20 @@ def check_product_law(estimate_id: str, T: float, a: SeparableTrajectory,
     return report
 
 
-def product_law_report(estimate_id: str, spec: FieldEnsembleSpec, T: float,
-                       bound: float | None = None) -> EstimateReport:
-    """Ensemble version: pairs of random fields as separable trajectories
-    at ``SEPARABLE_RATE``."""
-    rng = np.random.default_rng(spec.seed)
+def product_law_report(estimate_id: str, grid: Grid, seed: int, count: int,
+                       slope: float, T: float, bound: float | None = None) -> EstimateReport:
+    """Ensemble version: ``count`` pairs of random fields on ``grid``
+    (``gen_field``, amplitudes |k|^{-slope}) drawn from one generator seeded
+    with ``seed``, as separable trajectories at ``SEPARABLE_RATE``."""
+    rng = np.random.default_rng(seed)
     merged = EstimateReport(
         estimate_id,
-        {"T": T, "seed": spec.seed, "count": spec.count, "slope": spec.slope},
+        {"T": T, "seed": seed, "count": count, "slope": slope},
         bound=bound,
     )
-    for _ in range(spec.count):
-        a = SeparableTrajectory(gen_field(spec.grid, rng, spec.slope, None, True))
-        b = SeparableTrajectory(gen_field(spec.grid, rng, spec.slope, None, False))
+    for _ in range(count):
+        a = SeparableTrajectory(gen_field(grid, rng, slope, None, True))
+        b = SeparableTrajectory(gen_field(grid, rng, slope, None, False))
         sample = check_product_law(estimate_id, T, a, b)
         merged.add_sample(sample.lhs[0], sample.rhs[0])
     return merged
@@ -646,7 +647,7 @@ def log_criticality_experiment(q_values, seed: int | None = 0,
         )
         rhs_w = (
             envf2
-            * lattice_hst(a_blocks, 0.0, 0.0, 1.0)
+            * hst_from_shells(lattice_shell_norms(a_blocks), 0.0, 0.0, 1.0)
             * (hst_from_shells(b_shells, 0.0, 0.0, 1.0) + envf2 * b_h10)
         )
         rows.append((q, lhs, rhs_unw, rhs_w, lhs / rhs_unw, lhs / rhs_w))

@@ -1,7 +1,8 @@
 """Batch front end: simulate / picard / verify / split / norms.
 
 Exit codes: 0 success, 1 numerical blowup (partial outputs flushed with a
-truncation record), 2 configuration error.  Diagnostics go to standard
+truncation record), 2 configuration error, including an output that cannot
+be written.  Diagnostics go to standard
 error; data only to files.  Identical config + seed produce bit-identical
 outputs.
 """
@@ -25,7 +26,7 @@ from .checks import (
 )
 from .config import NORM_COLUMNS, ConfigError, RunConfig, apply_flags, parse_config
 from .dyadic import NormSpec, build_partition, norm_hst
-from .ensembles import FieldEnsembleSpec, gen_field
+from .ensembles import gen_field
 from .grid import Grid, SpectralField, lp_norm_physical
 from .propagators import BlowupError
 from .snapshots import SnapshotError, read_snapshot, write_snapshot
@@ -38,7 +39,7 @@ from .system import (
     taylor_green_velocity,
 )
 
-__all__ = ["main", "build_initial_state", "run_subcommand"]
+__all__ = ["main", "build_initial_state"]
 
 DIAG_COLUMNS = ("time", "energy", "grad_v_sq", "j_sq")
 
@@ -157,11 +158,8 @@ def _cmd_verify(cfg: RunConfig) -> int:
         if d not in grids:
             grids[d] = (Grid(d, cfg.n, cfg.box_length) if d == cfg.d
                         else Grid(d, 128 if d == 2 else 64))
-        spec = FieldEnsembleSpec(seed=cfg.seed, count=cfg.count, grid=grids[d],
-                                 slope=cfg.slope)
-        reports.append(
-            product_law_report(est, spec, T=cfg.T, bound=PINNED_BOUNDS[est])
-        )
+        reports.append(product_law_report(est, grids[d], cfg.seed, cfg.count, cfg.slope,
+                                          cfg.T, bound=PINNED_BOUNDS[est]))
     write_reports_jsonl(reports, os.path.join(cfg.out_dir, "reports.jsonl"))
     write_reports_csv(reports, os.path.join(cfg.out_dir, "summary.csv"))
     return 0
@@ -198,11 +196,6 @@ _COMMANDS = {
 }
 
 
-def run_subcommand(cmd: str, cfg: RunConfig) -> int:
-    """Run ``cmd`` on ``cfg``, whose ``out_dir`` exists."""
-    return _COMMANDS[cmd](cfg)
-
-
 def _one_line_warning(message, category, filename, lineno, line=None) -> str:
     return f"warning: {message}\n"
 
@@ -234,12 +227,16 @@ def main(argv=None) -> int:
     parser.add_argument("--stride", type=int, default=None)
     try:
         args = parser.parse_args(argv)
-        with open(args.config) as fh:
+        with open(args.config, encoding="utf-8") as fh:
             cfg = parse_config(fh.read())
     except OSError as exc:
         return _config_error([str(exc)])
+    except UnicodeDecodeError as exc:
+        return _config_error([f"{args.config}: not UTF-8 text "
+                              f"({exc.reason} at byte {exc.start})"])
     except ConfigError as exc:
         return _config_error(exc.errors)
+    out_key = "out_dir" if args.out_dir is None else "--out-dir"
     try:
         cfg = apply_flags(cfg, {"seed": args.seed, "out_dir": args.out_dir,
                                 "stride": args.stride})
@@ -247,8 +244,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         return _config_error(exc.errors)
     except OSError as exc:
-        key = "out_dir" if args.out_dir is None else "--out-dir"
-        return _config_error([f"{key}: cannot create {cfg.out_dir!r}: {exc.strerror}"])
+        return _config_error([f"{out_key}: cannot create {cfg.out_dir!r}: {exc.strerror}"])
 
     # Warnings that reach stderr (the advisory CFL check) take one line.
     formatwarning, warnings.formatwarning = warnings.formatwarning, _one_line_warning
@@ -256,9 +252,12 @@ def main(argv=None) -> int:
         # Divergence is detected by the non-finite checks of the time loop
         # and the Picard ratios, not by floating-point warnings.
         with np.errstate(over="ignore", invalid="ignore"):
-            return run_subcommand(args.command, cfg)
+            return _COMMANDS[args.command](cfg)
     except ConfigError as exc:  # unreadable input files
         return _config_error(exc.errors)
+    except OSError as exc:  # input files raise ConfigError, so an output failed
+        path = exc.filename or cfg.out_dir
+        return _config_error([f"{out_key}: cannot write {path!r}: {exc.strerror or exc}"])
     finally:
         warnings.formatwarning = formatwarning
 

@@ -144,8 +144,8 @@ def build_partition(grid: Grid) -> DyadicPartition:
     shells = grid.__dict__.get("_shells")
     if shells is not None:
         return DyadicPartition(grid, *shells)
-    kmag = grid.k_magnitude()
-    resolved = ~grid.nyquist_mask()
+    kmag = grid.k_magnitude
+    resolved = ~grid.nyquist_mask
     resolved[(0,) * grid.d] = False
     if not np.any(resolved):
         raise ValueError("grid has no resolved nonzero modes")

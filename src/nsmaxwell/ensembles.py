@@ -1,29 +1,14 @@
-"""Reproducible random spectral field ensembles for the estimate checkers."""
+"""Reproducible random spectral fields: ``gen_field`` draws one field from
+the generator it is given, so identical seeds give bit-identical ensembles."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .grid import Grid, SpectralField, leray_project
 from .dyadic import block
 
-__all__ = ["FieldEnsembleSpec", "gen_field"]
-
-
-@dataclass(frozen=True)
-class FieldEnsembleSpec:
-    """Gaussian spectral fields with power-law amplitude |k|^{-beta}.
-
-    The fields lie on ``grid``.  Identical seeds produce bit-identical
-    ensembles.
-    """
-
-    seed: int
-    count: int
-    grid: Grid
-    slope: float = 0.0
+__all__ = ["gen_field"]
 
 
 def gen_field(grid: Grid, rng: np.random.Generator, slope: float = 0.0,
@@ -33,7 +18,7 @@ def gen_field(grid: Grid, rng: np.random.Generator, slope: float = 0.0,
     ``shell`` if given and Leray-projected if ``divergence_free``."""
     white = rng.standard_normal((3,) + grid.shape)
     f = SpectralField.from_physical(grid, white)
-    kmag = grid.k_magnitude()
+    kmag = grid.k_magnitude
     ksafe = np.where(kmag > 0, kmag, 1.0)
     envelope = np.where(kmag > 0, ksafe ** (-slope), 0.0)
     f = SpectralField(grid, f.coeffs * envelope)

@@ -14,7 +14,8 @@ Time stacks (``system``) keep only the 2/3 rule's K modes (``_pack``).
 All fields are R^3-valued regardless of the spatial dimension; in d=2 the
 derivative convention is ``grad = (d1, d2, 0)`` and
 ``curl F = (d2 F3, -d1 F3, d1 F2 - d2 F1)``.  A grid builds its
-wavevectors and masks once; the arrays it hands out are read-only.
+wavevectors and masks once, as cached properties that are read, not
+called; the arrays it hands out are read-only.
 """
 
 from __future__ import annotations
@@ -77,28 +78,6 @@ class Grid:
         """Smallest positive wavevector magnitude, 2 pi / L."""
         return 2.0 * np.pi / self.box_length
 
-    def wavevectors(self) -> list:
-        """Per-axis wavevector arrays k_i broadcast over the stored modes.
-
-        Returns three arrays; in d=2 the third is identically zero
-        (the 2D convention grad = (d1, d2, 0)).
-        """
-        return list(self._wavevectors)
-
-    def k_squared(self) -> np.ndarray:
-        return self._k_squared
-
-    def k_magnitude(self) -> np.ndarray:
-        return self._k_magnitude
-
-    def nyquist_mask(self) -> np.ndarray:
-        """Boolean mask, True on modes with m = -n/2 along any axis."""
-        return self._nyquist_mask
-
-    def dealias_mask(self) -> np.ndarray:
-        """Boolean mask, True on modes killed by the 2/3 rule (|m| > n/3)."""
-        return self._dealias_mask
-
     # Geometry, built on first use and then shared by every caller.
 
     @cached_property
@@ -108,7 +87,10 @@ class Grid:
         return (m,) * (self.d - 1) + (m[: self.n // 2 + 1],)
 
     @cached_property
-    def _wavevectors(self) -> tuple:
+    def wavevectors(self) -> tuple:
+        """Per-axis wavevector arrays (k1, k2, k3) broadcast over the stored
+        modes; in d=2 k3 is identically zero (the 2D convention
+        grad = (d1, d2, 0))."""
         # Broadcast views of the 1-D mode arrays: no storage.
         ks = list(np.meshgrid(*(m * self.k0 for m in self._axis_modes),
                               indexing="ij", copy=False))
@@ -117,19 +99,19 @@ class Grid:
         return tuple(_read_only(k) for k in ks)
 
     @cached_property
-    def _k_squared(self) -> np.ndarray:
-        k1, k2, k3 = self._wavevectors
+    def k_squared(self) -> np.ndarray:
+        k1, k2, k3 = self.wavevectors
         return _read_only(k1**2 + k2**2 + k3**2)
 
     @cached_property
-    def _k_magnitude(self) -> np.ndarray:
-        return _read_only(np.sqrt(self._k_squared))
+    def k_magnitude(self) -> np.ndarray:
+        return _read_only(np.sqrt(self.k_squared))
 
     @cached_property
     def _unit_wavevectors(self) -> np.ndarray:
         """k / |k| over the d axes (no k3 in 2D), 0 at k = 0, as complex128."""
-        kmag = np.where(self._k_magnitude == 0, 1.0, self._k_magnitude)
-        return _read_only((np.stack(self._wavevectors[: self.d]) / kmag).astype(np.complex128))
+        kmag = np.where(self.k_magnitude == 0, 1.0, self.k_magnitude)
+        return _read_only((np.stack(self.wavevectors[: self.d]) / kmag).astype(np.complex128))
 
     def _axis_mask(self, bad) -> np.ndarray:
         """True where the per-axis mode predicate ``bad`` holds on any axis."""
@@ -141,28 +123,30 @@ class Grid:
         return _read_only(mask)
 
     @cached_property
-    def _nyquist_mask(self) -> np.ndarray:
+    def nyquist_mask(self) -> np.ndarray:
+        """Boolean mask, True on modes with m = -n/2 along any axis."""
         return self._axis_mask(lambda m: m == -self.n // 2)
 
     @cached_property
-    def _dealias_mask(self) -> np.ndarray:
+    def dealias_mask(self) -> np.ndarray:
+        """Boolean mask, True on modes killed by the 2/3 rule (|m| > n/3)."""
         return self._axis_mask(lambda m: np.abs(m) > self.n / 3.0)
 
     @cached_property
     def _half_keep(self) -> np.ndarray:
         """1 on the modes the 2/3 rule keeps, else 0, as complex128."""
-        return _read_only((~self._dealias_mask).astype(np.complex128))
+        return _read_only((~self.dealias_mask).astype(np.complex128))
 
     @cached_property
     def _kept(self) -> np.ndarray:
-        """Flat indices of the K modes ``~dealias_mask()``, k = 0 first."""
-        return _read_only(np.flatnonzero(~self._dealias_mask))
+        """Flat indices of the K modes ``~dealias_mask``, k = 0 first."""
+        return _read_only(np.flatnonzero(~self.dealias_mask))
 
     @cached_property
     def _half_ik(self) -> np.ndarray:
         """i k times the 2/3 truncation, axes stacked (3, *spectral_shape);
         the third row is 0 in 2D."""
-        return _read_only(1j * np.stack(self._wavevectors) * self._half_keep)
+        return _read_only(1j * np.stack(self.wavevectors) * self._half_keep)
 
     @cached_property
     def _half_count(self) -> np.ndarray:
@@ -226,10 +210,10 @@ class SpectralField:
         return _half_physical(self.grid, self.coeffs)
 
     def zero_nyquist(self) -> None:
-        self.coeffs[:, self.grid.nyquist_mask()] = 0.0
+        self.coeffs[:, self.grid.nyquist_mask] = 0.0
 
     def dealias(self) -> None:
-        self.coeffs[:, self.grid.dealias_mask()] = 0.0
+        self.coeffs[:, self.grid.dealias_mask] = 0.0
 
     def _planes(self) -> tuple:
         """The self-mirrored columns m_d = 0 and n/2 and their mirrors c(-k)."""
@@ -278,13 +262,13 @@ def gradient_component(f: SpectralField, axis: int) -> SpectralField:
     """d_axis applied componentwise (axis in {0,1,2}; d3 = 0 in 2D)."""
     if axis not in (0, 1, 2):
         raise ValueError(f"axis must be 0, 1 or 2, got {axis}")
-    k = f.grid.wavevectors()[axis]
+    k = f.grid.wavevectors[axis]
     return SpectralField(f.grid, 1j * k * f.coeffs)
 
 
 def divergence(f: SpectralField) -> SpectralField:
     """Divergence; the scalar result is stored in component 0."""
-    ks = f.grid.wavevectors()
+    ks = f.grid.wavevectors
     d = f.grid.d
     div = np.zeros(f.grid.spectral_shape, dtype=np.complex128)
     for i in range(d):
@@ -297,7 +281,7 @@ def divergence(f: SpectralField) -> SpectralField:
 def curl(f: SpectralField) -> SpectralField:
     """curl F = i k x F with k3 = 0 in d=2, which reproduces the 2D
     convention curl F = (d2 F3, -d1 F3, d1 F2 - d2 F1)."""
-    k1, k2, k3 = f.grid.wavevectors()
+    k1, k2, k3 = f.grid.wavevectors
     c1, c2, c3 = f.coeffs
     out = np.empty_like(f.coeffs)
     out[0] = 1j * (k2 * c3 - k3 * c2)
@@ -315,8 +299,8 @@ def leray_project(f: SpectralField) -> SpectralField:
     batch of states) allowed.
     """
     grid = f.grid
-    ks = grid.wavevectors()[: grid.d]
-    ksq = grid.k_squared()
+    ks = grid.wavevectors[: grid.d]
+    ksq = grid.k_squared
     c = np.moveaxis(f.coeffs, -grid.d - 1, 0)
     kdotc = sum(k * cj for k, cj in zip(ks, c))
     factor = kdotc / np.where(ksq == 0, 1.0, ksq)

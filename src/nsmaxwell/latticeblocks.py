@@ -59,7 +59,6 @@ __all__ = [
     "bony_paraproducts",
     "shell_norms",
     "l2_norm",
-    "hst_norm",
     "hst_from_shells",
     "besov_norm",
     "lowpass_blocks",
@@ -193,21 +192,17 @@ def _shell_span(r_lo: float, r_hi: float) -> range:
     return range(lo, hi + 1)
 
 
-def _as_list(blocks) -> list:
-    return [blocks] if isinstance(blocks, BlockField) else list(blocks)
-
-
 def real_product_blocks(p, q) -> list:
     """Blocks of the cross product of two real fields.
 
-    ``p``, ``q`` are the positive-half blocks (single block or list); each
+    ``p``, ``q`` are lists of the positive-half blocks; each
     real field is the blocks plus their conjugate mirrors.  Half of the
     convolutions are conjugate mirrors of the other half, so only half
     are computed.
     """
     out = []
-    for pb in _as_list(p):
-        for qb in _as_list(q):
+    for pb in p:
+        for qb in q:
             c = block_convolve(pb, qb)
             d = block_convolve(pb, qb.conj_mirror())
             out += [c, c.conj_mirror(), d, d.conj_mirror()]
@@ -264,8 +259,8 @@ def bony_paraproducts(p, q) -> tuple:
     full-product blocks are materialized.  Polarization order is a x b
     in both pieces.
     """
-    a_blocks = [blk for pb in _as_list(p) for blk in real_pair(pb)]
-    b_blocks = [blk for qb in _as_list(q) for blk in real_pair(qb)]
+    a_blocks = [blk for pb in p for blk in real_pair(pb)]
+    b_blocks = [blk for qb in q for blk in real_pair(qb)]
     t_ab = _paraproduct(a_blocks, b_blocks, low_first=True)
     t_ba = _paraproduct(b_blocks, a_blocks, low_first=False)
     return t_ab, t_ba
@@ -452,12 +447,9 @@ def l2_norm(blocks: list) -> float:
     return math.sqrt(BOX_VOLUME_2D * total)
 
 
-def hst_norm(blocks: list, s: float, t: float, alpha: float = 0.0) -> float:
-    return hst_from_shells(shell_norms(blocks), s, t, alpha)
-
-
 def hst_from_shells(norms: dict, s: float, t: float, alpha: float = 0.0) -> float:
-    """``hst_norm`` from a field's ``shell_norms``, measured once."""
+    """The hybrid norm ``NormSpec(s, t, alpha)`` of a field from its
+    ``shell_norms``, so that one measurement serves several norms."""
     weight_sq = NormSpec(s, t, alpha).shell_weight_sq
     return math.sqrt(sum(float(weight_sq(q)) * bq**2 for q, bq in norms.items()))
 
@@ -580,7 +572,7 @@ def remainder_cluster_stats(p, q, t_blocks=()) -> tuple:
     counts twice.  A cluster whose mirror cluster is missing raises
     ``ValueError``.
     """
-    products = [(pb, hi) for pb in _as_list(p) for qb in _as_list(q)
+    products = [(pb, hi) for pb in p for qb in q
                 for hi in (qb, qb.conj_mirror())]
     t_blocks = list(t_blocks)
     n_jobs = 2 * len(products)  # job 2k pastes product k, job 2k + 1 its mirror

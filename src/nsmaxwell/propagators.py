@@ -38,8 +38,6 @@ from .grid import Grid, SpectralField, _pack, curl, leray_project
 
 __all__ = [
     "phi_multipliers",
-    "phi_shell",
-    "heat_apply",
     "maxwell_apply",
     "maxwell_wave_route",
     "maxwell_apply_undamped",
@@ -108,23 +106,6 @@ def phi_multipliers(t, ksq):
         phi2[taylor] = tt * (1.0 + z / 6.0 + z**2 / 120.0 + z**3 / 5040.0) * damp
 
     return phi1, phi2
-
-
-def phi_shell(q: int, t, which: int):
-    """Low-shell envelope Phi_q^i(t) = Phi_i(t, 2^{2(q-1)}).
-
-    Uses 1/4 - 2^{2(q-1)} consistently inside both the sinh and the
-    denominator.
-    """
-    phi1, phi2 = phi_multipliers(t, 4.0 ** (q - 1))
-    return phi1 if which == 1 else phi2
-
-
-def heat_apply(u: SpectralField, t: float) -> SpectralField:
-    """Per-mode multiply by e^{-t |k|^2}."""
-    if t < 0:
-        raise ValueError("time must be nonnegative")
-    return SpectralField(u.grid, u.coeffs * np.exp(-t * u.grid.k_squared()))
 
 
 def _maxwell_coefficients(ksq: np.ndarray, t):
@@ -214,10 +195,10 @@ def maxwell_wave_route(E0: SpectralField, B0: SpectralField, t: float) -> Spectr
         raise ValueError("time must be nonnegative")
     grid = B0.grid
     B0 = leray_project(B0)
-    phi1, phi2 = phi_multipliers(t, grid.k_squared())
+    phi1, phi2 = phi_multipliers(t, grid.k_squared)
     B1 = -curl(E0).coeffs
     coeffs = phi1 * B0.coeffs + phi2 * (0.5 * B0.coeffs + B1)
-    zero_mask = grid.k_squared() == 0
+    zero_mask = grid.k_squared == 0
     coeffs[:, zero_mask] = B0.coeffs[:, zero_mask]
     return SpectralField(grid, coeffs)
 
@@ -227,7 +208,7 @@ def maxwell_apply_undamped(E: SpectralField, B: SpectralField, t: float):
     rotates at frequency |k| and conserves |E|^2 + |B|^2."""
     if t < 0:
         raise ValueError("time must be nonnegative")
-    kmag = E.grid.k_magnitude()
+    kmag = E.grid.k_magnitude
     c, s = np.cos(kmag * t), np.sin(kmag * t)
     return tuple(SpectralField(E.grid, a) for a in _maxwell_modes(
         E.grid._unit_wavevectors, E.coeffs, leray_project(B).coeffs, c, 1j * s, c, 1.0))
@@ -253,7 +234,7 @@ class PropagatorTable:
     def build(cls, grid: Grid, dt: float) -> "PropagatorTable":
         if dt < 0:
             raise ValueError("dt must be nonnegative")
-        ksq = grid.k_squared()
+        ksq = grid.k_squared
         a11, a12, a22 = _maxwell_coefficients(ksq, dt)
         return cls(grid=grid, dt=dt, heat=np.exp(-dt * ksq), a11=a11.astype(np.complex128),
                    i_a12=1j * a12, a22=a22.astype(np.complex128),

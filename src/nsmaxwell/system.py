@@ -158,7 +158,7 @@ def _divergence_defects(grid: Grid, v: np.ndarray, B: np.ndarray) -> np.ndarray:
     """``MhdState.divergence_defect`` per state of amplitudes v, B
     (states, 3, *spectral_shape), by Parseval (``Grid._parseval_weight``)."""
     weight = grid._parseval_weight.reshape(-1)
-    ks = grid.wavevectors()[: grid.d]
+    ks = grid.wavevectors[: grid.d]
 
     def power(a):  # squared L^2 norm per state
         return ((a.real**2 + a.imag**2).reshape(len(a), -1, weight.size) @ weight).sum(axis=1)
@@ -237,7 +237,7 @@ def energy_report(state: MhdState, j: SpectralField):
     e = 0.5 * state.l2_squared()
     grid = state.grid
     v = state.v.coeffs
-    grad_sq = float(np.sum(grid._parseval_weight * grid.k_squared()
+    grad_sq = float(np.sum(grid._parseval_weight * grid.k_squared
                            * (v.real**2 + v.imag**2)))
     j_sq = lp_norm_physical(j, 2) ** 2
     return e, grad_sq, j_sq

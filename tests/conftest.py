@@ -34,7 +34,7 @@ def random_field(grid, seed=0, slope=0.0):
     rng = np.random.default_rng(seed)
     f = SpectralField.from_physical(grid, rng.standard_normal((3,) + grid.shape))
     if slope != 0.0:
-        kmag = grid.k_magnitude()
+        kmag = grid.k_magnitude
         env = np.where(kmag > 0, np.where(kmag > 0, kmag, 1.0) ** (-slope), 0.0)
         f = SpectralField(grid, f.coeffs * env)
     f.dealias()

@@ -360,6 +360,38 @@ def test_unreadable_init_file_exits_2(tmp_path, capsys, defect):
         assert err[0].startswith("config error: init_file: bad snapshot header:")
 
 
+def test_config_that_is_not_utf8_exits_2(tmp_path, capsys):
+    # A UTF-16 file starts with the bytes ff fe, which are no UTF-8 text.
+    path = tmp_path / "x.cfg"
+    path.write_bytes("n = 16\n".encode("utf-16"))
+    assert main(["simulate", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"config error: {path}: not UTF-8 text (invalid start byte at byte 0)"]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, name, flag", [
+    ("simulate", "diagnostics.csv", True),
+    ("simulate", "snap_000000_v.nsmw", True),
+    ("picard", "picard.csv", False),
+], ids=["simulate_csv", "simulate_snapshot", "picard_csv"])
+def test_unwritable_output_exits_2(tmp_path, capsys, command, name, flag):
+    # A directory where an output file goes: one line that names the file,
+    # not a traceback with exit code 1, which means numerical blowup.
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    text = BASE + "init = random\npicard_iters = 2\nepsilons = 0.1\n"
+    if flag:
+        args = ["--out-dir", str(out)]
+    else:
+        args, text = [], text + f"out_dir = {out}\n"
+    assert main([command, _write_cfg(tmp_path, text)] + args) == 2
+    err = capsys.readouterr().err.splitlines()
+    key = "--out-dir" if flag else "out_dir"
+    assert len(err) == 1, err
+    assert err[0].startswith(f"config error: {key}: cannot write {str(out / name)!r}: "), err
+
+
 def test_picard_zero_data_reads_zero(tmp_path):
     stem = str(tmp_path / "zero")
     zero = SpectralField.zeros(Grid(2, 16))

@@ -94,7 +94,7 @@ def test_dropped_grid_is_freed_without_the_cycle_collector():
 
 def test_partition_of_unity(grid2, part2):
     total = part2.partition_sum()
-    resolved = ~grid2.nyquist_mask()
+    resolved = ~grid2.nyquist_mask
     resolved[(0, 0)] = False
     assert np.max(np.abs(total[resolved] - 1.0)) < 1e-12
     assert total[(0, 0)] == 0.0
@@ -157,7 +157,7 @@ def test_norm_hst_vs_direct_sobolev_sum(grid2):
     f = random_field(grid2, seed=13, slope=1.0)
     s = 0.7
     val = norm_hst(f, NormSpec.sobolev(s))
-    kmag = grid2.k_magnitude()
+    kmag = grid2.k_magnitude
     power = np.sum(np.abs(f.coeffs) ** 2, axis=0)
     vol = grid2.box_length**2
     direct = math.sqrt(vol * float(np.sum(np.where(kmag > 0, kmag ** (2 * s), 0.0) * power)))
@@ -277,8 +277,8 @@ def test_partition_weights_bitwise_profile_formulas():
     # the slice sums against the sequential sums they replaced
     for grid in (Grid(2, 32), Grid(3, 16), Grid(2, 64, 16.0 * np.pi)):
         part = build_partition(grid)
-        kmag = grid.k_magnitude()
-        resolved = ~grid.nyquist_mask()
+        kmag = grid.k_magnitude
+        resolved = ~grid.nyquist_mask
         resolved[(0,) * grid.d] = False
         assert not part.stack.flags.writeable
         total = np.zeros(grid.spectral_shape)

@@ -46,7 +46,7 @@ def test_power_law_slope_recovered():
     slope = 1.5
     rng = np.random.default_rng(9)
     fields = [gen_field(grid, rng, slope=slope) for _ in range(24)]
-    kmag = grid.k_magnitude()
+    kmag = grid.k_magnitude
     centers, amps = [], []
     for q in (1, 2, 3):
         lo, hi = 2.0 ** (q - 0.5), 2.0 ** (q + 0.5)

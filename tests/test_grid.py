@@ -44,19 +44,19 @@ def test_dealias_mask_covers_nyquist_mask(d):
     # it on every grid: dealias() needs no zero_nyquist() beside it.
     for n in (8, 16, 32, 64, 128, 256, 512) if d == 2 else (8, 16, 32, 64, 128, 256):
         grid = Grid(d, n)
-        nyquist = grid.nyquist_mask()
-        assert nyquist.any() and not np.any(nyquist & ~grid.dealias_mask()), n
+        nyquist = grid.nyquist_mask
+        assert nyquist.any() and not np.any(nyquist & ~grid.dealias_mask), n
 
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_geometry_built_once_and_read_only(d):
     grid = Grid(d, 16)
     for name in ("k_squared", "k_magnitude", "dealias_mask", "nyquist_mask"):
-        arr = getattr(grid, name)()
-        assert getattr(grid, name)() is arr, name
+        arr = getattr(grid, name)
+        assert getattr(grid, name) is arr, name
         with pytest.raises(ValueError):
             arr[(0,) * d] = 1
-    first, second = grid.wavevectors(), grid.wavevectors()
+    first, second = grid.wavevectors, grid.wavevectors
     for a, b in zip(first, second):
         assert a is b
         with pytest.raises(ValueError):
@@ -70,7 +70,7 @@ def test_pack_unpack_round_trip(grid_name, request):
     # of the killed modes included.
     grid = request.getfixturevalue(grid_name)
     assert grid._kept[0] == 0
-    assert grid._kept.size == np.count_nonzero(~grid.dealias_mask())
+    assert grid._kept.size == np.count_nonzero(~grid.dealias_mask)
     stack = np.stack([random_field(grid, seed=s).coeffs for s in (71, 72)])
     kept = _pack(grid, stack)
     assert kept.shape == (2, 3, grid._kept.size)
@@ -106,7 +106,7 @@ def test_div_grad_is_laplacian(grid2):
     for ax in range(2):
         grad.coeffs[ax] = gradient_component(p, ax).coeffs[0]
     lhs = divergence(grad).coeffs[0]
-    rhs = -grid2.k_squared() * p.coeffs[0]
+    rhs = -grid2.k_squared * p.coeffs[0]
     scale = np.max(np.abs(rhs)) + 1e-300
     assert np.max(np.abs(lhs - rhs)) < 1e-12 * scale
 
@@ -194,7 +194,7 @@ def test_dealiased_product_exact_vs_double_resolution(grid2):
     small = pointwise_product(fields[0], fields[1])
     large = pointwise_product(lift(fields[0]), lift(fields[1]))
     sub = large.coeffs[ix].copy()
-    sub[:, grid2.dealias_mask()] = 0.0
+    sub[:, grid2.dealias_mask] = 0.0
     scale = np.max(np.abs(sub)) + 1e-300
     assert np.max(np.abs(small.coeffs - sub)) < 1e-12 * scale
 

@@ -24,7 +24,7 @@ from nsmaxwell.latticeblocks import (
     blocks_to_grid_field,
     criticality_packets,
     gaussian_packet,
-    hst_norm,
+    hst_from_shells,
     l2_norm,
     lowpass_blocks,
     packet_pair,
@@ -68,7 +68,7 @@ def test_block_convolve_matches_grid_product():
     rng = np.random.default_rng(1)
     p = gaussian_packet((5, 4), 2, np.array([0.0, 0.0, 1.0]), rng)
     q = gaussian_packet((-6, 2), 2, np.array([1.0, 0.0, 0.0]), rng)
-    prod_blocks = real_product_blocks(p, q)
+    prod_blocks = real_product_blocks([p], [q])
     fp = blocks_to_grid_field(real_pair(p), grid)
     fq = blocks_to_grid_field(real_pair(q), grid)
     direct = pointwise_product(fp, fq)
@@ -82,7 +82,7 @@ def test_lattice_norms_match_grid_route():
     part = build_partition(grid)
     rng = np.random.default_rng(2)
     p, q = packet_pair(3, rng)
-    blocks = real_product_blocks(p, q)
+    blocks = real_product_blocks([p], [q])
     f = blocks_to_grid_field(blocks, grid)
     # L^2 (the lattice norm drops the k=0 mode by convention)
     f_nomean = f.copy()
@@ -100,7 +100,7 @@ def test_lattice_norms_match_grid_route():
     b_lat = besov_norm(blocks, 0.5)
     b_grid = norm_besov(f, 0.5)
     assert abs(b_lat - b_grid) < 1e-7 * b_grid
-    h_lat = hst_norm(blocks, 0.0, 0.5, alpha=1.0)
+    h_lat = hst_from_shells(lattice_shells, 0.0, 0.5, alpha=1.0)
     h_grid = norm_hst(f, NormSpec(s=0.0, t=0.5, alpha=1.0))
     assert abs(h_lat - h_grid) < 1e-7 * h_grid
 

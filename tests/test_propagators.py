@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.linalg import expm
 
+from nsmaxwell.checks import heat_forced_coeffs
 from nsmaxwell.grid import Grid, SpectralField, _pack, leray_project, lp_norm_physical
 from nsmaxwell.propagators import (
     BlowupError,
@@ -12,12 +13,10 @@ from nsmaxwell.propagators import (
     _maxwell_coefficients,
     _maxwell_modes,
     duhamel_step,
-    heat_apply,
     maxwell_apply,
     maxwell_apply_undamped,
     maxwell_wave_route,
     phi_multipliers,
-    phi_shell,
 )
 from nsmaxwell.system import MhdState
 
@@ -88,22 +87,27 @@ def test_phi_oscillatory_decay_rate():
 
 
 def test_phi_shell_l1_exact_integral():
-    # closed form: integral of Phi_q^1 over (0, inf) equals 2 * 2^{-2q}
+    # closed form: integral of Phi_q^1 = Phi_1(t, 2^{2(q-1)}) over (0, inf)
+    # equals 2 * 2^{-2q}
     for q in (-3, -5):
-        val, _ = quad(lambda s: phi_shell(q, s, 1), 0, np.inf, limit=400)
+        val, _ = quad(lambda s: phi_multipliers(s, 4.0 ** (q - 1))[0], 0, np.inf, limit=400)
         assert abs(val - 2.0 * 4.0 ** (-q)) < 1e-6 * 4.0 ** (-q)
 
 
 def test_phi_shell_lr_bounds():
-    # measured ratios ||Phi_q^i||_{L^r} / 2^{-2q/r}; global C pinned at 4.0
+    # measured ratios ||Phi_q^i||_{L^r} / 2^{-2q/r}, Phi_q^i(t) = Phi_i(t, 2^{2(q-1)});
+    # global C pinned at 4.0
     worst = 0.0
     for q in (-3, -4, -6):
+        ksq = 4.0 ** (q - 1)
         for i in (1, 2):
             for r in (1, 2):
                 if r == 1:
-                    val, _ = quad(lambda s: abs(phi_shell(q, s, i)), 0, np.inf, limit=400)
+                    val, _ = quad(lambda s: abs(phi_multipliers(s, ksq)[i - 1]), 0, np.inf,
+                                  limit=400)
                 else:
-                    v2, _ = quad(lambda s: phi_shell(q, s, i) ** 2, 0, np.inf, limit=400)
+                    v2, _ = quad(lambda s: phi_multipliers(s, ksq)[i - 1] ** 2, 0, np.inf,
+                                 limit=400)
                     val = math.sqrt(v2)
                 worst = max(worst, val / 2.0 ** (-2 * q / r))
     assert worst <= 4.0 + 1e-6
@@ -116,17 +120,15 @@ def test_phi_shell_lr_bounds():
 def test_heat_factor(grid2):
     f = SpectralField.zeros(grid2)
     f.coeffs[0][(2, 0)] = 1.0  # |k|^2 = 4
-    g = heat_apply(f, 0.5)
+    g = heat_forced_coeffs(f, [], 0.5)
     assert abs(g.coeffs[0][(2, 0)] - math.exp(-2.0)) < 1e-12
 
 
 def test_heat_semigroup(grid2):
     f = random_field(grid2, seed=20)
-    a = heat_apply(heat_apply(f, 0.3), 0.45)
-    b = heat_apply(f, 0.75)
+    a = heat_forced_coeffs(heat_forced_coeffs(f, [], 0.3), [], 0.45)
+    b = heat_forced_coeffs(f, [], 0.75)
     assert np.max(np.abs(a.coeffs - b.coeffs)) < 1e-13 * np.max(np.abs(f.coeffs))
-    with pytest.raises(ValueError):
-        heat_apply(f, -0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +203,7 @@ def test_maxwell_group_matches_matrix_exponential(d):
     E_t, B_t = PropagatorTable.build(grid, t).apply_maxwell(E.coeffs, B.coeffs)
     got = np.concatenate([E_t, B_t]).reshape(6, -1)
     data = np.concatenate([E.coeffs, B_perp.coeffs]).reshape(6, -1)
-    ks = np.stack([k.ravel() for k in grid.wavevectors()], axis=1)
+    ks = np.stack([k.ravel() for k in grid.wavevectors], axis=1)
     want = np.stack([expm(t * _maxwell_generator(k)) @ data[:, m]
                      for m, k in enumerate(ks)], axis=1)
     assert np.all(ks[0] == 0)
@@ -294,7 +296,7 @@ def test_complex_factors_match_real_factor_route(grid_name, request):
         assert a.dtype == np.complex128 and not np.any(a.imag)
     E, B = state.E.coeffs, leray_project(state.B).coeffs
     got = table.apply_maxwell(E, B)
-    a11, a12, a22 = _maxwell_coefficients(grid.k_squared(), table.dt)
+    a11, a12, a22 = _maxwell_coefficients(grid.k_squared, table.dt)
     want = _maxwell_modes(grid._unit_wavevectors.real, E, B, a11, 1j * a12, a22,
                           np.exp(-table.dt))
     assert a11.dtype == np.float64 and np.any(got[1])
@@ -445,7 +447,7 @@ def test_blowup_detection(grid2):
 def test_table_at_zero_dt(grid2):
     table = PropagatorTable.build(grid2, 0.0)
     assert np.allclose(table.heat, 1.0)
-    phi1, phi2 = phi_multipliers(0.0, grid2.k_squared())
+    phi1, phi2 = phi_multipliers(0.0, grid2.k_squared)
     assert np.allclose(phi1, 1.0) and np.allclose(phi2, 0.0)
     assert np.allclose(table.i_a12, 0.0)
 

@@ -174,7 +174,9 @@ def test_partition_comes_from_the_grid():
 # them (perfbench/tracing.py), which wraps but does not call them.
 TEST_ONLY_REGISTRY = {
     "checks.heat_forced_coeffs": "checks._heat_forced against the ODE oracle "
-                                 "(criterion 9's route); a benchmark trace target",
+                                 "(criterion 9's route); with no forcing, the heat "
+                                 "factor in closed form against PropagatorTable.apply "
+                                 "and the Picard map's trapezoid; a benchmark trace target",
     "grid.divergence": "leray_project and ensembles.gen_field: divergence-free output",
     "grid.gradient_component": "system.nonlinearity's advection: the advection-form "
                                "and divergence-form references of test_system",
@@ -185,34 +187,46 @@ TEST_ONLY_REGISTRY = {
     "latticeblocks.lowpass_blocks": "remainder_cluster_stats",
     "latticeblocks.packet_pair": "the lattice route checked against the grid route",
     "latticeblocks.blocks_to_grid_field": "the lattice route checked against the grid route",
-    "propagators.phi_shell": "criterion 2",
-    "propagators.heat_apply": "PropagatorTable.apply and the Picard map's trapezoid "
-                              "(the heat factor in closed form)",
     "propagators.maxwell_apply": "criterion 1",
     "propagators.maxwell_wave_route": "criterion 1",
     "propagators.maxwell_apply_undamped": "propagators._maxwell_modes, the transverse "
                                           "rotation of PropagatorTable",
     "system.picard_solution": "criterion 5",
+    "system.MhdState.zeros": "the zero state of the Picard and march edge cases",
     "system.MhdState.divergence_defect": "system._divergence_defects, the gate of "
                                          "nonlinearity; a benchmark trace target",
 }
 
 
-def _referenced_names(tree):
-    """(name, enclosing function nodes) for every name and attribute in
-    ``tree``; a name imported under another (``import a as b``) also counts
-    as its own."""
+def _referenced_names(tree, classes):
+    """(name, owner, enclosing function nodes) for every name and attribute
+    in ``tree``.  ``owner`` is the class of a ``Class.attr`` read, when
+    ``Class`` is one of the package's ``classes``, else None.  An attribute
+    read off a module imported from outside the package (``np.zeros``,
+    ``scipy.fft.rfftn``) names nothing.  A name imported under another
+    (``import a as b``) also counts as its own."""
     aliases = {a.asname: a.name for node in ast.walk(tree)
                if isinstance(node, (ast.Import, ast.ImportFrom))
                for a in node.names if a.asname}
+    external = {a.asname or a.name.split(".")[0] for node in ast.walk(tree)
+                if isinstance(node, ast.Import)
+                for a in node.names if a.name.split(".")[0] != "nsmaxwell"}
     out = []
+
+    def root(node):
+        while isinstance(node, ast.Attribute):
+            node = node.value
+        return getattr(node, "id", None)
 
     def visit(node, enclosing):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             enclosing = enclosing + (node,)
-        name = getattr(node, "id", None) or getattr(node, "attr", None)
-        if isinstance(node, (ast.Name, ast.Attribute)):
-            out.append((aliases.get(name, name), enclosing))
+        if isinstance(node, ast.Name):
+            out.append((aliases.get(node.id, node.id), None, enclosing))
+        elif isinstance(node, ast.Attribute) and root(node) not in external:
+            owner = getattr(node.value, "id", None)
+            out.append((aliases.get(node.attr, node.attr),
+                        owner if owner in classes else None, enclosing))
         for child in ast.iter_child_nodes(node):
             visit(child, enclosing)
 
@@ -221,22 +235,27 @@ def _referenced_names(tree):
 
 
 def test_every_test_only_public_function_is_registered():
-    # Matched by name alone, as in the defaulted-parameter test: a method
-    # call or attribute read counts for every function of that name.  A use
-    # inside the function's own body is no caller.
+    # Matched by name, as in the defaulted-parameter test: a method call or
+    # attribute read counts for every function of that name, except that
+    # ``Class.attr`` counts only for that class's method.  A use inside the
+    # function's own body is no caller.
+    package = list(_python_files(os.path.join("src", "nsmaxwell")))
+    classes = {c.name for _, tree in package for c in ast.walk(tree)
+               if isinstance(c, ast.ClassDef)}
     refs = [r for _, tree in _python_files("src", "scripts", "perfbench")
-            for r in _referenced_names(tree)]
+            for r in _referenced_names(tree, classes)]
     found = []
-    for path, tree in _python_files(os.path.join("src", "nsmaxwell")):
+    for path, tree in package:
         module = os.path.basename(path)[:-3]
         owners = {id(f): c for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
                   for f in c.body}
         for fn in ast.walk(tree):
-            if (isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
-                    and not fn.name.startswith("_")
-                    and not any(name == fn.name and fn not in enclosing
-                                for name, enclosing in refs)):
-                cls = owners.get(id(fn))
+            if (not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    or fn.name.startswith("_")):
+                continue
+            cls = owners.get(id(fn))
+            if not any(name == fn.name and owner in (None, cls and cls.name)
+                       and fn not in enclosing for name, owner, enclosing in refs):
                 found.append(f"{module}.{cls.name + '.' if cls else ''}{fn.name}")
     unlisted = sorted(set(found) - set(TEST_ONLY_REGISTRY))
     stale = sorted(set(TEST_ONLY_REGISTRY) - set(found))
