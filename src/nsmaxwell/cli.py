@@ -95,7 +95,8 @@ def _march_to_csv(cfg: RunConfig, csv_name: str, norms: tuple,
     ``snapshots``, every ``stride``-th state) as it arrives; each row's
     ohmic term takes the Ohm current that ``march`` yields with the state.
     On blowup the CSV ends with a truncation record and the exit code is
-    1."""
+    1; a snapshot that cannot be written also ends it with one, and its
+    ``OSError`` propagates."""
     # No name holds the initial state: ``march`` keeps only its prepared copy.
     states = march(build_initial_state(cfg), cfg.T, cfg.dt, scheme=cfg.scheme)
     with open(os.path.join(cfg.out_dir, csv_name), "w") as fh:
@@ -106,7 +107,14 @@ def _march_to_csv(cfg: RunConfig, csv_name: str, norms: tuple,
                        *(_norm_column(state, name) for name in norms))
                 fh.write(",".join(map(repr, row)) + "\n")
                 if snapshots and idx % cfg.stride == 0:
-                    _write_snapshot(cfg, idx, state)
+                    try:
+                        _write_snapshot(cfg, idx, state)
+                    except OSError as exc:
+                        # The CSV records where the snapshot set stops;
+                        # ``main`` reports the failure and exits 2.
+                        fh.write(f"# truncated: cannot write {exc.filename or cfg.out_dir!r} "
+                                 f"at step {idx} (t = {state.time!r})\n")
+                        raise
         except BlowupError as exc:
             # The failed step starts from the last state written, whose time
             # counts from the initial state's (a snapshot's t0).

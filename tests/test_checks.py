@@ -10,7 +10,6 @@ from nsmaxwell.checks import (
     PINNED_BOUNDS,
     PRODUCT_LAW_IDS,
     EstimateReport,
-    SeparableTrajectory,
     _heat_forced,
     check_l2linfty,
     check_maxwell_energy_decay,
@@ -22,7 +21,6 @@ from nsmaxwell.checks import (
     heat_forced_coeffs,
     log_criticality_experiment,
     product_law_report,
-    separable_product,
     write_reports_csv,
     write_reports_jsonl,
 )
@@ -156,8 +154,9 @@ def test_envelope_time_norm_of_a_growing_envelope(grid2):
 
 
 def test_separable_trajectory_matches_sampled_norm(grid2):
+    # A factor e^{-rate t} f(x) has space-time norm (spatial norm) x
+    # (envelope norm), the factorization the product laws write out.
     f = random_field(grid2, seed=50, slope=1.0)
-    traj = SeparableTrajectory(f, rate=1.3)
     T = 2.0
     times = np.linspace(0.0, T, 801)
     series = shell_series(np.stack([f.coeffs * math.exp(-1.3 * t) for t in times]),
@@ -165,16 +164,8 @@ def test_separable_trajectory_matches_sampled_norm(grid2):
     for p in (2, np.inf):
         spec = NormSpec.sobolev(0.5, time_exponent=p, tilde=True)
         sampled = spacetime_norm_from_series(series, spec)
-        closed = traj.spacetime(spec, T)
+        closed = norm_hst(f, spec) * envelope_time_norm(1.3, T, p)
         assert abs(sampled - closed) < 2e-5 * closed
-
-
-def test_separable_product_rates_add(grid2):
-    a = SeparableTrajectory(random_field(grid2, seed=51), rate=1.0)
-    b = SeparableTrajectory(random_field(grid2, seed=52), rate=2.5)
-    prod = separable_product(a, b)
-    assert prod.rate == 3.5
-    assert prod.field.grid == grid2
 
 
 # ---------------------------------------------------------------------------
@@ -641,17 +632,28 @@ def test_maxwell_energy_decay_with_forcing_applies_group_once_per_step(monkeypat
 
 
 def test_product_law_unknown_id(grid2):
-    live = SeparableTrajectory(random_field(grid2, seed=60, slope=1.0), 2.0)
+    live = random_field(grid2, seed=60, slope=1.0)
     with pytest.raises(ValueError):
         check_product_law("nope", 1.0, live, live)
 
 
+@pytest.mark.parametrize("estimate_id, d, message", [
+    ("est1-2D", 3, "est1-2D is a 2D estimate, but its factors lie on a 3D grid"),
+    ("est3-uB-3D", 2, "est3-uB-3D is a 3D estimate, but its factors lie on a 2D grid"),
+], ids=["2d_id_on_3d_grid", "3d_id_on_2d_grid"])
+def test_product_law_on_a_grid_of_the_other_dimension_raises(estimate_id, d, message):
+    # A 2D id on a 3D grid would be measured by the 3D formula under the
+    # 2D id, and the other way round.
+    live = random_field(Grid(d, 16), seed=60, slope=1.0)
+    with pytest.raises(ValueError, match=message):
+        check_product_law(estimate_id, 1.0, live, live)
+
+
 @pytest.mark.parametrize("estimate_id", ["est1-2D", "est4-2D", "est3-uB-2D"])
 def test_product_law_zero_factor_gives_zero_lhs(grid2, estimate_id):
-    zero = SeparableTrajectory(SpectralField.zeros(grid2), 2.0)
-    live = SeparableTrajectory(random_field(grid2, seed=60, slope=1.0), 2.0)
-    rep = check_product_law(estimate_id, 10.0, zero, live)
-    assert rep.lhs == [0.0]
+    zero = SpectralField.zeros(grid2)
+    live = random_field(grid2, seed=60, slope=1.0)
+    assert check_product_law(estimate_id, 10.0, zero, live)[0] == 0.0
 
 
 def test_product_law_report_smoke_2d():

@@ -392,6 +392,24 @@ def test_unwritable_output_exits_2(tmp_path, capsys, command, name, flag):
     assert err[0].startswith(f"config error: {key}: cannot write {str(out / name)!r}: "), err
 
 
+def test_unwritable_snapshot_truncates_the_csv(tmp_path, capsys):
+    # A snapshot that cannot be written in the middle of a run ends the CSV
+    # with a record of where the outputs stop, and the run still exits 2.
+    out = tmp_path / "out"
+    bad = out / "snap_000010_v.nsmw"
+    bad.mkdir(parents=True)
+    text = BASE + "d = 2\ninit = random\nstride = 1\n"
+    assert main(["simulate", _write_cfg(tmp_path, text), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1, err
+    assert err[0].startswith(f"config error: --out-dir: cannot write {str(bad)!r}: "), err
+    lines = (out / "diagnostics.csv").read_text().splitlines()
+    assert len(lines) == 13  # the header, rows 0 ... 10 and the record
+    time = lines[-2].split(",")[0]
+    assert lines[-1] == f"# truncated: cannot write {str(bad)!r} at step 10 (t = {time})"
+    assert not (out / "snap_000010_E.nsmw").exists()
+
+
 def test_picard_zero_data_reads_zero(tmp_path):
     stem = str(tmp_path / "zero")
     zero = SpectralField.zeros(Grid(2, 16))

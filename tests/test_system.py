@@ -10,7 +10,6 @@ import pytest
 from nsmaxwell.grid import (
     Grid,
     SpectralField,
-    _reflection,
     _time_chunks,
     _unpack,
     divergence,
@@ -862,34 +861,56 @@ def test_picard_ratio_scales_with_epsilon(grid2):
 # periodic box, with v and E vectors and B a pseudovector.
 
 
+# The point maps x -> M x of the box: signed permutations, whose
+# determinant is the parity; ``rotate_2d`` acts on 2D data, the others on 3D.
+_BOX_MAPS = {
+    "reflect": np.diag([-1, 1, 1]),
+    "reflect_b_polar": np.diag([-1, 1, 1]),
+    "rotate": np.array([[0, 1, 0], [0, 0, 1], [1, 0, 0]]),
+    "rotate_2d": np.array([[0, -1, 0], [1, 0, 0], [0, 0, 1]]),
+}
+
+
 def _box_symmetry(state, name):
     """The image of ``state`` under one symmetry of the box:
     ``translate``: u(x) -> u(x - h (1, 2, 3)) for every field, h = L / n;
-    ``reflect``: x1 -> -x1, u -> R u(Rx) for v and E with R = diag(-1, 1, 1),
-    and B -> det(R) R B(Rx) for the pseudovector B;
+    the point maps of ``_BOX_MAPS``: u(x) -> M u(M^T x) for v and E, and
+    B(x) -> det(M) M B(M^T x) for the pseudovector B, where ``reflect`` is
+    x1 -> -x1, ``rotate`` (x1, x2, x3) -> (x2, x3, x1) and ``rotate_2d``
+    the rotation by 90 degrees about x3;
     ``reflect_b_polar``: the control, B taken as a vector like v and E."""
     grid = state.grid
     if name == "translate":
         m1, m2, m3 = (k / grid.k0 for k in grid.wavevectors)
         phase = np.exp(-2j * np.pi * (m1 + 2 * m2 + 3 * m3) / grid.n)
         images = [f.coeffs * phase for f in (state.v, state.E, state.B)]
-    else:
-        flip = _reflection(grid, 1)
-        vector = np.array([-1.0, 1.0, 1.0]).reshape((3,) + (1,) * grid.d)
-        axial = vector if name == "reflect_b_polar" else -vector
-        images = [sign * f.coeffs[flip] for sign, f in
-                  ((vector, state.v), (vector, state.E), (axial, state.B))]
-    return MhdState(*(SpectralField(grid, c) for c in images), time=state.time)
+        return MhdState(*(SpectralField(grid, c) for c in images), time=state.time)
+    M = _BOX_MAPS[name]
+    # The grid index M^T j of the point M^T x, x = h j, for every j.
+    source = tuple(np.tensordot(M[: grid.d, : grid.d].T, np.indices(grid.shape), axes=1)
+                   % grid.n)
+    parity = 1 if name == "reflect_b_polar" else round(np.linalg.det(M))
+
+    def image(f, sign):
+        values = f.to_physical()[(slice(None),) + source]
+        return SpectralField.from_physical(grid, sign * np.tensordot(M, values, axes=1))
+
+    return MhdState(image(state.v, 1), image(state.E, 1), image(state.B, parity),
+                    time=state.time)
+
+
+def _symmetry_data(d):
+    """3D or 2D n = 16 random data (slope 1, seed 5), prepared."""
+    grid = Grid(d, 16)
+    rng = np.random.default_rng(5)
+    return MhdState(*(gen_field(grid, rng, 1.0, None, div_free)
+                      for div_free in (True, False, True))).prepared()
 
 
 def _symmetry_defect(name):
     """max over v, E, B of |march(S G0) - S march(G0)| / |S march(G0)| (sup
-    over the modes) after 10 steps of 3D n = 16 random data (slope 1,
-    seed 5)."""
-    grid = Grid(3, 16)
-    rng = np.random.default_rng(5)
-    initial = MhdState(*(gen_field(grid, rng, 1.0, None, div_free)
-                         for div_free in (True, False, True))).prepared()
+    over the modes) after 10 steps of the symmetry data."""
+    initial = _symmetry_data(2 if name == "rotate_2d" else 3)
     finals = []
     for start in (initial, _box_symmetry(initial, name)):
         for state, _ in march(start, 0.1, 0.01):
@@ -900,10 +921,19 @@ def _symmetry_defect(name):
                / np.max(np.abs(getattr(want, f).coeffs)) for f in ("v", "E", "B"))
 
 
-@pytest.mark.parametrize("name", ["translate", "reflect"])
+def _picard_symmetry_defect(name):
+    """max over the maps of the relative difference between the Picard
+    differences ||G^{m+1} - G^m||_Z from S G0 and from G0: 3 maps on the 3D
+    symmetry data at amplitude 0.3, T = 0.2, dt = 0.01."""
+    initial = _symmetry_data(3).scaled(0.3)
+    want = picard_iterate(initial, 0.2, 0.01, 3)[2]
+    got = picard_iterate(_box_symmetry(initial, name), 0.2, 0.01, 3)[2]
+    return max(abs(g - w) / w for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("name", ["translate", "reflect", "rotate", "rotate_2d"])
 def test_march_commutes_with_box_symmetries(name):
-    # Law: march(S G0) = S march(G0) for a translation by whole cells and
-    # for the reflection x1 -> -x1 with B axial; 1e-13 relative.
+    # Law: march(S G0) = S march(G0), 1e-13 relative.
     assert _symmetry_defect(name) <= 1e-13
 
 
@@ -911,3 +941,14 @@ def test_march_breaks_reflection_with_polar_b():
     # Control: B taken as a polar vector breaks the law (0.37 measured), so
     # the reflection case above checks the parity of every cross product.
     assert _symmetry_defect("reflect_b_polar") > 0.1
+
+
+@pytest.mark.parametrize("name", ["translate", "reflect", "rotate"])
+def test_picard_differences_are_invariant_under_box_symmetries(name):
+    # Law: ||G^{m+1} - G^m||_Z from S G0 equals that from G0, 1e-10 relative.
+    assert _picard_symmetry_defect(name) <= 1e-10
+
+
+def test_picard_differences_break_reflection_with_polar_b():
+    # Control: B taken as a polar vector changes the Picard differences.
+    assert _picard_symmetry_defect("reflect_b_polar") > 1e-3

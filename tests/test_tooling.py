@@ -357,3 +357,35 @@ def test_simulate_workload_meets_its_contract(seed, monkeypatch, tmp_path):
     assert workload.invariants(0, out) == []
     reference = workloads.load_reference(workload.name, True, seed)[0]
     assert workloads.mismatches(out, reference, workload.rel_tol) == []
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_criticality_workload_meets_its_contract(seed, monkeypatch, tmp_path):
+    # The criticality-lattice workload's rows must stay within its tolerance
+    # of the recorded references; a change to the lattice route fails here.
+    monkeypatch.syspath_prepend(PERFBENCH)
+    workloads = importlib.import_module("workloads")
+    workload = workloads.CriticalityWorkload()
+    workload.setup(seed, True, str(tmp_path))
+    [(_, operation)] = workload.round()
+    out = workload.outputs(0, operation())
+    assert workload.invariants(0, out) == []
+    reference = workloads.load_reference(workload.name, True, seed)[0]
+    assert workloads.mismatches(out, reference, workload.rel_tol) == []
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_checks_linear_workload_meets_its_contract(seed, monkeypatch, tmp_path):
+    # Every checker call of the checks-linear workload must stay within its
+    # tolerance of the recorded references, one reference per call.
+    monkeypatch.syspath_prepend(PERFBENCH)
+    workloads = importlib.import_module("workloads")
+    workload = workloads.ChecksLinearWorkload()
+    workload.setup(seed, True, str(tmp_path))
+    reference = workloads.load_reference(workload.name, True, seed)
+    operations = workload.round()
+    assert len(operations) == len(reference)
+    for index, (_, operation) in enumerate(operations):
+        out = workload.outputs(index, operation())
+        assert workload.invariants(index, out) == []
+        assert workloads.mismatches(out, reference[index], workload.rel_tol) == []
