@@ -10,7 +10,7 @@ import argparse
 import csv
 import sys
 
-from nsmaxwell.checks import PRODUCT_LAW_IDS, product_law_report
+from nsmaxwell.checks import PRODUCT_LAW_IDS, estimate_dimension, product_law_report
 from nsmaxwell.grid import Grid
 
 
@@ -30,7 +30,7 @@ def main(argv=None) -> int:
         w = csv.writer(fh)
         w.writerow(["estimate_id", "T", "max_ratio", "median_ratio"])
         for est in args.estimates:
-            grid = Grid(2 if est.endswith("2D") else 3, args.n)
+            grid = Grid(estimate_dimension(est), args.n)
             vals = []
             for T in args.windows:
                 rep = product_law_report(est, grid, args.seed, args.count, args.slope, T)

@@ -8,7 +8,8 @@ e^{-SEPARABLE_RATE t} U(x), so every space-time norm factorizes into
 cost nothing.  The decaying envelope also makes all time integrals
 converge within t = O(1), so a window sweep T in {1, 10, 100} probes the
 T-independence of the constants rather than the convergence of the
-integrals.
+integrals.  est4-2D is one formula (``_est4_2d``) on the pieces that the
+grid route and the lattice route measure; no homogeneous norm counts k = 0.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import numpy as np
 from .grid import (
     Grid,
     SpectralField,
+    _check_same_grid,
     _dealiased_physical,
     _half_spectral,
     _sup_series,
@@ -35,6 +37,7 @@ from .dyadic import (
     DyadicPartition,
     NormSpec,
     ShellSeries,
+    _besov_l1,
     _block_l2,
     _mode_power,
     _shell_l2,
@@ -48,11 +51,9 @@ from .dyadic import (
     time_lebesgue,
 )
 from .propagators import PropagatorTable, _maxwell_coefficients, _maxwell_modes, _trapezoid
-from .system import _z_specs, step_count
+from .system import _field_space, step_count
 from .ensembles import gen_field
 from .latticeblocks import (
-    besov_norm as lattice_besov,
-    hst_from_shells,
     l2_norm as lattice_l2,
     bony_paraproducts,
     criticality_packets,
@@ -67,6 +68,7 @@ __all__ = [
     "check_l2linfty",
     "concentrated_packet",
     "check_maxwell_energy_decay",
+    "estimate_dimension",
     "check_product_law",
     "product_law_report",
     "log_criticality_experiment",
@@ -175,20 +177,15 @@ SEPARABLE_RATE = 2.0
 
 
 def envelope_time_norm(rate: float, T: float, p) -> float:
-    """L^p(0, T) norm of e^{-rate t} in closed form, for any real rate."""
-    if p == np.inf:
-        return max(1.0, math.exp(-rate * T))
-    if rate == 0:
-        if p == 1:
-            return T
-        if p == 2:
-            return math.sqrt(T)
+    """L^p(0, T) norm of e^{-rate t}, p = 1 or 2, in closed form for any
+    real rate."""
+    if p not in (1, 2):
         raise ValueError(f"unsupported time exponent {p!r}")
+    if rate == 0:
+        return T if p == 1 else math.sqrt(T)
     if p == 1:
         return (1.0 - math.exp(-rate * T)) / rate
-    if p == 2:
-        return math.sqrt((1.0 - math.exp(-2.0 * rate * T)) / (2.0 * rate))
-    raise ValueError(f"unsupported time exponent {p!r}")
+    return math.sqrt((1.0 - math.exp(-2.0 * rate * T)) / (2.0 * rate))
 
 
 # ---------------------------------------------------------------------------
@@ -456,6 +453,34 @@ PINNED_BOUNDS = {
 PRODUCT_LAW_IDS = tuple(PINNED_BOUNDS)
 
 
+def estimate_dimension(estimate_id: str) -> int:
+    """The dimension of a product-law estimate: its id's -2D / -3D suffix."""
+    if estimate_id not in PINNED_BOUNDS:
+        raise ValueError(f"unknown estimate id {estimate_id!r}")
+    return int(estimate_id[-2])
+
+
+def _envelope_norms(T: float) -> tuple:
+    """(e2, E1, E2): the L^2_T norm of a factor's envelope e^{-SEPARABLE_RATE t},
+    the L^1_T and L^2_T norms of a product's; a factor's Linf_T norm is 1."""
+    return (envelope_time_norm(SEPARABLE_RATE, T, 2),
+            envelope_time_norm(2.0 * SEPARABLE_RATE, T, 1),
+            envelope_time_norm(2.0 * SEPARABLE_RATE, T, 2))
+
+
+def _est4_2d(T: float, para, s2r: float, rem, a_norm: float, b_norm: float,
+             b_h10: float) -> tuple:
+    """(lhs, rhs) of est4-2D from the pieces that the grid route and the
+    lattice route measure on its factors (E, B): the shell L^2 norms
+    (rows, q_values) of T_E B + T_B E and of (I - S_2) R, R the Bony
+    remainder; ||S_2 R||_{L^2} without R's k = 0 mode, which no homogeneous
+    norm counts; the norms of E and B in X (in L^2 for the lattice's
+    unweighted RHS) and ||B||_{H^{1,0}}."""
+    e2, E1, E2 = _envelope_norms(T)
+    lhs = _besov_l1(*para, -1.0) * E2 + s2r * E1 + _besov_l1(*rem, -1.0) * E2
+    return lhs, (a_norm * e2) * (b_norm + b_h10 * e2)
+
+
 def _tensor_gradient_power(u: SpectralField, v: SpectralField) -> np.ndarray:
     """Sum over i,j,l of |FT[d_l(u_i v_j)]|^2 per mode (dealiased)."""
     grid = u.grid
@@ -481,28 +506,34 @@ def check_product_law(estimate_id: str, T: float, a: SpectralField,
     The estimates are written on the paper's two spaces: a velocity lies in
     L^2_T Linf ^ L^2_T H^{d/2}, with norm V(u) = ||u||_{Linf} e2 +
     ||u||_{H^{d/2}} e2, and a field in X = H^{d/2-1}_alpha, the space of the
-    Z-norm (``system._z_specs``).  e2 is the L^2_T norm of one factor's
-    envelope, E1 and E2 the L^1_T and L^2_T norms of a product's (rates
-    add); a factor's Linf_T envelope norm is 1.  LHS sum-space norms use
-    the paraproduct-induced split (an upper bound for the true infimum, and
-    the split the estimates are proved through); the norm of an
-    intersection space is the sum of its pieces."""
-    if estimate_id not in PINNED_BOUNDS:
-        raise ValueError(f"unknown estimate id {estimate_id!r}")
+    Z-norm (``_field_space``); e2, E1 and E2 are the ``_envelope_norms``.
+    LHS sum-space norms use the paraproduct-induced split (an upper bound
+    for the true infimum, and the split the estimates are proved through);
+    the norm of an intersection space is the sum of its pieces.  est4-2D is
+    ``_est4_2d`` on the pieces measured on the grid.  The id's dimension
+    (``estimate_dimension``) must be the factors' and the two factors must
+    lie on one grid, else ``ValueError``."""
+    d = estimate_dimension(estimate_id)
     grid = a.grid
-    d = grid.d
-    if not estimate_id.endswith(f"-{d}D"):
-        raise ValueError(f"{estimate_id} is a {estimate_id[-2]}D estimate, "
-                         f"but its factors lie on a {d}D grid")
-    alpha, half = _z_specs(d)
-    X = NormSpec(half - 1, half - 1, alpha)
-    e2 = envelope_time_norm(SEPARABLE_RATE, T, 2)
-    E1 = envelope_time_norm(2.0 * SEPARABLE_RATE, T, 1)
-    E2 = envelope_time_norm(2.0 * SEPARABLE_RATE, T, 2)
+    if grid.d != d:
+        raise ValueError(f"{estimate_id} is a {d}D estimate, "
+                         f"but its factors lie on a {grid.d}D grid")
+    _check_same_grid(a, b)
+    X = _field_space(d)
+    if estimate_id == "est4-2D":
+        t_eb, t_be, r = bony_decompose(a, b)
+        low = low_pass(r, 2)
+        high = r - low
+        low.set_mean((0.0, 0.0, 0.0))
+        shells = build_partition(grid).shells()
+        return _est4_2d(T, (_block_l2(t_eb + t_be), shells), lp_norm_physical(low, 2),
+                        (_block_l2(high), shells), norm_hst(a, X), norm_hst(b, X),
+                        norm_hst(b, NormSpec(1.0, 0.0)))
+    e2, E1, E2 = _envelope_norms(T)
 
     def V(u):
         return (lp_norm_physical(u, np.inf) * e2
-                + norm_hst(u, NormSpec.sobolev(half)) * e2)
+                + norm_hst(u, NormSpec.sobolev(d / 2.0)) * e2)
 
     if estimate_id.startswith("est1"):
         power = _tensor_gradient_power(a, b)
@@ -518,18 +549,9 @@ def check_product_law(estimate_id: str, T: float, a: SpectralField,
         lhs = norm_hst(pointwise_product(a, b), X) * E2
         return lhs, V(a) * norm_hst(b, X)
 
-    # est4
-    if d == 3:
-        lhs = norm_besov(pointwise_product(a, b), -0.5) * E2
-        return lhs, (norm_hst(a, X) * e2) * norm_hst(b, X)
-    t_eb, t_be, r = bony_decompose(a, b)
-    lhs = (
-        norm_besov(t_eb + t_be, -1.0) * E2
-        + lp_norm_physical(low_pass(r, 2), 2) * E1
-        + norm_besov(r - low_pass(r, 2), -1.0) * E2
-    )
-    return lhs, (norm_hst(a, X) * e2) * (
-        norm_hst(b, X) + norm_hst(b, NormSpec(1.0, 0.0)) * e2)
+    # est4-3D
+    lhs = norm_besov(pointwise_product(a, b), -0.5) * E2
+    return lhs, (norm_hst(a, X) * e2) * norm_hst(b, X)
 
 
 def product_law_report(estimate_id: str, grid: Grid, seed: int, count: int,
@@ -567,34 +589,31 @@ def log_criticality_experiment(q_values, seed: int | None = 0,
     lattice sums; no grid, no aliasing.
     """
     rng = None if seed is None else np.random.default_rng(seed)
-    env2 = envelope_time_norm(2.0 * SEPARABLE_RATE, T, 2)
-    env1 = envelope_time_norm(2.0 * SEPARABLE_RATE, T, 1)
-    envf2 = envelope_time_norm(SEPARABLE_RATE, T, 2)
+    X = _field_space(2)
     rows = []
     for q in q_values:
         p_list, b_list = criticality_packets(q, rng)
         t_ab, t_ba = bony_paraproducts(p_list, b_list)
         s2r, comp = remainder_cluster_stats(p_list, b_list,
                                             t_blocks=t_ab + t_ba)
-        lhs = (
-            lattice_besov(t_ab + t_ba, -1.0) * env2
-            + s2r * env1
-            + sum(2.0 ** (-j) * v for j, v in comp.items()) * env2
-        )
+        pieces = (_lattice_rows(lattice_shell_norms(t_ab + t_ba)), s2r,
+                  _lattice_rows(comp))
         a_blocks = [blk for pb in p_list for blk in real_pair(pb)]
         b_blocks = [blk for qb in b_list for blk in real_pair(qb)]
-        b_shells = lattice_shell_norms(b_blocks)
-        b_h10 = hst_from_shells(b_shells, 1.0, 0.0, 0.0)
-        rhs_unw = envf2 * lattice_l2(a_blocks) * (
-            lattice_l2(b_blocks) + envf2 * b_h10
-        )
-        rhs_w = (
-            envf2
-            * hst_from_shells(lattice_shell_norms(a_blocks), 0.0, 0.0, 1.0)
-            * (hst_from_shells(b_shells, 0.0, 0.0, 1.0) + envf2 * b_h10)
-        )
+        a_shells = _lattice_rows(lattice_shell_norms(a_blocks))
+        b_shells = _lattice_rows(lattice_shell_norms(b_blocks))
+        b_h10 = float(_weighted_l2(*b_shells, NormSpec(1.0, 0.0)))
+        lhs, rhs_unw = _est4_2d(T, *pieces, lattice_l2(a_blocks),
+                                lattice_l2(b_blocks), b_h10)
+        _, rhs_w = _est4_2d(T, *pieces, float(_weighted_l2(*a_shells, X)),
+                            float(_weighted_l2(*b_shells, X)), b_h10)
         rows.append((q, lhs, rhs_unw, rhs_w, lhs / rhs_unw, lhs / rhs_w))
     return rows
+
+
+def _lattice_rows(norms: dict) -> tuple:
+    """A lattice shell-norm dict as the (rows, q_values) of ``dyadic``."""
+    return np.array(list(norms.values())), np.array(list(norms))
 
 
 def fit_growth_exponent(q_values, ratios) -> float:

@@ -20,6 +20,7 @@ import numpy as np
 
 from .checks import (
     PINNED_BOUNDS,
+    estimate_dimension,
     product_law_report,
     write_reports_csv,
     write_reports_jsonl,
@@ -160,7 +161,7 @@ def _cmd_picard(cfg: RunConfig) -> int:
 def _cmd_verify(cfg: RunConfig) -> int:
     reports, grids = [], {}
     for est in cfg.estimates:
-        d = 2 if est.endswith("2D") else 3
+        d = estimate_dimension(est)
         # One grid, geometry and partition, per dimension; n and box_length
         # apply to the config's own dimension only.
         if d not in grids:

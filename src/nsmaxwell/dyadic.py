@@ -266,8 +266,16 @@ def _mode_power(amps: np.ndarray) -> np.ndarray:
 
 
 def _weighted_l2(rows: np.ndarray, q_values, spec: NormSpec):
-    """sqrt(sum_q shell_weight_sq(q) rows_q^2) along the last axis."""
+    """sqrt(sum_q shell_weight_sq(q) rows_q^2) along the last axis: the
+    hybrid norm ``spec`` from shell L^2 norms, of the grid or the lattice."""
     return np.sqrt(rows**2 @ spec.shell_weight_sq(q_values))
+
+
+def _besov_l1(rows: np.ndarray, q_values, s: float) -> float:
+    """sum_q 2^{qs} rows_q: the B^s_{2,1} norm from shell L^2 norms, of
+    the grid or the lattice."""
+    qs = np.asarray(q_values, dtype=float)
+    return float(np.sum(2.0 ** (qs * s) * rows))
 
 
 def _block_l2(u: SpectralField) -> np.ndarray:
@@ -286,8 +294,7 @@ def norm_hst(u: SpectralField, spec: NormSpec) -> float:
 def norm_besov(u: SpectralField, s: float) -> float:
     """Homogeneous Besov norm B^s_{2,1}: the sum over shells of
     2^{qs} ||Delta_q u||_{L^2}."""
-    qs = np.array(build_partition(u.grid).shells(), dtype=float)
-    return float(np.sum(2.0 ** (qs * s) * _block_l2(u)))
+    return _besov_l1(_block_l2(u), build_partition(u.grid).shells(), s)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,8 @@ beyond any affordable FFT grid are reachable as long as the fields are
 frequency-localized.  Shell weights are evaluated analytically from the
 same radial profiles as the grid partition, using the full telescoping
 family (the lattice is unbounded, so no boundary absorption is needed).
+Only shell norms and L^2 norms are measured here; the Besov and hybrid
+norms built from them are the shell sums of ``dyadic``, as on the grid.
 
 Real profiles stay real: a profile is stored as float64 unless it is
 complex, and packets, conjugate mirrors, radial multipliers, real
@@ -48,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft
 
-from .dyadic import NormSpec, chi_profile, phi_profile, CHI_HI, PHI_LO, PHI_HI
+from .dyadic import chi_profile, phi_profile, CHI_HI, PHI_LO, PHI_HI
 
 __all__ = [
     "BlockField",
@@ -59,12 +61,9 @@ __all__ = [
     "bony_paraproducts",
     "shell_norms",
     "l2_norm",
-    "hst_from_shells",
-    "besov_norm",
     "lowpass_blocks",
     "remainder_cluster_stats",
     "gaussian_packet",
-    "packet_pair",
     "criticality_packets",
     "blocks_to_grid_field",
 ]
@@ -81,7 +80,7 @@ _CUT_SLACK = 1e-12
 # fewest page faults (2.4 K per sweep against 23 K at 2^18) and ran as fast
 # as 2^13 and 2^14, whose extra chunks add Python overhead and no savings.
 _CHUNK_POINTS = 2**15
-# Packet centres of ``packet_pair`` and ``criticality_packets`` sit at
+# Packet centres of ``criticality_packets`` sit at
 # m0 = round(PACKET_CENTER_SCALE * 2^q) on both axes, radius ~1.75 * 2^q.
 PACKET_CENTER_SCALE = 1.2375
 
@@ -176,11 +175,8 @@ def _shell_weight_fn(q: int):
 
 
 def _lowpass_fn(q: int):
-    def fn(r):
-        w = chi_profile(r / 2.0**q)
-        return np.where(r == 0.0, 1.0, w)
-
-    return fn
+    # chi(0) = 1: the low-pass keeps k = 0, as the grid's S_q does.
+    return lambda r: chi_profile(r / 2.0**q)
 
 
 def _shell_span(r_lo: float, r_hi: float) -> range:
@@ -447,18 +443,6 @@ def l2_norm(blocks: list) -> float:
     return math.sqrt(BOX_VOLUME_2D * total)
 
 
-def hst_from_shells(norms: dict, s: float, t: float, alpha: float = 0.0) -> float:
-    """The hybrid norm ``NormSpec(s, t, alpha)`` of a field from its
-    ``shell_norms``, so that one measurement serves several norms."""
-    weight_sq = NormSpec(s, t, alpha).shell_weight_sq
-    return math.sqrt(sum(float(weight_sq(q)) * bq**2 for q, bq in norms.items()))
-
-
-def besov_norm(blocks: list, s: float) -> float:
-    """Besov-(2,1): l^1 over shells of 2^{qs} ||Delta_q .||_{L^2}."""
-    return sum(2.0 ** (q * s) * bq for q, bq in shell_norms(blocks).items())
-
-
 def lowpass_blocks(blocks: list, q: int, complement: bool = False) -> list:
     """S_q of each block, or (I - S_q) with ``complement``."""
     fn = _lowpass_fn(q)
@@ -487,25 +471,6 @@ def gaussian_packet(center: tuple, half_width: int, pol,
     if rng is not None:
         vals = vals * (1.0 + 0.1 * rng.standard_normal(vals.shape))
     return BlockField((center[0] - h, center[1] - h), vals, pol)
-
-
-def packet_pair(q: int, rng: np.random.Generator | None = None):
-    """Two real shell-q wave packets at opposite frequencies.
-
-    Both packets live on dyadic shell ~q (|m| ~ 1.75 * 2^q) with half width
-    0.22 * 2^q; their product is a spatially localized bump whose spectrum
-    is flat across all output shells up to ~q + log2(0.22), the
-    configuration that drives the logarithmic loss of the 2D product
-    estimate.
-    """
-    m0 = int(round(PACKET_CENTER_SCALE * 2.0**q))
-    h = max(1, int(round(0.22 * 2.0**q)))
-    h = min(h, m0 - 1)  # keep the packet away from k = 0
-    e_pol = np.array([0.0, 0.0, 1.0])
-    b_pol = np.array([1.0, 0.0, 0.0])
-    p = gaussian_packet((m0, m0), h, e_pol, rng)
-    qb = gaussian_packet((-m0, -m0), h, b_pol, rng)
-    return p, qb
 
 
 def criticality_packets(q: int, rng: np.random.Generator | None = None):

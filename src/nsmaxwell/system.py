@@ -343,6 +343,12 @@ def _z_specs(d: int):
     return alpha, half
 
 
+def _field_space(d: int) -> NormSpec:
+    """X = H^{d/2-1}_alpha, the field space of the Z-norm and the product laws."""
+    alpha, half = _z_specs(d)
+    return NormSpec(half - 1, half - 1, alpha)
+
+
 def z_norm(traj: Trajectory) -> ZNorm:
     """The composite solution-space norm with alpha = 1 (d=2) / 0 (d=3):
 
@@ -379,11 +385,9 @@ def _z_from_series(d: int, sv: ShellSeries, se: ShellSeries, sb: ShellSeries) ->
 
 def initial_data_norm(state: MhdState) -> float:
     """Norm of Gamma0 in H^{d/2-1} x H^{d/2-1}_a x H^{d/2-1}_a."""
-    alpha, half = _z_specs(state.grid.d)
-    nv = norm_hst(state.v, NormSpec.sobolev(half - 1))
-    ne = norm_hst(state.E, NormSpec(half - 1, half - 1, alpha))
-    nb = norm_hst(state.B, NormSpec(half - 1, half - 1, alpha))
-    return nv + ne + nb
+    X = _field_space(state.grid.d)
+    nv = norm_hst(state.v, NormSpec.sobolev(X.s))
+    return nv + norm_hst(state.E, X) + norm_hst(state.B, X)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from nsmaxwell.checks import (
     check_product_law,
     concentrated_packet,
     envelope_time_norm,
+    estimate_dimension,
     fast_eigenmode_state,
     fit_growth_exponent,
     heat_forced_coeffs,
@@ -45,6 +46,7 @@ from nsmaxwell.grid import (
     gradient_component,
     lp_norm_physical,
 )
+from nsmaxwell.latticeblocks import blocks_to_grid_field, criticality_packets, real_pair
 from nsmaxwell.system import step_count
 
 from conftest import count_transforms, count_trapezoids, random_field, single_mode_field
@@ -128,9 +130,9 @@ def test_envelope_time_norm_vs_quadrature():
             direct, _ = quad(lambda t: math.exp(-rate * t) ** p, 0.0, 5.0)
             direct = direct ** (1.0 / p)
             assert abs(envelope_time_norm(rate, 5.0, p) - direct) < 1e-10
-    assert envelope_time_norm(3.0, 5.0, np.inf) == 1.0
-    with pytest.raises(ValueError):
-        envelope_time_norm(1.0, 1.0, 4)
+    for p in (4, np.inf):
+        with pytest.raises(ValueError):
+            envelope_time_norm(1.0, 1.0, p)
 
 
 def test_envelope_time_norm_of_a_growing_envelope(grid2):
@@ -141,7 +143,6 @@ def test_envelope_time_norm_of_a_growing_envelope(grid2):
             for p in (1, 2):
                 direct = quad(lambda t: math.exp(-rate * t) ** p, 0.0, T)[0] ** (1.0 / p)
                 assert abs(envelope_time_norm(rate, T, p) - direct) < 1e-12 * direct
-            assert envelope_time_norm(rate, T, np.inf) == math.exp(-rate * T)
     assert abs(envelope_time_norm(-1.0, 1.0, 1) - (math.e - 1.0)) < 1e-15
     assert abs(envelope_time_norm(-1.0, 1.0, 2) - math.sqrt((math.e**2 - 1.0) / 2.0)) < 1e-15
     # The L^1_T H^{d/2-1} forcing term of check_l2linfty takes that norm.
@@ -155,16 +156,17 @@ def test_envelope_time_norm_of_a_growing_envelope(grid2):
 
 def test_separable_trajectory_matches_sampled_norm(grid2):
     # A factor e^{-rate t} f(x) has space-time norm (spatial norm) x
-    # (envelope norm), the factorization the product laws write out.
+    # (envelope norm), the factorization the product laws write out; the
+    # L^inf_T norm of a decaying envelope is 1.
     f = random_field(grid2, seed=50, slope=1.0)
     T = 2.0
     times = np.linspace(0.0, T, 801)
     series = shell_series(np.stack([f.coeffs * math.exp(-1.3 * t) for t in times]),
                           times, grid2)
-    for p in (2, np.inf):
+    for p, envelope in ((2, envelope_time_norm(1.3, T, 2)), (np.inf, 1.0)):
         spec = NormSpec.sobolev(0.5, time_exponent=p, tilde=True)
         sampled = spacetime_norm_from_series(series, spec)
-        closed = norm_hst(f, spec) * envelope_time_norm(1.3, T, p)
+        closed = norm_hst(f, spec) * envelope
         assert abs(sampled - closed) < 2e-5 * closed
 
 
@@ -647,6 +649,54 @@ def test_product_law_on_a_grid_of_the_other_dimension_raises(estimate_id, d, mes
     live = random_field(Grid(d, 16), seed=60, slope=1.0)
     with pytest.raises(ValueError, match=message):
         check_product_law(estimate_id, 1.0, live, live)
+
+
+def test_estimate_dimension_reads_the_id():
+    assert [estimate_dimension(e) for e in PRODUCT_LAW_IDS] == [2, 2, 2, 3, 3, 3]
+    with pytest.raises(ValueError, match="unknown estimate id"):
+        estimate_dimension("est4")
+
+
+@pytest.mark.parametrize("estimate_id", PRODUCT_LAW_IDS)
+def test_product_law_factors_on_two_grids_raise(estimate_id):
+    # est1 measured b with a's wavevectors: on these fields est1-2D
+    # returned (0.96, 13.0) and est1-3D (3.0, 199) where it should raise.
+    d = estimate_dimension(estimate_id)
+    n = 32 if d == 2 else 16
+    a = random_field(Grid(d, n), seed=60, slope=1.0)
+    b = random_field(Grid(d, n, 4.0 * math.pi), seed=61, slope=1.0)
+    with pytest.raises(ValueError, match="different grids"):
+        check_product_law(estimate_id, 1.0, a, b)
+
+
+def test_est4_2d_of_constant_factors_is_zero():
+    # a x b is the constant (0, 0, 1): its k = 0 mode, which no homogeneous
+    # norm counts, is all of the low remainder S_2 R.  Counting it gave
+    # (pi / 2, 0.0), a pair no report can take.
+    grid = Grid(2, 32)
+    a, b = SpectralField.zeros(grid), SpectralField.zeros(grid)
+    a.set_mean((1.0, 0.0, 0.0))
+    b.set_mean((0.0, 1.0, 0.0))
+    pair = check_product_law("est4-2D", 100.0, a, b)
+    assert pair == (0.0, 0.0)
+    report = EstimateReport("est4-2D", {})
+    report.add_sample(*pair)
+    assert report.ratios == []
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_est4_2d_grid_route_matches_lattice_route(q):
+    # The criticality packets pasted on a grid that holds them: the grid
+    # route measures what the lattice measures exactly, and one formula
+    # combines both.
+    grid = Grid(2, 128)
+    p_list, b_list = criticality_packets(q, np.random.default_rng(0))
+    a, b = (blocks_to_grid_field([blk for pb in blocks for blk in real_pair(pb)], grid)
+            for blocks in (p_list, b_list))
+    lhs, rhs = check_product_law("est4-2D", 100.0, a, b)
+    [(_, lhs_lattice, _, rhs_lattice, _, _)] = log_criticality_experiment([q], 0)
+    assert abs(lhs / lhs_lattice - 1.0) < 1e-12
+    assert abs(rhs / rhs_lattice - 1.0) < 1e-12
 
 
 @pytest.mark.parametrize("estimate_id", ["est1-2D", "est4-2D", "est3-uB-2D"])

@@ -4,8 +4,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from nsmaxwell.checks import _lattice_rows
 from nsmaxwell.dyadic import (
     NormSpec,
+    _besov_l1,
+    _weighted_l2,
     block,
     build_partition,
     chi_profile,
@@ -18,16 +21,13 @@ from nsmaxwell.grid import Grid, lp_norm_physical, pointwise_product
 from nsmaxwell.latticeblocks import (
     BlockField,
     _shell_sums,
-    besov_norm,
     block_convolve,
     bony_paraproducts,
     blocks_to_grid_field,
     criticality_packets,
     gaussian_packet,
-    hst_from_shells,
     l2_norm,
     lowpass_blocks,
-    packet_pair,
     radial_multiply,
     real_pair,
     real_product_blocks,
@@ -80,9 +80,10 @@ def test_block_convolve_matches_grid_product():
 def test_lattice_norms_match_grid_route():
     grid = Grid(2, 128)
     part = build_partition(grid)
-    rng = np.random.default_rng(2)
-    p, q = packet_pair(3, rng)
-    blocks = real_product_blocks([p], [q])
+    # The shell-3 packets of the criticality sweep: their product spreads
+    # over shells -1..5.
+    p_list, b_list = criticality_packets(3, np.random.default_rng(2))
+    blocks = real_product_blocks(p_list, b_list)
     f = blocks_to_grid_field(blocks, grid)
     # L^2 (the lattice norm drops the k=0 mode by convention)
     f_nomean = f.copy()
@@ -96,11 +97,13 @@ def test_lattice_norms_match_grid_route():
         if part.q_min <= s_q <= part.q_max and val > 1e-10:
             gval = lp_norm_physical(block(f, s_q), 2)
             assert abs(val - gval) < 1e-8 * max(gval, 1e-300), s_q
-    # Besov and heat-Sobolev style norms
-    b_lat = besov_norm(blocks, 0.5)
+    # Besov and heat-Sobolev style norms: the sums of dyadic on the
+    # lattice's shell norms
+    rows, q_values = _lattice_rows(lattice_shells)
+    b_lat = _besov_l1(rows, q_values, 0.5)
     b_grid = norm_besov(f, 0.5)
     assert abs(b_lat - b_grid) < 1e-7 * b_grid
-    h_lat = hst_from_shells(lattice_shells, 0.0, 0.5, alpha=1.0)
+    h_lat = float(_weighted_l2(rows, q_values, NormSpec(s=0.0, t=0.5, alpha=1.0)))
     h_grid = norm_hst(f, NormSpec(s=0.0, t=0.5, alpha=1.0))
     assert abs(h_lat - h_grid) < 1e-7 * h_grid
 

@@ -34,7 +34,7 @@ SCRIPT_ARGS = {
                            "--dt", "0.05", "--iters", "2"],
     "criticality_sweep.py": ["--q-min", "2", "--q-max", "3"],
     "maxwell_decay_sweep.py": ["--n", "16", "--count", "1", "--windows", "1.0"],
-    "product_law_sweep.py": ["--estimates", "est4-2D", "--windows", "1.0",
+    "product_law_sweep.py": ["--estimates", "est4-2D", "est4-3D", "--windows", "1.0",
                              "--count", "1", "--n", "16"],
 }
 
@@ -185,7 +185,6 @@ TEST_ONLY_REGISTRY = {
                                            "PropagatorTable.apply and march keep fields real",
     "latticeblocks.real_product_blocks": "remainder_cluster_stats",
     "latticeblocks.lowpass_blocks": "remainder_cluster_stats",
-    "latticeblocks.packet_pair": "the lattice route checked against the grid route",
     "latticeblocks.blocks_to_grid_field": "the lattice route checked against the grid route",
     "propagators.maxwell_apply": "criterion 1",
     "propagators.maxwell_wave_route": "criterion 1",
